@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-escapes race race-short chaos exec-chaos serve-chaos obs-chaos calib-chaos ci bench bench-json cover figures examples clean
+.PHONY: all build test vet lint lint-escapes race race-short chaos exec-chaos serve-chaos obs-chaos calib-chaos ci bench bench-json bench-smoke cover figures examples clean
 
 all: build lint test
 
@@ -95,6 +95,20 @@ bench:
 bench-json:
 	$(GO) run ./cmd/hcbench -fig sweeps -json bench.json
 	$(GO) run ./cmd/hcbench -bench-json BENCH_plan.json
+
+# Five seconds each of the repo benchmark's two directory-facing
+# workloads (BENCHMARK.json, bench/README.md), run for their correctness
+# gate rather than their numbers: every served plan must carry the
+# store's generation and equal the plan the library computes on the
+# store's table at that generation, which is what guards the directory
+# client's held snapshot and the daemon's plan cache. The result is the
+# last line of output; the recipe fails unless it reads "correct": true.
+bench-smoke:
+	@for w in serve-live serve-miss; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1 \
+			| grep -Eq '"correct": *true' || { echo "bench-smoke: $$w is not correct" >&2; exit 1; }; \
+		echo "bench-smoke: $$w correct"; \
+	done
 
 cover:
 	$(GO) test -cover ./...

@@ -30,7 +30,6 @@ import (
 	"hetsched"
 	"hetsched/internal/comm"
 	"hetsched/internal/directory"
-	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 	"hetsched/internal/serve"
 )
@@ -278,8 +277,7 @@ func storm(target string, g, requests, patterns int, zipfS float64, p int,
 // and returns its loopback address and a teardown function.
 func startSelfhost(p int, seed int64, workers, queueCap int) (string, func(), error) {
 	perf := hetsched.RandomPerf(rand.New(rand.NewSource(seed)), p, hetsched.GustoGuided())
-	source := func() (*netmodel.Perf, error) { return perf.Clone(), nil }
-	c, err := comm.New(p, source, comm.Config{})
+	c, err := comm.New(p, comm.StaticSource(perf), comm.Config{})
 	if err != nil {
 		return "", nil, err
 	}

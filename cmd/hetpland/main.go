@@ -101,13 +101,13 @@ func main() {
 		perf := hetsched.Gusto()
 		n = perf.N()
 		prior = perf
-		source = staticSource(perf)
+		source = comm.StaticSource(perf)
 		fmt.Printf("hetpland: planning for %d processors against the static GUSTO tables\n", n)
 	case *random:
 		perf := hetsched.RandomPerf(rand.New(rand.NewSource(*seed)), *p, hetsched.GustoGuided())
 		n = perf.N()
 		prior = perf
-		source = staticSource(perf)
+		source = comm.StaticSource(perf)
 		fmt.Printf("hetpland: planning for %d processors against a random table (seed %d)\n", n, *seed)
 	default:
 		fmt.Fprintln(os.Stderr, "hetpland: pick -dir ADDR, -gusto, or -random")
@@ -231,13 +231,6 @@ func serveHTTP(addr string, h http.Handler) (string, func() error, error) {
 	srv := &http.Server{Handler: h}
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv.Close, nil
-}
-
-// staticSource serves an immutable table: planning never fails, and
-// health stays ok — the static analogue of a perfectly reliable
-// directory.
-func staticSource(perf *hetsched.Perf) comm.Source {
-	return func() (*netmodel.Perf, error) { return perf.Clone(), nil }
 }
 
 func fatal(err error) {

@@ -27,13 +27,22 @@ import (
 )
 
 // Source supplies current network performance — typically
-// DirectoryClient.Snapshot or Store.Snapshot wrapped in a closure.
+// directory.ResilientClient.Source or Store.Snapshot wrapped in a
+// closure.
+//
+// The returned table is read-only on both sides. The communicator never
+// writes to it (model.Build only reads, calibration overlays are
+// copy-on-write, the stale rung keeps its own copy), so a source may
+// hand the same table to every call and to concurrent callers without
+// copying it. In return a source must not mutate a table it has handed
+// out: when the network changes it returns a different table.
 type Source func() (*netmodel.Perf, error)
 
-// StaticSource wraps a fixed table as a Source.
+// StaticSource wraps a fixed table as a Source. The table is copied
+// once, here, so later writes to perf do not reach the planner.
 func StaticSource(perf *netmodel.Perf) Source {
 	fixed := perf.Clone()
-	return func() (*netmodel.Perf, error) { return fixed.Clone(), nil }
+	return func() (*netmodel.Perf, error) { return fixed, nil }
 }
 
 // Config tunes a Communicator.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/sched"
@@ -343,4 +344,62 @@ func TestCommUnderRandomDrift(t *testing.T) {
 		t.Errorf("stats don't add up: %+v", st)
 	}
 	t.Logf("drift soak stats: %+v", st)
+}
+
+// TestSourceTableIsReadOnly pins the communicator's half of the Source
+// contract: a source may hand one table to every plan, so no planning
+// path — one-shot, repeated, scratch, or the calibration overlay with a
+// trusted estimate armed — may write to it.
+func TestSourceTableIsReadOnly(t *testing.T) {
+	const n = 5
+	table := netmodel.Gusto()
+	pristine := table.Clone()
+	cal, err := calib.New(table, calib.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Teach the calibrator that 0→1 runs at a third of the table's rate,
+	// until it trusts the estimate enough to overlay it.
+	slow := table.At(0, 1)
+	slow.Bandwidth /= 3
+	for batch := 0; batch < 64 && !cal.Pair(0, 1).Trusted; batch++ {
+		var samples []calib.Sample
+		for _, size := range []int64{1 << 14, 1 << 17, 1 << 20} {
+			samples = append(samples, calib.Sample{Src: 0, Dst: 1, Bytes: size,
+				Seconds: slow.TransferTime(size), Outcome: calib.OutcomeDelivered})
+		}
+		cal.ObserveBatch(samples)
+	}
+	if !cal.Pair(0, 1).Trusted {
+		t.Fatal("calibrator never trusted the pair; the overlay path would go untested")
+	}
+	if overlaid := cal.Apply(table); overlaid == table {
+		t.Fatal("the overlay is a no-op; the copy-on-write path would go untested")
+	}
+
+	calls := 0
+	source := func() (*netmodel.Perf, error) { calls++; return table, nil }
+	c, err := New(n, source, Config{Calibrator: cal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := model.UniformSizes(n, 1<<20)
+	var sc PlanScratch
+	for k := 0; k < 3; k++ {
+		if _, err := c.AllToAll(sizes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AllToAllRepeated(sizes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AllToAllRepeatedScratch(sizes, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 9 {
+		t.Errorf("source consulted %d times for 9 plans", calls)
+	}
+	if !table.Equal(pristine) {
+		t.Error("planning wrote to the table its source handed out")
+	}
 }

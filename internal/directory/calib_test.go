@@ -1,9 +1,7 @@
 package directory
 
 import (
-	"bufio"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -190,33 +188,13 @@ func TestResilientCalibrate(t *testing.T) {
 // server that answers with a well-formed frame holding a physically
 // meaningless table: the trust boundary must refuse it.
 func TestClientSnapshotValidation(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		sc := bufio.NewScanner(conn)
-		for sc.Scan() {
-			// A 2×2 snapshot whose off-diagonal bandwidth is zero.
-			resp := response{OK: true, Version: 3, N: 2, Names: []string{"a", "b"},
-				LatTable: [][]float64{{0, 0.01}, {0.01, 0}},
-				BWTable:  [][]float64{{0, 0}, {0, 0}}}
-			out, err := encodeResponse(resp)
-			if err != nil {
-				return
-			}
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
-		}
-	}()
-	cl, err := Dial(ln.Addr().String(), time.Second)
+	// A 2×2 snapshot whose off-diagonal bandwidth is zero.
+	addr := scriptedServer(t, func(int, request) response {
+		return response{OK: true, Version: 3, N: 2, Names: []string{"a", "b"},
+			LatTable: [][]float64{{0, 0.01}, {0.01, 0}},
+			BWTable:  [][]float64{{0, 0}, {0, 0}}}
+	})
+	cl, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

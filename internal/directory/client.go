@@ -148,14 +148,15 @@ func (c *Client) roundTrip(req request) (response, error) {
 		// Nothing touched the wire; the connection is still clean.
 		return response{}, fmt.Errorf("directory: send: %w", err)
 	}
-	return c.roundTripLine(out)
+	return c.roundTripLine(out, req.IfVersion)
 }
 
 // roundTripLine sends one pre-encoded request line and reads one
 // response line — the transport core shared by the scalar request
 // union and the calibration frames, which carry slice payloads the
-// union cannot hold.
-func (c *Client) roundTripLine(out []byte) (response, error) {
+// union cannot hold. asked is the if_version the request carried (nil
+// for none): the only version a not_modified reply may name.
+func (c *Client) roundTripLine(out []byte, asked *uint64) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -195,6 +196,13 @@ func (c *Client) roundTripLine(out []byte) (response, error) {
 		c.broken = true
 		return response{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
+	if resp.NotModified && (asked == nil || resp.Version != *asked) {
+		// A well-formed line that answers a question this request did
+		// not ask belongs to some other exchange: the stream is out of
+		// step, which is the same fault as garbage on it.
+		c.broken = true
+		return response{}, fmt.Errorf("%w: unsolicited not_modified (version %d)", ErrUnavailable, resp.Version)
+	}
 	if !resp.OK {
 		return response{}, fmt.Errorf("directory: server error: %s", resp.Error)
 	}
@@ -212,9 +220,21 @@ func (c *Client) Query(src, dst int) (netmodel.PairPerf, uint64, error) {
 
 // Snapshot fetches the whole table, its processor names, and version.
 func (c *Client) Snapshot() (*netmodel.Perf, []string, uint64, error) {
-	resp, err := c.roundTrip(request{Op: opSnapshot})
+	return c.snapshotUnless(nil)
+}
+
+// snapshotUnless is Snapshot for a caller that already holds the table
+// this connection delivered at version *have: when the server is still
+// at that version the reply is a bare not_modified and the returned
+// table is nil. The caller must not pass a version learned on any other
+// connection (see the protocol comment). A nil have always fetches.
+func (c *Client) snapshotUnless(have *uint64) (*netmodel.Perf, []string, uint64, error) {
+	resp, err := c.roundTrip(request{Op: opSnapshot, IfVersion: have})
 	if err != nil {
 		return nil, nil, 0, err
+	}
+	if resp.NotModified {
+		return nil, nil, resp.Version, nil
 	}
 	if len(resp.LatTable) != resp.N || len(resp.BWTable) != resp.N {
 		return nil, nil, 0, errors.New("directory: malformed snapshot tables")
@@ -247,7 +267,7 @@ func (c *Client) Calibrate(updates []calib.Update, samples []calib.Sample) (appl
 		// Nothing touched the wire; the connection is still clean.
 		return 0, 0, 0, fmt.Errorf("directory: send: %w", err)
 	}
-	resp, err := c.roundTripLine(out)
+	resp, err := c.roundTripLine(out, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}

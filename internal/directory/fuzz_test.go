@@ -12,10 +12,18 @@ import (
 func FuzzProtocolDecode(f *testing.F) {
 	f.Add(`{"op":"query","src":0,"dst":3}`)
 	f.Add(`{"op":"snapshot"}`)
+	f.Add(`{"op":"snapshot","if_version":7}`)
+	f.Add(`{"op":"snapshot","if_version":0}`) // a real version, not "absent"
+	f.Add(`{"op":"snapshot","if_version":null}`)
+	f.Add(`{"op":"snapshot","if_version":-1}`)
+	f.Add(`{"op":"snapshot","if_version":18446744073709551615}`)
 	f.Add(`{"op":"update_pair","src":0,"dst":3,"latency":0.02,"bandwidth":1e6}`)
 	f.Add(`{"op":"version"}`)
 	f.Add(`{"ok":true,"version":7,"latency":0.012,"bandwidth":255500}`)
 	f.Add(`{"ok":true,"version":7,"n":2,"names":["a","b"],"lat_table":[[0,1],[1,0]],"bw_table":[[0,1],[1,0]]}`)
+	f.Add(`{"ok":true,"version":7,"not_modified":true}`)
+	f.Add(`{"ok":true,"not_modified":true}`)
+	f.Add(`{"ok":true,"version":7,"not_modified":true,"n":2,"lat_table":[[0,1],[1,0]],"bw_table":[[0,1],[1,0]]}`)
 	f.Add(`{"ok":false,"error":"unknown op \"x\""}`)
 	f.Add(`{`)
 	f.Add(``)
@@ -41,7 +49,7 @@ func FuzzProtocolDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("encoded request failed to re-parse: %v", err)
 			}
-			if back != req {
+			if !sameRequest(back, req) {
 				t.Fatalf("request round trip changed %+v to %+v", req, back)
 			}
 		}

@@ -13,13 +13,30 @@ import (
 //	→ {"op":"query","src":0,"dst":3}
 //	← {"ok":true,"version":7,"latency":0.012,"bandwidth":255500}
 //	→ {"op":"snapshot"}
-//	← {"ok":true,"version":7,"n":5,"names":[...],"latency":[[...]],"bandwidth":[[...]]}
+//	← {"ok":true,"version":7,"n":5,"names":[...],"lat_table":[[...]],"bw_table":[[...]]}
+//	→ {"op":"snapshot","if_version":7}
+//	← {"ok":true,"version":7,"not_modified":true}
 //	→ {"op":"update_pair","src":0,"dst":3,"latency":0.02,"bandwidth":1e6}
 //	← {"ok":true,"version":8}
 //	→ {"op":"version"}
 //	← {"ok":true,"version":8}
 //
 // Unknown ops and malformed requests get {"ok":false,"error":"..."}.
+//
+// A snapshot request may carry if_version, the version of the table the
+// client already holds from this connection. While the store is still
+// at that version the server answers not_modified and sends no table;
+// otherwise — and always when if_version is absent — it sends the whole
+// table. if_version 0 is a real version (a store that has never been
+// updated), distinct from absent. The version only identifies a table
+// within one store, so a client may send if_version only on the
+// connection the table it holds arrived on: after a redial the peer may
+// be another server whose counter happens to read the same. A full
+// table is always an acceptable reply, so a server that predates the
+// field (and ignores it, like every unknown field) interoperates. A
+// not_modified that was not asked for, or that names a version other
+// than the one asked about, is a framing fault: the client drops the
+// connection, as it does for an unparseable line.
 
 // request is the union of all request shapes.
 type request struct {
@@ -28,6 +45,9 @@ type request struct {
 	Dst       int     `json:"dst"`
 	Latency   float64 `json:"latency"`
 	Bandwidth float64 `json:"bandwidth"`
+	// IfVersion makes a snapshot conditional; a pointer because version
+	// 0 is a valid validator and must not read as absent.
+	IfVersion *uint64 `json:"if_version,omitempty"`
 }
 
 // response is the union of all response shapes; empty fields are
@@ -42,6 +62,9 @@ type response struct {
 	Bandwidth float64     `json:"bandwidth,omitempty"`
 	LatTable  [][]float64 `json:"lat_table,omitempty"`
 	BWTable   [][]float64 `json:"bw_table,omitempty"`
+	// NotModified answers a conditional snapshot whose if_version is
+	// still current: Version repeats it and no table follows.
+	NotModified bool `json:"not_modified,omitempty"`
 	// Calibration-feed accounting (OpCalibrate, calibproto.go): how many
 	// entries of the request were folded into the store and how many were
 	// rejected at the bounds boundary.

@@ -21,7 +21,10 @@ import (
 // the raw Client with per-request deadlines, retry with exponential
 // backoff and seeded jitter, automatic reconnection, and a versioned
 // last-known-good snapshot cache so reads degrade to serving stale
-// data — marked with its age — instead of failing.
+// data — marked with its age — instead of failing. The same held
+// snapshot is the validator of a conditional fetch: while the server
+// is still at its version the table crosses the wire once, not once
+// per read.
 
 // ResilientConfig tunes a ResilientClient. The zero value selects
 // sensible defaults for every field.
@@ -107,6 +110,7 @@ type ResilientCounters struct {
 	Retries     int // extra attempts after a transient failure
 	Reconnects  int // fresh connections dialed after the first
 	StaleServes int // reads answered from the last-known-good cache
+	Unchanged   int // snapshot fetches the server answered not_modified: no table moved
 }
 
 // ResilientClient is a directory client that retries, reconnects, and
@@ -126,16 +130,31 @@ type ResilientClient struct {
 	rng    *rand.Rand
 	ctr    ResilientCounters
 
-	// last-known-good snapshot
-	cached        *netmodel.Perf
-	cachedNames   []string
-	cachedVersion uint64
-	cachedAt      time.Time
+	// The one snapshot the client holds: the stale cache when the server
+	// is down, the validator of the next fetch when it is up. heldAt is
+	// when the server last vouched for it, by sending it or by answering
+	// not_modified.
+	held   *heldSnapshot
+	heldAt time.Time
 
 	// resolved telemetry instruments; all nil when telemetry is off,
 	// so every hook is a single pointer check.
 	mRequests, mRetries, mRedials, mStale *obs.Counter
 	tracer                                *obs.Tracer
+}
+
+// heldSnapshot is one fetched snapshot. It is immutable once built —
+// Source hands perf to every planner that asks — and carries the
+// connection it arrived on, because its version identifies the table
+// only to the server behind that connection: a redial may reach a
+// restarted directory whose counter reads the same over another table.
+// The client never Reconnects a *Client in place, so pointer identity
+// is connection identity.
+type heldSnapshot struct {
+	perf    *netmodel.Perf
+	names   []string
+	version uint64
+	conn    *Client
 }
 
 // NewResilientClient creates a client for addr. No connection is made
@@ -284,11 +303,6 @@ func (r *ResilientClient) sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// do runs op with retry against the background context; see doCtx.
-func (r *ResilientClient) do(name string, op func(cl *Client) error) error {
-	return r.doCtx(context.Background(), name, op)
-}
-
 // doCtx runs op (named for telemetry) with retry, backoff, and
 // reconnection. Server-reported errors (out-of-range pair, invalid
 // update) return immediately; only transport failures are retried. A
@@ -343,10 +357,59 @@ func (r *ResilientClient) doCtx(ctx context.Context, name string, op func(cl *Cl
 	return lastErr
 }
 
+// fetch is the one path every snapshot read takes. It asks the server
+// for the table unless it is still at the held version — a question it
+// may only put on the connection the held snapshot came from — and
+// returns the snapshot the server vouched for: the held one after a
+// not_modified, a freshly decoded and validated one otherwise, which
+// then becomes the held one. All wire work happens outside r.mu.
+func (r *ResilientClient) fetch(ctx context.Context) (*heldSnapshot, error) {
+	var (
+		got       *heldSnapshot
+		unchanged bool
+	)
+	err := r.doCtx(ctx, "snapshot", func(cl *Client) error {
+		r.mu.Lock()
+		held := r.held
+		r.mu.Unlock()
+		var have *uint64
+		if held != nil && held.conn == cl {
+			have = &held.version
+		}
+		perf, names, ver, err := cl.snapshotUnless(have)
+		if err != nil {
+			return err
+		}
+		unchanged = perf == nil
+		if unchanged {
+			got = held
+		} else {
+			got = &heldSnapshot{perf: perf, names: names, version: ver, conn: cl}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	now := r.cfg.Clock()
+	r.mu.Lock()
+	if unchanged {
+		r.ctr.Unchanged++
+	}
+	// Replies on one connection arrive in version order, but two fetchers
+	// may reach this line out of it; the newer table stays held.
+	if cur := r.held; cur == nil || cur.conn != got.conn || cur.version <= got.version {
+		r.held, r.heldAt = got, now
+	}
+	r.mu.Unlock()
+	return got, nil
+}
+
 // Snapshot fetches the whole table, retrying and reconnecting as
 // configured. When the server stays unreachable it falls back to the
 // last-known-good snapshot — meta.Stale is set and meta.Age tells how
-// old the data is — and only errors when no usable cache exists.
+// old the data is — and only errors when no usable cache exists. The
+// returned table and names are the caller's own copies.
 func (r *ResilientClient) Snapshot() (*netmodel.Perf, []string, SnapshotMeta, error) {
 	return r.SnapshotContext(context.Background())
 }
@@ -356,51 +419,41 @@ func (r *ResilientClient) Snapshot() (*netmodel.Perf, []string, SnapshotMeta, er
 // the full interval — the behavior a serving daemon needs when the
 // client that wanted the data has already given up.
 func (r *ResilientClient) SnapshotContext(ctx context.Context) (*netmodel.Perf, []string, SnapshotMeta, error) {
-	var (
-		perf  *netmodel.Perf
-		names []string
-		ver   uint64
-	)
-	err := r.doCtx(ctx, "snapshot", func(cl *Client) error {
-		p, n, v, e := cl.Snapshot()
-		if e != nil {
-			return e
-		}
-		perf, names, ver = p, n, v
-		return nil
-	})
-	now := r.cfg.Clock()
-	if err == nil {
-		r.mu.Lock()
-		r.cached = perf.Clone()
-		r.cachedNames = append([]string(nil), names...)
-		r.cachedVersion = ver
-		r.cachedAt = now
-		r.mu.Unlock()
-		return perf, names, SnapshotMeta{Version: ver}, nil
+	h, meta, err := r.fetchOrStale(ctx)
+	if err != nil {
+		return nil, nil, SnapshotMeta{}, err
 	}
-	if perf, names, meta, ok := r.staleSnapshot(now); ok {
-		return perf, names, meta, nil
-	}
-	return nil, nil, SnapshotMeta{}, err
+	return h.perf.Clone(), append([]string(nil), h.names...), meta, nil
 }
 
-// staleSnapshot serves the cache when permitted.
-func (r *ResilientClient) staleSnapshot(now time.Time) (*netmodel.Perf, []string, SnapshotMeta, bool) {
+// fetchOrStale is fetch degrading to the held snapshot when the server
+// cannot be reached.
+func (r *ResilientClient) fetchOrStale(ctx context.Context) (*heldSnapshot, SnapshotMeta, error) {
+	h, err := r.fetch(ctx)
+	if err == nil {
+		return h, SnapshotMeta{Version: h.version}, nil
+	}
+	if h, meta, ok := r.staleSnapshot(r.cfg.Clock()); ok {
+		return h, meta, nil
+	}
+	return nil, SnapshotMeta{}, err
+}
+
+// staleSnapshot serves the held snapshot when permitted.
+func (r *ResilientClient) staleSnapshot(now time.Time) (*heldSnapshot, SnapshotMeta, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cached == nil || r.cfg.MaxStale < 0 {
-		return nil, nil, SnapshotMeta{}, false
+	if r.held == nil || r.cfg.MaxStale < 0 {
+		return nil, SnapshotMeta{}, false
 	}
-	age := now.Sub(r.cachedAt)
+	age := now.Sub(r.heldAt)
 	if r.cfg.MaxStale > 0 && age > r.cfg.MaxStale {
-		return nil, nil, SnapshotMeta{}, false
+		return nil, SnapshotMeta{}, false
 	}
 	r.ctr.StaleServes++
 	r.mStale.Inc()
 	r.tracer.Instant("directory", "cache-serve", obs.L("age", age.String()))
-	return r.cached.Clone(), append([]string(nil), r.cachedNames...),
-		SnapshotMeta{Version: r.cachedVersion, Stale: true, Age: age}, true
+	return r.held, SnapshotMeta{Version: r.held.version, Stale: true, Age: age}, true
 }
 
 // Query fetches one ordered pair, degrading to the cached snapshot's
@@ -426,11 +479,11 @@ func (r *ResilientClient) QueryContext(ctx context.Context, src, dst int) (netmo
 	if err == nil {
 		return pp, SnapshotMeta{Version: ver}, nil
 	}
-	if perf, _, meta, ok := r.staleSnapshot(r.cfg.Clock()); ok {
-		if src < 0 || src >= perf.N() || dst < 0 || dst >= perf.N() {
+	if h, meta, ok := r.staleSnapshot(r.cfg.Clock()); ok {
+		if src < 0 || src >= h.perf.N() || dst < 0 || dst >= h.perf.N() {
 			return netmodel.PairPerf{}, SnapshotMeta{}, fmt.Errorf("directory: pair (%d,%d) outside cached table", src, dst)
 		}
-		return perf.At(src, dst), meta, nil
+		return h.perf.At(src, dst), meta, nil
 	}
 	return netmodel.PairPerf{}, SnapshotMeta{}, err
 }
@@ -519,32 +572,24 @@ func (r *ResilientClient) VersionContext(ctx context.Context) (uint64, error) {
 // source fails when the server is unreachable, letting the
 // Communicator's own fallback ladder observe the outage and report its
 // health honestly; a non-strict source serves the client's stale cache
-// transparently.
+// transparently. Either way the returned table is the client's held
+// one, shared with every other caller under comm.Source's read-only
+// contract: a generation costs one table transfer however many plans
+// consult the source.
 func (r *ResilientClient) Source(strict bool) func() (*netmodel.Perf, error) {
 	return func() (*netmodel.Perf, error) {
+		var (
+			h   *heldSnapshot
+			err error
+		)
 		if strict {
-			var perf *netmodel.Perf
-			err := r.do("snapshot", func(cl *Client) error {
-				p, _, v, e := cl.Snapshot()
-				if e != nil {
-					return e
-				}
-				perf = p
-				// Keep the cache warm so non-strict readers of the same
-				// client benefit from strict traffic too.
-				r.mu.Lock()
-				r.cached = p.Clone()
-				r.cachedVersion = v
-				r.cachedAt = r.cfg.Clock()
-				r.mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return perf, nil
+			h, err = r.fetch(context.Background())
+		} else {
+			h, _, err = r.fetchOrStale(context.Background())
 		}
-		perf, _, _, err := r.Snapshot()
-		return perf, err
+		if err != nil {
+			return nil, err
+		}
+		return h.perf, nil
 	}
 }

@@ -76,14 +76,21 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 	s.mConns = reg.Counter(obs.MetricDirectoryServerConns,
 		"Connections accepted by the directory server.")
 	s.mReqs = map[string]*obs.Counter{}
-	for _, op := range []string{opQuery, opSnapshot, opUpdatePair, opVersion, OpCalibrate, "invalid"} {
+	for _, op := range []string{opQuery, opSnapshot, countSnapshotUnchanged, opUpdatePair, opVersion, OpCalibrate, "invalid"} {
 		s.mReqs[op] = reg.Counter(obs.MetricDirectoryServerRequests,
-			"Requests handled by the directory server, by op.", obs.L("op", op))
+			"Requests handled by the directory server, by op; a snapshot answered not_modified counts as snapshot_unchanged, not snapshot.", obs.L("op", op))
 	}
 	s.mVersion = reg.Gauge(obs.MetricDirectoryStoreVersion,
 		"Current version of the directory store.")
 	s.mVersion.Set(float64(s.store.Version()))
 }
+
+// countSnapshotUnchanged is the request-counter label of a conditional
+// snapshot answered not_modified. It is not a wire op: "snapshot" counts
+// the requests that were answered with a table, this the ones that were
+// not, so the two partition snapshot traffic and their ratio is the
+// share of fetches the validator saved.
+const countSnapshotUnchanged = "snapshot_unchanged"
 
 // countRequest records one handled request; ops outside the protocol
 // count as "invalid".
@@ -228,7 +235,16 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 func (s *Server) handle(req request) response {
-	s.countRequest(req.Op)
+	resp := s.answer(req)
+	if resp.NotModified {
+		s.countRequest(countSnapshotUnchanged)
+	} else {
+		s.countRequest(req.Op)
+	}
+	return resp
+}
+
+func (s *Server) answer(req request) response {
 	switch req.Op {
 	case opQuery:
 		pp, v, err := s.store.Query(req.Src, req.Dst)
@@ -238,21 +254,12 @@ func (s *Server) handle(req request) response {
 		s.mVersion.Set(float64(v))
 		return response{OK: true, Version: v, Latency: pp.Latency, Bandwidth: pp.Bandwidth}
 	case opSnapshot:
-		perf, v := s.store.Snapshot()
+		perf, v := s.store.snapshotUnless(req.IfVersion)
 		s.mVersion.Set(float64(v))
-		n := perf.N()
-		lat := make([][]float64, n)
-		bw := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			lat[i] = make([]float64, n)
-			bw[i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				pp := perf.At(i, j)
-				lat[i][j] = pp.Latency
-				bw[i][j] = pp.Bandwidth
-			}
+		if perf == nil {
+			return response{OK: true, Version: v, NotModified: true}
 		}
-		return response{OK: true, Version: v, N: n, Names: s.store.Names(), LatTable: lat, BWTable: bw}
+		return tableResponse(perf, s.store.Names(), v)
 	case opUpdatePair:
 		v, err := s.store.UpdatePair(req.Src, req.Dst, netmodel.PairPerf{Latency: req.Latency, Bandwidth: req.Bandwidth})
 		if err != nil {
@@ -267,6 +274,24 @@ func (s *Server) handle(req request) response {
 	default:
 		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+}
+
+// tableResponse is the full snapshot reply: perf at version v in the
+// wire's two-table form.
+func tableResponse(perf *netmodel.Perf, names []string, v uint64) response {
+	n := perf.N()
+	lat := make([][]float64, n)
+	bw := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		lat[i] = make([]float64, n)
+		bw[i] = make([]float64, n)
+		for j := 0; j < n; j++ {
+			pp := perf.At(i, j)
+			lat[i][j] = pp.Latency
+			bw[i][j] = pp.Bandwidth
+		}
+	}
+	return response{OK: true, Version: v, N: n, Names: names, LatTable: lat, BWTable: bw}
 }
 
 // handleCalibrate serves one OpCalibrate request. Applied counts table

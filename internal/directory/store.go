@@ -76,8 +76,20 @@ func (s *Store) Version() uint64 {
 
 // Snapshot returns a copy of the whole table and its version.
 func (s *Store) Snapshot() (*netmodel.Perf, uint64) {
+	return s.snapshotUnless(nil)
+}
+
+// snapshotUnless is Snapshot for a reader that may already hold the
+// table at version *have: while the store is still there it returns a
+// nil table and copies nothing. The comparison and the copy share one
+// read lock, so "unchanged" can never race an update into vouching for
+// a table the reader does not hold. A nil have always copies.
+func (s *Store) snapshotUnless(have *uint64) (*netmodel.Perf, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if have != nil && *have == s.version {
+		return nil, s.version
+	}
 	return s.perf.Clone(), s.version
 }
 

@@ -98,7 +98,7 @@ var standardFamilies = []struct {
 	{MetricDirectoryRedials, "Fresh directory connections dialed after the first.", TypeCounter, nil},
 	{MetricDirectoryStaleServes, "Directory reads answered from the last-known-good cache.", TypeCounter, nil},
 	{MetricDirectoryServerConns, "Connections accepted by the directory server.", TypeCounter, nil},
-	{MetricDirectoryServerRequests, "Requests handled by the directory server, by op.", TypeCounter, nil},
+	{MetricDirectoryServerRequests, "Requests handled by the directory server, by op; a snapshot answered not_modified counts as snapshot_unchanged, not snapshot.", TypeCounter, nil},
 	{MetricDirectoryStoreVersion, "Current version of the directory store.", TypeGauge, nil},
 	{MetricLadderServed, "Exchanges served, by fallback-ladder rung.", TypeCounter, nil},
 	{MetricLadderTransitions, "Fallback-ladder rung changes, by from/to rung.", TypeCounter, nil},

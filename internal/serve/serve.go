@@ -463,6 +463,14 @@ func outcomeOf(resp directory.PlanResponse) string {
 // admission lock so a slow directory never blocks admission; a
 // genProbing flag keeps concurrent requests from stampeding the
 // directory while one probe is out.
+//
+// A generation only names a table within one directory incarnation. A
+// probe that reads lower than the last one means the directory
+// restarted and is counting again from zero over whatever table it now
+// holds, so every cached plan is keyed on a number the new incarnation
+// will reach again: the cache is dropped before the lower value is
+// adopted. (A restart that comes back at or above the old number is
+// indistinguishable from an update by this counter alone.)
 func (d *Daemon) maybeRefreshGen(now time.Time) {
 	if d.gen == nil {
 		return
@@ -479,6 +487,9 @@ func (d *Daemon) maybeRefreshGen(now time.Time) {
 	d.genProbing = false
 	d.genChecked = d.cfg.Clock()
 	if err == nil {
+		if v < d.curGen {
+			d.cache = newPlanCache(d.cfg.CacheCap)
+		}
 		d.curGen = v
 	}
 	d.mu.Unlock()
@@ -567,7 +578,10 @@ func (d *Daemon) work(fl *flight) {
 	d.est.observe(dur)
 	if err == nil {
 		d.stats.Plans++
-		if h == comm.HealthOK {
+		// A plan keyed on a generation the daemon has since left is
+		// unreachable after a move forward, and after a move back it is
+		// exactly the entry maybeRefreshGen just dropped.
+		if h == comm.HealthOK && fl.key.gen == d.curGen {
 			d.cache.put(fl.key, resp)
 		}
 	}

@@ -115,6 +115,51 @@ func TestDaemonCacheAndGenerationInvalidation(t *testing.T) {
 	}
 }
 
+// TestDaemonCacheSurvivesGenerationRegression scripts a directory
+// restart: the generation reads 5, then 2 (a new incarnation counting
+// from zero over a different table), then climbs back to 5. No plan
+// computed against the first incarnation's table may be served once the
+// counter has gone backwards, although its cache key comes round again.
+func TestDaemonCacheSurvivesGenerationRegression(t *testing.T) {
+	slow := perfTable(4)
+	fast := slow.Scale(4)
+	var gen atomic.Uint64
+	var table atomic.Pointer[netmodel.Perf]
+	gen.Store(5)
+	table.Store(slow)
+	source := func() (*netmodel.Perf, error) { return table.Load(), nil }
+	d := newTestDaemon(t, 4, source, func() (uint64, error) { return gen.Load(), nil },
+		Config{GenInterval: time.Nanosecond}) // probe on every request
+	req := directory.PlanRequest{P: 4, Kind: directory.PatternRandom, Bytes: 1 << 20, Seed: 5}
+
+	before := d.Plan(context.Background(), req)
+	if !before.OK || before.Cached || before.Generation != 5 {
+		t.Fatalf("first plan should be computed at generation 5: %+v", before)
+	}
+	if again := d.Plan(context.Background(), req); !again.Cached {
+		t.Fatalf("generation 5 plan was not cached, the test proves nothing: %+v", again)
+	}
+
+	table.Store(fast)
+	for _, g := range []uint64{2, 5} {
+		gen.Store(g)
+		resp := d.Plan(context.Background(), req)
+		if !resp.OK || resp.Generation != g {
+			t.Fatalf("generation %d: not served there: %+v", g, resp)
+		}
+		if resp.Cached {
+			t.Fatalf("generation %d: served from a cache that predates the restart: %+v", g, resp)
+		}
+		if resp.TMax >= before.TMax {
+			t.Fatalf("generation %d: plan takes %g s, the old table's plan took %g s: planned against the old table",
+				g, resp.TMax, before.TMax)
+		}
+	}
+	if hit := d.Plan(context.Background(), req); !hit.Cached || hit.TMax >= before.TMax {
+		t.Fatalf("the new incarnation's generation 5 plan should now be the cached one: %+v", hit)
+	}
+}
+
 // TestDaemonCoalescesDuplicates is the acceptance check for request
 // coalescing: of K concurrent identical requests, at least 90% share
 // one planning pass.

@@ -359,6 +359,38 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenShopSchedule is the cold plan's dominant stage on its
+// own: the open shop on GUSTO-guided tables with random message sizes,
+// at the daemon's smallest and largest admitted P and two sizes past
+// it. OpenShop's cost depends on how often receivers tie, so the sizes
+// are random rather than BenchmarkSchedulerScaling's uniform ones.
+func BenchmarkOpenShopSchedule(b *testing.B) {
+	for _, p := range []int{8, 50, 128, 200} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		perf := netmodel.RandomPerf(rng, p, netmodel.GustoGuided())
+		sizes := model.NewSizes(p)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				if i != j {
+					sizes.Set(i, j, rng.Int63n(4<<20))
+				}
+			}
+		}
+		m, err := model.Build(perf, sizes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.NewOpenShop().Schedule(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- Ablations from DESIGN.md §6 ----
 
 func BenchmarkAblationGreedyRotation(b *testing.B) {

@@ -224,13 +224,14 @@ func (c *Communicator) Stats() Stats {
 	return c.stats
 }
 
-// snapshotMatrix runs the fallback ladder: a fresh source snapshot,
-// then the cached last-known-good table if it is within StaleBound,
-// then the uniform baseline model. It returns the cost matrix and the
-// rung that produced it; an error is returned only for caller bugs
-// (shape mismatches) or a broken source contract — never for a mere
-// source outage, which the ladder absorbs.
-func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health, error) {
+// ladderTable runs the fallback ladder: a fresh source snapshot, then
+// the cached last-known-good table if it is within StaleBound, then
+// the uniform baseline model. It returns the table to build the cost
+// matrix from — calibration already overlaid — and the rung that
+// produced it; an error is returned only for caller bugs (shape
+// mismatches) or a broken source contract — never for a mere source
+// outage, which the ladder absorbs.
+func (c *Communicator) ladderTable(sizes *model.Sizes) (*netmodel.Perf, Health, error) {
 	if sizes.N() != c.n {
 		return nil, HealthOK, fmt.Errorf("comm: sizes are for %d processors, communicator for %d", sizes.N(), c.n)
 	}
@@ -249,8 +250,7 @@ func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health
 		}
 		c.lastPerfAt = c.cfg.Clock()
 		c.mu.Unlock()
-		m, err := model.Build(c.calibrated(perf), sizes)
-		return m, HealthOK, err
+		return c.calibrated(perf), HealthOK, nil
 	}
 	// Rung 2: the cached table, while it is young enough to beat
 	// guessing. Cached tables are never mutated, so reading outside the
@@ -259,13 +259,21 @@ func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health
 	cached, at := c.lastPerf, c.lastPerfAt
 	c.mu.Unlock()
 	if cached != nil && c.cfg.StaleBound > 0 && c.cfg.Clock().Sub(at) <= c.cfg.StaleBound {
-		m, err := model.Build(c.calibrated(cached), sizes)
-		return m, HealthStale, err
+		return c.calibrated(cached), HealthStale, nil
 	}
 	// Rung 3: no usable knowledge; the uniform model still yields a
 	// valid, contention-free schedule structure.
-	m, berr := model.Build(uniformPerf(c.n), sizes)
-	return m, HealthDegraded, berr
+	return uniformPerf(c.n), HealthDegraded, nil
+}
+
+// snapshotMatrix builds the cost matrix from the ladder's table.
+func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health, error) {
+	perf, h, err := c.ladderTable(sizes)
+	if err != nil {
+		return nil, h, err
+	}
+	m, err := model.Build(perf, sizes)
+	return m, h, err
 }
 
 // noteServed records the rung that served an exchange — in the stats,

@@ -46,33 +46,13 @@ func (sc *PlanScratch) init(c *Communicator) {
 }
 
 // snapshotMatrixScratch is snapshotMatrix building into the scratch
-// matrix, with one more economy: when the source serves a table equal
-// to the cached one, only the timestamp is refreshed — no clone. The
-// ladder, rungs and errors are identical.
+// matrix.
 func (c *Communicator) snapshotMatrixScratch(sizes *model.Sizes, sc *PlanScratch) (*model.Matrix, Health, error) {
-	if sizes.N() != c.n {
-		return nil, HealthOK, fmt.Errorf("comm: sizes are for %d processors, communicator for %d", sizes.N(), c.n)
+	perf, h, err := c.ladderTable(sizes)
+	if err != nil {
+		return nil, h, err
 	}
-	perf, err := c.source()
-	if err == nil {
-		if perf.N() != c.n {
-			return nil, HealthOK, fmt.Errorf("comm: directory reports %d processors, want %d", perf.N(), c.n)
-		}
-		c.mu.Lock()
-		if c.lastPerf == nil || !c.lastPerf.Equal(perf) {
-			c.lastPerf = perf.Clone()
-		}
-		c.lastPerfAt = c.cfg.Clock()
-		c.mu.Unlock()
-		return &sc.matrix, HealthOK, model.BuildInto(&sc.matrix, c.calibrated(perf), sizes)
-	}
-	c.mu.Lock()
-	cached, at := c.lastPerf, c.lastPerfAt
-	c.mu.Unlock()
-	if cached != nil && c.cfg.StaleBound > 0 && c.cfg.Clock().Sub(at) <= c.cfg.StaleBound {
-		return &sc.matrix, HealthStale, model.BuildInto(&sc.matrix, c.calibrated(cached), sizes)
-	}
-	return &sc.matrix, HealthDegraded, model.BuildInto(&sc.matrix, uniformPerf(c.n), sizes)
+	return &sc.matrix, h, model.BuildInto(&sc.matrix, perf, sizes)
 }
 
 // AllToAllRepeatedScratch is AllToAllRepeated with caller-owned

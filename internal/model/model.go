@@ -54,6 +54,12 @@ func (m *Matrix) At(i, j int) float64 { return m.c[i*m.n+j] }
 // Set records the time of the message from i to j.
 func (m *Matrix) Set(i, j int, t float64) { m.c[i*m.n+j] = t }
 
+// Row returns the send times of processor i, indexed by receiver, as a
+// view of the matrix's own storage. It is read-only: inner loops use it
+// to skip At's index arithmetic, and writing through it is Set without
+// the name.
+func (m *Matrix) Row(i int) []float64 { return m.c[i*m.n : (i+1)*m.n : (i+1)*m.n] }
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.n)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"hetsched/internal/assignment"
 	"hetsched/internal/model"
@@ -115,39 +114,16 @@ func PartialOpenShop(m *model.Matrix, p Pattern) (*Result, error) {
 	if err := validatePatternInput(m, p); err != nil {
 		return nil, err
 	}
-	n := m.N()
-	pend := make([][]bool, n)
-	counts := make([]int, n)
-	for i := range pend {
-		pend[i] = make([]bool, n)
-	}
+	run := newOpenShopRun(m.N())
 	for _, pr := range p {
-		pend[pr.Src][pr.Dst] = true
-		counts[pr.Src]++
+		run.owe(pr.Src, pr.Dst)
 	}
-	sendAvail := make([]float64, n)
-	recvAvail := make([]float64, n)
-	out := &timing.Schedule{N: n}
-	for remaining := len(p); remaining > 0; remaining-- {
-		i := -1
-		for s := 0; s < n; s++ {
-			if counts[s] > 0 && (i < 0 || sendAvail[s] < sendAvail[i]) {
-				i = s
-			}
-		}
-		j := -1
-		for r := 0; r < n; r++ {
-			if pend[i][r] && (j < 0 || recvAvail[r] < recvAvail[j]) {
-				j = r
-			}
-		}
-		start := math.Max(sendAvail[i], recvAvail[j])
-		fin := start + m.At(i, j)
-		out.Events = append(out.Events, timing.Event{Src: i, Dst: j, Start: start, Finish: fin})
-		sendAvail[i], recvAvail[j] = fin, fin
-		pend[i][j] = false
-		counts[i]--
+	// Receiver ties are exact here and go to the lowest id.
+	events, err := run.schedule(m, 0, TieLowestID)
+	if err != nil {
+		return nil, err
 	}
+	out := &timing.Schedule{N: m.N(), Events: events}
 	if err := checkPatternSchedule(out, m, p); err != nil {
 		return nil, err
 	}

@@ -13,9 +13,11 @@
 //     weight perfect matchings in a bipartite graph, O(P⁴).
 //   - Greedy: an O(P³) approximation of the matching approach using
 //     rank-ordered destination lists with rotating pick priority.
-//   - OpenShop: an O(P³) list-scheduling heuristic derived from open
-//     shop scheduling; its completion time is within twice the lower
-//     bound (Theorem 3).
+//   - OpenShop: a list-scheduling heuristic derived from open shop
+//     scheduling; its completion time is within twice the lower bound
+//     (Theorem 3). O(P³) as the paper states it, and still in the worst
+//     case; an event-ordered kernel shared with PartialOpenShop makes
+//     the same picks in typically O(P² log P).
 //
 // Every scheduler consumes a model.Matrix (sender-major communication
 // times) and produces a timed schedule plus the step structure when one

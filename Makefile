@@ -61,7 +61,7 @@ exec-chaos:
 # recovery), plus drain and slow-client defenses. TestServeOverloadChaos
 # skips under -short, so this runs the full suite deliberately.
 serve-chaos:
-	$(GO) test -race -count=1 ./internal/serve/ ./internal/faults/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/wire/ ./internal/faults/
 
 # The observability chaos run: the overload storm again, but with the
 # flight recorder and tail sampler armed and their evidence exported —

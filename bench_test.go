@@ -232,27 +232,6 @@ func BenchmarkOptimalityGap(b *testing.B) {
 	}
 }
 
-// ---- Local-search post-optimization ----
-
-func BenchmarkLocalSearch(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	perf := netmodel.RandomPerf(rng, 12, netmodel.GustoGuided())
-	m, err := model.BuildUniform(perf, workload.LargeMessage)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := sched.NewGreedy().Schedule(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ImproveSchedule(r.Steps, m, OptimizeOptions{MaxMoves: 64, Candidates: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Block-cyclic redistribution workload ----
 
 func BenchmarkRedistribution(b *testing.B) {

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -175,7 +174,7 @@ func main() {
 		mux.Handle("/", obs.Handler(reg))
 		mux.Handle("/statusz", daemon.StatuszHandler())
 		mux.Handle("/statusz/traces", daemon.TracesHandler())
-		mbound, stop, err := serveHTTP(*metricsAddr, mux)
+		mbound, stop, err := obs.ServeHandler(*metricsAddr, mux)
 		if err != nil {
 			fatal(err)
 		}
@@ -218,19 +217,6 @@ func main() {
 		fatal(drainErr)
 	}
 	fmt.Println("hetpland: stopped")
-}
-
-// serveHTTP exposes a handler on addr in the background, returning the
-// bound address and a shutdown function — obs.Serve generalized to a
-// caller-built mux so /statusz rides the same listener as /metrics.
-func serveHTTP(addr string, h http.Handler) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	return ln.Addr().String(), srv.Close, nil
 }
 
 func fatal(err error) {

@@ -55,7 +55,6 @@ import (
 	"hetsched/internal/multinet"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
-	"hetsched/internal/optimize"
 	"hetsched/internal/qos"
 	"hetsched/internal/sched"
 	"hetsched/internal/serve"
@@ -476,18 +475,6 @@ type (
 // SolveExact finds a minimum-makespan schedule by branch and bound;
 // practical for P ≤ 5.
 var SolveExact = exact.Solve
-
-// Local-search post-optimization of step schedules.
-type (
-	// OptimizeOptions tunes the hill climber.
-	OptimizeOptions = optimize.Options
-	// OptimizeStats reports the search outcome.
-	OptimizeStats = optimize.Stats
-)
-
-// ImproveSchedule hill-climbs a step schedule (relocations, exchanges,
-// rectangle swaps) under the asynchronous evaluation.
-var ImproveSchedule = optimize.Improve
 
 // RedistributionSizes returns the message sizes of a block-cyclic
 // cyclic(r) → cyclic(s) array redistribution (the paper's motivating

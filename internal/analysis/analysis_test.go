@@ -183,6 +183,49 @@ func TestShippedTreeIsClean(t *testing.T) {
 	}
 }
 
+// TestLineServerLivesInWireOnly keeps the JSON-line lifecycle from
+// being re-grown beside internal/wire: the two protocol packages must
+// not listen, accept, scan lines or set per-direction deadlines
+// themselves, and the exec data plane must not reach into the directory
+// for its line codec.
+func TestLineServerLivesInWireOnly(t *testing.T) {
+	root, _, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifecycle := []string{"bufio.NewScanner", ".Accept()", "net.Listen(", "SetReadDeadline", "SetWriteDeadline"}
+	banned := map[string][]string{
+		"internal/directory": lifecycle,
+		"internal/serve":     lifecycle,
+		"internal/exec":      {`"hetsched/internal/directory"`},
+	}
+	for dir, needles := range banned {
+		files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n, line := range strings.Split(string(src), "\n") {
+				if strings.HasPrefix(strings.TrimSpace(line), "//") {
+					continue
+				}
+				for _, needle := range needles {
+					if strings.Contains(line, needle) {
+						t.Errorf("%s:%d: %s belongs in internal/wire, not here", file, n+1, needle)
+					}
+				}
+			}
+		}
+	}
+}
+
 // diagLines renders diagnostics one per line for failure messages.
 func diagLines(diags []Diagnostic) string {
 	var sb strings.Builder

@@ -41,6 +41,7 @@ var determinismScope = []string{
 	"internal/experiments",
 	"internal/comm",
 	"internal/directory",
+	"internal/wire",
 	"internal/exec",
 	"internal/calib",
 }

@@ -45,6 +45,7 @@ var goleakScope = []string{
 	"internal/serve",
 	"internal/exec",
 	"internal/directory",
+	"internal/wire",
 	"internal/comm",
 	"internal/obs",
 	"internal/faults",

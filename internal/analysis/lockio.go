@@ -34,6 +34,7 @@ type lockioChecker struct{}
 // lockioScope lists the packages under the no-I/O-under-lock contract.
 var lockioScope = []string{
 	"internal/directory",
+	"internal/wire",
 	"internal/comm",
 	"internal/exec",
 	"internal/serve",
@@ -43,7 +44,7 @@ var lockioScope = []string{
 
 func (lockioChecker) Name() string { return "lockio" }
 func (lockioChecker) Desc() string {
-	return "no network I/O, time.Sleep, or channel operations while a mutex is held in the networked packages (directory, comm, exec, serve) and their daemons"
+	return "no network I/O, time.Sleep, or channel operations while a mutex is held in the networked packages (directory, wire, comm, exec, serve) and their daemons"
 }
 
 func (lockioChecker) Run(pkg *Package) []Diagnostic {

@@ -42,6 +42,7 @@ type lockorderChecker struct{}
 // everywhere two mutexes with stable identities coexist.
 var lockorderScope = []string{
 	"internal/directory",
+	"internal/wire",
 	"internal/comm",
 	"internal/exec",
 	"internal/serve",
@@ -629,4 +630,3 @@ func shortPath(p string) string {
 	}
 	return strings.Join(parts, "/")
 }
-

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hetsched/internal/calib"
+	"hetsched/internal/wire"
 )
 
 // Calibration wire protocol: the closed-loop feed path by which
@@ -46,7 +47,7 @@ type CalibRequest struct {
 // ParseCalibRequest decodes one calibration-request wire line.
 func ParseCalibRequest(line []byte) (CalibRequest, error) {
 	var req CalibRequest
-	if err := DecodeLine(line, &req); err != nil {
+	if err := wire.DecodeLine(line, &req); err != nil {
 		return CalibRequest{}, fmt.Errorf("malformed calibrate request: %w", err)
 	}
 	return req, nil
@@ -54,7 +55,7 @@ func ParseCalibRequest(line []byte) (CalibRequest, error) {
 
 // EncodeCalibRequest renders a calibration request as one wire line.
 func EncodeCalibRequest(req CalibRequest) ([]byte, error) {
-	b, err := EncodeLine(req)
+	b, err := wire.EncodeLine(req)
 	if err != nil {
 		return nil, fmt.Errorf("encode calibrate request: %w", err)
 	}

@@ -1,15 +1,16 @@
 package directory
 
 import (
-	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
+	"hetsched/internal/wire"
 )
 
 // Sentinel errors for the client's failure model. ErrUnavailable wraps
@@ -37,23 +38,15 @@ var wallClock = time.Now
 
 // Client talks to a directory server over TCP. It is safe for
 // concurrent use; requests on one client are serialized over one
-// connection (the protocol is strictly request/response).
-//
-// After any transport error the JSON-line framing of the connection is
-// undefined — part of a request may have been written, or part of a
-// response left unread — so the client marks itself broken and every
-// later call fails fast with ErrBroken until Reconnect establishes a
-// fresh connection.
+// connection (the protocol is strictly request/response). The round
+// trip is wire.Client's, and so is the rule that a transport error
+// breaks the connection: every later call fails fast with ErrBroken
+// until Reconnect. This type owns the ops and the error contract.
 type Client struct {
 	addr        string
 	dialTimeout time.Duration
-
-	mu         sync.Mutex
-	conn       net.Conn
-	rd         *bufio.Scanner
-	broken     bool
-	reqTimeout time.Duration
-	clock      func() time.Time
+	w           *wire.Client
+	reqTimeout  atomic.Int64 // time.Duration; 0 means unbounded
 }
 
 // Dial connects to a directory server. timeout bounds the connection
@@ -64,83 +57,41 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnavailable, addr, err)
 	}
-	c := &Client{addr: addr, dialTimeout: timeout, clock: wallClock}
-	c.attach(conn)
-	return c, nil
-}
-
-// attach installs a fresh connection. The caller must hold c.mu or own
-// the client exclusively.
-func (c *Client) attach(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	c.conn = conn
-	c.rd = sc
-	c.broken = false
+	return &Client{addr: addr, dialTimeout: timeout, w: wire.NewClient(conn, wallClock)}, nil
 }
 
 // SetRequestTimeout bounds every subsequent round trip (write plus
 // read) with a connection deadline. Zero restores unbounded requests.
-func (c *Client) SetRequestTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reqTimeout = d
-}
+func (c *Client) SetRequestTimeout(d time.Duration) { c.reqTimeout.Store(int64(d)) }
 
 // SetClock injects the clock used to compute request deadlines; nil
 // restores the wall clock. Note ResilientConfig.Clock is deliberately
 // NOT propagated here: that clock is virtual time for cache ages,
 // while deadlines must track the wall clock the kernel enforces.
 func (c *Client) SetClock(clock func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if clock == nil {
 		clock = wallClock
 	}
-	c.clock = clock
+	c.w.SetClock(clock)
 }
 
-// Reconnect drops the current connection and dials a fresh one to the
-// original address, clearing the broken state on success. The swap
-// happens while holding c.mu on purpose: callers blocked in roundTrip
-// must see either the old connection or the fully attached new one,
-// never a half-installed state. Use ResilientClient when redial
-// latency must not stall concurrent requests.
+// Reconnect dials a fresh connection to the original address, clearing
+// the broken state on success. The swap is atomic with respect to round
+// trips (wire.Client.Redial), so the dial stalls concurrent requests;
+// use ResilientClient when it must not.
 func (c *Client) Reconnect() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		//hetvet:ignore lockio,errdiscard atomic swap under the framing lock; the old connection's close error is meaningless
-		c.conn.Close()
-	}
-	//hetvet:ignore lockio atomic swap under the framing lock (see doc comment)
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	err := c.w.Redial(func() (net.Conn, error) { return net.DialTimeout("tcp", c.addr, c.dialTimeout) })
 	if err != nil {
-		c.broken = true
 		return fmt.Errorf("%w: redial %s: %v", ErrUnavailable, c.addr, err)
 	}
-	c.attach(conn)
 	return nil
 }
 
 // Broken reports whether the client needs a Reconnect.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.broken
-}
+func (c *Client) Broken() bool { return c.w.Broken() }
 
-// Close shuts the connection; later calls return ErrBroken. The flag
-// flips under c.mu but the close itself happens after unlocking, so a
-// caller that grabs the lock next fails fast instead of queueing
-// behind network teardown.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	c.broken = true
-	conn := c.conn
-	c.mu.Unlock()
-	return conn.Close()
-}
+// Close shuts the connection; later calls return ErrBroken.
+func (c *Client) Close() error { return c.w.Close() }
 
 func (c *Client) roundTrip(req request) (response, error) {
 	out, err := encodeRequest(req)
@@ -151,59 +102,29 @@ func (c *Client) roundTrip(req request) (response, error) {
 	return c.roundTripLine(out, req.IfVersion)
 }
 
-// roundTripLine sends one pre-encoded request line and reads one
-// response line — the transport core shared by the scalar request
-// union and the calibration frames, which carry slice payloads the
-// union cannot hold. asked is the if_version the request carried (nil
-// for none): the only version a not_modified reply may name.
+// roundTripLine exchanges one pre-encoded request line for a response
+// — shared by the scalar request union and the calibration frames,
+// whose slice payloads the union cannot hold. asked is the if_version
+// sent (nil: none), the only version a not_modified reply may name.
 func (c *Client) roundTripLine(out []byte, asked *uint64) (response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return response{}, fmt.Errorf("%w (call Reconnect to recover)", ErrBroken)
-	}
-	// The wire work below runs under c.mu on purpose: the JSON-line
-	// protocol is strictly one request, one response, so the mutex IS
-	// the per-connection framing lock. A second goroutine interleaving
-	// writes here would corrupt the stream, not speed it up.
-	var dl time.Time // zero clears the deadline
-	if c.reqTimeout > 0 {
-		dl = c.clock().Add(c.reqTimeout)
-	}
-	//hetvet:ignore lockio the mutex is the framing lock; see comment above
-	if err := c.conn.SetDeadline(dl); err != nil {
-		c.broken = true
-		return response{}, fmt.Errorf("%w: set deadline: %v", ErrUnavailable, err)
-	}
-	//hetvet:ignore lockio the mutex is the framing lock; see comment above
-	if _, err := c.conn.Write(out); err != nil {
-		c.broken = true
-		return response{}, fmt.Errorf("%w: send: %v", ErrUnavailable, err)
-	}
-	if !c.rd.Scan() {
-		c.broken = true
-		if err := c.rd.Err(); err != nil {
-			return response{}, fmt.Errorf("%w: receive: %v", ErrUnavailable, err)
+	var resp response
+	err := c.w.RoundTrip(context.Background(), out, time.Duration(c.reqTimeout.Load()), func(line []byte) (err error) {
+		if resp, err = parseResponse(line); err != nil {
+			return err
 		}
-		return response{}, fmt.Errorf("%w: connection closed by server", ErrUnavailable)
-	}
-	resp, err := parseResponse(c.rd.Bytes())
-	if err != nil {
-		// Garbage on the stream is indistinguishable from a connection
-		// severed mid-frame (a torn write truncates the JSON line), so
-		// treat it as a transport failure: framing can no longer be
-		// trusted, and a reconnect plus retry is the right recovery.
-		c.broken = true
+		if resp.NotModified && (asked == nil || resp.Version != *asked) {
+			// An answer to a question this request did not ask: the
+			// stream is out of step, the same fault as garbage on it.
+			return fmt.Errorf("unsolicited not_modified (version %d)", resp.Version)
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, wire.ErrBroken):
+		return response{}, fmt.Errorf("%w (call Reconnect to recover)", ErrBroken)
+	case err != nil:
 		return response{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	if resp.NotModified && (asked == nil || resp.Version != *asked) {
-		// A well-formed line that answers a question this request did
-		// not ask belongs to some other exchange: the stream is out of
-		// step, which is the same fault as garbage on it.
-		c.broken = true
-		return response{}, fmt.Errorf("%w: unsolicited not_modified (version %d)", ErrUnavailable, resp.Version)
-	}
-	if !resp.OK {
+	case !resp.OK:
 		return response{}, fmt.Errorf("directory: server error: %s", resp.Error)
 	}
 	return resp, nil

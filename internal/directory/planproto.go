@@ -1,6 +1,10 @@
 package directory
 
-import "fmt"
+import (
+	"fmt"
+
+	"hetsched/internal/wire"
+)
 
 // Plan-service wire protocol: the planning daemon (cmd/hetpland, built
 // on internal/serve) speaks the same newline-delimited JSON framing as
@@ -152,7 +156,7 @@ type PlanResponse struct {
 // ParsePlanRequest decodes one plan-request wire line.
 func ParsePlanRequest(line []byte) (PlanRequest, error) {
 	var req PlanRequest
-	if err := DecodeLine(line, &req); err != nil {
+	if err := wire.DecodeLine(line, &req); err != nil {
 		return PlanRequest{}, fmt.Errorf("malformed plan request: %w", err)
 	}
 	return req, nil
@@ -160,7 +164,7 @@ func ParsePlanRequest(line []byte) (PlanRequest, error) {
 
 // EncodePlanRequest renders a plan request as one wire line.
 func EncodePlanRequest(req PlanRequest) ([]byte, error) {
-	b, err := EncodeLine(req)
+	b, err := wire.EncodeLine(req)
 	if err != nil {
 		return nil, fmt.Errorf("encode plan request: %w", err)
 	}
@@ -170,7 +174,7 @@ func EncodePlanRequest(req PlanRequest) ([]byte, error) {
 // ParsePlanResponse decodes one plan-response wire line.
 func ParsePlanResponse(line []byte) (PlanResponse, error) {
 	var resp PlanResponse
-	if err := DecodeLine(line, &resp); err != nil {
+	if err := wire.DecodeLine(line, &resp); err != nil {
 		return PlanResponse{}, fmt.Errorf("malformed plan response: %w", err)
 	}
 	return resp, nil
@@ -178,7 +182,7 @@ func ParsePlanResponse(line []byte) (PlanResponse, error) {
 
 // EncodePlanResponse renders a plan response as one wire line.
 func EncodePlanResponse(resp PlanResponse) ([]byte, error) {
-	b, err := EncodeLine(resp)
+	b, err := wire.EncodeLine(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode plan response: %w", err)
 	}

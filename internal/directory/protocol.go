@@ -1,8 +1,9 @@
 package directory
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"hetsched/internal/wire"
 )
 
 // Wire protocol: newline-delimited JSON over TCP. Each request is one
@@ -80,24 +81,6 @@ const (
 	opVersion    = "version"
 )
 
-// EncodeLine renders v as one newline-terminated JSON wire line — the
-// framing primitive shared by the directory protocol and the exec
-// data-plane frame headers (internal/exec reuses it so both wire
-// formats stay one idiom: one JSON object per line).
-func EncodeLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("encode line: %w", err)
-	}
-	return append(b, '\n'), nil
-}
-
-// DecodeLine parses one JSON wire line into v. The trailing newline,
-// if still present, is tolerated by the JSON decoder.
-func DecodeLine(line []byte, v any) error {
-	return json.Unmarshal(line, v)
-}
-
 // parseRequest decodes one request line. Unknown JSON fields are
 // ignored (forward compatibility); anything that is not a single JSON
 // object is rejected with the "malformed request" error the server
@@ -105,7 +88,7 @@ func DecodeLine(line []byte, v any) error {
 // go through this single entry point.
 func parseRequest(line []byte) (request, error) {
 	var req request
-	if err := DecodeLine(line, &req); err != nil {
+	if err := wire.DecodeLine(line, &req); err != nil {
 		return request{}, fmt.Errorf("malformed request: %w", err)
 	}
 	return req, nil
@@ -113,7 +96,7 @@ func parseRequest(line []byte) (request, error) {
 
 // encodeRequest renders a request as one newline-terminated wire line.
 func encodeRequest(req request) ([]byte, error) {
-	b, err := EncodeLine(req)
+	b, err := wire.EncodeLine(req)
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
@@ -123,7 +106,7 @@ func encodeRequest(req request) ([]byte, error) {
 // parseResponse decodes one response line.
 func parseResponse(line []byte) (response, error) {
 	var resp response
-	if err := DecodeLine(line, &resp); err != nil {
+	if err := wire.DecodeLine(line, &resp); err != nil {
 		return response{}, fmt.Errorf("malformed response: %w", err)
 	}
 	return resp, nil
@@ -132,7 +115,7 @@ func parseResponse(line []byte) (response, error) {
 // encodeResponse renders a response as one newline-terminated wire
 // line.
 func encodeResponse(resp response) ([]byte, error) {
-	b, err := EncodeLine(resp)
+	b, err := wire.EncodeLine(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
 	}

@@ -159,7 +159,23 @@ func TestServerIdleTimeout(t *testing.T) {
 }
 
 func TestResilientRetriesThroughReconnect(t *testing.T) {
-	srv, store, addr := startServer(t)
+	store, err := NewStore(netmodel.Gusto(), netmodel.GustoSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	var mu sync.Mutex
+	var accepted []net.Conn
+	srv.SetConnWrapper(func(c net.Conn) net.Conn {
+		mu.Lock()
+		defer mu.Unlock()
+		accepted = append(accepted, c)
+		return c
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 	rc := NewResilientClient(addr, ResilientConfig{
 		Retries:     4,
@@ -172,11 +188,11 @@ func TestResilientRetriesThroughReconnect(t *testing.T) {
 	}
 	// Sever every live server connection; the pooled client is now
 	// broken and the next call must reconnect transparently.
-	srv.mu.Lock()
-	for c := range srv.conns {
+	mu.Lock()
+	for _, c := range accepted {
 		c.Close()
 	}
-	srv.mu.Unlock()
+	mu.Unlock()
 	if _, meta, err := rc.Query(0, 1); err != nil || meta.Stale {
 		t.Fatalf("query after severed conn: %v (meta %+v)", err, meta)
 	}

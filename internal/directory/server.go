@@ -1,35 +1,25 @@
 package directory
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
+	"hetsched/internal/wire"
 )
 
-// Server exposes a Store over TCP with the JSON-line protocol. One
-// goroutine per connection; connections are independent and may issue
-// any number of requests.
+// Server exposes a Store over TCP with the JSON-line protocol. The
+// connection lifecycle is wire.Server's; this type is the protocol: it
+// answers one request line with one response line.
 type Server struct {
 	store *Store
+	w     wire.Server
 
-	mu          sync.Mutex
-	listener    net.Listener
-	conns       map[net.Conn]struct{}
-	closed      bool
-	draining    bool
-	drainDl     time.Time
-	wg          sync.WaitGroup
-	idleTimeout time.Duration
-	wrapConn    func(net.Conn) net.Conn
-	clock       func() time.Time
-	calibrator  *calib.Calibrator
+	calibrator atomic.Pointer[calib.Calibrator]
 
 	// resolved telemetry instruments; all nil when metrics are off.
 	mConns   *obs.Counter
@@ -37,31 +27,34 @@ type Server struct {
 	mVersion *obs.Gauge
 }
 
+// writeTimeout severs a client that stops reading its responses; the
+// value serve.ServerConfig.WriteTimeout defaults to.
+const writeTimeout = 10 * time.Second
+
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, conns: map[net.Conn]struct{}{}, clock: wallClock}
+	s := &Server{store: store}
+	s.w.Handler = s.handleLine
+	s.w.WriteTimeout = writeTimeout
+	s.w.Clock = wallClock
+	s.w.OnAccept = func() { s.mConns.Inc() }
+	return s
 }
 
 // SetClock injects the clock used to compute idle deadlines; nil
 // restores the wall clock. Call before Listen.
 func (s *Server) SetClock(clock func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if clock == nil {
 		clock = wallClock
 	}
-	s.clock = clock
+	s.w.Clock = clock
 }
 
 // SetIdleTimeout makes the server drop connections that stay silent
 // longer than d, so dead clients cannot pin serving goroutines
 // forever. Zero (the default) keeps connections open indefinitely.
 // Call before Listen.
-func (s *Server) SetIdleTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idleTimeout = d
-}
+func (s *Server) SetIdleTimeout(d time.Duration) { s.w.IdleTimeout = d }
 
 // SetMetrics registers the server's instruments — accepted connections,
 // handled requests by op, and the store's version gauge — in reg. Call
@@ -71,8 +64,6 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.mConns = reg.Counter(obs.MetricDirectoryServerConns,
 		"Connections accepted by the directory server.")
 	s.mReqs = map[string]*obs.Counter{}
@@ -111,137 +102,36 @@ func (s *Server) countRequest(op string) {
 // thin clients can report measurements without running their own
 // fitter. Without one, samples are counted as rejected (updates still
 // apply). Call before Listen; nil detaches.
-func (s *Server) SetCalibrator(cal *calib.Calibrator) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.calibrator = cal
-}
+func (s *Server) SetCalibrator(cal *calib.Calibrator) { s.calibrator.Store(cal) }
 
 // SetConnWrapper installs a hook applied to every accepted connection
 // before serving begins — the seam the chaos harness uses to inject
 // drops, stalls, and partial writes (see internal/faults). Call before
 // Listen; the wrapper's Close must close the underlying connection.
-func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wrapConn = wrap
-}
+func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.w.WrapConn = wrap }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0")
 // and returns the bound address. Serving happens on background
 // goroutines; call Close to stop.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("directory: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		//hetvet:ignore errdiscard best-effort close of a listener that never served
-		ln.Close()
-		return "", errors.New("directory: server already closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
+func (s *Server) Listen(addr string) (string, error) { return s.w.Listen(addr) }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			//hetvet:ignore errdiscard best-effort close of a connection that raced shutdown
-			conn.Close()
-			return
-		}
-		if s.wrapConn != nil {
-			conn = s.wrapConn(conn)
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.mConns.Inc()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	s.mu.Lock()
-	idle := s.idleTimeout
-	clock := s.clock
-	s.mu.Unlock()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	for {
-		// During a drain the read deadline is the absolute drain
-		// deadline: the connection keeps being served until then, but
-		// no per-request idle grace may extend past it — that is what
-		// guarantees Drain terminates.
-		s.mu.Lock()
-		draining, drainDl := s.draining, s.drainDl
-		s.mu.Unlock()
-		switch {
-		case draining:
-			if err := conn.SetReadDeadline(drainDl); err != nil {
-				return // connection already torn down
-			}
-		case idle > 0:
-			if err := conn.SetReadDeadline(clock().Add(idle)); err != nil {
-				return // connection already torn down
-			}
-		}
-		if !sc.Scan() {
-			return // client hung up, idle deadline expired, or read error
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var resp response
-		if req, err := parseRequest(line); err != nil {
-			resp = response{Error: err.Error()}
-		} else if req.Op == OpCalibrate {
-			// The calibration feed carries slice payloads the scalar
-			// request union cannot hold, so the raw line is re-parsed
-			// into its own frame type.
-			resp = s.handleCalibrate(line)
-		} else {
-			resp = s.handle(req)
-		}
-		out, err := encodeResponse(resp)
-		if err != nil {
-			return
-		}
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handle(req request) response {
-	resp := s.answer(req)
-	if resp.NotModified {
+// handleLine resolves one request line to one response line.
+func (s *Server) handleLine(line []byte) ([]byte, bool) {
+	var resp response
+	if req, err := parseRequest(line); err != nil {
+		resp = response{Error: err.Error()}
+	} else if req.Op == OpCalibrate {
+		// The calibration feed carries slice payloads the scalar
+		// request union cannot hold, so the raw line is re-parsed
+		// into its own frame type.
+		resp = s.handleCalibrate(line)
+	} else if resp = s.answer(req); resp.NotModified {
 		s.countRequest(countSnapshotUnchanged)
 	} else {
 		s.countRequest(req.Op)
 	}
-	return resp
+	out, err := encodeResponse(resp)
+	return out, err == nil
 }
 
 func (s *Server) answer(req request) response {
@@ -306,9 +196,7 @@ func (s *Server) handleCalibrate(line []byte) response {
 		return response{Error: err.Error()}
 	}
 	applied, rejected, v := s.store.ApplyCalibration(creq.Updates)
-	s.mu.Lock()
-	cal := s.calibrator
-	s.mu.Unlock()
+	cal := s.calibrator.Load()
 	switch {
 	case cal != nil && len(creq.Samples) > 0:
 		rep := cal.ObserveBatch(creq.Samples)
@@ -324,81 +212,9 @@ func (s *Server) handleCalibrate(line []byte) response {
 	return response{OK: true, Version: v, Applied: applied, Rejected: rejected}
 }
 
-// Drain shuts the server down gracefully: the listener closes
-// immediately (no new connections), but connected clients keep being
-// served until grace elapses, so a request in flight at signal time
-// completes instead of dying mid-frame. Every live connection gets the
-// absolute drain deadline as its read deadline — serving goroutines
-// exit when their client hangs up or the deadline fires, whichever is
-// first — and the serve loop never extends a deadline past it, so
-// Drain returns within roughly grace. The final teardown is Close,
-// whose bookkeeping makes Drain safe to combine with a later (or
-// concurrent) Close call.
-func (s *Server) Drain(grace time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.Close()
-	}
-	s.draining = true
-	s.drainDl = s.clock().Add(grace)
-	dl := s.drainDl
-	ln := s.listener
-	s.listener = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection gets the same deadline
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		// Interrupt reads blocked from before the drain began; the
-		// serve loop re-applies the same absolute deadline from here on.
-		//hetvet:ignore errdiscard a torn-down connection is already on its way out
-		c.SetReadDeadline(dl)
-	}
-	s.wg.Wait()
-	if cerr := s.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Drain closes the listener at once and keeps serving connected clients
+// until grace elapses, whatever they do (wire.Server.Drain).
+func (s *Server) Drain(grace time.Duration) error { return s.w.Drain(grace) }
 
-// Close stops the listener and all connections and waits for the
-// serving goroutines to drain. It is safe to call more than once. The
-// mutex only guards the bookkeeping: the closed flag flips and the
-// live connections are snapshotted under s.mu, then every network
-// teardown happens after unlocking so accept and serve goroutines are
-// never queued behind it. The listener's close error is returned;
-// per-connection close errors are expected noise (each serving
-// goroutine's deferred close races this one).
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection is closed regardless of iteration order
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		//hetvet:ignore errdiscard racing the serving goroutine's own deferred close; either error is noise
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+// Close severs everything and joins the serving goroutines. Idempotent.
+func (s *Server) Close() error { return s.w.Close() }

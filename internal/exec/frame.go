@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 
-	"hetsched/internal/directory"
+	"hetsched/internal/wire"
 )
 
 // Wire format. Each connection carries exactly one transfer attempt:
 // the sender writes a header — one newline-terminated JSON line, the
-// same framing primitive as the directory protocol
-// (directory.EncodeLine) — whose Size field length-prefixes the raw
+// same framing primitive as the directory and plan protocols
+// (wire.EncodeLine) — whose Size field length-prefixes the raw
 // payload bytes that follow. The receiver answers with one JSON ack
 // line and the connection is done.
 //
@@ -45,7 +45,7 @@ type frameAck struct {
 
 // writeLine encodes v as one JSON wire line and writes it.
 func writeLine(w io.Writer, v any) error {
-	b, err := directory.EncodeLine(v)
+	b, err := wire.EncodeLine(v)
 	if err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func readLine(br *bufio.Reader, v any) error {
 		}
 		return fmt.Errorf("exec: read frame line: %w", err)
 	}
-	if err := directory.DecodeLine(line, v); err != nil {
+	if err := wire.DecodeLine(line, v); err != nil {
 		return fmt.Errorf("exec: malformed frame line: %w", err)
 	}
 	return nil

@@ -66,17 +66,22 @@ func (r *Registry) expvarSnapshot() map[string]any {
 	return out
 }
 
-// Serve exposes Handler(r) on addr (e.g. "127.0.0.1:9090" or ":0") in
+// Serve exposes Handler(r) on addr; see ServeHandler.
+func Serve(addr string, r *Registry) (string, func() error, error) {
+	return ServeHandler(addr, Handler(r))
+}
+
+// ServeHandler exposes h on addr (e.g. "127.0.0.1:9090" or ":0") in
 // the background. It returns the bound address and a shutdown function
 // that stops the listener, waits for the serve loop to exit (so no
 // goroutine outlives the shutdown), and reports any serve-loop error
 // the background goroutine would otherwise have swallowed.
-func Serve(addr string, r *Registry) (string, func() error, error) {
+func ServeHandler(addr string, h http.Handler) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(r)}
+	srv := &http.Server{Handler: h}
 	var (
 		wg       sync.WaitGroup
 		serveErr error // written before wg.Done, read after wg.Wait

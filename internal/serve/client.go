@@ -1,30 +1,23 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"hetsched/internal/directory"
 	"hetsched/internal/obs"
+	"hetsched/internal/wire"
 )
 
-// Client is a minimal plan-service client: one connection, one
-// request/response in flight at a time. The mutex is the framing lock
-// — it serializes whole request/response exchanges on the shared
-// connection, which is exactly the JSON-line protocol's unit of
-// framing, so the network I/O inside it is the point, not an accident
-// (same convention as directory.Client).
+// Client is a minimal plan-service client: one connection, one exchange
+// at a time (wire.Client). After a transport error, a timed-out round
+// trip included, every later call fails without touching the wire: a
+// request nobody can read the answer to is never sent.
 type Client struct {
 	timeout time.Duration
-	clock   func() time.Time
-
-	mu   sync.Mutex
-	conn net.Conn
-	sc   *bufio.Scanner
+	w       *wire.Client
 }
 
 // Dial connects to a plan-service daemon. timeout bounds the dial and
@@ -42,9 +35,7 @@ func Dial(ctx context.Context, addr string, timeout time.Duration) (*Client, err
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	return &Client{timeout: timeout, clock: wallClock, conn: conn, sc: sc}, nil
+	return &Client{timeout: timeout, w: wire.NewClient(conn, wallClock)}, nil
 }
 
 // Plan sends one plan request and waits for its response. The op field
@@ -83,34 +74,20 @@ func (c *Client) roundTrip(ctx context.Context, req directory.PlanRequest) (dire
 		// would turn explicit outcomes into dropped connections.
 		budget = time.Duration(req.DeadlineMS)*time.Millisecond + c.timeout
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: client is closed")
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	dl := c.clock().Add(budget)
-	if ctx != nil {
-		// A caller deadline tighter than the protocol budget wins.
-		if cd, ok := ctx.Deadline(); ok && cd.Before(dl) {
-			dl = cd
-		}
+	var resp directory.PlanResponse
+	// A caller deadline tighter than the protocol budget wins.
+	err = c.w.RoundTrip(ctx, line, budget, func(line []byte) (err error) {
+		resp, err = directory.ParsePlanResponse(line)
+		return err
+	})
+	if err != nil {
+		// wire.ErrBroken included: "serve: connection broken".
+		return directory.PlanResponse{}, fmt.Errorf("serve: %w", err)
 	}
-	//hetvet:ignore lockio the mutex is the framing lock; see type comment
-	if err := c.conn.SetDeadline(dl); err != nil {
-		return directory.PlanResponse{}, err
-	}
-	//hetvet:ignore lockio the mutex is the framing lock; see type comment
-	if _, err := c.conn.Write(line); err != nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: write: %w", err)
-	}
-	//hetvet:ignore lockio the mutex is the framing lock; see type comment
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return directory.PlanResponse{}, fmt.Errorf("serve: read: %w", err)
-		}
-		return directory.PlanResponse{}, fmt.Errorf("serve: connection closed by server")
-	}
-	return directory.ParsePlanResponse(c.sc.Bytes())
+	return resp, nil
 }
 
 // Close tears down the connection. Idempotent.
@@ -118,12 +95,5 @@ func (c *Client) Close() error {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	conn := c.conn
-	c.conn = nil
-	c.mu.Unlock()
-	if conn == nil {
-		return nil
-	}
-	return conn.Close()
+	return c.w.Close()
 }

@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"hetsched/internal/directory"
+	"hetsched/internal/wire"
 )
 
 // ServerConfig tunes the TCP front in front of a Daemon.
@@ -42,27 +41,25 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 	return cfg
 }
 
-// Server is the TCP front of the planning service: one goroutine per
-// connection, one JSON line per request, exactly one response line per
-// request. All admission decisions live in the Daemon; the server's
-// own defenses are per-connection — idle timeouts against dead
-// clients, write timeouts against clients that stop reading.
+// Server is the TCP front of the planning service: exactly one response
+// line per request line. Admission lives in the Daemon; the connection
+// lifecycle and its idle and write timeouts are wire.Server's.
 type Server struct {
 	daemon *Daemon
-	cfg    ServerConfig
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining bool
-	drainDl  time.Time
-	wg       sync.WaitGroup
+	w      wire.Server
 }
 
 // NewServer wraps a daemon in a TCP front.
 func NewServer(d *Daemon, cfg ServerConfig) *Server {
-	return &Server{daemon: d, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
+	cfg = cfg.withDefaults()
+	s := &Server{daemon: d}
+	s.w.Handler = s.handleLine
+	s.w.IdleTimeout = cfg.IdleTimeout
+	s.w.WriteTimeout = cfg.WriteTimeout
+	s.w.Clock = cfg.Clock
+	s.w.WrapConn = cfg.WrapConn
+	s.w.OnAccept = d.tel.conn
+	return s
 }
 
 // Listen binds addr and starts accepting; it returns the bound address
@@ -74,117 +71,27 @@ func (s *Server) Listen(addr string) (string, error) {
 	if s == nil {
 		return "", fmt.Errorf("serve: nil server")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		//hetvet:ignore errdiscard best-effort close of a listener that never served
-		ln.Close()
-		return "", fmt.Errorf("serve: server is shut down")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return s.w.Listen(addr)
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by Drain/Close
-		}
-		if s.cfg.WrapConn != nil {
-			conn = s.cfg.WrapConn(conn)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			//hetvet:ignore errdiscard best-effort close of a connection that raced shutdown
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.daemon.tel.conn()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		//hetvet:ignore errdiscard a finished connection's close error is noise
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	for {
-		// During a drain the read deadline is the absolute drain
-		// deadline and is never extended, so every serving goroutine
-		// terminates by then no matter how chatty its client is.
-		s.mu.Lock()
-		draining, dl := s.draining, s.drainDl
-		s.mu.Unlock()
-		if draining {
-			if err := conn.SetReadDeadline(dl); err != nil {
-				return
-			}
-		} else if err := conn.SetReadDeadline(s.cfg.Clock().Add(s.cfg.IdleTimeout)); err != nil {
-			return
-		}
-		if !sc.Scan() {
-			return
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		resp := s.handle(line)
-		out, err := directory.EncodePlanResponse(resp)
-		if err != nil {
-			return
-		}
-		if err := conn.SetWriteDeadline(s.cfg.Clock().Add(s.cfg.WriteTimeout)); err != nil {
-			return
-		}
-		if _, err := conn.Write(out); err != nil {
-			return // slow or dead client; the daemon is not its hostage
-		}
-	}
-}
-
-// handle resolves one request line to one response.
-func (s *Server) handle(line []byte) directory.PlanResponse {
-	if s == nil {
-		return directory.PlanResponse{Error: "serve: nil server"}
-	}
-	req, err := directory.ParsePlanRequest(line)
-	if err != nil {
-		return directory.PlanResponse{Error: err.Error()}
-	}
-	switch req.Op {
-	case directory.OpPlan:
+// handleLine answers one request line with one response line.
+func (s *Server) handleLine(line []byte) ([]byte, bool) {
+	var resp directory.PlanResponse
+	switch req, err := directory.ParsePlanRequest(line); {
+	case err != nil:
+		resp.Error = err.Error()
+	case req.Op == directory.OpPlan:
 		// The wire carries the trace ID (req.Trace); the daemon binds it
 		// onto the context in beginRequest.
-		return s.daemon.Plan(context.Background(), req)
-	case directory.OpServeStats:
-		resp := s.daemon.StatsResponse()
+		resp = s.daemon.Plan(context.Background(), req)
+	case req.Op == directory.OpServeStats:
+		resp = s.daemon.StatsResponse()
 		resp.ID = req.ID
-		return resp
 	default:
-		return directory.PlanResponse{ID: req.ID,
-			Error: fmt.Sprintf("serve: unknown op %q", req.Op)}
+		resp = directory.PlanResponse{ID: req.ID, Error: fmt.Sprintf("serve: unknown op %q", req.Op)}
 	}
+	out, err := directory.EncodePlanResponse(resp)
+	return out, err == nil
 }
 
 // Addr returns the bound listen address, or "" before Listen.
@@ -192,93 +99,29 @@ func (s *Server) Addr() string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	ln := s.listener
-	s.mu.Unlock()
-	if ln == nil {
-		return ""
-	}
-	return ln.Addr().String()
+	return s.w.Addr()
 }
 
-// Drain shuts the service down gracefully: connected clients keep
-// getting answers while the daemon drains its queued backlog under the
-// daemon's drain timeout (new requests get explicit draining
-// responses), then the listener closes and every serving goroutine is
-// wound down under grace. No request that was read off a socket goes
+// Drain shuts the service down gracefully. First the daemon drains:
+// workers finish the queued backlog under its drain timeout, leftovers
+// and new requests are answered as draining, and connections stay up so
+// those answers reach their clients. Then the edge is wound down under
+// grace (wire.Server.Drain). No request read off a socket goes
 // unanswered. Safe to call alongside or after Close.
 func (s *Server) Drain(grace time.Duration) error {
 	if s == nil {
 		return errors.New("serve: nil server")
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	s.mu.Unlock()
-
-	// Phase 1: daemon drain — workers finish the queued backlog; any
-	// leftovers are force-answered as draining. Connections stay up so
-	// those answers reach their clients.
 	s.daemon.Shutdown()
-
-	// Phase 2: wind down the edge. Stop accepting, give connected
-	// clients the grace window to read their final answers, then
-	// enforce the absolute deadline.
-	s.mu.Lock()
-	s.drainDl = s.cfg.Clock().Add(grace)
-	dl := s.drainDl
-	ln := s.listener
-	s.listener = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection gets the same deadline
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		//hetvet:ignore errdiscard listener teardown during drain; nothing to do with the error
-		ln.Close()
-	}
-	for _, c := range conns {
-		//hetvet:ignore errdiscard a torn-down connection is already on its way out
-		c.SetReadDeadline(dl)
-	}
-	s.wg.Wait()
-	return s.Close()
+	return s.w.Drain(grace)
 }
 
-// Close stops the server immediately: listener closed, every
-// connection severed, all serving goroutines joined. Idempotent.
+// Close shuts the daemon down, so no handler stays parked on a worker,
+// then severs everything and joins the serving goroutines. Idempotent.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	s.listener = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection is closed regardless of iteration order
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		//hetvet:ignore errdiscard best-effort listener teardown
-		ln.Close()
-	}
-	for _, c := range conns {
-		//hetvet:ignore errdiscard racing the serving goroutine's own deferred close; either error is noise
-		c.Close()
-	}
 	s.daemon.Shutdown()
-	s.wg.Wait()
-	return nil
+	return s.w.Close()
 }

@@ -22,6 +22,12 @@
 // and the receiver side deduplicates through a per-exchange ledger,
 // acking duplicates without re-applying them. DESIGN.md §10 gives the
 // full state machine.
+//
+// The executor owns every payload buffer. A transfer's bytes are
+// generated once, into a pooled buffer its ledger entry holds for the
+// life of the exchange; every attempt sends that buffer and every
+// receive is compared byte for byte against it. Receive buffers are
+// pooled too, which is why a DeliverFunc may not retain its payload.
 package exec
 
 import (
@@ -32,7 +38,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +49,7 @@ import (
 	"hetsched/internal/model"
 	"hetsched/internal/obs"
 	"hetsched/internal/sched"
+	"hetsched/internal/stats"
 	"hetsched/internal/timing"
 )
 
@@ -53,14 +62,20 @@ var wallClock = time.Now
 // it must return a schedule containing exactly those pairs.
 type ReplanFunc func(m *model.Matrix, residual sched.Pattern, alive func(int) bool) (*sched.Result, error)
 
-// PayloadFunc produces the bytes node src owes node dst. It must be
-// deterministic in its arguments: the receiver regenerates the payload
-// to verify what arrived.
+// PayloadFunc produces the bytes node src owes node dst: exactly size
+// of them, a function of its arguments alone. The executor calls it
+// once per transfer and verifies every receive against that result.
 type PayloadFunc func(src, dst int, size int64) []byte
 
 // DeliverFunc is the application sink. The executor calls it exactly
 // once per delivered (src, dst) pair, outside all executor locks.
+// payload is a pooled receive buffer, valid only until the call
+// returns: copy what must outlive it.
 type DeliverFunc func(src, dst int, payload []byte)
+
+// fillFunc writes the bytes src owes dst over all of b. It is the one
+// form the send and verify paths see a payload generator in.
+type fillFunc func(b []byte, src, dst int)
 
 // Config tunes an Executor. The zero value selects working defaults
 // for every field.
@@ -118,9 +133,10 @@ type Config struct {
 // Executor runs exchanges over one transport. Create with New; one
 // exchange at a time per transport (Run owns the accept streams).
 type Executor struct {
-	tr  Transport
-	cfg Config
-	xid atomic.Uint64
+	tr   Transport
+	cfg  Config
+	fill fillFunc
+	xid  atomic.Uint64
 }
 
 // New validates the configuration, fills defaults, and returns an
@@ -158,8 +174,13 @@ func New(tr Transport, cfg Config) (*Executor, error) {
 			return sched.ReplanResidual(m, residual, alive)
 		}
 	}
-	if cfg.Payload == nil {
-		cfg.Payload = DefaultPayload
+	fill := defaultFill
+	if gen := cfg.Payload; gen != nil {
+		fill = func(b []byte, src, dst int) {
+			// A generator that comes up short must not put a pooled
+			// buffer's previous contents on the wire.
+			clear(b[copy(b, gen(src, dst, int64(len(b)))):])
+		}
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = wallClock
@@ -167,33 +188,49 @@ func New(tr Transport, cfg Config) (*Executor, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	return &Executor{tr: tr, cfg: cfg}, nil
+	return &Executor{tr: tr, cfg: cfg, fill: fill}, nil
 }
 
 // DefaultPayload is the executor's deterministic payload generator: a
-// byte pattern keyed on (src, dst, offset), cheap to regenerate on the
-// receive side for verification.
+// byte pattern keyed on (src, dst, offset).
 func DefaultPayload(src, dst int, size int64) []byte {
 	if size <= 0 {
 		return nil
 	}
 	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte(7*src + 13*dst + 31*i + 5)
-	}
+	defaultFill(b, src, dst)
 	return b
 }
 
+// defaultFill writes byte(7*src + 13*dst + 31*i + 5) at every offset i.
+// 31 is odd, so the pattern's period is exactly 256: the first period
+// is computed and the rest is doubling copies of what is already there.
+func defaultFill(b []byte, src, dst int) {
+	base := 7*src + 13*dst + 5
+	head := min(len(b), 256)
+	for i := 0; i < head; i++ {
+		b[i] = byte(base + 31*i)
+	}
+	for done := head; done < len(b); done *= 2 {
+		copy(b[done:], b[:done])
+	}
+}
+
 // transfer is the executor's ledger entry for one (src, dst) cell of
-// the size matrix. All mutable fields are guarded by run.mu.
+// the size matrix. The mutable fields below size are guarded by run.mu;
+// buf is written once under gen and read through run.payload.
 type transfer struct {
 	src, dst int
 	size     int64
+	modeled  float64 // the matrix's time for this pair, seconds
 
-	applied bool // payload handed to the Deliver sink (exactly once)
-	round   int  // plan round the applied attempt was sent under
-	retries int  // extra attempts beyond the first, across rounds
+	applied bool    // payload handed to the Deliver sink (exactly once)
+	round   int     // plan round the applied attempt was sent under
+	retries int     // extra attempts beyond the first, across rounds
 	seconds float64 // measured wall of the successful attempt; 0 unless Samples is armed
+
+	gen sync.Once
+	buf *[]byte // the pair's bytes, held from first use until Run has joined every handler
 }
 
 // run is the state of one exchange execution.
@@ -204,12 +241,13 @@ type run struct {
 	ctx   context.Context // exchange-scoped; carries the request trace
 	trace uint64          // trace ID for flight events and the report
 
-	mu         sync.Mutex // guards alive, deadReason, st fields, dup, aborted — never held across I/O
+	mu         sync.Mutex // guards alive, deadReason, st fields, dup, aborted, lost — never held across I/O
 	alive      []bool
 	deadReason []string
 	st         [][]*transfer
 	dup        int  // duplicate applies suppressed by the ledger
 	aborted    bool // a death invalidated the current round's plan
+	lost       bool // the transport was closed under the exchange
 
 	sendSem []chan struct{} // the port model: one active send per node
 	recvSem []chan struct{} // and one active receive per node
@@ -232,6 +270,11 @@ type run struct {
 // obs.ReqTrace): when present, the exchange, each round, and each
 // transfer land on the request's span tree, flight events are tagged
 // with the trace ID, and the report echoes it.
+//
+// Run closes the transport when it finishes, so a transport carries one
+// exchange. On a transport that is already closed, or that the caller
+// closes mid-exchange, Run joins its goroutines and returns an error
+// wrapping ErrTransportClosed instead of a report.
 func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, sizes *model.Sizes) (*DeliveryReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -265,24 +308,30 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		rng:        rand.New(rand.NewSource(e.cfg.Seed)),
 	}
 	maxModeled := 0.0
+	cells, rows := make([]transfer, n*n), make([]*transfer, n*n)
 	for i := 0; i < n; i++ {
 		r.alive[i] = true
-		r.st[i] = make([]*transfer, n)
+		r.st[i] = rows[i*n : (i+1)*n]
 		r.sendSem[i] = make(chan struct{}, 1)
 		r.recvSem[i] = make(chan struct{}, 1)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			r.st[i][j] = &transfer{src: i, dst: j, size: sizes.At(i, j)}
-			if d := m.At(i, j); d > maxModeled {
-				maxModeled = d
+			t := &cells[i*n+j]
+			t.src, t.dst, t.size, t.modeled = i, j, sizes.At(i, j), m.At(i, j)
+			r.st[i][j] = t
+			if t.modeled > maxModeled {
+				maxModeled = t.modeled
 			}
 		}
 	}
 	r.recvWindow = r.attemptDeadline(maxModeled) + e.cfg.MinDeadline
 
-	span := e.cfg.Tracer.Begin("exec", "exchange", obs.L("transport", fmt.Sprintf("%T", e.tr)))
+	var span *obs.Span
+	if e.cfg.Tracer != nil {
+		span = e.cfg.Tracer.Begin("exec", "exchange", obs.L("transport", fmt.Sprintf("%T", e.tr)))
+	}
 	ctx, xsp := obs.StartSpan(ctx, "exec", "exchange")
 	r.ctx = ctx
 	r.trace = obs.TraceFrom(ctx).TraceID
@@ -300,6 +349,9 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		r.runRound(round, plan)
 		rsp.End()
 		rounds++
+		if r.transportLost() {
+			break
+		}
 		residual := r.residualPattern()
 		if len(residual) == 0 {
 			break
@@ -322,15 +374,27 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 	}
 
 	close(r.closing)
-	if err := e.tr.Close(); err != nil {
-		return nil, fmt.Errorf("exec: closing transport: %w", err)
-	}
+	closeErr := e.tr.Close()
 	r.acceptWg.Wait()
 	r.handlerWg.Wait()
+	// No sender or handler is left to read a payload.
+	r.releasePayloads()
+	var err error
+	switch {
+	case closeErr != nil:
+		err = fmt.Errorf("exec: closing transport: %w", closeErr)
+	case r.transportLost():
+		err = fmt.Errorf("exec: exchange %d stopped in round %d: %w", r.xid, rounds-1, ErrTransportClosed)
+	}
+	if err != nil {
+		span.End()
+		xsp.End()
+		return nil, err
+	}
 
 	rep := r.finalize(rounds, replans, res.CompletionTime(), e.cfg.Clock().Sub(start))
 	rep.Trace = obs.FormatTraceID(r.trace)
-	span.SetArg("dead", fmt.Sprintf("%d", len(rep.Dead)))
+	span.SetArg("dead", strconv.Itoa(len(rep.Dead)))
 	span.End()
 	xsp.End()
 	e.cfg.Flight.Record("exec", "exchange_done", r.trace, rep.DeliveredBytes+rep.ReroutedBytes, int64(len(rep.Dead)))
@@ -370,6 +434,51 @@ func (r *run) collectSamples() []calib.Sample {
 		}
 	}
 	return out
+}
+
+// releasePayloads returns every generated payload to the buffer pool.
+// Only Run calls it, after every sender and handler has exited.
+func (r *run) releasePayloads() {
+	for _, row := range r.st {
+		for _, t := range row {
+			if t != nil && t.buf != nil {
+				putBuf(t.buf)
+				t.buf = nil
+			}
+		}
+	}
+}
+
+// payload returns the bytes src owes dst, generating them into a pooled
+// buffer on first use. The sender normally gets here first; a receiver
+// handed a header for a pair whose sender has not started yet fills the
+// same entry, so there is one generation whichever end asks.
+func (r *run) payload(t *transfer) []byte {
+	if t.size <= 0 {
+		return nil
+	}
+	t.gen.Do(func() {
+		t.buf = getBuf(int(t.size))
+		r.ex.fill(*t.buf, t.src, t.dst)
+	})
+	return *t.buf
+}
+
+// noteTransportLost records that a sender found the transport closed
+// while rounds were still running, which only a caller can have done,
+// and ends the round.
+func (r *run) noteTransportLost() {
+	r.mu.Lock()
+	r.lost = true
+	r.aborted = true
+	r.mu.Unlock()
+}
+
+// transportLost reports whether a round hit a closed transport.
+func (r *run) transportLost() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lost
 }
 
 // isAlive reports current liveness; safe from any goroutine.
@@ -468,8 +577,20 @@ func (r *run) runRound(round int, plan *sched.Result) {
 	r.mu.Lock()
 	r.aborted = false
 	r.mu.Unlock()
+	// Cut the plan into per-sender columns, each an exact-size window
+	// of one slab.
+	evs := plan.Schedule.ByStart()
+	counts := make([]int, r.n)
+	for _, e := range evs {
+		counts[e.Src]++
+	}
+	slab := make([]timing.Event, len(evs))
 	perSender := make([][]timing.Event, r.n)
-	for _, e := range plan.Schedule.ByStart() {
+	for src, off := 0, 0; src < r.n; src++ {
+		perSender[src] = slab[off : off : off+counts[src]]
+		off += counts[src]
+	}
+	for _, e := range evs {
 		perSender[e.Src] = append(perSender[e.Src], e)
 	}
 	var wg sync.WaitGroup
@@ -542,6 +663,7 @@ func (r *run) sendOne(round int, t *transfer, modeled float64) {
 			return
 		}
 		if errors.Is(err, ErrTransportClosed) {
+			r.noteTransportLost()
 			return
 		}
 		var pd *PeerDeadError
@@ -584,12 +706,14 @@ func (r *run) attempt(round, attempt int, t *transfer, deadline time.Duration) e
 		return err
 	}
 	if t.size > 0 {
-		if _, err := c.Write(r.ex.cfg.Payload(t.src, t.dst, t.size)); err != nil {
+		if _, err := c.Write(r.payload(t)); err != nil {
 			return fmt.Errorf("exec: write payload %d→%d: %w", t.src, t.dst, err)
 		}
 	}
+	br := getFrameReader(c)
+	defer putFrameReader(br)
 	var ack frameAck
-	if err := readLine(newFrameReader(c), &ack); err != nil {
+	if err := readLine(br, &ack); err != nil {
 		return err
 	}
 	if !ack.OK {
@@ -627,7 +751,8 @@ func (r *run) handle(node int, c net.Conn) {
 	if err := c.SetDeadline(r.ex.cfg.Clock().Add(r.recvWindow)); err != nil {
 		return
 	}
-	br := newFrameReader(c)
+	br := getFrameReader(c)
+	defer putFrameReader(br)
 	var h frameHeader
 	if err := readLine(br, &h); err != nil {
 		return
@@ -638,8 +763,10 @@ func (r *run) handle(node int, c net.Conn) {
 	}
 }
 
-// receive validates a header against the run, reads and verifies the
-// payload, and applies it exactly once through the ledger.
+// receive validates a header against the run, reads the payload into a
+// pooled buffer, verifies it byte for byte against the ledger's
+// generation, and applies it exactly once through the ledger. The
+// buffer is recycled on return, after Deliver is done with it.
 func (r *run) receive(node int, br io.Reader, h frameHeader) frameAck {
 	reject := func(format string, args ...any) frameAck {
 		return frameAck{OK: false, Error: fmt.Sprintf(format, args...)}
@@ -659,11 +786,13 @@ func (r *run) receive(node int, br io.Reader, h frameHeader) frameAck {
 	}
 	var payload []byte
 	if h.Size > 0 {
-		payload = make([]byte, h.Size)
+		buf := getBuf(int(h.Size))
+		defer putBuf(buf)
+		payload = *buf
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return reject("short payload: %v", err)
 		}
-		if !bytes.Equal(payload, r.ex.cfg.Payload(h.Src, h.Dst, h.Size)) {
+		if !bytes.Equal(payload, r.payload(t)) {
 			return reject("payload corrupt")
 		}
 	}
@@ -702,7 +831,6 @@ func (r *run) finalize(rounds, replans int, modeled float64, wall time.Duration)
 	sort.Ints(rep.Dead)
 	for dst := 0; dst < r.n; dst++ {
 		d := DestReport{Dst: dst}
-		seen := map[string]bool{}
 		for src := 0; src < r.n; src++ {
 			t := r.st[src][dst]
 			if t == nil {
@@ -729,9 +857,7 @@ func (r *run) finalize(rounds, replans int, modeled float64, wall time.Duration)
 				d.Abandoned += t.size
 				rep.AbandonedBytes += t.size
 				rep.AbandonedTransfers++
-				reason := r.abandonReason(src, dst)
-				if !seen[reason] {
-					seen[reason] = true
+				if reason := r.abandonReason(src, dst); !slices.Contains(d.Reasons, reason) {
 					d.Reasons = append(d.Reasons, reason)
 				}
 			}
@@ -739,7 +865,33 @@ func (r *run) finalize(rounds, replans int, modeled float64, wall time.Duration)
 		rep.Dests = append(rep.Dests, d)
 	}
 	rep.DupSuppressed = r.dup
+	rep.Fit = r.pairFit()
 	return rep
+}
+
+// pairFit compares each measured transfer with the model's time for
+// its pair. Called with r.mu held.
+func (r *run) pairFit() *PairFit {
+	var fit PairFit
+	var ratios []float64
+	for _, row := range r.st {
+		for _, t := range row {
+			if t == nil || !t.applied || t.seconds <= 0 || !(t.modeled > 0) {
+				continue
+			}
+			ratio := t.seconds / t.modeled
+			if len(ratios) == 0 || ratio > fit.Worst.Ratio() {
+				fit.Worst = PairTiming{Src: t.src, Dst: t.dst, Measured: t.seconds, Modeled: t.modeled}
+			}
+			ratios = append(ratios, ratio)
+		}
+	}
+	if len(ratios) == 0 {
+		return nil
+	}
+	fit.Pairs = len(ratios)
+	fit.MedianRatio = stats.Percentile(ratios, 0.5)
+	return &fit
 }
 
 // abandonReason explains why a pending transfer can no longer move.

@@ -1,14 +1,17 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/faults"
 	"hetsched/internal/model"
+	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 	"hetsched/internal/sched"
 )
@@ -39,14 +42,18 @@ func testProblem(t *testing.T, n int) (*sched.Result, *model.Matrix, *model.Size
 // sink records deliveries with full concurrency checking: a pair
 // delivered twice fails the test immediately.
 type sink struct {
-	t  *testing.T
-	mu sync.Mutex
-	by map[[2]int]int64
+	t    *testing.T
+	want PayloadFunc // when set, every delivered payload must equal what it defines
+	mu   sync.Mutex
+	by   map[[2]int]int64
 }
 
 func newSink(t *testing.T) *sink { return &sink{t: t, by: map[[2]int]int64{}} }
 
 func (s *sink) deliver(src, dst int, payload []byte) {
+	if s.want != nil && !bytes.Equal(payload, s.want(src, dst, int64(len(payload)))) {
+		s.t.Errorf("pair %d→%d delivered bytes the generator does not define", src, dst)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := [2]int{src, dst}
@@ -116,6 +123,9 @@ func TestExecMemDeliversEverything(t *testing.T) {
 	}
 	if rep.Wall <= 0 {
 		t.Fatalf("non-positive wall clock %v", rep.Wall)
+	}
+	if rep.Fit != nil {
+		t.Fatalf("exchange without Config.Samples reported a pair fit: %+v", rep.Fit)
 	}
 }
 
@@ -319,5 +329,61 @@ func TestExecMetricsRecorded(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "hetsched_exec_bytes_total") {
 		t.Fatal("exec bytes family missing from scrape")
+	}
+}
+
+// TestExecPairFitNamesSlowedPair: with measurement armed the report
+// sets each transfer's wall clock beside the matrix's time for its
+// pair, so one emulated slow link is the reported worst pair and the
+// median stays with the healthy ones.
+func TestExecPairFitNamesSlowedPair(t *testing.T) {
+	const n, slowSrc, slowDst = 4, 2, 3
+	const delay = 30 * time.Millisecond
+	res, m, sizes := testProblem(t, n)
+	m.Set(0, 1, 0) // a pair the model says nothing about is left out
+	tr, err := NewMem(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.NewPairDelayInjector(faults.PairDelayConfig{
+		Lookup: func(src, dst int) netmodel.PairPerf {
+			if src == slowSrc && dst == slowDst {
+				return netmodel.PairPerf{Latency: delay.Seconds()}
+			}
+			return netmodel.PairPerf{}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetPairWrapper(inj.WrapPair)
+	cfg := fastCfg()
+	cfg.Samples = func([]calib.Sample) {}
+	ex, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ex.Run(context.Background(), res, m, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := rep.Fit
+	if fit == nil {
+		t.Fatalf("measurement armed but no pair fit reported:\n%s", rep)
+	}
+	if fit.Pairs != n*(n-1)-1 {
+		t.Fatalf("fit covers %d pairs, want %d (all but the zero-model pair)", fit.Pairs, n*(n-1)-1)
+	}
+	w := fit.Worst
+	if w.Src != slowSrc || w.Dst != slowDst {
+		t.Fatalf("worst pair %d→%d (%.3g s measured, %.3g s modeled), want the slowed %d→%d",
+			w.Src, w.Dst, w.Measured, w.Modeled, slowSrc, slowDst)
+	}
+	if w.Measured < delay.Seconds() || w.Modeled != m.At(slowSrc, slowDst) {
+		t.Fatalf("worst pair measured %.3g s, modeled %.3g s; want at least %.3g s against %.3g s",
+			w.Measured, w.Modeled, delay.Seconds(), m.At(slowSrc, slowDst))
+	}
+	if !(fit.MedianRatio > 0 && fit.MedianRatio < w.Ratio()) {
+		t.Fatalf("median ratio %.3g not below the worst pair's %.3g", fit.MedianRatio, w.Ratio())
 	}
 }

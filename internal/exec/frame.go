@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sync"
 
 	"hetsched/internal/wire"
 )
@@ -70,8 +71,23 @@ func readLine(br *bufio.Reader, v any) error {
 	return nil
 }
 
-// newFrameReader wraps a connection for line + payload reads, with the
-// buffer sized to the header bound.
-func newFrameReader(r io.Reader) *bufio.Reader {
-	return bufio.NewReaderSize(r, maxHeaderLine)
+// frameReaders recycles the line + payload readers, one per end of
+// every attempt, with the buffer sized to the header bound.
+var frameReaders = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, maxHeaderLine) },
+}
+
+// getFrameReader wraps a connection for line + payload reads; pair
+// with putFrameReader once the connection is done.
+func getFrameReader(r io.Reader) *bufio.Reader {
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// putFrameReader drops the reader's hold on its connection and
+// recycles it.
+func putFrameReader(br *bufio.Reader) {
+	br.Reset(nil)
+	frameReaders.Put(br)
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"hetsched/internal/leakcheck"
@@ -67,4 +69,72 @@ func TestExecCancelledRunLeaksNoGoroutines(t *testing.T) {
 		cancel()
 		runExchange(t, tr, ctx, true)
 	})
+}
+
+// TestExecClosedTransportFailsLoudly: a transport carries one exchange.
+// A second Run on it used to return a nil error and an all-abandoned
+// report after MaxRounds replans; it must fail with ErrTransportClosed,
+// having joined every goroutine it started.
+func TestExecClosedTransportFailsLoudly(t *testing.T) {
+	for name, newTransport := range transportsUnderTest() {
+		newTransport := newTransport
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t, func() {
+				tr, err := newTransport(4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, m, sizes := testProblem(t, 4)
+				ex, err := New(tr, fastCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ex.Run(context.Background(), res, m, sizes); err != nil {
+					t.Fatalf("first run: %v", err)
+				}
+				rep, err := ex.Run(context.Background(), res, m, sizes)
+				if !errors.Is(err, ErrTransportClosed) {
+					t.Fatalf("second run on a used transport: report %v, error %v, want ErrTransportClosed", rep, err)
+				}
+				if rep != nil {
+					t.Fatalf("second run returned a report beside its error:\n%s", rep)
+				}
+			})
+		})
+	}
+}
+
+// TestExecTransportClosedMidExchange: the caller closes the transport
+// from under a running exchange. Run must notice at the next dial,
+// stop replanning, join its goroutines, and say what happened.
+func TestExecTransportClosedMidExchange(t *testing.T) {
+	for name, newTransport := range transportsUnderTest() {
+		newTransport := newTransport
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t, func() {
+				tr, err := newTransport(5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, m, sizes := testProblem(t, 5)
+				var once sync.Once
+				cfg := fastCfg()
+				cfg.Deliver = func(src, dst int, payload []byte) {
+					once.Do(func() {
+						if err := tr.Close(); err != nil {
+							t.Errorf("close: %v", err)
+						}
+					})
+				}
+				ex, err := New(tr, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := ex.Run(context.Background(), res, m, sizes)
+				if !errors.Is(err, ErrTransportClosed) || rep != nil {
+					t.Fatalf("run over a transport closed mid-exchange: report %v, error %v, want ErrTransportClosed", rep, err)
+				}
+			})
+		})
+	}
 }

@@ -54,6 +54,31 @@ type DeliveryReport struct {
 	Trace string
 
 	Dests []DestReport // per destination, ascending by node
+
+	// Fit sets the measured transfers against the model pair by pair
+	// (not rendered). Nil unless Config.Samples armed the measurement
+	// and at least one applied pair has a positive modeled time.
+	Fit *PairFit
+}
+
+// PairTiming is one transfer's measured wall clock beside the time the
+// communication matrix predicted for its pair, both in seconds.
+type PairTiming struct {
+	Src, Dst int
+	Measured float64
+	Modeled  float64
+}
+
+// Ratio returns measured over modeled time.
+func (p PairTiming) Ratio() float64 { return p.Measured / p.Modeled }
+
+// PairFit summarises how the applied transfers' measured times sit
+// against the model: the exchange-level Ratio says whether t_max was
+// met, this says which pair the model got most wrong.
+type PairFit struct {
+	Pairs       int        // measured pairs with a positive modeled time
+	Worst       PairTiming // the pair with the largest measured/modeled
+	MedianRatio float64    // median measured/modeled over those pairs
 }
 
 // Accounted reports whether delivered + rerouted + abandoned bytes

@@ -2,15 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-escapes race race-short chaos exec-chaos serve-chaos obs-chaos calib-chaos ci bench bench-json bench-smoke cover figures examples clean
+.PHONY: all build test vet lint race race-short chaos exec-chaos serve-chaos obs-chaos calib-chaos ci bench bench-smoke cover figures figures-json examples clean
 
 all: build lint test
 
 # What CI runs (.github/workflows/ci.yml): build, lint (go vet plus the
 # project's own hetvet suite), the full test suite, the race detector
-# in short mode, and the data-plane, serving, observability, and
-# calibration chaos suites.
-ci: build lint test race-short exec-chaos serve-chaos obs-chaos calib-chaos
+# in short mode, the examples, the five chaos suites (resilience,
+# data-plane, serving, calibration, observability), and the repo
+# benchmark's correctness gate. CI's fuzz, daemon-smoke, scrape and
+# report-upload steps have no make target and are not repeated here.
+ci: build lint test race-short examples chaos exec-chaos serve-chaos calib-chaos obs-chaos bench-smoke
 
 build:
 	$(GO) build ./...
@@ -23,13 +25,6 @@ vet:
 # lockorder, hotpath — see DESIGN.md §9).
 lint: vet
 	$(GO) run ./cmd/hetvet ./...
-
-# The compiler's escape analysis cross-checked against the
-# //hetvet:hotpath regions (DESIGN.md §11): rebuilds the module with
-# -gcflags=-m and fails on any escaping allocation in the hot set.
-# Slower than lint (go build -a); CI's lint job runs it on every push.
-lint-escapes:
-	$(GO) run ./cmd/hetvet -checks=hotpath -escapes ./...
 
 test:
 	$(GO) test ./...
@@ -86,16 +81,6 @@ calib-chaos:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Machine-readable benchmark outputs: the figure sweeps (mean and p95
-# ratio-to-lower-bound per (P, algorithm) plus per-figure wall clock)
-# as bench.json, and the planning micro-benchmarks (cold plan, warm
-# replan, drift repair — plans/sec, mean and p95 ns/op, allocs/op,
-# warm-vs-cold speedup) as BENCH_plan.json. CI's bench job uploads
-# both as artifacts; EXPERIMENTS.md documents the schemas.
-bench-json:
-	$(GO) run ./cmd/hcbench -fig sweeps -json bench.json
-	$(GO) run ./cmd/hcbench -bench-json BENCH_plan.json
-
 # Five seconds each of the repo benchmark's two directory-facing
 # workloads and of its executed exchange (BENCHMARK.json,
 # bench/README.md), run for their correctness gate rather than their
@@ -119,6 +104,13 @@ cover:
 # Regenerate every table and figure from the paper's evaluation.
 figures:
 	$(GO) run ./cmd/hcbench -fig all
+
+# The Figure 9-12 sweeps as machine-readable JSON (mean and p95
+# ratio-to-lower-bound per (P, algorithm) plus per-figure wall clock).
+# CI's bench job uploads bench.json as an artifact; EXPERIMENTS.md
+# documents the schema.
+figures-json:
+	$(GO) run ./cmd/hcbench -fig sweeps -json bench.json
 
 examples:
 	$(GO) run ./examples/quickstart

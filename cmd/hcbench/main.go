@@ -57,17 +57,9 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of tables (figure sweeps only)")
 		jsonOut = flag.String("json", "", "also write figure sweeps as JSON to this file")
 		workers = flag.Int("workers", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
-		benchJS = flag.String("bench-json", "", "run the planning micro-benchmarks (cold plan, warm replan, drift repair at P ∈ {8,16,50}) and write BENCH_plan.json-style output to this file, skipping the figure sweeps")
 	)
 	flag.Parse()
 	experiments.SetDefaultWorkers(*workers)
-	if *benchJS != "" {
-		if err := runBenchPlan(*benchJS); err != nil {
-			fmt.Fprintln(os.Stderr, "hcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var report []jsonFigure
 
 	run := func(name string) error {

@@ -9,7 +9,6 @@
 //	hcsim -p 16 -drift 0.3 -checkpoint every -replan        # §6.3 adaptivity
 //	hcsim -p 16 -faults 5 -checkpoint every -replan         # seeded link failures
 //	hcsim -net state.json -alg maxmatch                     # saved network
-//	hcsim -replay rec.json -checkpoint every -replan        # replay a recording
 //	hcsim -p 16 -trace out.json                             # write a Chrome/Perfetto trace
 //	hcsim -p 8 -execute -transport mem                      # real byte transfers, in-process
 //	hcsim -p 8 -execute -transport tcp -faults 2            # loopback TCP, 2 seeded node kills
@@ -19,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -40,7 +38,6 @@ import (
 func main() {
 	var (
 		netFile    = flag.String("net", "", "load network state from a JSON file (see hcquery -emit / hcdird -save)")
-		replayFile = flag.String("replay", "", "replay a recorded network-condition series (recording JSON)")
 		traceOut   = flag.String("trace", "", "write the executed schedule as Chrome trace_event JSON (chrome://tracing, Perfetto)")
 		p          = flag.Int("p", 16, "processors for random generation")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -63,24 +60,8 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	var perf *hetsched.Perf
-	var recording *hetsched.Recording
 	var names []string
-	switch {
-	case *replayFile != "":
-		data, err := os.ReadFile(*replayFile)
-		if err != nil {
-			fatal(err)
-		}
-		recording = hetsched.NewRecording(nil)
-		if err := json.Unmarshal(data, recording); err != nil {
-			fatal(err)
-		}
-		if recording.Len() == 0 {
-			fatal(fmt.Errorf("recording %s is empty", *replayFile))
-		}
-		_, perf = recording.Sample(0) // plan from the opening conditions
-		fmt.Printf("replaying %d recorded network samples from %s\n", recording.Len(), *replayFile)
-	case *netFile != "":
+	if *netFile != "" {
 		data, err := os.ReadFile(*netFile)
 		if err != nil {
 			fatal(err)
@@ -89,7 +70,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	default:
+	} else {
 		perf = hetsched.RandomPerf(rng, *p, hetsched.GustoGuided())
 	}
 
@@ -139,8 +120,8 @@ func main() {
 		if *modelName != "exclusive" {
 			fatal(fmt.Errorf("-faults needs -model exclusive (reactive re-planning)"))
 		}
-		if recording != nil || *drift > 0 {
-			fatal(fmt.Errorf("-faults cannot combine with -replay or -drift"))
+		if *drift > 0 {
+			fatal(fmt.Errorf("-faults cannot combine with -drift"))
 		}
 		events := faults.RandomLinkEvents(rng, n, *faultCount, res.CompletionTime())
 		fn, err := faults.NewNetwork(perf, events)
@@ -157,13 +138,6 @@ func main() {
 				fmt.Printf("fault: link %d→%d degrades to %.0f%% at t=%.4g s\n", e.Src, e.Dst, 100*e.Factor, e.Time)
 			}
 		}
-	} else if recording != nil {
-		pw, err := recording.Network()
-		if err != nil {
-			fatal(err)
-		}
-		network = pw
-		observe = pw.At
 	} else if *drift > 0 {
 		after := perf.Clone()
 		crashed := 0

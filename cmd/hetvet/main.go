@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	hetvet [-json] [-checks=name,name] [-escapes] [packages]
+//	hetvet [-json] [-checks=name,name] [packages]
 //
 // Packages default to ./... and are resolved against the enclosing
 // module. -checks selects a subset of the suite by name (-list prints
-// the names); an unknown name is a usage error. -escapes cross-checks
-// the compiler's escape analysis against the //hetvet:hotpath regions
-// and requires the hotpath check to be selected. Exit status: 0 when
+// the names); an unknown name is a usage error. Exit status: 0 when
 // clean, 1 when findings were reported, 2 on usage or load errors.
 // With -json each diagnostic is one JSON object per line
 // ({"file","line","col","check","message"}), the form CI annotations
@@ -24,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"hetsched/internal/analysis"
@@ -40,9 +37,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := flags.Bool("json", false, "emit one JSON diagnostic per line")
 	list := flags.Bool("list", false, "list the checks and exit")
 	checks := flags.String("checks", "", "comma-separated check names to run (default: all)")
-	escapes := flags.Bool("escapes", false, "cross-check compiler escape analysis over //hetvet:hotpath regions")
 	flags.Usage = func() {
-		fmt.Fprintln(stderr, "usage: hetvet [-json] [-list] [-checks=name,name] [-escapes] [packages]")
+		fmt.Fprintln(stderr, "usage: hetvet [-json] [-list] [-checks=name,name] [packages]")
 		flags.PrintDefaults()
 	}
 	if err := flags.Parse(args); err != nil {
@@ -57,10 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkers, err := selectCheckers(*checks)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetvet:", err)
-		return 2
-	}
-	if *escapes && !hasChecker(checkers, "hotpath") {
-		fmt.Fprintln(stderr, "hetvet: -escapes needs the hotpath check selected (it cross-checks hotpath's regions)")
 		return 2
 	}
 	cwd, err := os.Getwd()
@@ -80,19 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags := analysis.Run(pkgs, checkers, root)
-	if *escapes {
-		esc, err := analysis.EscapeDiagnostics("go", root, analysis.HotRegions(pkgs))
-		if err != nil {
-			fmt.Fprintln(stderr, "hetvet:", err)
-			return 2
-		}
-		for i := range esc {
-			if rel, err := filepath.Rel(root, esc[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-				esc[i].File = filepath.ToSlash(rel)
-			}
-		}
-		diags = append(diags, esc...)
-	}
 	if *jsonOut {
 		err = analysis.WriteJSON(stdout, diags)
 	} else {
@@ -137,14 +116,4 @@ func selectCheckers(spec string) ([]analysis.Checker, error) {
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-// hasChecker reports whether the selection includes the named check.
-func hasChecker(checkers []analysis.Checker, name string) bool {
-	for _, c := range checkers {
-		if c.Name() == name {
-			return true
-		}
-	}
-	return false
 }

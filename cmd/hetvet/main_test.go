@@ -103,18 +103,6 @@ func TestChecksSubset(t *testing.T) {
 	}
 }
 
-// TestEscapesNeedsHotpath: -escapes cross-checks hotpath's regions, so
-// selecting it without hotpath is a usage error.
-func TestEscapesNeedsHotpath(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"-checks=errdiscard", "-escapes"}, &out, &errBuf); code != 2 {
-		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, errBuf.String())
-	}
-	if !strings.Contains(errBuf.String(), "hotpath") {
-		t.Errorf("stderr = %q, want it to mention hotpath", errBuf.String())
-	}
-}
-
 func TestFindingsExit1(t *testing.T) {
 	chdir(t, fixture(t, "golden"))
 	var out, errBuf bytes.Buffer

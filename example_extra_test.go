@@ -7,9 +7,9 @@ import (
 	"hetsched"
 )
 
-// ExampleCommunicator plans repeated exchanges from directory
+// ExampleNewCommunicator plans repeated exchanges from directory
 // snapshots, repairing incrementally while the network holds still.
-func ExampleCommunicator() {
+func ExampleNewCommunicator() {
 	comm, err := hetsched.NewCommunicator(5, hetsched.StaticCommSource(hetsched.Gusto()), hetsched.CommConfig{})
 	if err != nil {
 		log.Fatal(err)

@@ -48,28 +48,6 @@ func ExampleCompare() {
 	// openshop           13.0
 }
 
-// ExampleBroadcast compares broadcast strategies from the slowest
-// GUSTO site.
-func ExampleBroadcast() {
-	m, err := hetsched.BuildUniform(hetsched.Gusto(), 1<<20)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fnf, err := hetsched.Broadcast(m, 2, hetsched.FastestNodeFirst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lin, err := hetsched.Broadcast(m, 2, hetsched.LinearBroadcast)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("fastest-node-first: %.1f s\n", fnf.CompletionTime())
-	fmt.Printf("linear:             %.1f s\n", lin.CompletionTime())
-	// Output:
-	// fastest-node-first: 26.4 s
-	// linear:             97.1 s
-}
-
 // ExamplePatternLowerBound shows partial (all-to-some) scheduling: two
 // repository processors feed three clients.
 func ExamplePatternLowerBound() {

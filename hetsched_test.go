@@ -5,10 +5,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hetsched/internal/netmodel"
+	"hetsched/internal/sim"
 )
 
 // The facade tests exercise the public API end to end the way a
-// downstream user would, without reaching into internal packages.
+// downstream user would; they reach into internal packages only for
+// constructors the facade does not carry.
 
 func TestQuickstartFlow(t *testing.T) {
 	perf := Gusto()
@@ -29,9 +33,6 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestSchedulerRegistry(t *testing.T) {
-	if len(Schedulers()) != 6 {
-		t.Errorf("Schedulers() = %d entries", len(Schedulers()))
-	}
 	for _, name := range []string{"baseline", "baseline-barrier", "maxmatch", "minmatch", "greedy", "openshop"} {
 		s, err := SchedulerByName(name)
 		if err != nil {
@@ -41,10 +42,8 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q", name, s.Name())
 		}
 	}
-	for _, s := range []Scheduler{Baseline(), BaselineBarrier(), MaxMatching(), MinMatching(), Greedy(), OpenShop()} {
-		if s.Name() == "" {
-			t.Error("constructor returned unnamed scheduler")
-		}
+	if OpenShop().Name() != "openshop" {
+		t.Error("OpenShop() is not the registry's openshop")
 	}
 }
 
@@ -72,11 +71,8 @@ func TestMatrixTextRoundTrip(t *testing.T) {
 
 func TestWorkloadsViaFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, kind := range []WorkloadKind{WorkloadSmall, WorkloadLarge, WorkloadMixed, WorkloadServers} {
-		sizes := WorkloadSizes(rng, DefaultWorkload(kind, 8))
-		if sizes.N() != 8 {
-			t.Fatalf("%v: wrong size", kind)
-		}
+	if sizes := WorkloadSizes(rng, DefaultWorkload(WorkloadServers, 8)); sizes.N() != 8 {
+		t.Fatal("servers: wrong size")
 	}
 	tr, err := TransposeSizes(4, 8, 8, 8)
 	if err != nil || tr.N() != 4 {
@@ -92,7 +88,7 @@ func TestSimulateViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Greedy().Schedule(m)
+	res, err := OpenShop().Schedule(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,76 +138,12 @@ func TestDirectoryViaFacade(t *testing.T) {
 	}
 }
 
-func TestQoSViaFacade(t *testing.T) {
-	prob := &QoSProblem{N: 3, Messages: []QoSMessage{
-		{Src: 0, Dst: 1, Duration: 1, Deadline: 10},
-		{Src: 0, Dst: 2, Duration: 1, Deadline: 1.5},
-	}}
-	res, err := ScheduleQoS(prob, EDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics().Missed != 0 {
-		t.Error("EDF missed an easy deadline")
-	}
-	if _, err := ScheduleQoS(prob, MakespanOnly); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := ScheduleCritical(ExampleMatrix(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr.CriticalDone <= 0 {
-		t.Error("critical schedule empty")
-	}
-}
-
-func TestRefineViaFacade(t *testing.T) {
-	m := ExampleMatrix()
-	res, err := MaxMatching().Schedule(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := m.Clone()
-	cur.Set(0, 1, m.At(0, 1)*3)
-	out, st, err := RefineSchedule(res.Steps, m, cur, DefaultRefineOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DirtySteps == 0 || !out.CoversTotalExchange() {
-		t.Errorf("refine stats %+v", st)
-	}
-}
-
-func TestCollectivesViaFacade(t *testing.T) {
-	m := ExampleMatrix()
-	b, err := Broadcast(m, 0, FastestNodeFirst)
-	if err != nil || len(b.Events) != 4 {
-		t.Fatalf("broadcast: %v", err)
-	}
-	if _, err := Broadcast(m, 0, LinearBroadcast); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Broadcast(m, 0, BinomialBroadcast); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Scatter(m, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Gather(m, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AllGather(Gusto(), []int64{1, 2, 3, 4, 5}, OpenShop()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeSimulationVariants(t *testing.T) {
-	topo := NewTopology([]Site{
-		{Name: "A", Hosts: 2, LAN: Link{Name: "lanA", Latency: 0.001, Bandwidth: 1e7}},
-		{Name: "B", Hosts: 2, LAN: Link{Name: "lanB", Latency: 0.001, Bandwidth: 1e7}},
+	topo := netmodel.NewTopology([]netmodel.Site{
+		{Name: "A", Hosts: 2, LAN: netmodel.Link{Name: "lanA", Latency: 0.001, Bandwidth: 1e7}},
+		{Name: "B", Hosts: 2, LAN: netmodel.Link{Name: "lanB", Latency: 0.001, Bandwidth: 1e7}},
 	})
-	topo.ConnectSites(0, 1, Link{Name: "wan", Latency: 0.01, Bandwidth: 1e6})
+	topo.ConnectSites(0, 1, netmodel.Link{Name: "wan", Latency: 0.01, Bandwidth: 1e6})
 	perf, err := topo.Perf()
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +161,8 @@ func TestFacadeSimulationVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewStaticNetwork(perf)
-	excl, err := SimulateOn(net, plan)
+	net := sim.NewStatic(perf)
+	excl, err := Simulate(perf, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +184,12 @@ func TestFacadeSimulationVariants(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	cases := map[string]func(){
-		"bad walker drift": func() { NewWalker(rand.New(rand.NewSource(1)), Gusto(), Drift{RelStep: 2}) },
+		"bad walker drift": func() {
+			netmodel.NewWalker(rand.New(rand.NewSource(1)), Gusto(), netmodel.Drift{RelStep: 2})
+		},
 		"self backbone": func() {
-			topo := NewTopology([]Site{{Name: "A", Hosts: 1, LAN: Link{Name: "l", Latency: 0.001, Bandwidth: 1e6}}})
-			topo.ConnectSites(0, 0, Link{})
+			topo := netmodel.NewTopology([]netmodel.Site{{Name: "A", Hosts: 1, LAN: netmodel.Link{Name: "l", Latency: 0.001, Bandwidth: 1e6}}})
+			topo.ConnectSites(0, 0, netmodel.Link{})
 		},
 	}
 	for name, f := range cases {

@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"hetsched/internal/directory"
+	"hetsched/internal/incremental"
 	"hetsched/internal/netmodel"
+	"hetsched/internal/sched"
+	"hetsched/internal/timing"
 )
 
 // TestPipelineDirectoryToExecution runs the full loop over a live TCP
@@ -131,7 +134,7 @@ func TestPipelinePartialPatternStaging(t *testing.T) {
 	var pattern PartialPattern
 	for src := 0; src < 2; src++ { // two repositories
 		for dst := 2; dst < 12; dst++ {
-			pattern = append(pattern, Pair{Src: src, Dst: dst})
+			pattern = append(pattern, timing.Pair{Src: src, Dst: dst})
 		}
 	}
 	r, err := PartialOpenShop(m, pattern)
@@ -199,7 +202,7 @@ func TestPipelineRefineAfterDirectoryUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := MaxMatching().Schedule(old)
+	prev, err := sched.MaxMatching{}.Schedule(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestPipelineRefineAfterDirectoryUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, stats, err := RefineSchedule(prev.Steps, old, cur, DefaultRefineOptions())
+	repaired, stats, err := incremental.Refine(prev.Steps, old, cur, incremental.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,7 @@
 //	              that guards its own channel (lockorder.go).
 //	hotpath     — //hetvet:hotpath functions and their transitive
 //	              module callees, resolved whole-program, contain no
-//	              allocating constructs; -escapes cross-checks the
-//	              compiler's escape analysis over the same regions
-//	              (hotpath.go, escapes.go).
+//	              allocating constructs (hotpath.go).
 //
 // Every checker honors the escape hatch
 //

@@ -38,10 +38,7 @@ import (
 // Calls the type checker cannot resolve to a module function — through
 // interfaces, func values, or into the standard library beyond the
 // denylist above — are not followed; the race-gated AllocsPerRun
-// benchmarks remain the runtime backstop for those. The -escapes mode
-// (escapes.go) closes the remaining gap from the compiler's side by
-// cross-checking `go build -gcflags=-m` output against the same hot
-// regions.
+// tests remain the runtime backstop for those.
 type hotpathChecker struct {
 	decls map[*types.Func]hotDecl
 	hot   map[*types.Func]*types.Func // hot function → its annotated root

@@ -11,11 +11,10 @@ import (
 	"hetsched/internal/sched"
 )
 
-// The go-test half of the planning benchmark suite. These mirror the
-// three paths tracked in BENCH_plan.json (`make bench-json`, CI's bench
-// job): a cold from-scratch plan, the steady-state warm replan that the
-// zero-alloc tests pin, and replanning over a drifting network where
-// incremental repairs and recomputes mix. Run with
+// The planning micro-benchmarks (EXPERIMENTS.md X14): a cold
+// from-scratch plan, the steady-state warm replan that the zero-alloc
+// tests pin, and replanning over a drifting network where incremental
+// repairs and recomputes mix. Run with
 //
 //	go test -bench 'ColdPlan|WarmReplan|RepairDrift' -benchmem ./internal/comm/
 //

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -231,47 +230,6 @@ func (d *Drifter) Current() *netmodel.Perf {
 
 // Events returns a copy of the sorted event timeline.
 func (d *Drifter) Events() []DriftEvent { return append([]DriftEvent(nil), d.events...) }
-
-// RandomDriftEvents draws count seeded drift events on distinct
-// directed pairs over a horizon of ticks: a mix of ramps, steps, and
-// flapping pairs with log-uniform bandwidth factors in [1/6, 6] —
-// slowdowns and speedups are equally likely, because a calibrator that
-// only survives slowdowns is half a calibrator.
-func RandomDriftEvents(rng *rand.Rand, n, count, horizon int) []DriftEvent {
-	if n < 2 || count <= 0 || horizon <= 0 {
-		return nil
-	}
-	if max := n * (n - 1); count > max {
-		count = max
-	}
-	used := map[[2]int]bool{}
-	out := make([]DriftEvent, 0, count)
-	for len(out) < count {
-		src, dst := rng.Intn(n), rng.Intn(n)
-		if src == dst || used[[2]int{src, dst}] {
-			continue
-		}
-		used[[2]int{src, dst}] = true
-		ev := DriftEvent{
-			Src: src, Dst: dst,
-			Start:  rng.Intn(horizon/2 + 1),
-			Factor: math.Exp((2*rng.Float64() - 1) * math.Log(6)),
-		}
-		switch roll := rng.Float64(); {
-		case roll < 0.4:
-			ev.Kind = DriftRamp
-			ev.Duration = 1 + rng.Intn(horizon/2+1)
-		case roll < 0.8:
-			ev.Kind = DriftStep
-		default:
-			ev.Kind = DriftFlap
-			ev.Period = 2 + rng.Intn(4)
-		}
-		out = append(out, ev)
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Start < out[b].Start })
-	return out
-}
 
 // PairDelayConfig tunes a PairDelayInjector.
 type PairDelayConfig struct {

@@ -2,9 +2,7 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -124,30 +122,6 @@ func TestDrifterValidationAndBounds(t *testing.T) {
 	// Out-of-range lookups are inert.
 	if pp := d.Lookup(0, 9); pp != (netmodel.PairPerf{}) {
 		t.Errorf("out-of-range lookup = %+v", pp)
-	}
-}
-
-func TestRandomDriftEventsDeterministic(t *testing.T) {
-	a := RandomDriftEvents(rand.New(rand.NewSource(7)), 6, 10, 20)
-	b := RandomDriftEvents(rand.New(rand.NewSource(7)), 6, 10, 20)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different drift timelines")
-	}
-	if len(a) != 10 {
-		t.Fatalf("got %d events, want 10", len(a))
-	}
-	seen := map[[2]int]bool{}
-	for _, e := range a {
-		if seen[[2]int{e.Src, e.Dst}] {
-			t.Fatalf("pair %d→%d drawn twice", e.Src, e.Dst)
-		}
-		seen[[2]int{e.Src, e.Dst}] = true
-		if e.Factor < 1.0/6-1e-9 || e.Factor > 6+1e-9 {
-			t.Errorf("factor %g outside [1/6, 6]", e.Factor)
-		}
-	}
-	if RandomDriftEvents(rand.New(rand.NewSource(1)), 1, 5, 10) != nil {
-		t.Error("degenerate request must return nil")
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package faults is the chaos harness for the resilience layer: a
-// deterministic, seeded fault injector for the three places the
-// framework touches an unreliable world — the directory's TCP
-// connections (drops, stalls, partial writes), the performance sources
-// feeding the Communicator (errors, stale tables), and the simulated
-// network (mid-run link degradation and failure). Everything is driven
-// by explicit seeds so a chaos run that finds a bug replays exactly.
+// deterministic, seeded fault injector for the places the framework
+// touches an unreliable world — the directory's, the plan service's
+// and the executor's connections (drops, stalls, partial writes,
+// trickling peers, drifting per-pair timings) and the simulated network
+// (mid-run link degradation and failure). Everything is driven by
+// explicit seeds so a chaos run that finds a bug replays exactly.
 //
 // The injectors plug into seams the production code already exposes:
-// directory.Server.SetConnWrapper accepts ConnInjector.Wrap,
-// comm.Source is satisfied by WrapSource's return value, and Network
-// implements sim.Network while supplying the observe function and
-// fault times that sim.RunReactive needs for checkpoint + re-plan.
+// directory.Server.SetConnWrapper accepts ConnInjector.Wrap, and
+// Network implements sim.Network while supplying the observe function
+// and fault times that sim.RunReactive needs for checkpoint + re-plan.
 package faults
 
 import (

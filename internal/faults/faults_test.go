@@ -71,45 +71,6 @@ func TestConnInjectorFaults(t *testing.T) {
 	}
 }
 
-func TestWrapSourceFaults(t *testing.T) {
-	calls := 0
-	inner := func() (*netmodel.Perf, error) {
-		calls++
-		p := netmodel.Gusto()
-		if calls > 1 { // drift after the first call so stales are detectable
-			p = p.Scale(2)
-		}
-		return p, nil
-	}
-	src, counts := WrapSource(inner, SourceConfig{Seed: 3, FailProb: 0.3, StaleProb: 0.3})
-	var fails, stales, fresh int
-	base := netmodel.Gusto()
-	for k := 0; k < 200; k++ {
-		perf, err := src()
-		switch {
-		case err != nil:
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("unexpected error kind: %v", err)
-			}
-			fails++
-		case perf.At(0, 1) == base.At(0, 1) && k > 0:
-			stales++ // frozen first table
-		default:
-			fresh++
-		}
-	}
-	c := counts()
-	if c.Fails != fails || c.Fails == 0 {
-		t.Errorf("fail count %d, observed %d", c.Fails, fails)
-	}
-	if c.Stales == 0 || c.Stales != stales {
-		t.Errorf("stale count %d, observed %d", c.Stales, stales)
-	}
-	if fresh == 0 {
-		t.Error("no fresh tables served")
-	}
-}
-
 func TestNetworkEventsDegradeLinks(t *testing.T) {
 	base := netmodel.Gusto()
 	nw, err := NewNetwork(base, []LinkEvent{

@@ -608,31 +608,6 @@ func TestSampleProfile(t *testing.T) {
 	}
 }
 
-func TestProfileSeries(t *testing.T) {
-	base := Gusto()
-	p, err := DiurnalProfile(5, 100, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := ProfileSeries(base, p, []float64{0, 10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 3 {
-		t.Fatal("wrong series length")
-	}
-	if _, err := ProfileSeries(base, p, nil); err == nil {
-		t.Error("empty times accepted")
-	}
-	if _, err := ProfileSeries(base, p, []float64{0, 0}); err == nil {
-		t.Error("non-increasing times accepted")
-	}
-	bad := func(int, int, float64) float64 { return -1 }
-	if _, err := ProfileSeries(base, bad, []float64{0}); err == nil {
-		t.Error("invalid profile output accepted")
-	}
-}
-
 func TestNewPerfNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -56,24 +56,3 @@ func SampleProfile(base *Perf, p Profile, t float64) *Perf {
 	}
 	return out
 }
-
-// ProfileSeries samples the profile at the given times, producing one
-// table per sample — ready to become simulator epochs. Times must be
-// strictly increasing.
-func ProfileSeries(base *Perf, p Profile, times []float64) ([]*Perf, error) {
-	if len(times) == 0 {
-		return nil, fmt.Errorf("netmodel: no sample times")
-	}
-	out := make([]*Perf, 0, len(times))
-	for k, t := range times {
-		if k > 0 && t <= times[k-1] {
-			return nil, fmt.Errorf("netmodel: sample times not increasing at index %d", k)
-		}
-		sampled := SampleProfile(base, p, t)
-		if err := sampled.Validate(); err != nil {
-			return nil, fmt.Errorf("netmodel: profile produced invalid table at t=%g: %w", t, err)
-		}
-		out = append(out, sampled)
-	}
-	return out, nil
-}

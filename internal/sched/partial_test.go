@@ -66,33 +66,24 @@ func TestPatternLowerBound(t *testing.T) {
 }
 
 func TestPartialSchedulersValidAndBounded(t *testing.T) {
-	type partial func(*model.Matrix, Pattern) (*Result, error)
-	algos := map[string]partial{
-		"openshop": PartialOpenShop,
-		"maxmatch": func(m *model.Matrix, p Pattern) (*Result, error) { return PartialMatching(m, p, true) },
-		"minmatch": func(m *model.Matrix, p Pattern) (*Result, error) { return PartialMatching(m, p, false) },
-		"greedy":   PartialGreedy,
-	}
-	for name, algo := range algos {
-		for seed := int64(1); seed <= 6; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			n := 4 + rng.Intn(8)
-			m := randMatrix(t, seed*31, n, 1<<20)
-			p := randPattern(rng, n, 0.4)
-			r, err := algo(m, p)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			if len(r.Schedule.Events) != len(p) {
-				t.Fatalf("%s seed %d: %d events for %d-pair pattern", name, seed, len(r.Schedule.Events), len(p))
-			}
-			lb := PatternLowerBound(m, p)
-			if r.CompletionTime() < lb-1e-9 {
-				t.Fatalf("%s seed %d: beats the pattern lower bound", name, seed)
-			}
-			if name == "openshop" && r.CompletionTime() > 2*lb*(1+1e-9) {
-				t.Fatalf("openshop seed %d: exceeds 2× pattern bound", seed)
-			}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(8)
+		m := randMatrix(t, seed*31, n, 1<<20)
+		p := randPattern(rng, n, 0.4)
+		r, err := PartialOpenShop(m, p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(r.Schedule.Events) != len(p) {
+			t.Fatalf("seed %d: %d events for %d-pair pattern", seed, len(r.Schedule.Events), len(p))
+		}
+		lb := PatternLowerBound(m, p)
+		if r.CompletionTime() < lb-1e-9 {
+			t.Fatalf("seed %d: beats the pattern lower bound", seed)
+		}
+		if r.CompletionTime() > 2*lb*(1+1e-9) {
+			t.Fatalf("seed %d: exceeds 2× pattern bound", seed)
 		}
 	}
 }
@@ -116,19 +107,12 @@ func TestPartialReducesToTotalExchange(t *testing.T) {
 }
 
 func TestPartialEmptyPattern(t *testing.T) {
-	m := model.ExampleMatrix()
-	for _, f := range []func() (*Result, error){
-		func() (*Result, error) { return PartialOpenShop(m, nil) },
-		func() (*Result, error) { return PartialMatching(m, nil, true) },
-		func() (*Result, error) { return PartialGreedy(m, nil) },
-	} {
-		r, err := f()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Schedule.Events) != 0 || r.CompletionTime() != 0 {
-			t.Error("empty pattern should schedule nothing")
-		}
+	r, err := PartialOpenShop(model.ExampleMatrix(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Schedule.Events) != 0 || r.CompletionTime() != 0 {
+		t.Error("empty pattern should schedule nothing")
 	}
 }
 
@@ -140,25 +124,19 @@ func TestPartialSingleSenderSerializes(t *testing.T) {
 	for _, pr := range p {
 		want += m.At(pr.Src, pr.Dst)
 	}
-	for _, f := range []func() (*Result, error){
-		func() (*Result, error) { return PartialOpenShop(m, p) },
-		func() (*Result, error) { return PartialMatching(m, p, true) },
-		func() (*Result, error) { return PartialGreedy(m, p) },
-	} {
-		r, err := f()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := r.CompletionTime() - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: completion %g, want serialized %g", r.Algorithm, r.CompletionTime(), want)
-		}
+	r, err := PartialOpenShop(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := r.CompletionTime() - want; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("%s: completion %g, want serialized %g", r.Algorithm, r.CompletionTime(), want)
 	}
 }
 
 func TestPartialPatternProperty(t *testing.T) {
-	// Property: for random patterns all partial schedulers produce
-	// schedules whose events exactly cover the pattern and never
-	// overlap per sender or receiver.
+	// Property: for random patterns the partial open shop produces a
+	// schedule whose events exactly cover the pattern and never overlap
+	// per sender or receiver.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(7)
@@ -171,20 +149,8 @@ func TestPartialPatternProperty(t *testing.T) {
 			}
 		}
 		p := randPattern(rng, n, 0.5)
-		for _, run := range []func() (*Result, error){
-			func() (*Result, error) { return PartialOpenShop(m, p) },
-			func() (*Result, error) { return PartialMatching(m, p, rng.Intn(2) == 0) },
-			func() (*Result, error) { return PartialGreedy(m, p) },
-		} {
-			r, err := run()
-			if err != nil {
-				return false
-			}
-			if err := checkPatternSchedule(r.Schedule, m, p); err != nil {
-				return false
-			}
-		}
-		return true
+		r, err := PartialOpenShop(m, p)
+		return err == nil && checkPatternSchedule(r.Schedule, m, p) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -192,15 +158,7 @@ func TestPartialPatternProperty(t *testing.T) {
 }
 
 func TestPartialRejectsBadPattern(t *testing.T) {
-	m := model.ExampleMatrix()
-	bad := Pattern{{Src: 0, Dst: 9}}
-	if _, err := PartialOpenShop(m, bad); err == nil {
+	if _, err := PartialOpenShop(model.ExampleMatrix(), Pattern{{Src: 0, Dst: 9}}); err == nil {
 		t.Error("openshop accepted bad pattern")
-	}
-	if _, err := PartialMatching(m, bad, true); err == nil {
-		t.Error("matching accepted bad pattern")
-	}
-	if _, err := PartialGreedy(m, bad); err == nil {
-		t.Error("greedy accepted bad pattern")
 	}
 }

@@ -2,7 +2,6 @@ package timing
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -144,20 +143,4 @@ func BottleneckProcessor(s *Schedule) (int, float64) {
 		return -1, 0
 	}
 	return best, bestV
-}
-
-// SortedByFinish returns events ordered by finish time descending —
-// the diagnosis order local search and critical-path tools use.
-func SortedByFinish(s *Schedule) []Event {
-	evs := append([]Event(nil), s.Events...)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Finish != evs[j].Finish {
-			return evs[i].Finish > evs[j].Finish
-		}
-		if evs[i].Src != evs[j].Src {
-			return evs[i].Src < evs[j].Src
-		}
-		return evs[i].Dst < evs[j].Dst
-	})
-	return evs
 }

@@ -107,18 +107,3 @@ func TestBottleneckProcessor(t *testing.T) {
 		t.Error("empty system should report -1")
 	}
 }
-
-func TestSortedByFinish(t *testing.T) {
-	s := &Schedule{N: 3, Events: []Event{
-		{Src: 0, Dst: 1, Start: 0, Finish: 2},
-		{Src: 1, Dst: 2, Start: 0, Finish: 5},
-		{Src: 2, Dst: 0, Start: 0, Finish: 3},
-	}}
-	evs := SortedByFinish(s)
-	if evs[0].Finish != 5 || evs[2].Finish != 2 {
-		t.Errorf("order wrong: %+v", evs)
-	}
-	if s.Events[0].Finish != 2 {
-		t.Error("input mutated")
-	}
-}

@@ -1,10 +1,8 @@
 package timing
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,28 +84,6 @@ func RenderASCII(s *Schedule, opts RenderOptions) string {
 	}
 	sb.WriteString(fmt.Sprintf("t_max = %.4g\n", total))
 	return sb.String()
-}
-
-// WriteCSV emits the schedule as CSV rows (src, dst, start, finish),
-// sorted by start time, with a header.
-func WriteCSV(w io.Writer, s *Schedule) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"src", "dst", "start", "finish"}); err != nil {
-		return err
-	}
-	for _, e := range s.ByStart() {
-		rec := []string{
-			strconv.Itoa(e.Src),
-			strconv.Itoa(e.Dst),
-			strconv.FormatFloat(e.Start, 'g', -1, 64),
-			strconv.FormatFloat(e.Finish, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // scheduleJSON is the stable JSON shape of a schedule.

@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -385,21 +384,6 @@ func TestRenderASCIIEmpty(t *testing.T) {
 	out := RenderASCII(&Schedule{N: 2}, RenderOptions{})
 	if !strings.Contains(out, "empty") {
 		t.Error("empty schedule should render a placeholder")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	s := &Schedule{N: 2, Events: []Event{{Src: 0, Dst: 1, Start: 0, Finish: 1.5}}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	if !strings.HasPrefix(got, "src,dst,start,finish\n") {
-		t.Errorf("missing header: %q", got)
-	}
-	if !strings.Contains(got, "0,1,0,1.5") {
-		t.Errorf("missing event row: %q", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"hetsched/internal/model"
 )
@@ -245,119 +244,5 @@ func TestTransposeMoreProcessorsThanRows(t *testing.T) {
 	}
 	if s.At(0, 1) != 1 {
 		t.Errorf("size(0,1) = %d, want 1", s.At(0, 1))
-	}
-}
-
-// bruteRedistribution counts element movements one at a time, as a
-// reference for the block-walking implementation.
-func bruteRedistribution(p, n, r, s int, elem int64) *model.Sizes {
-	sizes := model.NewSizes(p)
-	for k := 0; k < n; k++ {
-		src := (k / r) % p
-		dst := (k / s) % p
-		if src != dst {
-			sizes.Set(src, dst, sizes.At(src, dst)+elem)
-		}
-	}
-	return sizes
-}
-
-func TestRedistributionMatchesBruteForce(t *testing.T) {
-	cases := []struct{ p, n, r, s int }{
-		{4, 100, 3, 5},
-		{4, 97, 5, 3},
-		{3, 64, 1, 8},
-		{5, 200, 7, 7},
-		{2, 17, 4, 2},
-		{6, 1000, 13, 11},
-	}
-	for _, c := range cases {
-		got, err := Redistribution(c.p, c.n, c.r, c.s, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteRedistribution(c.p, c.n, c.r, c.s, 8)
-		for i := 0; i < c.p; i++ {
-			for j := 0; j < c.p; j++ {
-				if got.At(i, j) != want.At(i, j) {
-					t.Fatalf("p=%d n=%d r=%d s=%d: size(%d,%d) = %d, want %d",
-						c.p, c.n, c.r, c.s, i, j, got.At(i, j), want.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestRedistributionIdentity(t *testing.T) {
-	// Same block size: nothing moves.
-	sizes, err := Redistribution(4, 1000, 8, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizes.TotalBytes() != 0 {
-		t.Errorf("cyclic(8)→cyclic(8) moved %d bytes", sizes.TotalBytes())
-	}
-}
-
-func TestRedistributionConservation(t *testing.T) {
-	// Every element either stays or moves exactly once: moved + stayed
-	// must equal n.
-	p, n, r, s := 5, 12345, 4, 9
-	moved, err := RedistributionMoved(p, n, r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stayed := int64(0)
-	for k := 0; k < n; k++ {
-		if (k/r)%p == (k/s)%p {
-			stayed++
-		}
-	}
-	if moved+stayed != int64(n) {
-		t.Errorf("moved %d + stayed %d != %d", moved, stayed, n)
-	}
-}
-
-func TestRedistributionErrors(t *testing.T) {
-	if _, err := Redistribution(0, 10, 1, 1, 1); err == nil {
-		t.Error("p=0 accepted")
-	}
-	if _, err := Redistribution(2, -1, 1, 1, 1); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := Redistribution(2, 10, 0, 1, 1); err == nil {
-		t.Error("r=0 accepted")
-	}
-	if _, err := Redistribution(2, 10, 1, 0, 1); err == nil {
-		t.Error("s=0 accepted")
-	}
-	if _, err := Redistribution(2, 10, 1, 1, -1); err == nil {
-		t.Error("negative element size accepted")
-	}
-}
-
-func TestRedistributionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := 2 + rng.Intn(6)
-		n := rng.Intn(500)
-		r := 1 + rng.Intn(12)
-		s := 1 + rng.Intn(12)
-		got, err := Redistribution(p, n, r, s, 2)
-		if err != nil {
-			return false
-		}
-		want := bruteRedistribution(p, n, r, s, 2)
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				if got.At(i, j) != want.At(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

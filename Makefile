@@ -81,18 +81,20 @@ calib-chaos:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Five seconds each of the repo benchmark's two directory-facing
-# workloads and of its executed exchange (BENCHMARK.json,
-# bench/README.md), run for their correctness gate rather than their
-# numbers. Serving: every plan must carry the store's generation and
-# equal the plan the library computes on the store's table at that
-# generation, which guards the directory client's held snapshot and the
-# daemon's plan cache. exchange-mem: every exchange must deliver every
-# byte in one round, which guards the executor's pooled byte path. The
-# result is the last line of output; the recipe fails unless it reads
+# Five seconds each of the repo benchmark's four workloads
+# (BENCHMARK.json, bench/README.md), run for their correctness gate
+# rather than their numbers. serve-live and serve-miss: every plan must
+# carry the store's generation and equal the plan the library computes
+# on the store's table at that generation, which guards the directory
+# client's held snapshot and the daemon's plan cache. serve-hot: every
+# 64th hit must equal the library's plan for the explicit table sent and
+# the hit ratio must reach 0.999, which guards the plan-request codec and
+# the pattern key. exchange-mem: every exchange must deliver every byte
+# in one round, which guards the executor's pooled byte path. The result
+# is the last line of output; the recipe fails unless it reads
 # "correct": true.
 bench-smoke:
-	@for w in serve-live serve-miss exchange-mem; do \
+	@for w in serve-live serve-miss serve-hot exchange-mem; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1 \
 			| grep -Eq '"correct": *true' || { echo "bench-smoke: $$w is not correct" >&2; exit 1; }; \
 		echo "bench-smoke: $$w correct"; \

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"strconv"
 
 	"hetsched/internal/wire"
 )
@@ -24,6 +25,30 @@ import (
 // The types live here, next to the directory protocol, so both wire
 // formats share one framing idiom and one fuzz harness
 // (FuzzProtocolDecode covers these frames too).
+//
+// Requests have a hand codec, because an explicit 50×50 table is 14.5 KB
+// of JSON that reflection spends half a millisecond on. encoding/json
+// stays the definition of the format on both sides:
+//
+//   - ParsePlanRequest first runs a single-pass decoder over the lines
+//     AppendPlanRequest writes: one object whose keys are the nine
+//     lower-case field names, each at most once; string values of
+//     printable ASCII with no escapes; integers of at most 18 digits
+//     with no fraction, exponent, leading zero or "-0"; sizes as a
+//     non-empty square array of integer arrays; JSON whitespace between
+//     tokens. All rows land in one []int64 slab. On anything else — an
+//     unknown, upper-case or repeated key, null, an escape, a byte
+//     >= 0x80, a float, a longer number, a ragged or empty table, a
+//     truncated line — it declines without an opinion and
+//     encoding/json decodes the line, so every accepted value and every
+//     error text is encoding/json's. The fast decoder is not a mode:
+//     nothing selects it, and FuzzPlanRequestCodec holds it to
+//     encoding/json's result on every line it accepts.
+//   - AppendPlanRequest writes byte for byte what json.Marshal writes
+//     (field order, omitempty, a nil row as null) and hands any request
+//     with a string json would escape to json itself.
+//
+// Responses are small and stay on encoding/json.
 
 // Plan-protocol op names.
 const (
@@ -153,8 +178,13 @@ type PlanResponse struct {
 	Stats *ServeStats `json:"stats,omitempty"`
 }
 
-// ParsePlanRequest decodes one plan-request wire line.
+// ParsePlanRequest decodes one plan-request wire line. The rows of
+// Sizes may share one backing array; each is clipped to its own
+// capacity, so appending to a row never writes into the next.
 func ParsePlanRequest(line []byte) (PlanRequest, error) {
+	if req, ok := decodeCanonicalPlanRequest(line); ok {
+		return req, nil
+	}
 	var req PlanRequest
 	if err := wire.DecodeLine(line, &req); err != nil {
 		return PlanRequest{}, fmt.Errorf("malformed plan request: %w", err)
@@ -164,11 +194,79 @@ func ParsePlanRequest(line []byte) (PlanRequest, error) {
 
 // EncodePlanRequest renders a plan request as one wire line.
 func EncodePlanRequest(req PlanRequest) ([]byte, error) {
-	b, err := wire.EncodeLine(req)
-	if err != nil {
-		return nil, fmt.Errorf("encode plan request: %w", err)
+	// A guess that saves the doubling, not a bound: append grows past it.
+	size := 160 + len(req.Op) + len(req.Kind) + len(req.Trace)
+	for _, row := range req.Sizes {
+		size += 8 + 8*len(row)
 	}
-	return b, nil
+	return AppendPlanRequest(make([]byte, 0, size), req)
+}
+
+// AppendPlanRequest appends req's wire line to dst, so a client can
+// encode every request of a connection into one buffer.
+func AppendPlanRequest(dst []byte, req PlanRequest) ([]byte, error) {
+	if !plainString(req.Op) || !plainString(req.Kind) || !plainString(req.Trace) {
+		line, err := wire.EncodeLine(req)
+		if err != nil {
+			return dst, fmt.Errorf("encode plan request: %w", err)
+		}
+		return append(dst, line...), nil
+	}
+	dst = append(dst, `{"op":"`...)
+	dst = append(dst, req.Op...)
+	dst = append(dst, '"')
+	if req.ID != 0 {
+		dst = append(dst, `,"id":`...)
+		dst = strconv.AppendUint(dst, req.ID, 10)
+	}
+	if req.P != 0 {
+		dst = append(dst, `,"p":`...)
+		dst = strconv.AppendInt(dst, int64(req.P), 10)
+	}
+	if req.Kind != "" {
+		dst = append(dst, `,"kind":"`...)
+		dst = append(dst, req.Kind...)
+		dst = append(dst, '"')
+	}
+	if req.Bytes != 0 {
+		dst = append(dst, `,"bytes":`...)
+		dst = strconv.AppendInt(dst, req.Bytes, 10)
+	}
+	if req.Seed != 0 {
+		dst = append(dst, `,"seed":`...)
+		dst = strconv.AppendInt(dst, req.Seed, 10)
+	}
+	if len(req.Sizes) > 0 {
+		dst = append(dst, `,"sizes":[`...)
+		for i, row := range req.Sizes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if row == nil {
+				dst = append(dst, "null"...)
+				continue
+			}
+			dst = append(dst, '[')
+			for j, v := range row {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendInt(dst, v, 10)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, ']')
+	}
+	if req.DeadlineMS != 0 {
+		dst = append(dst, `,"deadline_ms":`...)
+		dst = strconv.AppendInt(dst, req.DeadlineMS, 10)
+	}
+	if req.Trace != "" {
+		dst = append(dst, `,"trace":"`...)
+		dst = append(dst, req.Trace...)
+		dst = append(dst, '"')
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // ParsePlanResponse decodes one plan-response wire line.
@@ -187,4 +285,237 @@ func EncodePlanResponse(resp PlanResponse) ([]byte, error) {
 		return nil, fmt.Errorf("encode plan response: %w", err)
 	}
 	return b, nil
+}
+
+// plainString reports whether json.Marshal writes s between quotes
+// unchanged: printable ASCII, nothing it escapes (quote, backslash, and
+// the HTML-sensitive <, > and &).
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// planDecoder is the cursor of the single-pass request decoder. Every
+// method that returns ok=false has declined the whole line.
+type planDecoder struct {
+	b []byte
+	i int
+}
+
+// decodeCanonicalPlanRequest decodes a line of the shape described in
+// the file comment, or declines.
+func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
+	const (
+		fOp = 1 << iota
+		fID
+		fP
+		fKind
+		fBytes
+		fSeed
+		fSizes
+		fDeadlineMS
+		fTrace
+	)
+	d := planDecoder{b: line}
+	var req PlanRequest
+	if !d.eat('{') {
+		return PlanRequest{}, false
+	}
+	for seen := 0; !d.eat('}'); {
+		if seen != 0 && !d.eat(',') {
+			return PlanRequest{}, false
+		}
+		key, ok := d.str()
+		if !ok || !d.eat(':') {
+			return PlanRequest{}, false
+		}
+		d.space()
+		var field int
+		switch string(key) {
+		case "op":
+			field = fOp
+			req.Op, ok = d.text()
+		case "id":
+			field = fID
+			req.ID, ok = d.digits()
+		case "p":
+			field = fP
+			var v int64
+			v, ok = d.int()
+			req.P = int(v)
+			ok = ok && int64(req.P) == v
+		case "kind":
+			field = fKind
+			req.Kind, ok = d.text()
+		case "bytes":
+			field = fBytes
+			req.Bytes, ok = d.int()
+		case "seed":
+			field = fSeed
+			req.Seed, ok = d.int()
+		case "sizes":
+			field = fSizes
+			req.Sizes, ok = d.sizes()
+		case "deadline_ms":
+			field = fDeadlineMS
+			req.DeadlineMS, ok = d.int()
+		case "trace":
+			field = fTrace
+			req.Trace, ok = d.text()
+		}
+		if !ok || field == 0 || seen&field != 0 {
+			return PlanRequest{}, false
+		}
+		seen |= field
+	}
+	d.space()
+	return req, d.i == len(d.b)
+}
+
+// space skips JSON's insignificant whitespace.
+func (d *planDecoder) space() {
+	for d.i < len(d.b) {
+		switch d.b[d.i] {
+		case ' ', '\t', '\r', '\n':
+			d.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c, after any whitespace, if it is next.
+func (d *planDecoder) eat(c byte) bool {
+	d.space()
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+// str consumes a string literal that is its own value: printable ASCII
+// with no escape. The result aliases the line.
+func (d *planDecoder) str() ([]byte, bool) {
+	if !d.eat('"') {
+		return nil, false
+	}
+	for start := d.i; d.i < len(d.b); d.i++ {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			d.i++
+			return d.b[start : d.i-1], true
+		case c < 0x20, c >= 0x80, c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// text consumes a string value, without allocating for the values the
+// protocol defines.
+func (d *planDecoder) text() (string, bool) {
+	b, ok := d.str()
+	switch string(b) {
+	case OpPlan:
+		return OpPlan, ok
+	case OpServeStats:
+		return OpServeStats, ok
+	case PatternUniform:
+		return PatternUniform, ok
+	case PatternRandom:
+		return PatternRandom, ok
+	case PatternSkew:
+		return PatternSkew, ok
+	}
+	return string(b), ok
+}
+
+// digits consumes an unsigned integer at the cursor: 1 to 18 digits (so
+// it fits every integer field) with no leading zero. Whatever follows is
+// the caller's next token, and a fraction or exponent is none of them.
+func (d *planDecoder) digits() (uint64, bool) {
+	start, v := d.i, uint64(0)
+	for ; d.i < len(d.b); d.i++ {
+		c := d.b[d.i] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + uint64(c)
+	}
+	n := d.i - start
+	if n == 0 || n > 18 || (n > 1 && d.b[start] == '0') {
+		return 0, false
+	}
+	return v, true
+}
+
+// int consumes a signed integer at the cursor.
+func (d *planDecoder) int() (int64, bool) {
+	neg := d.i < len(d.b) && d.b[d.i] == '-'
+	if neg {
+		d.i++
+	}
+	v, ok := d.digits()
+	if !ok || (neg && v == 0) {
+		return 0, false
+	}
+	if neg {
+		return -int64(v), true
+	}
+	return int64(v), true
+}
+
+// sizes consumes a square table. The first row's commas give n; the n²
+// values are then parsed into one slab, a row at a time.
+func (d *planDecoder) sizes() ([][]int64, bool) {
+	if !d.eat('[') || !d.eat('[') {
+		return nil, false
+	}
+	n := 1
+	for j := d.i; ; j++ {
+		if j == len(d.b) {
+			return nil, false
+		}
+		if d.b[j] == ']' {
+			break
+		}
+		if d.b[j] == ',' {
+			n++
+		}
+	}
+	// An n×n table is more than 2n² bytes long: a first row that
+	// promises more than the line can hold allocates nothing.
+	if n > (len(d.b)-d.i)/(2*n) {
+		return nil, false
+	}
+	slab := make([]int64, n*n)
+	rows := make([][]int64, n)
+	for r := range rows {
+		if r > 0 && !(d.eat(',') && d.eat('[')) {
+			return nil, false
+		}
+		row := slab[r*n : (r+1)*n : (r+1)*n]
+		for c := range row {
+			if c > 0 && !d.eat(',') {
+				return nil, false
+			}
+			d.space()
+			v, ok := d.int()
+			if !ok {
+				return nil, false
+			}
+			row[c] = v
+		}
+		if !d.eat(']') {
+			return nil, false
+		}
+		rows[r] = row
+	}
+	return rows, d.eat(']')
 }

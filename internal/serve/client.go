@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"hetsched/internal/directory"
@@ -18,6 +19,9 @@ import (
 type Client struct {
 	timeout time.Duration
 	w       *wire.Client
+	// buf is the connection's request buffer, taken for the length of a
+	// round trip; a caller that finds it taken encodes into a fresh one.
+	buf atomic.Pointer[[]byte]
 }
 
 // Dial connects to a plan-service daemon. timeout bounds the dial and
@@ -62,10 +66,16 @@ func (c *Client) Stats(ctx context.Context) (directory.PlanResponse, error) {
 }
 
 func (c *Client) roundTrip(ctx context.Context, req directory.PlanRequest) (directory.PlanResponse, error) {
-	line, err := directory.EncodePlanRequest(req)
+	buf := c.buf.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer c.buf.Store(buf)
+	line, err := directory.AppendPlanRequest((*buf)[:0], req)
 	if err != nil {
 		return directory.PlanResponse{}, err
 	}
+	*buf = line
 	budget := c.timeout
 	if req.DeadlineMS > 0 {
 		// Wait for the server's verdict on the full client budget plus

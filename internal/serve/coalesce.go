@@ -2,31 +2,33 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"sync"
 	"time"
 
 	"hetsched/internal/directory"
-	"hetsched/internal/model"
 )
 
 // flightKey identifies a unit of coalescable work: the same pattern
-// hash under the same directory generation describes the same matrix
+// key under the same directory generation describes the same matrix
 // planned against the same network snapshot, so one planning pass can
 // answer every request that shares the key.
 type flightKey struct {
-	hash uint64 // pattern hash from materialize
-	gen  uint64 // directory generation at admission
+	hash [sha256.Size]byte // pattern.key
+	gen  uint64            // directory generation at admission
 }
 
 // flight is one in-flight planning pass and the rendezvous for every
 // request coalesced onto it. The leader's request occupies a queue
-// slot; followers attach for free and wait on done. complete is
+// slot; followers attach for free and wait on done. It carries the
+// leader's pattern, not a matrix: only the worker that plans it builds
+// one, so a flight that is expired, drained or shed never does. complete is
 // idempotent — workers, the CoDel expiry path, and forced drains can
 // all race to resolve a flight, and the first result wins.
 type flight struct {
 	key      flightKey
 	ctx      context.Context // leader's context; carries the trace the worker records into
-	sizes    *model.Sizes
+	pat      pattern
 	enqueued time.Time // admission time; queue wait is measured from it
 	deadline time.Time // leader's absolute deadline; CoDel checks it at dequeue
 	done     chan struct{}
@@ -34,8 +36,8 @@ type flight struct {
 	resp     directory.PlanResponse // template; readable after done closes
 }
 
-func newFlight(ctx context.Context, key flightKey, sizes *model.Sizes, enqueued, deadline time.Time) *flight {
-	return &flight{key: key, ctx: ctx, sizes: sizes, enqueued: enqueued, deadline: deadline,
+func newFlight(ctx context.Context, key flightKey, pat pattern, enqueued, deadline time.Time) *flight {
+	return &flight{key: key, ctx: ctx, pat: pat, enqueued: enqueued, deadline: deadline,
 		done: make(chan struct{})}
 }
 

@@ -8,127 +8,145 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
+	"math"
 	"math/rand"
 
 	"hetsched/internal/directory"
 	"hetsched/internal/model"
 )
 
-// hashU64 feeds one big-endian word into h.
-func hashU64(h hash.Hash64, v uint64) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	//hetvet:ignore errdiscard fnv hash writes cannot fail
-	h.Write(buf[:])
+// pattern is a plan request that passed every check admission makes of
+// it, reduced to what determines its size matrix, defaults applied. It
+// is all a flight keeps of the request: sizes cannot fail, so the
+// matrix is built by whoever turns out to need it.
+type pattern struct {
+	// key names the matrix: the SHA-256 digest of the fields below in a
+	// canonical byte form. Two patterns with equal keys describe the
+	// same matrix, so under an unchanged directory generation they have
+	// the same answer, and the daemon never compares matrices to
+	// confirm it.
+	key   [sha256.Size]byte
+	p     int
+	kind  string    // a directory.Pattern* constant; "" when rows is set
+	bytes int64     // generated patterns: base message size
+	seed  int64     // PatternRandom
+	rows  [][]int64 // explicit table, read-only; see Daemon.Plan
 }
 
-// hashStr feeds a string into h.
-func hashStr(h hash.Hash64, s string) {
-	//hetvet:ignore errdiscard fnv hash writes cannot fail
-	h.Write([]byte(s))
-}
-
-// materialize turns a wire-level plan request into the concrete sizes
-// matrix to plan for, plus a pattern hash identifying the request for
-// coalescing and caching. Two requests with equal hashes describe the
-// same matrix, so under an unchanged directory generation they have
-// the same answer. The hash covers every size-determining field —
-// explicit matrices hash their values, generated patterns hash
-// (kind, p, bytes, seed) — with domain separation between the two
-// forms so an explicit matrix can never collide with a shorthand that
-// would generate it.
-func materialize(req directory.PlanRequest, maxP int) (*model.Sizes, uint64, error) {
+// admitPattern validates a wire-level plan request and derives its
+// key, allocating nothing. The key covers every size-determining field
+// — explicit tables hash their off-diagonal values, generated patterns
+// hash (kind, p, bytes, seed) — with domain separation between the two
+// forms, so an explicit table never shares a key with the shorthand
+// that would generate it.
+func admitPattern(req directory.PlanRequest, maxP int) (pattern, error) {
 	if len(req.Sizes) > 0 {
-		return materializeExplicit(req.Sizes, maxP)
+		return admitExplicit(req.Sizes, maxP)
 	}
-	p := req.P
-	if p < 2 {
-		return nil, 0, fmt.Errorf("serve: request needs p >= 2 or an explicit sizes matrix (got p=%d)", p)
+	pt := pattern{p: req.P, kind: req.Kind, bytes: req.Bytes, seed: req.Seed}
+	if pt.p < 2 {
+		return pattern{}, fmt.Errorf("serve: request needs p >= 2 or an explicit sizes matrix (got p=%d)", pt.p)
 	}
-	if p > maxP {
-		return nil, 0, fmt.Errorf("serve: p=%d exceeds the daemon's limit of %d", p, maxP)
+	if pt.p > maxP {
+		return pattern{}, fmt.Errorf("serve: p=%d exceeds the daemon's limit of %d", pt.p, maxP)
 	}
-	bytes := req.Bytes
-	if bytes <= 0 {
-		bytes = 1 << 10
+	if pt.bytes <= 0 {
+		pt.bytes = 1 << 10
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = directory.PatternUniform
-	}
-	var s *model.Sizes
-	switch kind {
-	case directory.PatternUniform:
-		s = model.UniformSizes(p, bytes)
-	case directory.PatternRandom:
-		s = model.NewSizes(p)
-		rng := rand.New(rand.NewSource(req.Seed))
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				if i != j {
-					s.Set(i, j, 1+rng.Int63n(bytes))
-				}
-			}
-		}
+	switch pt.kind {
+	case "":
+		pt.kind = directory.PatternUniform
+	case directory.PatternUniform, directory.PatternRandom:
 	case directory.PatternSkew:
-		// Row i sends (i+1)·bytes to every peer: a ramp that keeps one
-		// processor a clear straggler, useful for exercising non-uniform
-		// schedules without a seed.
-		s = model.NewSizes(p)
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				if i != j {
-					s.Set(i, j, bytes*int64(i+1))
-				}
-			}
+		// The last row sends p·bytes to every peer.
+		if pt.bytes > math.MaxInt64/int64(pt.p) {
+			return pattern{}, fmt.Errorf("serve: skew pattern overflows: bytes=%d times p=%d exceeds int64", pt.bytes, pt.p)
 		}
 	default:
-		return nil, 0, fmt.Errorf("serve: unknown pattern kind %q", kind)
+		return pattern{}, fmt.Errorf("serve: unknown pattern kind %q", pt.kind)
 	}
-	h := fnv.New64a()
-	hashStr(h, "gen|"+kind+"|")
-	hashU64(h, uint64(p))
-	hashU64(h, uint64(bytes))
-	hashU64(h, uint64(req.Seed))
-	return s, h.Sum64(), nil
+	var buf [48]byte // "gen|uniform|" is the longest prefix
+	b := append(buf[:0], "gen|"...)
+	b = append(b, pt.kind...)
+	b = append(b, '|')
+	b = binary.BigEndian.AppendUint64(b, uint64(pt.p))
+	b = binary.BigEndian.AppendUint64(b, uint64(pt.bytes))
+	b = binary.BigEndian.AppendUint64(b, uint64(pt.seed))
+	pt.key = sha256.Sum256(b)
+	return pt, nil
 }
 
-// materializeExplicit validates and hashes a caller-supplied sizes
-// matrix: square, within the daemon's processor limit, non-negative
-// entries, zero diagonal.
-func materializeExplicit(rows [][]int64, maxP int) (*model.Sizes, uint64, error) {
+// admitExplicit validates and keys a caller-supplied sizes table:
+// square, within the daemon's processor limit, non-negative entries,
+// zero diagonal.
+func admitExplicit(rows [][]int64, maxP int) (pattern, error) {
 	p := len(rows)
 	if p < 2 {
-		return nil, 0, fmt.Errorf("serve: explicit sizes matrix needs at least 2 rows (got %d)", p)
+		return pattern{}, fmt.Errorf("serve: explicit sizes matrix needs at least 2 rows (got %d)", p)
 	}
 	if p > maxP {
-		return nil, 0, fmt.Errorf("serve: explicit sizes matrix has %d rows, exceeding the daemon's limit of %d", p, maxP)
+		return pattern{}, fmt.Errorf("serve: explicit sizes matrix has %d rows, exceeding the daemon's limit of %d", p, maxP)
 	}
-	s := model.NewSizes(p)
-	h := fnv.New64a()
-	hashStr(h, "explicit|")
-	hashU64(h, uint64(p))
+	h := sha256.New()
+	var buf [1024]byte // the words of the key, hashed a bufferful at a time
+	b := append(buf[:0], "explicit|"...)
+	b = binary.BigEndian.AppendUint64(b, uint64(p))
 	for i, row := range rows {
 		if len(row) != p {
-			return nil, 0, fmt.Errorf("serve: sizes row %d has %d entries, want %d", i, len(row), p)
+			return pattern{}, fmt.Errorf("serve: sizes row %d has %d entries, want %d", i, len(row), p)
 		}
 		for j, v := range row {
 			if i == j {
 				if v != 0 {
-					return nil, 0, fmt.Errorf("serve: sizes diagonal entry (%d,%d) must be 0, got %d", i, j, v)
+					return pattern{}, fmt.Errorf("serve: sizes diagonal entry (%d,%d) must be 0, got %d", i, j, v)
 				}
 				continue
 			}
 			if v < 0 {
-				return nil, 0, fmt.Errorf("serve: sizes entry (%d,%d) is negative: %d", i, j, v)
+				return pattern{}, fmt.Errorf("serve: sizes entry (%d,%d) is negative: %d", i, j, v)
 			}
-			s.Set(i, j, v)
-			hashU64(h, uint64(v))
+			if len(b)+8 > cap(b) {
+				if _, err := h.Write(b); err != nil {
+					return pattern{}, fmt.Errorf("serve: hashing sizes: %w", err)
+				}
+				b = b[:0]
+			}
+			b = binary.BigEndian.AppendUint64(b, uint64(v))
 		}
 	}
-	return s, h.Sum64(), nil
+	if _, err := h.Write(b); err != nil {
+		return pattern{}, fmt.Errorf("serve: hashing sizes: %w", err)
+	}
+	pt := pattern{p: p, rows: rows}
+	h.Sum(pt.key[:0])
+	return pt, nil
+}
+
+// sizes builds the matrix the pattern describes.
+func (pt pattern) sizes() *model.Sizes {
+	entry := func(i, j int) int64 { return pt.rows[i][j] }
+	switch pt.kind {
+	case directory.PatternUniform:
+		entry = func(int, int) int64 { return pt.bytes }
+	case directory.PatternRandom:
+		rng := rand.New(rand.NewSource(pt.seed))
+		entry = func(int, int) int64 { return 1 + rng.Int63n(pt.bytes) }
+	case directory.PatternSkew:
+		// Row i sends (i+1)·bytes to every peer: a ramp that keeps one
+		// processor a clear straggler, useful for exercising non-uniform
+		// schedules without a seed.
+		entry = func(i, _ int) int64 { return pt.bytes * int64(i+1) }
+	}
+	s := model.NewSizes(pt.p)
+	for i := 0; i < pt.p; i++ {
+		for j := 0; j < pt.p; j++ {
+			if i != j {
+				s.Set(i, j, entry(i, j))
+			}
+		}
+	}
+	return s
 }

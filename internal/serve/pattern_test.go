@@ -1,33 +1,37 @@
 package serve
 
 import (
+	"context"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetsched/internal/directory"
+	"hetsched/internal/leakcheck"
 )
 
 func TestMaterializeDeterministic(t *testing.T) {
 	req := directory.PlanRequest{P: 6, Kind: directory.PatternRandom, Bytes: 4096, Seed: 42}
-	s1, h1, err := materialize(req, 64)
+	p1, err := admitPattern(req, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, h2, err := materialize(req, 64)
+	p2, err := admitPattern(req, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1 != h2 {
-		t.Fatalf("same spec hashed differently: %x vs %x", h1, h2)
+	if p1.key != p2.key {
+		t.Fatalf("same spec keyed differently: %x vs %x", p1.key, p2.key)
 	}
-	if !reflect.DeepEqual(s1, s2) {
+	if !reflect.DeepEqual(p1.sizes(), p2.sizes()) {
 		t.Fatal("same spec materialized different matrices")
 	}
 }
 
 func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 	base := directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 1024}
-	_, h0, err := materialize(base, 64)
+	p0, err := admitPattern(base, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,39 +41,43 @@ func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 		{P: 4, Kind: directory.PatternSkew, Bytes: 1024},
 		{P: 4, Kind: directory.PatternRandom, Bytes: 1024, Seed: 1},
 		{P: 4, Kind: directory.PatternRandom, Bytes: 1024, Seed: 2},
+		{Sizes: [][]int64{{0, 1}, {2, 0}}},
+		{Sizes: [][]int64{{0, 2}, {1, 0}}},
 	}
-	seen := map[uint64]bool{h0: true}
+	seen := map[[32]byte]bool{p0.key: true}
 	for _, v := range variants {
-		_, h, err := materialize(v, 64)
+		pt, err := admitPattern(v, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[h] {
-			t.Fatalf("spec %+v collided with an earlier hash", v)
+		if seen[pt.key] {
+			t.Fatalf("spec %+v collided with an earlier key", v)
 		}
-		seen[h] = true
+		seen[pt.key] = true
+	}
+	// The defaults are part of the pattern, not of its spelling.
+	if pt, err := admitPattern(directory.PlanRequest{P: 4}, 64); err != nil || pt.key != p0.key {
+		t.Fatalf("defaulted kind and bytes keyed apart from their spelled-out form (%v)", err)
 	}
 }
 
 // TestMaterializeDomainSeparation: an explicit matrix with exactly the
-// values a uniform shorthand would generate must still hash
+// values a uniform shorthand would generate must still key
 // differently — the two forms are different wire specs.
 func TestMaterializeDomainSeparation(t *testing.T) {
-	gen := directory.PlanRequest{P: 3, Kind: directory.PatternUniform, Bytes: 7}
-	sGen, hGen, err := materialize(gen, 64)
+	gen, err := admitPattern(directory.PlanRequest{P: 3, Kind: directory.PatternUniform, Bytes: 7}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := directory.PlanRequest{Sizes: [][]int64{{0, 7, 7}, {7, 0, 7}, {7, 7, 0}}}
-	sExp, hExp, err := materialize(exp, 64)
+	exp, err := admitPattern(directory.PlanRequest{Sizes: [][]int64{{0, 7, 7}, {7, 0, 7}, {7, 7, 0}}}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sGen, sExp) {
+	if !reflect.DeepEqual(gen.sizes(), exp.sizes()) {
 		t.Fatal("matrices should be identical")
 	}
-	if hGen == hExp {
-		t.Fatal("explicit and generated specs share a hash")
+	if gen.key == exp.key {
+		t.Fatal("explicit and generated specs share a key")
 	}
 }
 
@@ -85,8 +93,64 @@ func TestMaterializeRejects(t *testing.T) {
 		{Sizes: [][]int64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {}}}, // ragged tall
 	}
 	for i, req := range cases {
-		if _, _, err := materialize(req, 64); err == nil {
+		if _, err := admitPattern(req, 64); err == nil {
 			t.Errorf("case %d (%+v): expected an error", i, req)
+		}
+	}
+}
+
+// TestSkewOverflowRejected: kind=skew multiplies bytes by up to p, and a
+// product past int64 used to wrap into negative and zero sizes that
+// were planned and served as healthy.
+func TestSkewOverflowRejected(t *testing.T) {
+	for _, bytes := range []int64{1 << 61, 1 << 62, math.MaxInt64} {
+		for _, p := range []int{2, 4, 50} {
+			fits := bytes <= math.MaxInt64/int64(p) // only 2^61 × 2
+			pt, err := admitPattern(directory.PlanRequest{P: p, Kind: directory.PatternSkew, Bytes: bytes}, 64)
+			switch {
+			case fits && err != nil:
+				t.Errorf("bytes=%d p=%d fits int64 but was refused: %v", bytes, p, err)
+			case !fits && (err == nil || !strings.Contains(err.Error(), "overflow")):
+				t.Errorf("bytes=%d p=%d overflows int64 but admitPattern said %v", bytes, p, err)
+			case fits:
+				s := pt.sizes()
+				for i := 0; i < p; i++ {
+					for j := 0; j < p; j++ {
+						if want := bytes * int64(i+1); i != j && s.At(i, j) != want {
+							t.Errorf("bytes=%d p=%d: size (%d,%d) = %d, want %d", bytes, p, i, j, s.At(i, j), want)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Through the daemon: a request error, never a flight.
+	d := newTestDaemon(t, 4, okSource(4), nil, Config{})
+	resp := d.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternSkew, Bytes: 1 << 62})
+	if resp.OK || resp.Status != "" || !strings.Contains(resp.Error, "overflow") {
+		t.Errorf("overflowing skew answered %+v, want a request error", resp)
+	}
+	if st := d.Snapshot(); st.Admitted != 0 || st.Rejected != 1 {
+		t.Errorf("overflowing skew: admitted %d, rejected %d; want 0 and 1", st.Admitted, st.Rejected)
+	}
+}
+
+// TestAdmitPatternAllocatesNothing: the key step runs on every request,
+// hits included, and bench/'s allocs_per_op bound leaves no room for
+// one allocation in it.
+func TestAdmitPatternAllocatesNothing(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	spec := directory.PlanRequest{P: 50, Kind: directory.PatternRandom, Bytes: 1 << 16, Seed: 7}
+	table := directory.PlanRequest{Sizes: explicitTable(50, 7)}
+	for name, req := range map[string]directory.PlanRequest{"spec": spec, "table": table} {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := admitPattern(req, 512); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("admitPattern(%s): %v allocs per call, want 0", name, got)
 		}
 	}
 }

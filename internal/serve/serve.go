@@ -184,6 +184,12 @@ func NewDaemon(c *comm.Communicator, gen GenFunc, cfg Config) (*Daemon, error) {
 // carries the request's trace correlation (obs.TraceContext); when the
 // daemon's tail sampler is armed, a span tree is recorded for the
 // request and retained if the outcome is interesting.
+//
+// The daemon only reads req.Sizes, and it may go on reading them after
+// Plan returns: a request that times out leaves its flight queued with
+// the rows, and a worker builds the matrix from them when it gets
+// there. An in-process caller must not modify the rows of a request it
+// has submitted. (A wire request owns the slab it was decoded into.)
 func (d *Daemon) Plan(ctx context.Context, req directory.PlanRequest) directory.PlanResponse {
 	if d == nil {
 		return directory.PlanResponse{ID: req.ID, Status: directory.PlanDraining,
@@ -267,12 +273,14 @@ func (d *Daemon) tailDecision(resp directory.PlanResponse, latency time.Duration
 }
 
 // plan is the admission state machine behind Plan; every exit runs
-// through finish.
+// through finish. Admission is digest-first: a request is validated and
+// keyed (admitPattern) but not materialized, so one that ends in a
+// cache hit or attaches to a flight has cost one pass over its sizes.
 func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time.Time) directory.PlanResponse {
-	sizes, hash, err := materialize(req, d.cfg.MaxP)
-	if err == nil && sizes.N() != d.comm.N() {
+	pat, err := admitPattern(req, d.cfg.MaxP)
+	if err == nil && pat.p != d.comm.N() {
 		err = fmt.Errorf("serve: daemon plans for %d processors, request describes %d",
-			d.comm.N(), sizes.N())
+			d.comm.N(), pat.p)
 	}
 	if err != nil {
 		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Error: err.Error()}, start)
@@ -287,7 +295,7 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Status: directory.PlanDraining,
 			RetryAfterMS: int64(ra / time.Millisecond)}, start)
 	}
-	key := flightKey{hash: hash, gen: d.curGen}
+	key := flightKey{hash: pat.key, gen: d.curGen}
 	if resp, ok := d.cache.get(key); ok {
 		d.stats.Admitted++
 		d.stats.CacheHits++
@@ -307,7 +315,7 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 		obs.Mark(ctx, "serve", "coalesce", "")
 		return d.await(ctx, fl, req.ID, deadline, true, start)
 	}
-	fl := newFlight(ctx, key, sizes, start, deadline)
+	fl := newFlight(ctx, key, pat, start, deadline)
 	d.flights[key] = fl
 	admitted := false
 	//hetvet:ignore lockio non-blocking admission gate; the send cannot stall while the lock is held
@@ -547,7 +555,9 @@ func (d *Daemon) work(fl *flight) {
 
 	span := d.tel.beginPlan()
 	ctx, psp := obs.StartSpan(fl.ctx, "serve", "plan")
-	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.sizes)
+	// The matrix first exists here, outside d.mu: a hit, a follower and
+	// an expired flight never pay for the generator or the P×P table.
+	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.pat.sizes())
 	dur := d.cfg.Clock().Sub(now)
 	psp.End()
 	span.End()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,16 +153,58 @@ func TestClientPoisonedAfterTimeout(t *testing.T) {
 	}
 }
 
-// Allocations per round trip, both ends counted, measured at the commit
+// TestClientSharedByGoroutines: one Client is safe to share. Its
+// request buffer belongs to one round trip at a time, so callers that
+// overlap must each have sent their own table, whole: every one of them
+// gets the plan for the matrix it described, under its own ID.
+func TestClientSharedByGoroutines(t *testing.T) {
+	const n, callers, rounds = 8, 6, 20
+	d := newTestDaemon(t, n, okSource(n), nil, Config{})
+	_, addr := startTestServer(t, d, ServerConfig{})
+	c, err := Dial(context.Background(), addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Tables of different widths on the wire: a line written over
+			// another's buffer would not even parse.
+			rows := explicitTable(n, int64(g))
+			rows[0][1] <<= uint(4 * g)
+			req := directory.PlanRequest{ID: uint64(g + 1), Sizes: rows, DeadlineMS: 2000}
+			want := d.Plan(context.Background(), req)
+			for i := 0; i < rounds; i++ {
+				resp, err := c.Plan(context.Background(), req)
+				if err != nil || !resp.OK || resp.ID != req.ID || resp.TMax != want.TMax {
+					t.Errorf("caller %d round %d: %+v, %v; want the plan with t_max %v", g, i, resp, err, want.TMax)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// Allocations per round trip, both ends counted. The plan pins were
+// measured at the commit that gave plan requests a hand codec and
+// digest-first admission (PR 24; its parent f0d3f4d reads 22 for the
+// spec hit and 380 for the table hit), the version pin at the commit
 // before internal/wire existed (7091420).
 const (
-	planHitAllocs = 22
-	versionAllocs = 15
+	planHitAllocs      = 11
+	planTableHitAllocs = 13
+	versionAllocs      = 15
 )
 
 // TestWireRoundTripAllocs pins what one request costs on the shared
 // line server and client, both ends counted (AllocsPerRun counts every
-// goroutine's mallocs): a plan-cache hit through serve.Client and a
+// goroutine's mallocs): a plan-cache hit through serve.Client — as a
+// 100-byte spec and as an explicit 50×50 table, whose slab decode and
+// matrix-free hit are what keeps it at a spec's count plus two — and a
 // version probe through directory.Client, over loopback. bench/'s
 // allocs_per_op bound is 2 % of ~27, so one more allocation per round
 // trip fails it.
@@ -169,23 +212,32 @@ func TestWireRoundTripAllocs(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	d := newTestDaemon(t, 4, okSource(4), func() (uint64, error) { return 9, nil }, Config{})
-	_, addr := startTestServer(t, d, ServerConfig{})
-	pc, err := Dial(context.Background(), addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	req := directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 2048, DeadlineMS: 2000}
-	plan := func() {
-		resp, err := pc.Plan(context.Background(), req)
-		if err != nil || !resp.OK {
-			t.Fatalf("plan: %v %+v", err, resp)
+	for _, tc := range []struct {
+		name string
+		n    int
+		req  directory.PlanRequest
+		want float64
+	}{
+		{"spec", 4, directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 2048, DeadlineMS: 2000}, planHitAllocs},
+		{"table", 50, directory.PlanRequest{Sizes: explicitTable(50, 1), DeadlineMS: 2000}, planTableHitAllocs},
+	} {
+		d := newTestDaemon(t, tc.n, okSource(tc.n), func() (uint64, error) { return 9, nil }, Config{})
+		_, addr := startTestServer(t, d, ServerConfig{})
+		pc, err := Dial(context.Background(), addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	plan() // the miss that fills the cache
-	if got := testing.AllocsPerRun(200, plan); got != planHitAllocs {
-		t.Errorf("serve.Client.Plan cache hit: %v allocs per round trip, want %v", got, planHitAllocs)
+		defer pc.Close()
+		plan := func() {
+			resp, err := pc.Plan(context.Background(), tc.req)
+			if err != nil || !resp.OK {
+				t.Fatalf("plan: %v %+v", err, resp)
+			}
+		}
+		plan() // the miss that fills the cache
+		if got := testing.AllocsPerRun(200, plan); got != tc.want {
+			t.Errorf("serve.Client.Plan cache hit (%s): %v allocs per round trip, want %v", tc.name, got, tc.want)
+		}
 	}
 
 	store, err := directory.NewStore(netmodel.Gusto(), netmodel.GustoSites)

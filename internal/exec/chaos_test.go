@@ -14,7 +14,10 @@ import (
 // chaosTrial executes one seeded exchange with mid-exchange node kills
 // triggered from the delivery stream, then checks the executor's core
 // guarantee: every survivor-to-survivor pair is delivered exactly once
-// with the right bytes, and the report partitions every byte.
+// with the right bytes, and the report partitions every byte. A probe
+// on the wire checks that the kills never let a node run two sends or
+// two receives at once, and that every connection cleared its
+// deadline before closing.
 func chaosTrial(t *testing.T, seed int64, newTransport func(n int) (Transport, error)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -57,7 +60,8 @@ func chaosTrial(t *testing.T, seed int64, newTransport func(n int) (Transport, e
 			tr.Kill(kill)
 		}
 	}
-	ex, err := New(tr, cfg)
+	probe := newProbe(tr)
+	ex, err := New(probe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +69,8 @@ func chaosTrial(t *testing.T, seed int64, newTransport func(n int) (Transport, e
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe.checkPorts(t)
+	probe.checkDeadlines(t)
 
 	if !rep.Accounted() {
 		t.Fatalf("seed %d: bytes not partitioned:\n%s", seed, rep)

@@ -2,7 +2,8 @@
 // timing diagram a scheduler produced (sched.Result) and performs the
 // real byte transfers it describes over a pluggable Transport,
 // honoring the paper's port model — at most one active send and one
-// active receive per node, enforced with per-node semaphores.
+// active receive per node — by construction: a node's sends run on one
+// goroutine per round and its receives on one accept loop.
 //
 // Each transfer runs under a deadline derived from its modeled time
 // (Slack × the event's duration, floored at MinDeadline), with bounded
@@ -230,7 +231,9 @@ type transfer struct {
 	seconds float64 // measured wall of the successful attempt; 0 unless Samples is armed
 
 	gen sync.Once
-	buf *[]byte // the pair's bytes, held from first use until Run has joined every handler
+	buf *[]byte // the pair's bytes, held from first use until Run has joined every port
+
+	frame [frameLen]byte // the sender's header and ack scratch; only the pair's sender touches it
 }
 
 // run is the state of one exchange execution.
@@ -249,17 +252,12 @@ type run struct {
 	aborted    bool // a death invalidated the current round's plan
 	lost       bool // the transport was closed under the exchange
 
-	sendSem []chan struct{} // the port model: one active send per node
-	recvSem []chan struct{} // and one active receive per node
-	closing chan struct{}   // closed when rounds are done; frees semaphore waiters
-
 	recvWindow time.Duration // receive-side deadline bound
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	acceptWg  sync.WaitGroup
-	handlerWg sync.WaitGroup
+	acceptWg sync.WaitGroup
 }
 
 // Run executes the planned exchange: res is the schedule to honor, m
@@ -295,38 +293,7 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		}
 	}
 
-	r := &run{
-		ex:         e,
-		xid:        e.xid.Add(1),
-		n:          n,
-		alive:      make([]bool, n),
-		deadReason: make([]string, n),
-		st:         make([][]*transfer, n),
-		sendSem:    make([]chan struct{}, n),
-		recvSem:    make([]chan struct{}, n),
-		closing:    make(chan struct{}),
-		rng:        rand.New(rand.NewSource(e.cfg.Seed)),
-	}
-	maxModeled := 0.0
-	cells, rows := make([]transfer, n*n), make([]*transfer, n*n)
-	for i := 0; i < n; i++ {
-		r.alive[i] = true
-		r.st[i] = rows[i*n : (i+1)*n]
-		r.sendSem[i] = make(chan struct{}, 1)
-		r.recvSem[i] = make(chan struct{}, 1)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			t := &cells[i*n+j]
-			t.src, t.dst, t.size, t.modeled = i, j, sizes.At(i, j), m.At(i, j)
-			r.st[i][j] = t
-			if t.modeled > maxModeled {
-				maxModeled = t.modeled
-			}
-		}
-	}
-	r.recvWindow = r.attemptDeadline(maxModeled) + e.cfg.MinDeadline
+	r := e.newRun(m, sizes)
 
 	var span *obs.Span
 	if e.cfg.Tracer != nil {
@@ -373,11 +340,9 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		plan = next
 	}
 
-	close(r.closing)
 	closeErr := e.tr.Close()
 	r.acceptWg.Wait()
-	r.handlerWg.Wait()
-	// No sender or handler is left to read a payload.
+	// No sender or port is left to read a payload.
 	r.releasePayloads()
 	var err error
 	switch {
@@ -405,6 +370,41 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		}
 	}
 	return rep, nil
+}
+
+// newRun builds the state of one exchange over the executor's
+// transport: a fresh exchange id and a pending ledger entry for every
+// off-diagonal cell of sizes. The shapes are already checked.
+func (e *Executor) newRun(m *model.Matrix, sizes *model.Sizes) *run {
+	n := sizes.N()
+	r := &run{
+		ex:         e,
+		xid:        e.xid.Add(1),
+		n:          n,
+		alive:      make([]bool, n),
+		deadReason: make([]string, n),
+		st:         make([][]*transfer, n),
+		rng:        rand.New(rand.NewSource(e.cfg.Seed)),
+	}
+	maxModeled := 0.0
+	cells, rows := make([]transfer, n*n), make([]*transfer, n*n)
+	for i := 0; i < n; i++ {
+		r.alive[i] = true
+		r.st[i] = rows[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			t := &cells[i*n+j]
+			t.src, t.dst, t.size, t.modeled = i, j, sizes.At(i, j), m.At(i, j)
+			r.st[i][j] = t
+			if t.modeled > maxModeled {
+				maxModeled = t.modeled
+			}
+		}
+	}
+	r.recvWindow = r.attemptDeadline(maxModeled) + e.cfg.MinDeadline
+	return r
 }
 
 // collectSamples folds the quiescent ledger into calibration samples:
@@ -629,16 +629,10 @@ func (r *run) sendLoop(round, src int, evs []timing.Event) {
 	}
 }
 
-// sendOne pushes one transfer through the attempt/retry ladder while
-// holding the sender's port semaphore.
+// sendOne pushes one transfer through the attempt/retry ladder. Its
+// caller is the sender's one loop for the round, so this is the node's
+// only active send.
 func (r *run) sendOne(round int, t *transfer, modeled float64) {
-	select {
-	case r.sendSem[t.src] <- struct{}{}:
-	case <-r.closing:
-		return
-	}
-	defer func() { <-r.sendSem[t.src] }()
-
 	_, tsp := obs.StartSpan(r.ctx, "exec", "transfer")
 	if tsp != nil {
 		tsp.SetNote(fmt.Sprintf("%d to %d", t.src, t.dst))
@@ -697,69 +691,66 @@ func (r *run) attempt(round, attempt int, t *transfer, deadline time.Duration) e
 	if err != nil {
 		return err
 	}
-	defer severAll([]net.Conn{c})
+	defer severAll(c)
 	if err := c.SetDeadline(r.ex.cfg.Clock().Add(deadline)); err != nil {
 		return fmt.Errorf("exec: set deadline %d→%d: %w", t.src, t.dst, err)
 	}
-	h := frameHeader{Exchange: r.xid, Src: t.src, Dst: t.dst, Round: round, Attempt: attempt, Size: t.size}
-	if err := writeLine(c, h); err != nil {
-		return err
+	h := frameHeader{xid: r.xid, src: uint32(t.src), dst: uint32(t.dst),
+		round: uint32(round), attempt: uint32(attempt), size: uint64(t.size)}
+	h.put(&t.frame)
+	if _, err := c.Write(t.frame[:]); err != nil {
+		return fmt.Errorf("exec: write header %d→%d: %w", t.src, t.dst, err)
 	}
 	if t.size > 0 {
 		if _, err := c.Write(r.payload(t)); err != nil {
 			return fmt.Errorf("exec: write payload %d→%d: %w", t.src, t.dst, err)
 		}
 	}
-	br := getFrameReader(c)
-	defer putFrameReader(br)
-	var ack frameAck
-	if err := readLine(br, &ack); err != nil {
-		return err
+	ack := t.frame[:1]
+	if _, err := io.ReadFull(c, ack); err != nil {
+		return fmt.Errorf("exec: read ack %d→%d: %w", t.src, t.dst, err)
 	}
-	if !ack.OK {
-		return fmt.Errorf("exec: receiver rejected %d→%d: %s", t.src, t.dst, ack.Error)
+	if code := ackCode(ack[0]); code != ackOK && code != ackDup {
+		return fmt.Errorf("exec: receiver answered %d→%d %v", t.src, t.dst, code)
 	}
 	return nil
 }
 
-// acceptLoop owns one node's inbound connection stream for the life of
-// the run.
+// acceptLoop is one node's receive port for the life of the run: it
+// serves inbound attempts one at a time, inline, which is the port
+// model's one active receive per node. Dials that arrive meanwhile wait
+// in the transport's backlog, bounded by their senders' deadlines.
 func (r *run) acceptLoop(node int) {
 	defer r.acceptWg.Done()
+	var frame [frameLen]byte
 	for {
 		c, err := r.ex.tr.Accept(node)
 		if err != nil {
 			return
 		}
-		r.handlerWg.Add(1)
-		go r.handle(node, c)
+		r.serve(node, c, &frame)
 	}
 }
 
-// handle serves one inbound connection: acquire the node's receive
-// port, read and verify one transfer, apply it through the ledger, and
-// ack. The connection always closes here.
-func (r *run) handle(node int, c net.Conn) {
-	defer r.handlerWg.Done()
-	defer severAll([]net.Conn{c})
-	select {
-	case r.recvSem[node] <- struct{}{}:
-	case <-r.closing:
-		return
-	}
-	defer func() { <-r.recvSem[node] }()
+// serve handles one inbound attempt: read and verify one transfer,
+// apply it through the ledger, and ack. The deadline is cleared before
+// the ack, while both ends are still open; the sender reads the ack
+// under its own deadline. The connection always closes here.
+func (r *run) serve(node int, c net.Conn, frame *[frameLen]byte) {
+	defer severAll(c)
 	if err := c.SetDeadline(r.ex.cfg.Clock().Add(r.recvWindow)); err != nil {
 		return
 	}
-	br := getFrameReader(c)
-	defer putFrameReader(br)
-	var h frameHeader
-	if err := readLine(br, &h); err != nil {
+	if _, err := io.ReadFull(c, frame[:]); err != nil {
 		return
 	}
-	ack := r.receive(node, br, h)
-	if err := writeLine(c, ack); err != nil {
-		return
+	code := r.receive(node, c, frame)
+	if err := c.SetDeadline(time.Time{}); err != nil {
+		return // the sender is gone; there is no one to ack
+	}
+	frame[0] = byte(code)
+	if _, err := c.Write(frame[:1]); err != nil {
+		return // a lost ack makes the sender retry, and the ledger answers the copy dup
 	}
 }
 
@@ -767,33 +758,38 @@ func (r *run) handle(node int, c net.Conn) {
 // pooled buffer, verifies it byte for byte against the ledger's
 // generation, and applies it exactly once through the ledger. The
 // buffer is recycled on return, after Deliver is done with it.
-func (r *run) receive(node int, br io.Reader, h frameHeader) frameAck {
-	reject := func(format string, args ...any) frameAck {
-		return frameAck{OK: false, Error: fmt.Sprintf(format, args...)}
+func (r *run) receive(node int, c io.Reader, frame *[frameLen]byte) ackCode {
+	// The reason for a verdict other than ok or dup stays here, marked
+	// on the exchange's trace under the verdict's name.
+	reject := func(code ackCode, format string, args ...any) ackCode {
+		obs.Mark(r.ctx, "exec", code.String(), fmt.Sprintf(format, args...))
+		return code
 	}
-	if h.Exchange != r.xid {
-		return reject("exchange %d, want %d", h.Exchange, r.xid)
+	h, ok := parseFrame(frame)
+	switch {
+	case !ok:
+		return reject(ackRefused, "frame version %d, want %d", frame[0], frameVersion)
+	case h.xid != r.xid:
+		return reject(ackRefused, "exchange %d, want %d", h.xid, r.xid)
+	case h.dst != uint32(node):
+		return reject(ackRefused, "misrouted: header says dst %d at node %d", h.dst, node)
+	case h.src >= uint32(r.n) || h.src == h.dst:
+		return reject(ackRefused, "invalid src %d at node %d", h.src, node)
 	}
-	if h.Dst != node {
-		return reject("misrouted: header says dst %d at node %d", h.Dst, node)
-	}
-	if h.Src < 0 || h.Src >= r.n || h.Src == node {
-		return reject("invalid src %d", h.Src)
-	}
-	t := r.st[h.Src][h.Dst]
-	if h.Size != t.size {
-		return reject("size %d, sizes matrix says %d", h.Size, t.size)
+	t := r.st[h.src][node]
+	if h.size != uint64(t.size) {
+		return reject(ackRefused, "size %d, sizes matrix says %d", h.size, t.size)
 	}
 	var payload []byte
-	if h.Size > 0 {
-		buf := getBuf(int(h.Size))
+	if t.size > 0 {
+		buf := getBuf(int(t.size))
 		defer putBuf(buf)
 		payload = *buf
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return reject("short payload: %v", err)
+		if _, err := io.ReadFull(c, payload); err != nil {
+			return reject(ackRefused, "short payload %d→%d: %v", t.src, t.dst, err)
 		}
 		if !bytes.Equal(payload, r.payload(t)) {
-			return reject("payload corrupt")
+			return reject(ackCorrupt, "payload %d→%d differs from the pair's bytes", t.src, t.dst)
 		}
 	}
 	r.mu.Lock()
@@ -802,16 +798,16 @@ func (r *run) receive(node int, br io.Reader, h frameHeader) frameAck {
 		r.dup++
 	} else {
 		t.applied = true
-		t.round = h.Round
+		t.round = int(h.round)
 	}
 	r.mu.Unlock()
 	if dup {
-		return frameAck{OK: true, Dup: true}
+		return ackDup
 	}
 	if r.ex.cfg.Deliver != nil {
-		r.ex.cfg.Deliver(h.Src, h.Dst, payload)
+		r.ex.cfg.Deliver(t.src, t.dst, payload)
 	}
-	return frameAck{OK: true}
+	return ackOK
 }
 
 // finalize folds the ledger into the delivery report. It runs after

@@ -1,93 +1,84 @@
 package exec
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
-	"io"
-	"sync"
-
-	"hetsched/internal/wire"
 )
 
 // Wire format. Each connection carries exactly one transfer attempt:
-// the sender writes a header — one newline-terminated JSON line, the
-// same framing primitive as the directory and plan protocols
-// (wire.EncodeLine) — whose Size field length-prefixes the raw
-// payload bytes that follow. The receiver answers with one JSON ack
-// line and the connection is done.
+// the sender writes a fixed-size binary header whose size field
+// length-prefixes the raw payload bytes that follow, and the receiver
+// answers with a one-byte ack code. Integers are big-endian.
 //
-//	→ {"xid":3,"src":0,"dst":4,"round":1,"attempt":0,"size":1024}\n
-//	→ <1024 raw payload bytes>
-//	← {"ok":true}\n            (or {"ok":true,"dup":true}, or
-//	                            {"ok":false,"error":"..."})
-
-// maxHeaderLine bounds a header or ack line; anything longer is a
-// corrupt or hostile stream.
-const maxHeaderLine = 4096
+//	offset  bytes  field
+//	 0      1      version (frameVersion)
+//	 1      8      exchange id
+//	 9      4      src
+//	13      4      dst
+//	17      4      round
+//	21      4      attempt
+//	25      8      payload size
+//	→ <size raw payload bytes>
+//	← <one ackCode byte>
+//
+// The leading version byte turns any other framing (a JSON line starts
+// with '{') into a refusal rather than a header decoded from garbage.
+const (
+	frameVersion = 1
+	frameLen     = 33
+)
 
 // frameHeader announces one transfer attempt.
 type frameHeader struct {
-	Exchange uint64 `json:"xid"`
-	Src      int    `json:"src"`
-	Dst      int    `json:"dst"`
-	Round    int    `json:"round"`
-	Attempt  int    `json:"attempt"`
-	Size     int64  `json:"size"`
+	xid                      uint64
+	src, dst, round, attempt uint32
+	size                     uint64
 }
 
-// frameAck is the receiver's verdict on one attempt. Dup marks a
-// retry of a payload the receive ledger had already applied — the
-// sender treats it as success, the receiver did not apply it twice.
-type frameAck struct {
-	OK    bool   `json:"ok"`
-	Dup   bool   `json:"dup,omitempty"`
-	Error string `json:"error,omitempty"`
+// put encodes h into b.
+func (h *frameHeader) put(b *[frameLen]byte) {
+	b[0] = frameVersion
+	binary.BigEndian.PutUint64(b[1:], h.xid)
+	binary.BigEndian.PutUint32(b[9:], h.src)
+	binary.BigEndian.PutUint32(b[13:], h.dst)
+	binary.BigEndian.PutUint32(b[17:], h.round)
+	binary.BigEndian.PutUint32(b[21:], h.attempt)
+	binary.BigEndian.PutUint64(b[25:], h.size)
 }
 
-// writeLine encodes v as one JSON wire line and writes it.
-func writeLine(w io.Writer, v any) error {
-	b, err := wire.EncodeLine(v)
-	if err != nil {
-		return err
+// parseFrame decodes a header; ok is false for a frame of another
+// version, whose fields mean nothing.
+func parseFrame(b *[frameLen]byte) (h frameHeader, ok bool) {
+	if b[0] != frameVersion {
+		return frameHeader{}, false
 	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("exec: write frame line: %w", err)
+	return frameHeader{
+		xid:     binary.BigEndian.Uint64(b[1:]),
+		src:     binary.BigEndian.Uint32(b[9:]),
+		dst:     binary.BigEndian.Uint32(b[13:]),
+		round:   binary.BigEndian.Uint32(b[17:]),
+		attempt: binary.BigEndian.Uint32(b[21:]),
+		size:    binary.BigEndian.Uint64(b[25:]),
+	}, true
+}
+
+// ackCode is the receiver's verdict on one attempt. The reason behind
+// a corrupt or refused verdict stays with the receiver, as an obs mark
+// on the exchange's trace.
+type ackCode byte
+
+const (
+	ackOK      ackCode = 1 + iota // verified and applied
+	ackDup                        // verified; the ledger had already applied the pair, so it was not applied again
+	ackCorrupt                    // the payload differs from the pair's bytes
+	ackRefused                    // the header names no transfer of this exchange to this node, or the payload came up short
+)
+
+var ackNames = [...]string{ackOK: "ok", ackDup: "dup", ackCorrupt: "corrupt", ackRefused: "refused"}
+
+func (a ackCode) String() string {
+	if a != 0 && int(a) < len(ackNames) {
+		return ackNames[a]
 	}
-	return nil
-}
-
-// readLine reads one newline-terminated wire line into v.
-func readLine(br *bufio.Reader, v any) error {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if err == bufio.ErrBufferFull {
-			return fmt.Errorf("exec: frame line exceeds %d bytes", maxHeaderLine)
-		}
-		return fmt.Errorf("exec: read frame line: %w", err)
-	}
-	if err := wire.DecodeLine(line, v); err != nil {
-		return fmt.Errorf("exec: malformed frame line: %w", err)
-	}
-	return nil
-}
-
-// frameReaders recycles the line + payload readers, one per end of
-// every attempt, with the buffer sized to the header bound.
-var frameReaders = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, maxHeaderLine) },
-}
-
-// getFrameReader wraps a connection for line + payload reads; pair
-// with putFrameReader once the connection is done.
-func getFrameReader(r io.Reader) *bufio.Reader {
-	br := frameReaders.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
-}
-
-// putFrameReader drops the reader's hold on its connection and
-// recycles it.
-func putFrameReader(br *bufio.Reader) {
-	br.Reset(nil)
-	frameReaders.Put(br)
+	return fmt.Sprintf("ack 0x%02x", byte(a))
 }

@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,31 +10,30 @@ import (
 
 // corruptor flips one payload byte of the first attempt it sees for
 // one pair, on the accept side, leaving header and ack alone. It keeps
-// what the receiver answered on that connection.
+// the ack codes the receiver answered on that connection.
 type corruptor struct {
 	src, dst int
 	flipAt   func(size int64) int64 // payload offset to flip
 	spent    atomic.Bool
 
 	mu   sync.Mutex
-	acks []string
+	acks []ackCode
 }
 
 func (k *corruptor) wrap(c net.Conn) net.Conn { return &corruptConn{Conn: c, k: k} }
 
-func (k *corruptor) answered() string {
+func (k *corruptor) answered() []ackCode {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return strings.Join(k.acks, "")
+	return append([]ackCode(nil), k.acks...)
 }
 
-// corruptConn follows one accept-side stream: header line, then
-// payload offsets. One handler goroutine owns it.
+// corruptConn follows one accept-side stream: the binary header, then
+// payload offsets. One receive port owns it.
 type corruptConn struct {
 	net.Conn
 	k      *corruptor
 	header []byte
-	inBody bool
 	hit    bool  // this connection is the corrupted attempt
 	flipAt int64 // valid when hit
 	off    int64 // payload bytes seen
@@ -46,14 +42,13 @@ type corruptConn struct {
 func (c *corruptConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	for i := 0; i < n; i++ {
-		if !c.inBody {
+		if len(c.header) < frameLen {
 			c.header = append(c.header, p[i])
-			if p[i] == '\n' {
-				c.inBody = true
-				var h frameHeader
-				if json.Unmarshal(c.header, &h) == nil && h.Src == c.k.src && h.Dst == c.k.dst &&
-					h.Size > 0 && c.k.spent.CompareAndSwap(false, true) {
-					c.hit, c.flipAt = true, c.k.flipAt(h.Size)
+			if len(c.header) == frameLen {
+				h, ok := parseFrame((*[frameLen]byte)(c.header))
+				if ok && int(h.src) == c.k.src && int(h.dst) == c.k.dst &&
+					h.size > 0 && c.k.spent.CompareAndSwap(false, true) {
+					c.hit, c.flipAt = true, c.k.flipAt(int64(h.size))
 				}
 			}
 			continue
@@ -69,7 +64,9 @@ func (c *corruptConn) Read(p []byte) (int, error) {
 func (c *corruptConn) Write(p []byte) (int, error) {
 	if c.hit {
 		c.k.mu.Lock()
-		c.k.acks = append(c.k.acks, string(p))
+		for _, b := range p {
+			c.k.acks = append(c.k.acks, ackCode(b))
+		}
 		c.k.mu.Unlock()
 	}
 	return c.Conn.Write(p)
@@ -108,9 +105,10 @@ type nackConn struct {
 	k *killOnNack
 }
 
+// Read sees only the ack: the sender reads nothing else.
 func (c *nackConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if bytes.Contains(p[:n], []byte(`"ok":false`)) {
+	if n > 0 && ackCode(p[0]) != ackOK {
 		c.k.Transport.Kill(c.k.victim)
 		return 0, &PeerDeadError{Node: c.k.victim}
 	}
@@ -167,8 +165,8 @@ func TestExecCorruptPayloadRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := k.answered(); !strings.Contains(got, `"ok":false`) || !strings.Contains(got, "payload corrupt") {
-				t.Fatalf("corrupted attempt was answered %q, want a payload-corrupt rejection", got)
+			if got := k.answered(); len(got) != 1 || got[0] != ackCorrupt {
+				t.Fatalf("corrupted attempt was answered %v, want [%v]", got, ackCorrupt)
 			}
 			if got, ok := s.got(src, dst); !ok || got != sizes.At(src, dst) {
 				t.Fatalf("pair %d→%d delivered %d bytes (present=%v), want %d once", src, dst, got, ok, sizes.At(src, dst))

@@ -75,10 +75,15 @@ func BenchmarkMemExchange(b *testing.B) {
 	}
 }
 
-// TestExecAllocationShape pins what the pooled byte path buys: once
-// the pools are warm an exchange allocates a small fraction of the
-// bytes it moves, whether or not a Deliver sink is set. Before the
-// pools it allocated about 3.4 times the payload.
+// TestExecAllocationShape pins what the pooled byte path and the binary
+// frame buy: once the pools are warm an exchange allocates a small
+// fraction of the bytes it moves, whether or not a Deliver sink is set
+// (before the pools, about 3.4 times the payload), and a bounded number
+// of objects. With JSON header and ack lines, a handler goroutine per
+// connection and deadline timers left to fire, benchProblem's exchange
+// made about 2 100 allocations; with the binary frame and ports as
+// loops it makes about 1 250, about 1 120 of them the 56 net.Pipes and
+// their deadline timers.
 func TestExecAllocationShape(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -105,6 +110,10 @@ func TestExecAllocationShape(t *testing.T) {
 			if limit := 0.25 * float64(sizes.TotalBytes()); perExchange > limit {
 				t.Fatalf("%.0f bytes allocated per exchange of %d payload bytes, want at most %.0f",
 					perExchange, sizes.TotalBytes(), limit)
+			}
+			const mallocLimit = 1400
+			if allocs := float64(after.Mallocs-before.Mallocs) / exchanges; allocs > mallocLimit {
+				t.Fatalf("%.0f allocations per exchange, want at most %d", allocs, mallocLimit)
 			}
 		})
 	}

@@ -147,7 +147,7 @@ func (t *TCP) track(node int, c net.Conn) {
 	}
 	t.mu.Unlock()
 	if deadNow {
-		severAll([]net.Conn{c})
+		severAll(c)
 	}
 }
 
@@ -169,7 +169,7 @@ func (t *TCP) Kill(node int) {
 	t.mu.Unlock()
 	//hetvet:ignore errdiscard chaos kill: closing the listener IS the injected fault
 	t.ls[node].Close()
-	severAll(doomed)
+	severAll(doomed...)
 }
 
 // Close implements Transport.
@@ -194,6 +194,6 @@ func (t *TCP) Close() error {
 		//hetvet:ignore errdiscard idempotent transport teardown; the listener is gone either way
 		l.Close()
 	}
-	severAll(doomed)
+	severAll(doomed...)
 	return nil
 }

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // ErrPeerDead marks a transport-confirmed dead node: its endpoint has
@@ -53,8 +55,8 @@ type Transport interface {
 }
 
 // Mem is the in-process transport: every Dial produces a synchronous
-// net.Pipe whose server half is delivered to the destination's Accept
-// stream. An optional connection wrapper (faults.ConnInjector.Wrap or
+// net.Pipe whose server half is queued on the destination's Accept
+// backlog. An optional connection wrapper (faults.ConnInjector.Wrap or
 // faults.LatencyInjector.Wrap) is applied to the accept-side half, the
 // same seam directory.Server exposes, so chaos tests drive the
 // executor without touching a real socket.
@@ -87,7 +89,11 @@ func NewMem(n int) (*Mem, error) {
 		done:   make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
-		t.inbox[i] = make(chan net.Conn)
+		// A backlog, as a TCP listener has, so a dial to a busy port
+		// returns at once and the sender's deadline bounds its wait:
+		// room for one attempt from each of the n-1 other nodes, plus
+		// one that timed out before the port discarded it.
+		t.inbox[i] = make(chan net.Conn, n)
 		t.killed[i] = make(chan struct{})
 	}
 	return t, nil
@@ -155,30 +161,24 @@ func (t *Mem) Dial(src, dst int) (net.Conn, error) {
 	if pairWrap != nil {
 		wrapped = pairWrap(src, dst, wrapped)
 	}
-	// Hand the server half to the destination's accept stream. The
-	// selects keep a dial from blocking forever against a node that
-	// died or a transport that closed while we were waiting.
+	// Queue the server half on the destination's backlog. The selects
+	// keep a dial from blocking forever on a full backlog against a
+	// node that died or a transport that closed while we were waiting.
 	select {
 	case t.inbox[dst] <- wrapped:
 	case <-t.killed[dst]:
-		closeBoth(client, wrapped)
+		severAll(client, wrapped)
 		return nil, &PeerDeadError{Node: dst}
 	case <-t.killed[src]:
-		closeBoth(client, wrapped)
+		severAll(client, wrapped)
 		return nil, &PeerDeadError{Node: src}
 	case <-t.done:
-		closeBoth(client, wrapped)
+		severAll(client, wrapped)
 		return nil, ErrTransportClosed
 	}
 	t.register(src, client)
 	t.register(dst, wrapped)
 	return client, nil
-}
-
-// closeBoth tears down an unplaced pipe pair; pipe close errors carry
-// no information.
-func closeBoth(a, b net.Conn) {
-	severAll([]net.Conn{a, b})
 }
 
 // register tracks a connection under its node for kill/close teardown.
@@ -192,7 +192,7 @@ func (t *Mem) register(node int, c net.Conn) {
 	}
 	t.mu.Unlock()
 	if deadNow {
-		severAll([]net.Conn{c})
+		severAll(c)
 	}
 }
 
@@ -229,16 +229,18 @@ func (t *Mem) Kill(node int) {
 	t.conns[node] = nil
 	t.mu.Unlock()
 	close(t.killed[node])
-	severAll(doomed)
+	severAll(doomed...)
 }
 
-// severAll closes a batch of connections. The close error of a
-// connection being deliberately destroyed carries no information, so
-// it is the one error this package discards.
-func severAll(conns []net.Conn) {
+// severAll clears each connection's deadlines, which stops their
+// timers now instead of after they fire, and closes it. Neither error
+// carries information about a connection being deliberately destroyed,
+// so they are the one result this package discards (cmp.Or evaluates
+// both calls in order, without allocating).
+func severAll(conns ...net.Conn) {
 	for _, c := range conns {
 		//hetvet:ignore errdiscard teardown of a connection being deliberately destroyed; there is no caller to inform
-		c.Close()
+		cmp.Or(c.SetDeadline(time.Time{}), c.Close())
 	}
 }
 
@@ -257,6 +259,6 @@ func (t *Mem) Close() error {
 	}
 	t.mu.Unlock()
 	close(t.done)
-	severAll(doomed)
+	severAll(doomed...)
 	return nil
 }

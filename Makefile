@@ -45,10 +45,12 @@ chaos:
 # The data-plane chaos suite under the race detector: executor kills
 # mid-exchange with residual rescheduling, seeded latency/stall
 # injection, duplicate suppression, and the plan-cache invalidation
-# race (all deterministic — fixed seeds).
+# race (all deterministic — fixed seeds), then Mem's pipe conformance
+# tests fifty times over, as CI runs them.
 exec-chaos:
 	$(GO) test -race -short -run 'Exec|Residual|Latency|Invalidate' \
 		./internal/exec/ ./internal/faults/ ./internal/sched/ ./internal/comm/
+	$(GO) test -race -count=50 -run '^TestExecMemConn' ./internal/exec
 
 # The serving chaos suite under the race detector: a 10x overload storm
 # against the planning daemon (admission control, coalescing, deadline

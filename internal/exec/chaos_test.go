@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,5 +238,62 @@ func TestExecDuplicateSuppression(t *testing.T) {
 	}
 	if rep.RetriedBytes == 0 {
 		t.Fatal("retried bytes not accounted")
+	}
+}
+
+// TestExecBackoffJitterIsSeeded: the jitter source is built only when a
+// retry first needs it, and still draws what Config.Seed defines. Acks
+// lost on one pair make its one sender retry; the sleeps it asks for
+// repeat exactly across runs and equal the base doubled per attempt
+// plus the draws of rand.New(rand.NewSource(Seed)).
+func TestExecBackoffJitterIsSeeded(t *testing.T) {
+	const n, seed, lost = 3, 99, 3
+	backoffs := func() []time.Duration {
+		res, m, sizes := testProblem(t, n)
+		tr, err := NewMem(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var budget atomic.Int32
+		budget.Store(lost)
+		tr.SetPairWrapper(func(src, dst int, c net.Conn) net.Conn {
+			if src == 0 && dst == 1 {
+				return &ackDropConn{Conn: c, budget: &budget}
+			}
+			return c
+		})
+		var mu sync.Mutex
+		var slept []time.Duration
+		cfg := fastCfg()
+		cfg.Seed, cfg.MaxRetries = seed, lost
+		cfg.Sleep = func(d time.Duration) {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+		}
+		ex, err := New(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ex.Run(context.Background(), res, m, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Retries != lost || len(rep.Dead) != 0 {
+			t.Fatalf("%d retries, dead %v; want %d and none:\n%s", rep.Retries, rep.Dead, lost, rep)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return slept
+	}
+	first, second := backoffs(), backoffs()
+	base := fastCfg().Backoff
+	rng := rand.New(rand.NewSource(seed))
+	want := make([]time.Duration, lost)
+	for attempt := range want {
+		want[attempt] = base<<attempt + time.Duration(rng.Int63n(int64(base)))
+	}
+	if !slices.Equal(first, want) || !slices.Equal(second, want) {
+		t.Fatalf("backoffs %v then %v, want %v both times", first, second, want)
 	}
 }

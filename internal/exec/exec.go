@@ -255,7 +255,7 @@ type run struct {
 	recvWindow time.Duration // receive-side deadline bound
 
 	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // seeded from Config.Seed by the first backoff; a healthy exchange never needs it
 
 	acceptWg sync.WaitGroup
 }
@@ -384,7 +384,6 @@ func (e *Executor) newRun(m *model.Matrix, sizes *model.Sizes) *run {
 		alive:      make([]bool, n),
 		deadReason: make([]string, n),
 		st:         make([][]*transfer, n),
-		rng:        rand.New(rand.NewSource(e.cfg.Seed)),
 	}
 	maxModeled := 0.0
 	cells, rows := make([]transfer, n*n), make([]*transfer, n*n)
@@ -555,6 +554,9 @@ func (r *run) backoff(attempt int) time.Duration {
 		base = time.Second
 	}
 	r.rngMu.Lock()
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.ex.cfg.Seed))
+	}
 	j := time.Duration(r.rng.Int63n(int64(r.ex.cfg.Backoff)))
 	r.rngMu.Unlock()
 	return base + j
@@ -733,9 +735,10 @@ func (r *run) acceptLoop(node int) {
 }
 
 // serve handles one inbound attempt: read and verify one transfer,
-// apply it through the ledger, and ack. The deadline is cleared before
-// the ack, while both ends are still open; the sender reads the ack
-// under its own deadline. The connection always closes here.
+// apply it through the ledger, and ack. The whole attempt, ack
+// included, runs under one receive deadline, so a stalled ack write
+// cannot hold the port; severAll clears the deadline as the connection
+// closes, which it always does here.
 func (r *run) serve(node int, c net.Conn, frame *[frameLen]byte) {
 	defer severAll(c)
 	if err := c.SetDeadline(r.ex.cfg.Clock().Add(r.recvWindow)); err != nil {
@@ -745,9 +748,6 @@ func (r *run) serve(node int, c net.Conn, frame *[frameLen]byte) {
 		return
 	}
 	code := r.receive(node, c, frame)
-	if err := c.SetDeadline(time.Time{}); err != nil {
-		return // the sender is gone; there is no one to ack
-	}
 	frame[0] = byte(code)
 	if _, err := c.Write(frame[:1]); err != nil {
 		return // a lost ack makes the sender retry, and the ledger answers the copy dup

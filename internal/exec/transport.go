@@ -31,8 +31,8 @@ func (e *PeerDeadError) Is(target error) bool { return target == ErrPeerDead }
 
 // Transport is the pluggable data plane the executor moves bytes over:
 // a mesh of N node endpoints that can dial each other. Two transports
-// ship with the package — Mem (synchronous in-process pipes, for tests
-// and simulation-speed runs) and TCP (real loopback sockets with
+// ship with the package — Mem (in-process pipes, for tests and
+// simulation-speed runs) and TCP (real loopback sockets with
 // length-prefixed frames). Implementations must be safe for concurrent
 // use; every method may be called from many executor goroutines.
 type Transport interface {
@@ -54,9 +54,13 @@ type Transport interface {
 	Close() error
 }
 
-// Mem is the in-process transport: every Dial produces a synchronous
-// net.Pipe whose server half is queued on the destination's Accept
-// backlog. An optional connection wrapper (faults.ConnInjector.Wrap or
+// Mem is the in-process transport: every Dial makes one memPipe
+// (memconn.go), a one-lock connection with socket semantics, and
+// queues its accept half on the destination's Accept backlog. Each
+// direction buffers a frame header or an ack the way a socket buffer
+// would, and hands a larger write to the reader, which copies it once.
+// A transfer allocates the pipe and usually one wake channel. An
+// optional connection wrapper (faults.ConnInjector.Wrap or
 // faults.LatencyInjector.Wrap) is applied to the accept-side half, the
 // same seam directory.Server exposes, so chaos tests drive the
 // executor without touching a real socket.
@@ -67,7 +71,7 @@ type Mem struct {
 
 	mu     sync.Mutex // guards dead, conns, closed — never held across I/O
 	dead   []bool
-	conns  [][]net.Conn
+	conns  [][]net.Conn // wrapped accept halves per node, for Kill and Close
 	closed bool
 
 	inbox  []chan net.Conn
@@ -83,7 +87,6 @@ func NewMem(n int) (*Mem, error) {
 	t := &Mem{
 		n:      n,
 		dead:   make([]bool, n),
-		conns:  make([][]net.Conn, n),
 		inbox:  make([]chan net.Conn, n),
 		killed: make([]chan struct{}, n),
 		done:   make(chan struct{}),
@@ -150,13 +153,14 @@ func (t *Mem) Dial(src, dst int) (net.Conn, error) {
 	if err := t.checkEnds(src, dst); err != nil {
 		return nil, err
 	}
-	client, server := net.Pipe()
+	p := newMemPipe(t.killed[src], t.killed[dst], t.done)
+	client, server := &p.end[0], &p.end[1]
 	t.mu.Lock()
 	wrap, pairWrap := t.wrap, t.pairWrap
 	t.mu.Unlock()
-	wrapped := server
+	wrapped := net.Conn(server)
 	if wrap != nil {
-		wrapped = wrap(server)
+		wrapped = wrap(wrapped)
 	}
 	if pairWrap != nil {
 		wrapped = pairWrap(src, dst, wrapped)
@@ -176,18 +180,31 @@ func (t *Mem) Dial(src, dst int) (net.Conn, error) {
 		severAll(client, wrapped)
 		return nil, ErrTransportClosed
 	}
-	t.register(src, client)
-	t.register(dst, wrapped)
+	// The pipe itself watches the kill and close channels; a wrapper
+	// may wait on something only its own Close ends.
+	if wrapped != net.Conn(server) {
+		t.register(dst, wrapped)
+	}
 	return client, nil
 }
 
-// register tracks a connection under its node for kill/close teardown.
-// If the node died between placement and registration, the connection
-// is severed immediately.
+// register tracks a wrapped connection under its node, so Kill and
+// Close reach the wrapper's own Close (faults.LatencyInjector's stall
+// waits for it). The first registration carves every node's list, room
+// for 2(n-1), from one slab. If the node died between placement and
+// registration, the connection is severed immediately.
 func (t *Mem) register(node int, c net.Conn) {
 	t.mu.Lock()
 	deadNow := t.dead[node] || t.closed
 	if !deadNow {
+		if t.conns == nil {
+			per := 2 * (t.n - 1)
+			slab := make([]net.Conn, t.n*per)
+			t.conns = make([][]net.Conn, t.n)
+			for i := range t.conns {
+				t.conns[i] = slab[i*per : i*per : (i+1)*per]
+			}
+		}
 		t.conns[node] = append(t.conns[node], c)
 	}
 	t.mu.Unlock()
@@ -225,8 +242,10 @@ func (t *Mem) Kill(node int) {
 		return
 	}
 	t.dead[node] = true
-	doomed := t.conns[node]
-	t.conns[node] = nil
+	var doomed []net.Conn
+	if t.conns != nil {
+		doomed, t.conns[node] = t.conns[node], nil
+	}
 	t.mu.Unlock()
 	close(t.killed[node])
 	severAll(doomed...)
@@ -253,10 +272,10 @@ func (t *Mem) Close() error {
 	}
 	t.closed = true
 	var doomed []net.Conn
-	for node := 0; node < t.n; node++ {
-		doomed = append(doomed, t.conns[node]...)
-		t.conns[node] = nil
+	for _, conns := range t.conns {
+		doomed = append(doomed, conns...)
 	}
+	t.conns = nil
 	t.mu.Unlock()
 	close(t.done)
 	severAll(doomed...)

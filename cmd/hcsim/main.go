@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"time"
 
 	"hetsched"
 	"hetsched/internal/calib"
@@ -74,14 +75,6 @@ func main() {
 		perf = hetsched.RandomPerf(rng, *p, hetsched.GustoGuided())
 	}
 
-	// -trace: record checkpoint/replan instants during execution and the
-	// executed schedule afterwards, then write one Perfetto-loadable file.
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer(nil)
-		sim.SetTelemetry(nil, tracer)
-		defer sim.SetTelemetry(nil, nil)
-	}
 	n := perf.N()
 	sizes := hetsched.UniformSizes(n, *size)
 	m, err := hetsched.Build(perf, sizes)
@@ -104,8 +97,15 @@ func main() {
 	fmt.Printf("planned completion: %.4g s (lower bound %.4g s)\n", res.CompletionTime(), res.LowerBound)
 
 	if *execute {
-		runExecute(rng, res, m, sizes, perf, *transport, *slack, *faultCount, *calibrate, *calibPush, tracer)
-		writeTrace(tracer, *traceOut, nil, names)
+		// -trace: the exchange's spans land on a live request trace.
+		ctx := context.Background()
+		var rt *obs.ReqTrace
+		if *traceOut != "" {
+			rt = obs.NewReqTrace(0, nil)
+			ctx = obs.WithReqTrace(ctx, rt)
+		}
+		runExecute(ctx, rng, res, m, sizes, perf, *transport, *slack, *faultCount, *calibrate, *calibPush)
+		writeTrace(*traceOut, rt)
 		return
 	}
 	if *calibrate {
@@ -164,7 +164,10 @@ func main() {
 		observe = func(float64) *hetsched.Perf { return st.Perf() }
 	}
 
-	var executed *timing.Schedule
+	var (
+		executed    *timing.Schedule
+		checkpoints []sim.Checkpoint
+	)
 	switch *modelName {
 	case "exclusive":
 		var policy hetsched.CheckpointPolicy
@@ -193,7 +196,7 @@ func main() {
 			}
 			fmt.Printf("executed (exclusive, reactive, checkpoints=%s, replan=%s): finish %.4g s, %d checkpoints, %d replans\n",
 				policy.Name(), rpName, rr.Finish, rr.Checkpoints, rr.Replans)
-			executed = rr.Schedule
+			executed, checkpoints = rr.Schedule, rr.Log
 			break
 		}
 		ck, err := hetsched.SimulateCheckpointed(network, observe, plan, policy, rp)
@@ -202,7 +205,7 @@ func main() {
 		}
 		fmt.Printf("executed (exclusive, checkpoints=%s, replan=%s): finish %.4g s, %d checkpoints\n",
 			policy.Name(), rpName, ck.Finish, ck.Checkpoints)
-		executed = ck.Schedule
+		executed, checkpoints = ck.Schedule, ck.Log
 	case "interleaved":
 		exec, err := hetsched.SimulateInterleaved(network, plan, *alpha)
 		if err != nil {
@@ -221,31 +224,49 @@ func main() {
 		fatal(fmt.Errorf("unknown receive model %q", *modelName))
 	}
 
-	writeTrace(tracer, *traceOut, executed, names)
+	if *traceOut != "" {
+		writeTrace(*traceOut, obs.ScheduleTrace(executed, names, checkpointMarks(checkpoints)...))
+	}
 }
 
-// writeTrace renders the executed schedule (when there is one) plus
-// any instants the run recorded into one Perfetto-loadable file.
-func writeTrace(tracer *obs.Tracer, path string, executed *timing.Schedule, names []string) {
-	if tracer == nil || path == "" {
-		return
+// checkpointMarks renders a run's checkpoints as instants on a
+// "control" track, at their simulated times.
+func checkpointMarks(log []sim.Checkpoint) []obs.SpanRecord {
+	marks := make([]obs.SpanRecord, len(log))
+	for i, c := range log {
+		at := time.Duration(c.At * float64(time.Second))
+		note := fmt.Sprintf("%d remaining", c.Remaining)
+		if c.Replanned {
+			note = "replanned, " + note
+		}
+		marks[i] = obs.SpanRecord{Track: "control", Name: "checkpoint", Start: at, End: at, Note: note}
 	}
-	if executed != nil {
-		obs.TraceSchedule(tracer, "exec", executed, names)
+	return marks
+}
+
+// writeTrace writes rt to path as one Perfetto-loadable file and says
+// how many spans the per-request cap dropped, if any. An empty path
+// writes nothing.
+func writeTrace(path string, rt *obs.ReqTrace) {
+	if path == "" {
+		return
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	if err := tracer.WriteJSON(f); err != nil {
+	if err := obs.WritePerfetto(f, rt); err != nil {
 		f.Close()
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("trace: %d events written to %s (load in chrome://tracing or Perfetto)\n",
-		tracer.Len(), path)
+	fmt.Printf("trace: %d spans written to %s (load in chrome://tracing or Perfetto)\n",
+		len(rt.Spans()), path)
+	if n := rt.Dropped(); n > 0 {
+		fmt.Printf("trace: %d spans dropped past the per-request cap\n", n)
+	}
 }
 
 // runExecute performs the plan as real byte transfers over a data-plane
@@ -255,10 +276,11 @@ func writeTrace(tracer *obs.Tracer, path string, executed *timing.Schedule, name
 // calibrate, the measured per-transfer timings feed a network
 // calibrator seeded from the planning table; its per-pair verdicts are
 // printed after the exchange, and pushAddr sends trusted estimates to
-// a live directory over the calibrate op.
-func runExecute(rng *rand.Rand, res *hetsched.Result, m *hetsched.Matrix,
+// a live directory over the calibrate op. ctx carries the request trace
+// the exchange's spans land on, if any.
+func runExecute(ctx context.Context, rng *rand.Rand, res *hetsched.Result, m *hetsched.Matrix,
 	sizes *hetsched.Sizes, perf *hetsched.Perf, transport string, slack float64,
-	faultCount int, calibrate bool, pushAddr string, tracer *obs.Tracer) {
+	faultCount int, calibrate bool, pushAddr string) {
 	n := m.N()
 	var tr dataplane.Transport
 	var err error
@@ -289,7 +311,7 @@ func runExecute(rng *rand.Rand, res *hetsched.Result, m *hetsched.Matrix,
 		delivered int
 		nextKill  int
 	)
-	cfg := dataplane.Config{Slack: slack, Tracer: tracer}
+	cfg := dataplane.Config{Slack: slack}
 	var cal *calib.Calibrator
 	if calibrate {
 		var err error
@@ -334,7 +356,7 @@ func runExecute(rng *rand.Rand, res *hetsched.Result, m *hetsched.Matrix,
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := ex.Run(context.Background(), res, m, sizes)
+	rep, err := ex.Run(ctx, res, m, sizes)
 	if err != nil {
 		fatal(err)
 	}

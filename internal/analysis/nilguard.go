@@ -14,8 +14,9 @@ import (
 // Instrument and tracer types are discovered, not hard-coded: every
 // exported named type in internal/obs that has at least one exported
 // pointer-receiver method is held to the contract. That is exactly
-// {Counter, Gauge, Histogram, Registry, Tracer, Span} today, and any
-// instrument added later is covered automatically.
+// {Counter, Gauge, Histogram, Registry, ReqTrace, ReqSpan, TailSampler,
+// FlightRecorder} today, and any instrument added later is covered
+// automatically.
 type nilguardChecker struct{}
 
 // nilguardScope lists the packages under the fail-closed contract:

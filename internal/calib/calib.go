@@ -143,7 +143,6 @@ type Config struct {
 
 	// Telemetry, all optional and nil-safe.
 	Metrics *obs.Registry
-	Tracer  *obs.Tracer
 	Flight  *obs.FlightRecorder
 }
 
@@ -338,7 +337,6 @@ func (c *Calibrator) ObserveBatch(samples []Sample) BatchReport {
 		return BatchReport{RejectedBounds: len(samples)}
 	}
 	var rep BatchReport
-	sp := c.cfg.Tracer.Begin("calib", "observe_batch")
 	c.mu.Lock()
 	c.batch++
 	for i := range samples {
@@ -348,7 +346,6 @@ func (c *Calibrator) ObserveBatch(samples []Sample) BatchReport {
 	c.rejected += uint64(rep.Rejected())
 	trusted := c.trustedLocked()
 	c.mu.Unlock()
-	sp.End()
 
 	c.mBatches.Inc()
 	c.mAccepted.Add(uint64(rep.Accepted))

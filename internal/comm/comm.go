@@ -76,9 +76,6 @@ type Config struct {
 	// histograms) in this registry. Nil disables metrics: every hook
 	// degrades to a nil-pointer no-op.
 	Metrics *obs.Registry
-	// Tracer records a span per planned exchange and an instant per
-	// ladder-rung transition. Nil disables tracing.
-	Tracer *obs.Tracer
 	// Flight, when set, receives a flight-recorder event per served
 	// exchange and triggers a post-mortem dump whenever the fallback
 	// ladder transitions downward (fresh→stale, →degraded) — the
@@ -200,7 +197,7 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 		return nil, fmt.Errorf("comm: calibration sink set without a calibrator to drain")
 	}
 	c := &Communicator{n: n, source: source, cfg: cfg,
-		tel:        newCommTelemetry(cfg.Metrics, cfg.Tracer),
+		tel:        newCommTelemetry(cfg.Metrics),
 		repairName: cfg.RepairScheduler.Name() + "+repair"}
 	c.scratch.New = func() any { return new(PlanScratch) }
 	return c, nil
@@ -278,7 +275,8 @@ func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health
 
 // noteServed records the rung that served an exchange — in the stats,
 // the metric surface, the flight recorder, and (on a downward ladder
-// transition) a triggered flight dump. ctx supplies the trace ID the
+// transition) a triggered flight dump. A transition is also a "ladder"
+// mark on the request trace ctx carries. ctx supplies the trace ID the
 // flight event is tagged with; context.Background() means untraced.
 func (c *Communicator) noteServed(ctx context.Context, h Health) {
 	c.mu.Lock()
@@ -294,6 +292,9 @@ func (c *Communicator) noteServed(ctx context.Context, h Health) {
 	}
 	c.mu.Unlock()
 	c.tel.noteRung(prev, h)
+	if prev != h {
+		obs.Mark(ctx, "comm", "ladder", ladderNotes[prev][h])
+	}
 	fl := c.cfg.Flight
 	if fl == nil {
 		return
@@ -364,7 +365,7 @@ func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes
 	c.stats.Plans++
 	c.mu.Unlock()
 	c.tel.plans.Inc()
-	r, err := c.timedSchedule(ctx, scheduler, m, h, "oneshot")
+	r, err := c.timedSchedule(ctx, scheduler, m, "oneshot")
 	if err != nil {
 		return nil, h, err
 	}

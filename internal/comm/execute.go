@@ -17,10 +17,10 @@ import (
 // the executor's byte-level delivery report alongside the plan it
 // executed.
 //
-// The executor's Metrics and Tracer default to the communicator's when
-// unset. Its Clock deliberately does not: communicator clocks are
-// often fake (staleness tests, simulations), while transfer deadlines
-// must track the real wall clock the transport I/O lives on. When
+// The executor's Metrics default to the communicator's when unset. Its
+// Clock deliberately does not: communicator clocks are often fake
+// (staleness tests, simulations), while transfer deadlines must track
+// the real wall clock the transport I/O lives on. When
 // ecfg.Replan is unset, residual replans route through the ladder too:
 // the residual is planned on the survivor-restricted matrix with the
 // configured scheduler's partial variant.
@@ -46,7 +46,7 @@ func (c *Communicator) ExecuteCtx(ctx context.Context, tr exec.Transport, sizes 
 	c.stats.Plans++
 	c.mu.Unlock()
 	c.tel.plans.Inc()
-	r, err := c.timedSchedule(ctx, scheduler, m, h, "execute")
+	r, err := c.timedSchedule(ctx, scheduler, m, "execute")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,9 +55,6 @@ func (c *Communicator) ExecuteCtx(ctx context.Context, tr exec.Transport, sizes 
 
 	if ecfg.Metrics == nil {
 		ecfg.Metrics = c.cfg.Metrics
-	}
-	if ecfg.Tracer == nil {
-		ecfg.Tracer = c.cfg.Tracer
 	}
 	if ecfg.Flight == nil {
 		ecfg.Flight = c.cfg.Flight

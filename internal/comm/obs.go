@@ -10,26 +10,25 @@ import (
 )
 
 // Telemetry wiring. A Communicator resolves its instruments once at
-// construction from Config.Metrics/Config.Tracer; when both are nil
-// every hook below is a nil-pointer no-op, so the planning hot path
-// pays a single boolean check (verified by BenchmarkAllToAllTelemetry*
-// in obs_bench_test.go).
+// construction from Config.Metrics; when it is nil every hook below is
+// a nil-pointer no-op, so the planning hot path pays a single boolean
+// check (verified by BenchmarkAllToAllTelemetry* in obs_bench_test.go).
+// Spans and marks go on the request trace the ctx carries, if any.
 
 // commTelemetry holds the communicator's resolved instruments. The
 // zero value (telemetry disabled) makes every method a no-op.
 type commTelemetry struct {
 	enabled  bool
 	registry *obs.Registry
-	tracer   *obs.Tracer
 
 	plans, repairs, recomputes *obs.Counter
 	served                     [3]*obs.Counter // indexed by Health
 	planSeconds                *obs.Histogram
 }
 
-// newCommTelemetry resolves instruments; reg and tr may each be nil.
-func newCommTelemetry(reg *obs.Registry, tr *obs.Tracer) commTelemetry {
-	t := commTelemetry{enabled: reg != nil || tr != nil, registry: reg, tracer: tr}
+// newCommTelemetry resolves instruments; reg may be nil.
+func newCommTelemetry(reg *obs.Registry) commTelemetry {
+	t := commTelemetry{enabled: reg != nil, registry: reg}
 	if reg == nil {
 		return t
 	}
@@ -59,9 +58,17 @@ func rungLabel(h Health) string {
 	return "unknown"
 }
 
+// ladderNotes names every rung transition, indexed [from][to], so a
+// ladder mark on a request trace builds no string.
+var ladderNotes = [3][3]string{
+	HealthOK:       {HealthStale: "fresh→stale", HealthDegraded: "fresh→degraded"},
+	HealthStale:    {HealthOK: "stale→fresh", HealthDegraded: "stale→degraded"},
+	HealthDegraded: {HealthOK: "degraded→fresh", HealthStale: "degraded→stale"},
+}
+
 // noteRung records which rung served an exchange and, when the rung
-// changed, the transition — a labeled counter and a trace instant, the
-// machine-readable version of "the ladder dropped to stale at 12:03".
+// changed, the transition as a labeled counter — the machine-readable
+// version of "the ladder dropped to stale at 12:03".
 func (t *commTelemetry) noteRung(prev, h Health) {
 	if !t.enabled {
 		return
@@ -75,8 +82,6 @@ func (t *commTelemetry) noteRung(prev, h Health) {
 	t.registry.Counter(obs.MetricLadderTransitions,
 		"Fallback-ladder rung changes, by from/to rung.",
 		obs.L("from", rungLabel(prev)), obs.L("to", rungLabel(h))).Inc()
-	t.tracer.Instant("ladder", "transition",
-		obs.L("from", rungLabel(prev)), obs.L("to", rungLabel(h)))
 }
 
 // quality returns the t_max/t_lb histogram for an algorithm (nil when
@@ -94,38 +99,32 @@ func (t *commTelemetry) quality(algorithm string) *obs.Histogram {
 // correlation (obs.ReqTrace); context.Background() means untraced.
 //
 //hetvet:coldpath the scratch path reaches it only on the degraded rung; cold scheduling allocates by design
-func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
-	return c.timedResult(ctx, h, kind, func() (*sched.Result, error) { return s.Schedule(m) })
+func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, kind string) (*sched.Result, error) {
+	return c.timedResult(ctx, kind, func() (*sched.Result, error) { return s.Schedule(m) })
 }
 
 // timedResult instruments an arbitrary plan computation (scratch plan,
 // degraded baseline, or incremental repair): it times the closure with
-// the injectable clock, records the span and plan-time sample — on the
-// process tracer and, when ctx carries a request trace, on that
-// request's span tree — and observes the result's quality ratio under
-// the result's (untagged) algorithm name.
+// the injectable clock, records the plan-time sample and — when ctx
+// carries a request trace — a span on that request's tree, and
+// observes the result's quality ratio under the result's (untagged)
+// algorithm name.
 //
 //hetvet:coldpath instrumented planning runs only with telemetry or request tracing enabled; the zero-alloc contract is for disabled telemetry
-func (c *Communicator) timedResult(ctx context.Context, h Health, kind string, plan func() (*sched.Result, error)) (*sched.Result, error) {
+func (c *Communicator) timedResult(ctx context.Context, kind string, plan func() (*sched.Result, error)) (*sched.Result, error) {
 	if !c.tel.enabled && obs.ReqTraceFrom(ctx) == nil {
 		return plan()
 	}
-	sp := c.tel.tracer.Begin("comm", "plan",
-		obs.L("rung", rungLabel(h)), obs.L("kind", kind))
 	_, rsp := obs.StartSpan(ctx, "comm", kind)
 	start := c.cfg.Clock()
 	r, err := plan()
 	elapsed := c.cfg.Clock().Sub(start)
 	c.tel.planSeconds.Observe(float64(elapsed) / float64(time.Second))
 	if err != nil {
-		sp.SetArg("error", err.Error())
-		sp.End()
 		rsp.SetNote(err.Error())
 		rsp.End()
 		return nil, err
 	}
-	sp.SetArg("algorithm", r.Algorithm)
-	sp.End()
 	rsp.SetNote(r.Algorithm)
 	rsp.End()
 	c.tel.quality(r.Algorithm).Observe(r.Ratio())

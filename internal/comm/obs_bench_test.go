@@ -33,5 +33,5 @@ func BenchmarkAllToAllTelemetryDisabled(b *testing.B) {
 }
 
 func BenchmarkAllToAllTelemetryEnabled(b *testing.B) {
-	benchAllToAll(b, Config{Metrics: obs.New(), Tracer: obs.NewTracer(nil)})
+	benchAllToAll(b, Config{Metrics: obs.New()})
 }

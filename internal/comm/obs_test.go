@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -19,7 +20,6 @@ func counterValue(reg *obs.Registry, name string, labels ...obs.Label) uint64 {
 
 func TestTelemetryLadderAndQuality(t *testing.T) {
 	reg := obs.New()
-	tr := obs.NewTracer(nil)
 	ok := true
 	perf := netmodel.Gusto()
 	c, err := New(5, func() (*netmodel.Perf, error) {
@@ -27,7 +27,7 @@ func TestTelemetryLadderAndQuality(t *testing.T) {
 			return perf.Clone(), nil
 		}
 		return nil, errors.New("directory down")
-	}, Config{StaleBound: -1, Metrics: reg, Tracer: tr})
+	}, Config{StaleBound: -1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +65,43 @@ func TestTelemetryLadderAndQuality(t *testing.T) {
 			t.Errorf("quality{%s} sum = %g, want ≥ 1 (t_max/t_lb)", alg, h.Sum())
 		}
 	}
-	// The trace must carry both plan spans and the rung transition.
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+}
+
+// TestLadderMark: a request trace on the exchange that steps the ladder
+// down gets its plan span and a "ladder" mark naming both rungs.
+func TestLadderMark(t *testing.T) {
+	ok := true
+	perf := netmodel.Gusto()
+	c, err := New(5, func() (*netmodel.Perf, error) {
+		if ok {
+			return perf.Clone(), nil
+		}
+		return nil, errors.New("directory down")
+	}, Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	trace := sb.String()
-	if !strings.Contains(trace, `"plan"`) || !strings.Contains(trace, `"transition"`) {
-		t.Errorf("trace missing plan span or transition instant:\n%s", trace)
+	sizes := model.UniformSizes(5, 1<<20)
+	fresh := obs.NewReqTrace(0, nil)
+	if _, h, err := c.AllToAllHealthCtx(obs.WithReqTrace(context.Background(), fresh), sizes); err != nil || h != HealthOK {
+		t.Fatalf("fresh exchange: health %v, err %v", h, err)
+	}
+	for _, rec := range fresh.Spans() {
+		if rec.Name == "ladder" {
+			t.Errorf("ladder mark without a transition: %+v", rec)
+		}
+	}
+	ok = false
+	stale := obs.NewReqTrace(0, nil)
+	if _, h, err := c.AllToAllHealthCtx(obs.WithReqTrace(context.Background(), stale), sizes); err != nil || h != HealthStale {
+		t.Fatalf("stale exchange: health %v, err %v", h, err)
+	}
+	var names []string
+	for _, rec := range stale.Spans() {
+		names = append(names, rec.Track+"/"+rec.Name+":"+rec.Note)
+	}
+	if got, want := strings.Join(names, " "), "comm/oneshot:openshop comm/ladder:fresh→stale"; got != want {
+		t.Errorf("stale exchange trace = %q, want %q", got, want)
 	}
 }
 
@@ -130,7 +159,7 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 func TestTelemetryDisabledIsInert(t *testing.T) {
 	c := newComm(t, netmodel.Gusto(), Config{})
 	if c.tel.enabled {
-		t.Fatal("telemetry enabled with no registry or tracer")
+		t.Fatal("telemetry enabled with no registry")
 	}
 	sizes := model.UniformSizes(5, 1<<10)
 	if _, err := c.AllToAll(sizes); err != nil {

@@ -78,7 +78,7 @@ func (c *Communicator) AllToAllRepeatedScratch(sizes *model.Sizes, sc *PlanScrat
 	if h == HealthDegraded {
 		// As in AllToAllRepeated: plan the blind baseline without
 		// touching the repair cache.
-		r, err := c.timedSchedule(context.Background(), c.cfg.BaselineScheduler, m, h, "repeated")
+		r, err := c.timedSchedule(context.Background(), c.cfg.BaselineScheduler, m, "repeated")
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func (c *Communicator) AllToAllRepeatedScratch(sizes *model.Sizes, sc *PlanScrat
 	if steps == nil || last == nil {
 		if c.tel.enabled {
 			//hetvet:ignore hotpath the closure is built only with telemetry enabled; the disabled branch below is the zero-alloc one
-			r, err = c.timedResult(context.Background(), h, "repeated", func() (*sched.Result, error) {
+			r, err = c.timedResult(context.Background(), "repeated", func() (*sched.Result, error) {
 				return c.planRepeatedScratch(m, sc)
 			})
 		} else {
@@ -109,7 +109,7 @@ func (c *Communicator) AllToAllRepeatedScratch(sizes *model.Sizes, sc *PlanScrat
 	} else {
 		if c.tel.enabled {
 			//hetvet:ignore hotpath the closure is built only with telemetry enabled; the disabled branch below is the zero-alloc one
-			r, err = c.timedResult(context.Background(), h, "repair", func() (*sched.Result, error) {
+			r, err = c.timedResult(context.Background(), "repair", func() (*sched.Result, error) {
 				return c.repairScratch(gen, steps, last, m, sc)
 			})
 		} else {

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -66,8 +67,7 @@ func TestServerMetrics(t *testing.T) {
 }
 
 // TestResilientClientMetrics checks the client-side counters: requests
-// and the span per request while the server is up; retries and a
-// cache-serve instant once it goes away.
+// while the server is up; retries and a stale serve once it goes away.
 func TestResilientClientMetrics(t *testing.T) {
 	store, err := NewStore(netmodel.Gusto(), nil)
 	if err != nil {
@@ -80,13 +80,11 @@ func TestResilientClientMetrics(t *testing.T) {
 	}
 
 	reg := obs.New()
-	tr := obs.NewTracer(nil)
 	rc := NewResilientClient(addr, ResilientConfig{
 		Retries:     2,
 		BackoffBase: time.Millisecond,
 		Sleep:       func(time.Duration) {},
 		Metrics:     reg,
-		Tracer:      tr,
 	})
 	defer rc.Close()
 
@@ -121,15 +119,76 @@ func TestResilientClientMetrics(t *testing.T) {
 		uint64(ctr.StaleServes) != readCounter(t, reg, obs.MetricDirectoryStaleServes) {
 		t.Errorf("registry disagrees with Counters(): %+v", ctr)
 	}
+}
 
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+// spanNames lists a trace's records as "track/name" strings.
+func spanNames(rt *obs.ReqTrace) []string {
+	var out []string
+	for _, rec := range rt.Spans() {
+		out = append(out, rec.Track+"/"+rec.Name)
+	}
+	return out
+}
+
+// TestResilientClientTrace: a request trace on ctx gets the op's span
+// and a mark for each redial, retry, and cache serve the op went
+// through.
+func TestResilientClientTrace(t *testing.T) {
+	store, err := NewStore(netmodel.Gusto(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	trace := sb.String()
-	for _, want := range []string{`"snapshot"`, `"retry"`, `"cache-serve"`} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %s event:\n%s", want, trace)
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewResilientClient(addr, ResilientConfig{
+		Retries:     2,
+		BackoffBase: time.Millisecond,
+		Sleep:       func(time.Duration) {},
+	})
+	defer rc.Close()
+	if _, _, _, err := rc.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Dropping the connection makes the next request a redial.
+	rc.Close()
+	up := obs.NewReqTrace(0, nil)
+	if _, _, _, err := rc.SnapshotContext(obs.WithReqTrace(context.Background(), up)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(spanNames(up), " "), "directory/redial directory/snapshot"; got != want {
+		t.Errorf("redial trace = %q, want %q", got, want)
+	}
+
+	// Server gone: the op retries, fails, and the cache answers.
+	srv.Close()
+	down := obs.NewReqTrace(0, nil)
+	_, _, meta, err := rc.SnapshotContext(obs.WithReqTrace(context.Background(), down))
+	if err != nil || !meta.Stale {
+		t.Fatalf("stale fallback: meta %+v, err %v", meta, err)
+	}
+	var snapshot obs.SpanRecord
+	marks := map[string]obs.SpanRecord{}
+	for _, rec := range down.Spans() {
+		if rec.Track != "directory" {
+			t.Errorf("record on track %q", rec.Track)
 		}
+		if rec.Name == "snapshot" {
+			snapshot = rec
+		} else {
+			marks[rec.Name] = rec
+		}
+	}
+	if snapshot.Span == 0 || snapshot.Note == "" {
+		t.Errorf("no snapshot span noted with its error: %+v", down.Spans())
+	}
+	if retry, ok := marks["retry"]; !ok || retry.Parent != snapshot.Span || retry.Note != "snapshot" {
+		t.Errorf("retry mark %+v, want a child of span %d noted with the op", retry, snapshot.Span)
+	}
+	if _, ok := marks["cache-serve"]; !ok {
+		t.Errorf("no cache-serve mark: %v", spanNames(down))
 	}
 }

@@ -58,10 +58,9 @@ type ResilientConfig struct {
 	// Metrics mirrors the ResilientCounters into this registry
 	// (hetsched_directory_{requests,retries,redials,stale_serves}_total).
 	// Nil disables metrics; every hook is then a nil-pointer no-op.
+	// A request whose ctx carries an obs.ReqTrace gets a span per op and
+	// a mark per retry, redial, and cache serve on that trace.
 	Metrics *obs.Registry
-	// Tracer records a span per request (with op and outcome) and an
-	// instant per retry, redial, and cache serve. Nil disables tracing.
-	Tracer *obs.Tracer
 }
 
 func (cfg ResilientConfig) withDefaults() ResilientConfig {
@@ -140,7 +139,6 @@ type ResilientClient struct {
 	// resolved telemetry instruments; all nil when telemetry is off,
 	// so every hook is a single pointer check.
 	mRequests, mRetries, mRedials, mStale *obs.Counter
-	tracer                                *obs.Tracer
 }
 
 // heldSnapshot is one fetched snapshot. It is immutable once built —
@@ -163,8 +161,7 @@ func NewResilientClient(addr string, cfg ResilientConfig) *ResilientClient {
 	sleepInjected := cfg.Sleep != nil
 	cfg = cfg.withDefaults()
 	r := &ResilientClient{addr: addr, cfg: cfg, sleepInjected: sleepInjected,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		tracer: cfg.Tracer}
+		rng: rand.New(rand.NewSource(cfg.Seed))}
 	if reg := cfg.Metrics; reg != nil {
 		r.mRequests = reg.Counter(obs.MetricDirectoryRequests,
 			"Requests made through resilient directory clients.")
@@ -203,8 +200,9 @@ func (r *ResilientClient) Close() error {
 // break) as needed. The dial runs outside r.mu so a slow or dead
 // server never blocks concurrent callers that only need bookkeeping
 // (Counters, backoff jitter, the stale cache). Two callers may race
-// to redial; the loser's connection is discarded.
-func (r *ResilientClient) client() (*Client, error) {
+// to redial; the loser's connection is discarded. A redial is marked on
+// the request trace ctx carries.
+func (r *ResilientClient) client(ctx context.Context) (*Client, error) {
 	r.mu.Lock()
 	cur := r.cl
 	r.mu.Unlock()
@@ -235,7 +233,7 @@ func (r *ResilientClient) client() (*Client, error) {
 	r.mu.Unlock()
 	if redial {
 		r.mRedials.Inc()
-		r.tracer.Instant("directory", "redial")
+		obs.Mark(ctx, "directory", "redial", "")
 	}
 	if old != nil {
 		//hetvet:ignore errdiscard the connection already broke; its close error adds nothing
@@ -308,16 +306,18 @@ func (r *ResilientClient) sleepCtx(ctx context.Context, d time.Duration) error {
 // update) return immediately; only transport failures are retried. A
 // canceled ctx aborts the backoff wait immediately and stops further
 // attempts; the in-flight network call itself is still bounded by
-// RequestTimeout, not by ctx.
+// RequestTimeout, not by ctx. When ctx carries a request trace the op
+// is a span on it, noted with the error it failed with.
 func (r *ResilientClient) doCtx(ctx context.Context, name string, op func(cl *Client) error) (err error) {
 	r.mu.Lock()
 	r.ctr.Requests++
 	r.mu.Unlock()
 	r.mRequests.Inc()
-	if sp := r.tracer.Begin("directory", name); sp != nil {
+	ctx, sp := obs.StartSpan(ctx, "directory", name)
+	if sp != nil {
 		defer func() {
 			if err != nil {
-				sp.SetArg("error", err.Error())
+				sp.SetNote(err.Error())
 			}
 			sp.End()
 		}()
@@ -329,8 +329,7 @@ func (r *ResilientClient) doCtx(ctx context.Context, name string, op func(cl *Cl
 			r.ctr.Retries++
 			r.mu.Unlock()
 			r.mRetries.Inc()
-			r.tracer.Instant("directory", "retry",
-				obs.L("op", name), obs.L("attempt", fmt.Sprint(attempt)))
+			obs.Mark(ctx, "directory", "retry", name)
 			if cerr := r.sleepCtx(ctx, r.backoff(attempt-1)); cerr != nil {
 				if lastErr != nil {
 					return fmt.Errorf("%w (gave up retrying: %v)", cerr, lastErr)
@@ -338,7 +337,7 @@ func (r *ResilientClient) doCtx(ctx context.Context, name string, op func(cl *Cl
 				return cerr
 			}
 		}
-		cl, cerr := r.client()
+		cl, cerr := r.client(ctx)
 		if cerr == nil {
 			cerr = op(cl)
 			if cerr == nil {
@@ -433,14 +432,15 @@ func (r *ResilientClient) fetchOrStale(ctx context.Context) (*heldSnapshot, Snap
 	if err == nil {
 		return h, SnapshotMeta{Version: h.version}, nil
 	}
-	if h, meta, ok := r.staleSnapshot(r.cfg.Clock()); ok {
+	if h, meta, ok := r.staleSnapshot(ctx, r.cfg.Clock()); ok {
 		return h, meta, nil
 	}
 	return nil, SnapshotMeta{}, err
 }
 
-// staleSnapshot serves the held snapshot when permitted.
-func (r *ResilientClient) staleSnapshot(now time.Time) (*heldSnapshot, SnapshotMeta, bool) {
+// staleSnapshot serves the held snapshot when permitted, marking the
+// serve and the snapshot's age on the request trace ctx carries.
+func (r *ResilientClient) staleSnapshot(ctx context.Context, now time.Time) (*heldSnapshot, SnapshotMeta, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.held == nil || r.cfg.MaxStale < 0 {
@@ -452,7 +452,7 @@ func (r *ResilientClient) staleSnapshot(now time.Time) (*heldSnapshot, SnapshotM
 	}
 	r.ctr.StaleServes++
 	r.mStale.Inc()
-	r.tracer.Instant("directory", "cache-serve", obs.L("age", age.String()))
+	obs.Mark(ctx, "directory", "cache-serve", age.String())
 	return r.held, SnapshotMeta{Version: r.held.version, Stale: true, Age: age}, true
 }
 
@@ -479,7 +479,7 @@ func (r *ResilientClient) QueryContext(ctx context.Context, src, dst int) (netmo
 	if err == nil {
 		return pp, SnapshotMeta{Version: ver}, nil
 	}
-	if h, meta, ok := r.staleSnapshot(r.cfg.Clock()); ok {
+	if h, meta, ok := r.staleSnapshot(ctx, r.cfg.Clock()); ok {
 		if src < 0 || src >= h.perf.N() || dst < 0 || dst >= h.perf.N() {
 			return netmodel.PairPerf{}, SnapshotMeta{}, fmt.Errorf("directory: pair (%d,%d) outside cached table", src, dst)
 		}

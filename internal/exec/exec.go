@@ -41,7 +41,6 @@ import (
 	"net"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,9 +115,6 @@ type Config struct {
 	Sleep func(time.Duration)
 	// Metrics receives exec counters and histograms; nil disables.
 	Metrics *obs.Registry
-	// Tracer receives exchange/round spans and death/replan instants;
-	// nil disables.
-	Tracer *obs.Tracer
 	// Flight, when set, receives flight-recorder events for peer
 	// deaths, residual replans, and exchange completion. Nil disables.
 	Flight *obs.FlightRecorder
@@ -265,9 +261,10 @@ type run struct {
 // residual replans), sizes the byte counts to move. It blocks until
 // every byte is delivered, rerouted, or abandoned, then reports. ctx
 // carries request-scoped trace correlation (obs.TraceContext /
-// obs.ReqTrace): when present, the exchange, each round, and each
-// transfer land on the request's span tree, flight events are tagged
-// with the trace ID, and the report echoes it.
+// obs.ReqTrace): when present, the exchange (noted with the transport
+// type), each round, each transfer, and the Samples hand-off land on
+// the request's span tree, flight events are tagged with the trace ID,
+// and the report echoes it.
 //
 // Run closes the transport when it finishes, so a transport carries one
 // exchange. On a transport that is already closed, or that the caller
@@ -295,13 +292,12 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 
 	r := e.newRun(m, sizes)
 
-	var span *obs.Span
-	if e.cfg.Tracer != nil {
-		span = e.cfg.Tracer.Begin("exec", "exchange", obs.L("transport", fmt.Sprintf("%T", e.tr)))
+	xctx, xsp := obs.StartSpan(ctx, "exec", "exchange")
+	if xsp != nil {
+		xsp.SetNote(fmt.Sprintf("%T", e.tr))
 	}
-	ctx, xsp := obs.StartSpan(ctx, "exec", "exchange")
-	r.ctx = ctx
-	r.trace = obs.TraceFrom(ctx).TraceID
+	r.ctx = xctx
+	r.trace = obs.TraceFrom(xctx).TraceID
 	start := e.cfg.Clock()
 
 	r.acceptWg.Add(n)
@@ -312,7 +308,7 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 	plan := res
 	rounds, replans := 0, 0
 	for round := 0; round < maxRounds; round++ {
-		_, rsp := obs.StartSpan(ctx, "exec", "round")
+		_, rsp := obs.StartSpan(xctx, "exec", "round")
 		r.runRound(round, plan)
 		rsp.End()
 		rounds++
@@ -328,14 +324,12 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		}
 		next, err := e.cfg.Replan(m, residual, r.isAlive)
 		if err != nil {
-			e.cfg.Tracer.Instant("exec", "replan failed", obs.L("error", err.Error()))
-			obs.Mark(ctx, "exec", "replan_failed", err.Error())
+			obs.Mark(xctx, "exec", "replan_failed", err.Error())
 			break
 		}
 		replans++
 		e.counter(MetricExecReplans).Inc()
-		e.cfg.Tracer.Instant("exec", "replan", obs.L("pairs", fmt.Sprintf("%d", len(residual))))
-		obs.Mark(ctx, "exec", "replan", "")
+		obs.Mark(xctx, "exec", "replan", "")
 		e.cfg.Flight.Record("exec", "replan", r.trace, int64(len(residual)), int64(round))
 		plan = next
 	}
@@ -352,21 +346,20 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		err = fmt.Errorf("exec: exchange %d stopped in round %d: %w", r.xid, rounds-1, ErrTransportClosed)
 	}
 	if err != nil {
-		span.End()
 		xsp.End()
 		return nil, err
 	}
 
 	rep := r.finalize(rounds, replans, res.CompletionTime(), e.cfg.Clock().Sub(start))
 	rep.Trace = obs.FormatTraceID(r.trace)
-	span.SetArg("dead", strconv.Itoa(len(rep.Dead)))
-	span.End()
 	xsp.End()
 	e.cfg.Flight.Record("exec", "exchange_done", r.trace, rep.DeliveredBytes+rep.ReroutedBytes, int64(len(rep.Dead)))
 	e.observeReport(rep)
 	if e.cfg.Samples != nil {
 		if samples := r.collectSamples(); len(samples) > 0 {
+			_, ssp := obs.StartSpan(ctx, "calib", "observe_batch")
 			e.cfg.Samples(samples)
+			ssp.End()
 		}
 	}
 	return rep, nil
@@ -508,8 +501,6 @@ func (r *run) markDead(node int, reason string) {
 		return
 	}
 	r.ex.counter(MetricExecPeerDeaths).Inc()
-	r.ex.cfg.Tracer.Instant("exec", "peer dead",
-		obs.L("node", fmt.Sprintf("%d", node)), obs.L("reason", reason))
 	obs.Mark(r.ctx, "exec", "peer_dead", reason)
 	r.ex.cfg.Flight.Record("exec", "peer_dead", r.trace, int64(node), 0)
 	r.ex.tr.Kill(node)

@@ -1,13 +1,14 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"testing"
 )
 
 // The disabled-telemetry benchmarks pin the cost contract: when a
-// registry or tracer is nil, every hook must degrade to a single
-// pointer check. Compare the Disabled variants against the Enabled
+// registry is nil, or a ctx carries no request trace, every hook must
+// degrade to a single pointer check. Compare the Disabled variants against the Enabled
 // ones (and against comm's BenchmarkAllToAll pair) to verify
 // instrumentation stays out of hot paths.
 
@@ -44,18 +45,24 @@ func BenchmarkHistogramObserveEnabled(b *testing.B) {
 }
 
 func BenchmarkTracerSpanDisabled(b *testing.B) {
-	var tr *Tracer
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Begin("t", "op").End()
+		_, sp := StartSpan(ctx, "t", "op")
+		sp.End()
 	}
 }
 
 func BenchmarkTracerSpanEnabled(b *testing.B) {
-	tr := NewTracer(nil)
+	// A fresh tree per 256 spans keeps every iteration under the cap.
+	var ctx context.Context
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Begin("t", "op").End()
+		if i%maxReqSpans == 0 {
+			ctx = WithReqTrace(context.Background(), NewReqTrace(1, nil))
+		}
+		_, sp := StartSpan(ctx, "t", "op")
+		sp.End()
 	}
 }
 

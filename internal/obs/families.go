@@ -35,10 +35,6 @@ const (
 	// Schedule quality: t_max/t_lb per produced schedule, by algorithm.
 	MetricScheduleQuality = "hetsched_schedule_quality_ratio"
 
-	// Simulator checkpointing (internal/sim).
-	MetricSimCheckpoints = "hetsched_sim_checkpoints_total"
-	MetricSimReplans     = "hetsched_sim_replans_total"
-
 	// Data-plane exchange executor (internal/exec). Labels:
 	//   - outcome: how bytes resolved ("delivered", "rerouted",
 	//     "abandoned")
@@ -107,8 +103,6 @@ var standardFamilies = []struct {
 	{MetricCommRecomputes, "Repairs abandoned for a full recompute.", TypeCounter, nil},
 	{MetricPlanSeconds, "Wall-clock time spent planning one exchange.", TypeHistogram, nil},
 	{MetricScheduleQuality, "Schedule quality t_max/t_lb, by algorithm.", TypeHistogram, nil},
-	{MetricSimCheckpoints, "Checkpoints taken during simulated executions.", TypeCounter, nil},
-	{MetricSimReplans, "Checkpoints at which the tail was replanned.", TypeCounter, nil},
 	{MetricExecTransfers, "Executed transfers, by outcome.", TypeCounter, nil},
 	{MetricExecAttempts, "Transfer attempts made by the exchange executor.", TypeCounter, nil},
 	{MetricExecRetries, "Extra transfer attempts after transient failures.", TypeCounter, nil},

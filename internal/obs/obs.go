@@ -1,13 +1,14 @@
 // Package obs is the zero-dependency telemetry layer: a race-safe
 // metrics registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus text exposition and an opt-in HTTP endpoint, plus
-// span-style execution tracing that exports Chrome trace_event JSON
-// loadable in chrome://tracing and Perfetto.
+// Prometheus text exposition and an opt-in HTTP endpoint, plus span
+// trees (ReqTrace) that ride a context.Context and export as Chrome
+// trace_event JSON loadable in chrome://tracing and Perfetto.
 //
 // The design goal is that instrumentation costs nothing when disabled:
-// every method on *Registry, *Counter, *Gauge, *Histogram, *Tracer,
-// and *Span is a no-op on a nil receiver, so instrumented code resolves
-// its instruments once (from a possibly-nil registry) and each hot-path
+// every method on *Registry, *Counter, *Gauge, *Histogram, *ReqTrace
+// and *ReqSpan is a no-op on a nil receiver, so instrumented code
+// resolves its instruments once (from a possibly-nil registry), a ctx
+// without a ReqTrace makes every span call a no-op, and each hot-path
 // hook degrades to a single pointer check. The paper's evaluation is
 // entirely measurement-driven — timing diagrams (Section 3), t_max/t_lb
 // ratios, live GUSTO tables — and this package is how the running

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -54,24 +56,14 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry scrape: %v", err)
 	}
 
-	var tr *Tracer
-	sp := tr.Begin("t", "op")
-	sp.SetArg("k", "v")
-	sp.End()
-	tr.Instant("t", "i")
-	tr.InstantAt("t", "i", 5)
-	tr.SliceAt("t", "s", 0, 1)
-	TraceSchedule(tr, "alg", &timing.Schedule{N: 1}, nil)
-	if tr.Len() != 0 {
-		t.Fatalf("nil tracer must record nothing")
-	}
+	// No span trees still make a loadable trace file.
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("nil tracer write: %v", err)
+	if err := WritePerfetto(&buf); err != nil {
+		t.Fatalf("empty trace write: %v", err)
 	}
 	var out map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("nil tracer JSON invalid: %v", err)
+		t.Fatalf("empty trace JSON invalid: %v", err)
 	}
 }
 
@@ -166,27 +158,41 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
+// TestConcurrentTracer records spans and marks on one request trace
+// from many goroutines, up to and past the span cap. Run with -race.
 func TestConcurrentTracer(t *testing.T) {
-	tr := NewTracer(fakeClock(time.Millisecond))
+	rt := NewReqTrace(1, fakeClock(time.Millisecond))
+	ctx := WithReqTrace(context.Background(), rt)
+	const workers, perWorker = 8, 20
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sp := tr.Begin("track", "op")
-				tr.InstantAt("track2", "tick", float64(i))
+			for i := 0; i < perWorker; i++ {
+				sctx, sp := StartSpan(ctx, "track", "op")
+				Mark(sctx, "track2", "tick", "")
 				sp.End()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	// 2 metadata + 8*200 spans + 8*200 instants.
-	if want := 2 + 2*8*200; tr.Len() != want {
-		t.Fatalf("tracer recorded %d events, want %d", tr.Len(), want)
+	spans := rt.Spans()
+	if got := len(spans) + rt.Dropped(); got != 2*workers*perWorker {
+		t.Fatalf("kept %d + dropped %d spans, want %d", len(spans), rt.Dropped(), 2*workers*perWorker)
+	}
+	if len(spans) != maxReqSpans {
+		t.Fatalf("kept %d spans, want the cap %d", len(spans), maxReqSpans)
+	}
+	ids := map[uint64]bool{}
+	for _, rec := range spans {
+		if ids[rec.Span] {
+			t.Fatalf("span ID %d recorded twice", rec.Span)
+		}
+		ids[rec.Span] = true
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := WritePerfetto(&buf, rt); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var out struct {
@@ -239,24 +245,21 @@ func TestGoldenPrometheus(t *testing.T) {
 	checkGolden(t, "prometheus.golden", buf.Bytes())
 }
 
-// TestGoldenTrace pins the Chrome trace_event output: metadata events,
-// wall-clock spans under the fake clock, instants, and a rendered
-// schedule with one track per sender and one slice per message.
+// TestGoldenTrace pins the Chrome trace_event output of a data-built
+// tree: a rendered schedule with one track per sender in processor
+// order (isi sends nothing, so it has none) and one slice per message,
+// then a checkpoint instant on its own track.
 func TestGoldenTrace(t *testing.T) {
-	tr := NewTracer(fakeClock(time.Millisecond))
-	sp := tr.Begin("comm", "plan", L("algorithm", "openshop"))
-	sp.SetArg("rung", "fresh")
-	sp.End()
-	tr.Instant("comm", "ladder-transition", L("from", "ok"), L("to", "stale"))
 	s := &timing.Schedule{N: 3, Events: []timing.Event{
 		{Src: 0, Dst: 1, Start: 0, Finish: 0.25},
 		{Src: 1, Dst: 2, Start: 0, Finish: 0.5},
 		{Src: 0, Dst: 2, Start: 0.25, Finish: 1},
 	}}
-	TraceSchedule(tr, "openshop", s, []string{"argonne", "", "isi"})
-	tr.InstantAt("control", "checkpoint", 0.5e6, L("when_s", "0.5"))
+	checkpoint := SpanRecord{Track: "control", Name: "checkpoint",
+		Start: 500 * time.Millisecond, End: 500 * time.Millisecond, Note: "replanned, 1 remaining"}
+	rt := ScheduleTrace(s, []string{"argonne", "", "isi"}, checkpoint)
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := WritePerfetto(&buf, rt); err != nil {
 		t.Fatal(err)
 	}
 	// The artifact must be loadable: valid JSON with a traceEvents array
@@ -267,14 +270,23 @@ func TestGoldenTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("trace JSON invalid: %v", err)
 	}
-	slices := 0
+	var slices, instants int
+	var tracks []any
 	for _, e := range out.TraceEvents {
-		if e["ph"] == "X" {
+		switch e["ph"] {
+		case "X":
 			slices++
+		case "i":
+			instants++
+		case "M":
+			tracks = append(tracks, e["args"].(map[string]any)["name"])
 		}
 	}
-	if slices != 4 { // 1 span + 3 schedule events
-		t.Fatalf("trace has %d complete slices, want 4", slices)
+	if slices != 3 || instants != 1 {
+		t.Fatalf("trace has %d slices and %d instants, want 3 and 1", slices, instants)
+	}
+	if got := fmt.Sprint(tracks); got != "[argonne P1 control]" {
+		t.Fatalf("tracks = %s, want processors in order, then control", got)
 	}
 	checkGolden(t, "trace.golden", buf.Bytes())
 }

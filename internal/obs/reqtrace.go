@@ -6,14 +6,15 @@ import (
 	"time"
 )
 
-// Request-scoped span trees. A ReqTrace accumulates the spans of one
-// request as it crosses goroutines and layers (serve admission → queue
-// wait → planning → exec rounds → transfers); the TailSampler then
-// decides which trees are worth keeping. Unlike Tracer — a process-wide
-// sink sized for whole runs — a ReqTrace is small, per-request, and
-// cheap enough to create for every admitted request.
+// Span trees, the package's one tracing model. A live ReqTrace
+// accumulates the spans of one request as it crosses goroutines and
+// layers (serve admission → queue wait → planning → exec rounds →
+// transfers); the TailSampler then decides which trees are worth
+// keeping. It is small and cheap enough to create for every admitted
+// request. ScheduleTrace builds a finished tree from data instead, and
+// WritePerfetto renders either kind.
 
-// maxReqSpans caps the spans retained per request so a pathological
+// maxReqSpans caps the spans a live tree retains so a pathological
 // request (thousands of transfer attempts) cannot grow memory without
 // bound; overflow is counted in Dropped.
 const maxReqSpans = 256

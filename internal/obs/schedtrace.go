@@ -2,48 +2,51 @@ package obs
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
 	"hetsched/internal/timing"
 )
 
-// TraceSchedule renders a timed schedule — planned or executed — onto
-// the tracer as a Chrome-trace timing diagram: one track per sender
-// (named after names[i] when provided, "P<i>" otherwise) and one
-// complete slice per message event, labelled "i→j" with the source,
-// destination, and modelled interval as args. Event times are seconds
-// on the simulated timeline and are rendered as microseconds, so a
-// 0.25 s transfer shows as a 250 ms slice in Perfetto. cat tags every
-// slice (e.g. the algorithm name), letting several schedules share one
-// trace file distinguishably.
+// ScheduleTrace builds the finished span tree of a timed schedule —
+// planned or executed — for WritePerfetto: one slice per message event
+// on its sender's track (named after names[i] when provided, "P<i>"
+// otherwise), labelled "i→j" and noted with its modelled interval.
+// Tracks appear in processor order; one that sends nothing has none.
+// Event times are seconds on the
+// simulated timeline and become offsets from the tree's zero start, so
+// a 0.25 s transfer shows as a 250 ms slice in Perfetto. extra records
+// — checkpoint instants, say — follow the events; every record is
+// renumbered with a fresh span ID at the root. The tree has no trace ID
+// and no span cap: its size is its input's.
 //
 // This is the paper's Figure 2/3 artifact as a loadable file: open the
 // JSON in chrome://tracing or https://ui.perfetto.dev and the per-sender
 // rectangles of Section 3.3's timing diagram appear as slices.
-func TraceSchedule(t *Tracer, cat string, s *timing.Schedule, names []string) {
-	if t == nil || s == nil {
-		return
-	}
+func ScheduleTrace(s *timing.Schedule, names []string, extra ...SpanRecord) *ReqTrace {
 	track := func(i int) string {
 		if i < len(names) && names[i] != "" {
 			return names[i]
 		}
 		return fmt.Sprintf("P%d", i)
 	}
-	// Ensure every sender gets a track, in processor order, even when it
-	// sends nothing — the diagram's rows are the system's processors.
-	t.mu.Lock()
-	for i := 0; i < s.N; i++ {
-		t.track(track(i))
+	seconds := func(x float64) time.Duration { return time.Duration(x * float64(time.Second)) }
+	var evs []timing.Event
+	if s != nil {
+		evs = append(evs, s.Events...)
 	}
-	t.mu.Unlock()
-	const secToMicro = 1e6
-	for _, e := range s.Events {
-		t.SliceAt(track(e.Src), fmt.Sprintf("%d→%d", e.Src, e.Dst),
-			e.Start*secToMicro, e.Duration()*secToMicro,
-			L("src", fmt.Sprint(e.Src)),
-			L("dst", fmt.Sprint(e.Dst)),
-			L("start_s", fmt.Sprintf("%g", e.Start)),
-			L("finish_s", fmt.Sprintf("%g", e.Finish)),
-		)
+	sort.SliceStable(evs, func(a, b int) bool { return evs[a].Src < evs[b].Src })
+	spans := make([]SpanRecord, 0, len(evs)+len(extra))
+	for _, e := range evs {
+		spans = append(spans, SpanRecord{
+			Track: track(e.Src), Name: fmt.Sprintf("%d→%d", e.Src, e.Dst),
+			Start: seconds(e.Start), End: seconds(e.Finish),
+			Note: fmt.Sprintf("%g s to %g s", e.Start, e.Finish),
+		})
 	}
+	spans = append(spans, extra...)
+	for i := range spans {
+		spans[i].Span, spans[i].Parent = uint64(i+1), 0
+	}
+	return &ReqTrace{clock: time.Now, spans: spans, nextSpan: uint64(len(spans))}
 }

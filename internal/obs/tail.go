@@ -3,9 +3,7 @@ package obs
 import (
 	"io"
 	"sort"
-	"strconv"
 	"sync"
-	"time"
 )
 
 // TailSampler retains full span trees only for interesting requests —
@@ -136,66 +134,12 @@ func (s *TailSampler) Slowest(n int) []*ReqTrace {
 	return all
 }
 
-// WritePerfetto renders every retained span tree as Chrome trace_event
-// JSON (the format chrome://tracing and Perfetto load). Each subsystem
-// track becomes a thread row; spans become "X" slices, zero-duration
-// marks become "i" instants; every event's args carry the trace ID so
-// one request is findable across serve, comm, and exec tracks. A nil
-// sampler writes a loadable empty trace.
-//
-//hetvet:ignore nilguard a nil sampler must still emit a loadable empty trace, so nil is handled inline
+// WritePerfetto renders every retained span tree, oldest first, with
+// the package's WritePerfetto. A nil sampler writes a loadable empty
+// trace.
 func (s *TailSampler) WritePerfetto(w io.Writer) error {
-	traces := s.Snapshot()
-	file := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
-	var epoch time.Time
-	for _, rt := range traces {
-		if st := rt.Start(); epoch.IsZero() || st.Before(epoch) {
-			epoch = st
-		}
+	if s == nil {
+		return WritePerfetto(w)
 	}
-	tids := map[string]int{}
-	track := func(name string) int {
-		if tid, ok := tids[name]; ok {
-			return tid
-		}
-		tid := len(tids)
-		tids[name] = tid
-		file.TraceEvents = append(file.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", TID: tid,
-			Args: map[string]string{"name": name},
-		})
-		return tid
-	}
-	for _, rt := range traces {
-		base := float64(rt.Start().Sub(epoch)) / float64(time.Microsecond)
-		hex := FormatTraceID(rt.TraceID())
-		outcome := rt.Outcome()
-		for _, rec := range rt.Spans() {
-			args := map[string]string{"trace": hex,
-				"span": strconv.FormatUint(rec.Span, 10)}
-			if rec.Parent != 0 {
-				args["parent"] = strconv.FormatUint(rec.Parent, 10)
-			}
-			if rec.Note != "" {
-				args["note"] = rec.Note
-			}
-			if outcome != "" {
-				args["outcome"] = outcome
-			}
-			ts := base + float64(rec.Start)/float64(time.Microsecond)
-			if rec.Start == rec.End {
-				file.TraceEvents = append(file.TraceEvents, traceEvent{
-					Name: rec.Name, Ph: "i", TS: ts, TID: track(rec.Track),
-					Scope: "t", Args: args,
-				})
-				continue
-			}
-			file.TraceEvents = append(file.TraceEvents, traceEvent{
-				Name: rec.Name, Ph: "X", TS: ts,
-				Dur: float64(rec.End-rec.Start) / float64(time.Microsecond),
-				TID: track(rec.Track), Args: args,
-			})
-		}
-	}
-	return writeTraceFile(w, file)
+	return WritePerfetto(w, s.Snapshot()...)
 }

@@ -22,12 +22,11 @@ const (
 	MetricServeTailDropped  = obs.MetricServeTailDropped
 )
 
-// telemetry is the daemon's metric/trace surface. Every obs primitive
-// is nil-safe end to end, so a daemon with no registry or tracer pays
-// only these no-op calls.
+// telemetry is the daemon's metric surface. Every obs primitive is
+// nil-safe end to end, so a daemon with no registry pays only these
+// no-op calls. Spans ride the request's ctx instead (obs.StartSpan).
 type telemetry struct {
-	m  *obs.Registry
-	tr *obs.Tracer
+	m *obs.Registry
 }
 
 func (t telemetry) outcome(o string) {
@@ -81,8 +80,4 @@ func (t telemetry) tailRetained(reason string) {
 func (t telemetry) tailDropped() {
 	t.m.Counter(MetricServeTailDropped,
 		"Request span trees dropped by the tail sampler as uninteresting.").Inc()
-}
-
-func (t telemetry) beginPlan() *obs.Span {
-	return t.tr.Begin("serve", "plan")
 }

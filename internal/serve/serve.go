@@ -60,9 +60,8 @@ type Config struct {
 	MaxP int
 	// Clock is the injectable time source (nil selects the wall clock).
 	Clock func() time.Time
-	// Metrics and Tracer receive serve telemetry; both may be nil.
+	// Metrics receives serve telemetry; nil disables it.
 	Metrics *obs.Registry
-	Tracer  *obs.Tracer
 	// Flight, when set, receives structured flight-recorder events for
 	// every request outcome — the always-on post-mortem ring.
 	Flight *obs.FlightRecorder
@@ -163,7 +162,7 @@ func NewDaemon(c *comm.Communicator, gen GenFunc, cfg Config) (*Daemon, error) {
 		comm:    c,
 		gen:     gen,
 		cfg:     cfg,
-		tel:     telemetry{m: cfg.Metrics, tr: cfg.Tracer},
+		tel:     telemetry{m: cfg.Metrics},
 		tasks:   make(chan *flight, cfg.Queue),
 		quit:    make(chan struct{}),
 		flights: make(map[flightKey]*flight),
@@ -553,14 +552,12 @@ func (d *Daemon) work(fl *flight) {
 	d.tel.queueDepth(depth)
 	d.tel.inFlight(flight)
 
-	span := d.tel.beginPlan()
 	ctx, psp := obs.StartSpan(fl.ctx, "serve", "plan")
 	// The matrix first exists here, outside d.mu: a hit, a follower and
 	// an expired flight never pay for the generator or the P×P table.
 	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.pat.sizes())
 	dur := d.cfg.Clock().Sub(now)
 	psp.End()
-	span.End()
 
 	var resp directory.PlanResponse
 	if err != nil {

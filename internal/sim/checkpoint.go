@@ -137,11 +137,19 @@ func ReplanOpenShop(perf *netmodel.Perf, remaining *Plan, st *State, _ float64) 
 	return out, nil
 }
 
+// Checkpoint is one checkpoint of a checkpointed or reactive run.
+type Checkpoint struct {
+	At        float64 // simulated seconds: when the last dispatched transfer completed
+	Remaining int     // events still undispatched
+	Replanned bool    // whether the tail was rescheduled here
+}
+
 // CheckpointResult reports a checkpointed execution.
 type CheckpointResult struct {
 	Schedule    *timing.Schedule // all executed events with actual times
 	Finish      float64
-	Checkpoints int // how many times the directory was queried and the tail replanned
+	Checkpoints int          // how many times the directory was queried and the tail replanned
+	Log         []Checkpoint // one entry per checkpoint, in order; every one replanned
 }
 
 // RunCheckpointed executes the plan on net, dispatching in phases set
@@ -156,7 +164,6 @@ func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *
 	if observe == nil {
 		return nil, fmt.Errorf("sim: observe function is required")
 	}
-	tel := simTel.Load()
 	cur := plan.Clone()
 	st := NewState(plan.N)
 	out := &timing.Schedule{N: plan.N}
@@ -184,7 +191,6 @@ func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *
 		// Checkpoint: query the directory at the moment the last
 		// dispatched transfer completed and reschedule the tail.
 		when := maxFloat(st.SendFree)
-		tel.noteCheckpoint("checkpointed", when, phase.Remaining.Events())
 		cur, err = replan(observe(when), phase.Remaining, st.Clone(), when)
 		if err != nil {
 			return nil, err
@@ -193,8 +199,8 @@ func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *
 			return nil, fmt.Errorf("sim: replanner changed the event count from %d to %d",
 				phase.Remaining.Events(), cur.Events())
 		}
-		tel.noteReplan("checkpointed", when, cur.Events())
 		res.Checkpoints++
+		res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events(), Replanned: true})
 	}
 	return res, nil
 }

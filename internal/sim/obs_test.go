@@ -2,12 +2,10 @@ package sim
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
-	"hetsched/internal/obs"
 	"hetsched/internal/sched"
 )
 
@@ -31,78 +29,59 @@ func telemetryPlan(t *testing.T, n int) (*netmodel.Perf, *Plan) {
 	return perf, plan
 }
 
-// TestSetTelemetry checks the package-level hooks: counters track the
-// result's own Checkpoints count, and checkpoint/replan instants land
-// on the "control" track of the tracer in simulated time.
-func TestSetTelemetry(t *testing.T) {
-	perf, plan := telemetryPlan(t, 5)
-	reg := obs.New()
-	tr := obs.NewTracer(nil)
-	SetTelemetry(reg, tr)
-	defer SetTelemetry(nil, nil)
+// checkLog checks a checkpoint log against its run: one entry per
+// checkpoint, in time order within the run, each leaving half of the
+// events the previous one did (the Halving policy), with the replanned
+// flag equal to want.
+func checkLog(t *testing.T, log []Checkpoint, checkpoints, events int, finish float64, want bool) {
+	t.Helper()
+	if checkpoints == 0 {
+		t.Fatal("halving policy took no checkpoints")
+	}
+	if len(log) != checkpoints {
+		t.Fatalf("log has %d entries, result reports %d checkpoints", len(log), checkpoints)
+	}
+	prevAt, left := 0.0, events
+	for i, c := range log {
+		left /= 2
+		if c.Remaining != left {
+			t.Errorf("checkpoint %d: %d remaining, want %d", i, c.Remaining, left)
+		}
+		if c.At < prevAt || c.At > finish {
+			t.Errorf("checkpoint %d at %g s, outside [%g, %g]", i, c.At, prevAt, finish)
+		}
+		if c.Replanned != want {
+			t.Errorf("checkpoint %d: replanned %v, want %v", i, c.Replanned, want)
+		}
+		prevAt = c.At
+	}
+}
 
+// TestCheckpointedTelemetry: checkpointed mode logs every checkpoint it
+// reports, and replans the tail at each one.
+func TestCheckpointedTelemetry(t *testing.T) {
+	perf, plan := telemetryPlan(t, 5)
 	net := NewStatic(perf)
 	observe := func(float64) *netmodel.Perf { return perf }
 	ck, err := RunCheckpointed(net, observe, plan, Halving{}, ReplanOpenShop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Checkpoints == 0 {
-		t.Fatal("halving policy took no checkpoints")
-	}
-	ckC := reg.Counter(obs.MetricSimCheckpoints, "").Value()
-	rpC := reg.Counter(obs.MetricSimReplans, "").Value()
-	if ckC != uint64(ck.Checkpoints) {
-		t.Errorf("checkpoint counter = %d, result says %d", ckC, ck.Checkpoints)
-	}
-	if rpC != uint64(ck.Checkpoints) {
-		t.Errorf("replan counter = %d, want %d (checkpointed mode always replans)", rpC, ck.Checkpoints)
-	}
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	trace := sb.String()
-	for _, want := range []string{`"control"`, `"checkpoint"`, `"replan"`} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %s:\n%s", want, trace)
-		}
-	}
+	checkLog(t, ck.Log, ck.Checkpoints, plan.Events(), ck.Finish, true)
 }
 
-// TestReactiveTelemetry: with no fault times, checkpoints are counted
-// but nothing is replanned.
+// TestReactiveTelemetry: with no fault times, every checkpoint is
+// logged but nothing is replanned.
 func TestReactiveTelemetry(t *testing.T) {
 	perf, plan := telemetryPlan(t, 5)
-	reg := obs.New()
-	SetTelemetry(reg, nil)
-	defer SetTelemetry(nil, nil)
-
 	net := NewStatic(perf)
 	observe := func(float64) *netmodel.Perf { return perf }
 	rr, err := RunReactive(net, observe, nil, plan, Halving{}, ReplanOpenShop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Checkpoints == 0 {
-		t.Fatal("halving policy took no checkpoints")
+	if rr.Replans != 0 {
+		t.Errorf("%d replans with no faults", rr.Replans)
 	}
-	if got := reg.Counter(obs.MetricSimCheckpoints, "").Value(); got != uint64(rr.Checkpoints) {
-		t.Errorf("checkpoint counter = %d, result says %d", got, rr.Checkpoints)
-	}
-	if got := reg.Counter(obs.MetricSimReplans, "").Value(); got != 0 {
-		t.Errorf("replan counter = %d with no faults", got)
-	}
-}
-
-// TestTelemetryDisabled: the default state must run clean (one pointer
-// load per checkpoint, no recording anywhere).
-func TestTelemetryDisabled(t *testing.T) {
-	perf, plan := telemetryPlan(t, 4)
-	SetTelemetry(nil, nil)
-	net := NewStatic(perf)
-	observe := func(float64) *netmodel.Perf { return perf }
-	if _, err := RunCheckpointed(net, observe, plan, Halving{}, ReplanOpenShop); err != nil {
-		t.Fatal(err)
-	}
+	checkLog(t, rr.Log, rr.Checkpoints, plan.Events(), rr.Finish, false)
 }

@@ -20,8 +20,9 @@ import (
 type ReactiveResult struct {
 	Schedule    *timing.Schedule // all executed events with actual times
 	Finish      float64
-	Checkpoints int // phases executed (dispatch pauses)
-	Replans     int // checkpoints at which a fault had fired and the tail was replanned
+	Checkpoints int          // phases executed (dispatch pauses)
+	Replans     int          // checkpoints at which a fault had fired and the tail was replanned
+	Log         []Checkpoint // one entry per checkpoint, in order
 }
 
 // RunReactive executes the plan in checkpointed phases set by the
@@ -45,7 +46,6 @@ func RunReactive(net Network, observe func(t float64) *netmodel.Perf, faultTimes
 		next++
 	}
 
-	tel := simTel.Load()
 	cur := plan.Clone()
 	st := NewState(plan.N)
 	out := &timing.Schedule{N: plan.N}
@@ -72,7 +72,6 @@ func RunReactive(net Network, observe func(t float64) *netmodel.Perf, faultTimes
 		}
 		res.Checkpoints++
 		when := maxFloat(st.SendFree)
-		tel.noteCheckpoint("reactive", when, phase.Remaining.Events())
 		fired := false
 		for next < len(times) && times[next] <= when {
 			next++
@@ -80,6 +79,7 @@ func RunReactive(net Network, observe func(t float64) *netmodel.Perf, faultTimes
 		}
 		if !fired {
 			cur = phase.Remaining
+			res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events()})
 			continue
 		}
 		// A fault fired mid-phase: query the directory for the degraded
@@ -92,8 +92,8 @@ func RunReactive(net Network, observe func(t float64) *netmodel.Perf, faultTimes
 			return nil, fmt.Errorf("sim: replanner changed the event count from %d to %d",
 				phase.Remaining.Events(), cur.Events())
 		}
-		tel.noteReplan("reactive", when, cur.Events())
 		res.Replans++
+		res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events(), Replanned: true})
 	}
 	return res, nil
 }

@@ -44,11 +44,11 @@ chaos:
 
 # The data-plane chaos suite under the race detector: executor kills
 # mid-exchange with residual rescheduling, seeded latency/stall
-# injection, duplicate suppression, and the plan-cache invalidation
-# race (all deterministic — fixed seeds), then Mem's pipe conformance
-# tests fifty times over, as CI runs them.
+# injection and duplicate suppression (all deterministic — fixed
+# seeds), concurrent repeated exchanges over a drifting source, then
+# Mem's pipe conformance tests fifty times over, as CI runs them.
 exec-chaos:
-	$(GO) test -race -short -run 'Exec|Residual|Latency|Invalidate' \
+	$(GO) test -race -short -run 'Exec|Residual|Latency|RepeatedMemo|InvalidateRace' \
 		./internal/exec/ ./internal/faults/ ./internal/sched/ ./internal/comm/
 	$(GO) test -race -count=50 -run '^TestExecMemConn' ./internal/exec
 

@@ -321,8 +321,8 @@ const (
 var NewMultiNetSystem = multinet.NewSystem
 
 // CommConfig tunes the application-level communicator, which plans
-// exchanges from directory snapshots and repairs repeated ones
-// incrementally.
+// exchanges from directory snapshots and re-serves a repeated one's
+// plan while the network has not moved.
 type CommConfig = comm.Config
 
 // NewCommunicator creates a communicator over a performance source.

@@ -7,9 +7,9 @@ import (
 
 // determinism enforces PR 1's reproducibility contract: schedulers, the
 // simulator, the exact solver, the experiment engine, and the planning
-// hot-path layers beneath them (assignment, incremental repair, timing
-// evaluation — the warm-start and scratch code of DESIGN.md §11) must
-// be deterministic functions of their inputs — same seed, same bytes. The
+// layers beneath them (assignment, incremental repair, timing
+// evaluation) must be deterministic functions of their inputs — same
+// seed, same bytes. The
 // paper's evaluation (t_max/t_lb tables, figure sweeps) is only
 // comparable across runs and across the sequential/parallel engines if
 // nothing reads the wall clock, draws from the process-global RNG, or

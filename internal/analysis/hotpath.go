@@ -182,7 +182,7 @@ func (h *hotpathChecker) scanBody(hd hotDecl, fn, root *types.Func) []Diagnostic
 	return s.out
 }
 
-// describeHot renders "PlanInto" or "emitStep (hot via PlanInto)".
+// describeHot renders "BuildInto" or "Reset (hot via BuildInto)".
 func describeHot(fn, root *types.Func) string {
 	if fn == root {
 		return fn.Name()
@@ -193,11 +193,11 @@ func describeHot(fn, root *types.Func) string {
 // hotScan walks one body with enough context to apply the exemptions:
 // cold error-construction ranges and open-coded defers.
 type hotScan struct {
-	pkg         *Package
-	where       string
-	coldRanges  []posRange   // fmt.Errorf/errors.New in returns, panic args
-	openDefers  map[ast.Node]bool // defer funcLit() outside loops
-	out         []Diagnostic
+	pkg        *Package
+	where      string
+	coldRanges []posRange        // fmt.Errorf/errors.New in returns, panic args
+	openDefers map[ast.Node]bool // defer funcLit() outside loops
+	out        []Diagnostic
 }
 
 type posRange struct{ lo, hi token.Pos }

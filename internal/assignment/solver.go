@@ -9,8 +9,7 @@ import (
 // cost slices. It owns every buffer the O(n³) shortest-augmenting-path
 // method needs, so steady-state solves perform zero heap allocations
 // once the solver has grown to the problem size. A Solver is not safe
-// for concurrent use; give each goroutine its own (the comm planning
-// scratch does exactly that).
+// for concurrent use; give each goroutine its own.
 //
 // The zero value is ready to use and grows on demand.
 type Solver struct {
@@ -25,20 +24,9 @@ type Solver struct {
 
 	// Negated-cost scratch for max solves.
 	neg []float64
-
-	// Warm-start certification scratch.
-	rowMin  []float64
-	zeroCnt []int
-	adjHead []int
-	adjNext []int
-	adjTo   []int
-	color   []int8
-	stack   []int
 }
 
 // grow ensures the solver's buffers cover an n-row problem.
-//
-//hetvet:coldpath buffer growth runs once per size change, not on the steady state
 func (s *Solver) grow(n int) {
 	if n <= s.n && s.u != nil {
 		return
@@ -51,20 +39,7 @@ func (s *Solver) grow(n int) {
 	s.minv = make([]float64, n+1)
 	s.used = make([]bool, n+1)
 	s.neg = make([]float64, n*n)
-	s.rowMin = make([]float64, n)
-	s.zeroCnt = make([]int, n)
-	s.adjHead = make([]int, n)
-	s.adjNext = make([]int, warmZeroCap(n))
-	s.adjTo = make([]int, warmZeroCap(n))
-	s.color = make([]int8, n)
-	s.stack = make([]int, n)
 }
-
-// warmZeroCap bounds how many extra equality-graph edges the warm
-// certification will examine before giving up and solving cold. Dense
-// tie structures are both rare in real cost matrices and cheap to
-// re-solve, so a linear cap keeps the scratch O(n).
-func warmZeroCap(n int) int { return 4*n + 4 }
 
 // checkFlat validates a flat row-major n×n cost slice.
 func checkFlat(cost []float64, n int) error {
@@ -196,306 +171,4 @@ func (s *Solver) solveMinFlat(out []int, cost []float64, n int) (float64, error)
 		return 0, fmt.Errorf("assignment: optimal assignment requires a forbidden edge")
 	}
 	return total, nil
-}
-
-// WarmStart carries the solution of a previous solve — the assignment
-// and the final column potentials — so the next solve of a similar
-// matrix can certify the old assignment still optimal (and uniquely so)
-// in O(n²) instead of re-running the O(n³) core. A WarmStart is bound
-// to one solve direction (min or max) and one problem size; using it
-// across directions or sizes simply misses and re-solves cold.
-//
-// The certified fast path is exact, never approximate: it returns the
-// previous assignment only when it can prove the assignment is the
-// unique optimum of the new matrix, in which case the cold solver would
-// necessarily return the identical permutation. Every answer produced
-// through a WarmStart is therefore byte-identical to the cold answer
-// (FuzzWarmStartEquivalence pins this).
-type WarmStart struct {
-	n      int
-	valid  bool
-	assign []int     // rowToCol of the last solve
-	inv    []int     // colToRow of the last solve
-	v      []float64 // final column potentials, 0-based
-
-	// Hits and Misses count certified fast-path serves and cold
-	// fallbacks; they exist for tests and benchmark introspection.
-	Hits, Misses uint64
-}
-
-// Reset forgets the cached solution, forcing the next solve cold.
-func (ws *WarmStart) Reset() { ws.valid = false }
-
-// Valid reports whether the warm start holds a usable prior solution.
-func (ws *WarmStart) Valid() bool { return ws.valid }
-
-// record captures the solver's final state after a cold solve.
-//
-//hetvet:coldpath runs only after a cold solve, and its makes only on first growth; certified hits never reach it
-func (ws *WarmStart) record(s *Solver, out []int, n int) {
-	if cap(ws.assign) < n {
-		ws.assign = make([]int, n)
-		ws.inv = make([]int, n)
-		ws.v = make([]float64, n)
-	}
-	ws.assign = ws.assign[:n]
-	ws.inv = ws.inv[:n]
-	ws.v = ws.v[:n]
-	copy(ws.assign, out[:n])
-	for i, j := range ws.assign {
-		ws.inv[j] = i
-	}
-	for j := 0; j < n; j++ {
-		ws.v[j] = s.v[j+1]
-	}
-	ws.n = n
-	ws.valid = true
-}
-
-// SolveMinWarm is SolveMinInto with a warm start: when ws certifies the
-// previous assignment as the unique optimum of cost, that assignment is
-// returned without running the O(n³) core. On a miss the cold core runs
-// and ws is refreshed. The returned boolean reports a certified hit.
-// Results are byte-identical to SolveMinInto either way.
-//
-//hetvet:hotpath the warm-started LAP solve (see BenchmarkSolveMinWarm)
-func (s *Solver) SolveMinWarm(out []int, cost []float64, n int, ws *WarmStart) (float64, bool, error) {
-	if err := checkFlat(cost, n); err != nil {
-		return 0, false, err
-	}
-	if len(out) != n {
-		return 0, false, fmt.Errorf("assignment: out has length %d, want %d", len(out), n)
-	}
-	s.grow(n)
-	if total, ok := s.certify(out, cost, n, ws); ok {
-		ws.Hits++
-		return total, true, nil
-	}
-	total, err := s.solveMinFlat(out, cost, n)
-	if err != nil {
-		return 0, false, err
-	}
-	ws.Misses++
-	ws.record(s, out, n)
-	return total, false, nil
-}
-
-// SolveMaxWarm is SolveMaxInto with a warm start; ws operates on the
-// internally negated matrix, so a ws used here must not be shared with
-// SolveMinWarm calls.
-//
-//hetvet:hotpath the warm-started max-LAP solve (see BenchmarkSolveMaxWarm)
-func (s *Solver) SolveMaxWarm(out []int, cost []float64, n int, ws *WarmStart) (float64, bool, error) {
-	if err := checkFlat(cost, n); err != nil {
-		return 0, false, err
-	}
-	if len(out) != n {
-		return 0, false, fmt.Errorf("assignment: out has length %d, want %d", len(out), n)
-	}
-	s.grow(n)
-	s.negate(cost, n)
-	if total, ok := s.certify(out, s.neg, n, ws); ok {
-		ws.Hits++
-		return -total, true, nil
-	}
-	total, err := s.solveMinFlat(out, s.neg, n)
-	if err != nil {
-		return 0, false, err
-	}
-	ws.Misses++
-	ws.record(s, out, n)
-	return -total, false, nil
-}
-
-// warmTightEps is the relative tolerance under which a reduced cost
-// counts as tight (part of the candidate optimal support) during warm
-// certification. It sits ~4 orders of magnitude above the float noise
-// the O(n³) core can accumulate in its duals (≲1e-13 relative) and ~5
-// below the cost gaps of real matrices, so the dead band between
-// "tight" and "provably excluded" is practically never populated.
-const warmTightEps = 1e-9
-
-// certify attempts the O(n²) warm fast path: it proves (or fails to
-// prove) that ws.assign is the assignment the cold solver would return
-// for the flat matrix. The proof is standard LP duality made robust to
-// float noise by a two-threshold margin argument. Keeping the previous
-// column potentials v and re-deriving row potentials u[i] = min_j
-// (cost[i][j] − v[j]) yields feasible duals; the reduced costs r(i,j) =
-// cost[i][j] − u[i] − v[j] ≥ 0 are computed exactly as written. One
-// global tight tolerance t (warmTightEps × the largest finite reduced
-// magnitude anywhere) and separation threshold (2n+4)·t classify every
-// edge:
-//
-//   - r < t: the edge is in the candidate support Z;
-//   - r ≥ (2n+4)·t: the edge provably belongs to no near-optimal
-//     assignment — any assignment using it costs at least (2n+4)·t
-//     above the dual bound, while an assignment inside Z costs at most
-//     n·t above it, a gap far exceeding the solver's float error;
-//   - in between: ambiguous — certification fails and the cold core
-//     runs (the dead band is empty for realistic matrices).
-//
-// The tolerance is deliberately global, not per-row: the separation
-// argument compares one excluded edge in some row against the summed
-// slack of tight edges across all rows, so every row must share the
-// same t. (Per-row tolerances are unsound — a single scale-inflated
-// row, e.g. from huge potentials left by Forbidden masking, would
-// silently void the other rows' separation guarantees.) A pathological
-// global scale just floods Z with ties until the edge cap bails cold.
-//
-// If every assigned edge is in Z and the matching is the unique perfect
-// matching of Z (no alternating cycle), every assignment the cold
-// solver could possibly return is ws.assign — so it is served directly.
-// On success the total is accumulated in the cold solver's column order
-// so even the float sum is bit-identical (FuzzWarmStartEquivalence and
-// the comm/sched property tests pin all of this).
-func (s *Solver) certify(out []int, cost []float64, n int, ws *WarmStart) (float64, bool) {
-	if !ws.valid || ws.n != n || n == 0 {
-		return 0, false
-	}
-	v := ws.v
-	// Pass 1: row minima of t_j = cost − v and the global scale. Entries
-	// at Forbidden magnitude are excluded from the scale — they would
-	// inflate the tolerance into meaninglessness and can never be part
-	// of an optimal support anyway.
-	scale := 1.0
-	for i := 0; i < n; i++ {
-		row := cost[i*n:]
-		min := math.Inf(1)
-		for j := 0; j < n; j++ {
-			t := row[j] - v[j]
-			if t < min {
-				min = t
-			}
-			if a := math.Abs(t); a > scale && a < Forbidden/4 {
-				scale = a
-			}
-		}
-		if min >= Forbidden/4 {
-			return 0, false // row is entirely forbidden; let the core report it
-		}
-		if a := math.Abs(min); a > scale {
-			scale = a
-		}
-		s.rowMin[i] = min
-	}
-	tight := warmTightEps * scale
-	sep := float64(2*n+4) * tight
-	// Pass 2: classify every edge against the global thresholds.
-	ambiguous := false
-	for i := 0; i < n; i++ {
-		row := cost[i*n:]
-		min := s.rowMin[i]
-		cnt := 0
-		for j := 0; j < n; j++ {
-			r := (row[j] - v[j]) - min
-			if r < tight {
-				cnt++
-			} else if r < sep {
-				return 0, false // dead band: cannot separate, solve cold
-			}
-		}
-		// Complementary slackness: the assigned edge must be tight, or
-		// the old assignment is no longer (provably) optimal.
-		if (row[ws.assign[i]]-v[ws.assign[i]])-min >= tight {
-			return 0, false
-		}
-		s.zeroCnt[i] = cnt
-		if cnt > 1 {
-			ambiguous = true
-		}
-	}
-	if ambiguous && !s.uniqueMatching(cost, n, tight, ws) {
-		return 0, false
-	}
-	// Certified: ws.assign is the unique optimum. Reproduce the cold
-	// solver's output and its exact summation order (ascending column).
-	total := 0.0
-	for j := 0; j < n; j++ {
-		total += cost[ws.inv[j]*n+j]
-	}
-	if total >= Forbidden {
-		// The cold solver reports forbidden-edge optima as errors; let
-		// it produce that error rather than serving the assignment.
-		return 0, false
-	}
-	copy(out, ws.assign[:n])
-	return total, true
-}
-
-// uniqueMatching reports whether ws.assign is the unique perfect
-// matching of the tight (candidate-support) subgraph Z computed by
-// certify. A perfect matching M is unique iff the graph has no
-// M-alternating cycle; contracting matched edges turns alternating
-// cycles into directed cycles on row nodes, where each extra
-// (unmatched) tight edge (i, j) contributes the arc rowOf(j) → i. The
-// check walks that digraph iteratively. Edge collection is capped at
-// warmZeroCap to bound the scratch; denser tie structures fall back to
-// the cold solver.
-func (s *Solver) uniqueMatching(cost []float64, n int, tight float64, ws *WarmStart) bool {
-	capEdges := warmZeroCap(n)
-	edges := 0
-	for i := 0; i < n; i++ {
-		s.adjHead[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if s.zeroCnt[i] == 1 {
-			continue
-		}
-		row := cost[i*n:]
-		min := s.rowMin[i]
-		for j := 0; j < n; j++ {
-			if j == ws.assign[i] || (row[j]-ws.v[j])-min >= tight {
-				continue
-			}
-			if edges == capEdges {
-				return false
-			}
-			from := ws.inv[j]
-			s.adjTo[edges] = i
-			s.adjNext[edges] = s.adjHead[from]
-			s.adjHead[from] = edges
-			edges++
-		}
-	}
-	if edges == 0 {
-		return true
-	}
-	// Iterative three-color DFS for a directed cycle.
-	color := s.color
-	for i := 0; i < n; i++ {
-		color[i] = 0
-	}
-	for start := 0; start < n; start++ {
-		if color[start] != 0 {
-			continue
-		}
-		top := 0
-		s.stack[top] = start
-		color[start] = 1
-		for top >= 0 {
-			node := s.stack[top]
-			advanced := false
-			for e := s.adjHead[node]; e >= 0; e = s.adjNext[e] {
-				next := s.adjTo[e]
-				if color[next] == 1 {
-					return false // back edge: alternating cycle
-				}
-				if color[next] == 0 {
-					color[next] = 1
-					top++
-					s.stack[top] = next
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				color[node] = 2
-				// Detach visited edges so re-entering the node from the
-				// stack does not rescan finished children.
-				s.adjHead[node] = -1
-				top--
-			}
-		}
-	}
-	return true
 }

@@ -9,13 +9,9 @@ import (
 	"hetsched/internal/netmodel"
 )
 
-// TestRepeatedScratchZeroAlloc is the end-to-end half of the
-// zero-alloc acceptance criterion: a steady-state repeated exchange at
-// P = 50 — source snapshot, model build, cache recognition, schedule
-// render, result assembly — must not touch the heap. The sched- and
-// incremental-level tests localize a failure here to their layer; this
-// test is the one that guards the composed hot path users actually
-// call.
+// TestRepeatedScratchZeroAlloc pins the unchanged repeated round at
+// P = 50 — source snapshot, model build, memo recognition, result
+// assembly — to zero heap allocations.
 func TestRepeatedScratchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		// -race instrumentation changes escape analysis; allocation
@@ -50,8 +46,7 @@ func TestRepeatedScratchZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state AllToAllRepeatedScratch at P=%d: %v allocs/op, want 0 — "+
-			"the warm replan hot path regressed; check PlanScratch buffer reuse, "+
-			"telemetry closure gating, and the Equal short circuits", n, allocs)
+		t.Fatalf("unchanged AllToAllRepeatedScratch at P=%d: %v allocs/op, want 0 — "+
+			"check PlanScratch buffer reuse and the Equal short circuits", n, allocs)
 	}
 }

@@ -11,20 +11,17 @@ import (
 	"hetsched/internal/sched"
 )
 
-// The planning micro-benchmarks (EXPERIMENTS.md X14): a cold
-// from-scratch plan, the steady-state warm replan that the zero-alloc
-// tests pin, and replanning over a drifting network where incremental
-// repairs and recomputes mix. Run with
+// The planning micro-benchmarks (EXPERIMENTS.md X14): a cold open-shop
+// plan, the unchanged repeated round that the zero-alloc test pins, and
+// repeated rounds over a drifting network, each of which plans cold.
+// Run with
 //
-//	go test -bench 'ColdPlan|WarmReplan|RepairDrift' -benchmem ./internal/comm/
+//	go test -bench 'ColdPlan|WarmReplan|RepeatedDrift' -benchmem ./internal/comm/
 //
-// b.ReportAllocs on the warm path makes any allocation regression
-// visible in ordinary benchmark output, not just in the alloc tests.
+// b.ReportAllocs on the unchanged round makes any allocation regression
+// visible in ordinary benchmark output, not just in the alloc test.
 
 // benchPerf builds a deterministic asymmetric performance table.
-// Asymmetric tables are tie-free, which keeps the warm-start
-// certificate on its hit path (symmetric tables hold exactly tied
-// matchings the certificate refuses to predict).
 func benchPerf(p int) *netmodel.Perf {
 	rng := rand.New(rand.NewSource(int64(p) * 9176))
 	cfg := netmodel.GustoGuided()
@@ -44,8 +41,8 @@ func benchComm(b *testing.B, p int, src func() (*netmodel.Perf, error)) *Communi
 
 var benchPs = []int{8, 16, 50}
 
-// BenchmarkColdPlan measures a from-scratch matching decomposition —
-// the cost a repeated exchange pays on a cache miss.
+// BenchmarkColdPlan measures a cold open-shop plan — the cost a
+// repeated exchange pays on a round whose matrix changed.
 func BenchmarkColdPlan(b *testing.B) {
 	for _, p := range benchPs {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
@@ -57,7 +54,7 @@ func BenchmarkColdPlan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (sched.MaxMatching{}).Schedule(m); err != nil {
+				if _, err := sched.NewOpenShop().Schedule(m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,9 +62,9 @@ func BenchmarkColdPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmReplan measures the steady-state repeated exchange
-// through AllToAllRepeatedScratch — snapshot, model rebuild, cache
-// recognition, render. This is the path TestRepeatedScratchZeroAlloc
+// BenchmarkWarmReplan measures the unchanged repeated round through
+// AllToAllRepeatedScratch — snapshot, model rebuild, memo recognition,
+// result assembly. This is the path TestRepeatedScratchZeroAlloc
 // requires to be allocation-free.
 func BenchmarkWarmReplan(b *testing.B) {
 	for _, p := range benchPs {
@@ -90,11 +87,11 @@ func BenchmarkWarmReplan(b *testing.B) {
 	}
 }
 
-// BenchmarkRepairDrift measures repeated exchanges over a drifting
-// network: consecutive tables differ on about p/4 pairs, so most
-// rounds take the incremental-repair path with the cycle's wrap-around
-// transition forcing the occasional recompute.
-func BenchmarkRepairDrift(b *testing.B) {
+// BenchmarkRepeatedDrift measures repeated exchanges over a drifting
+// network: consecutive tables differ on about p/4 pairs, so every round
+// misses the memo and plans cold, paying the model build, the matrix
+// comparison and the memo install on top of BenchmarkColdPlan.
+func BenchmarkRepeatedDrift(b *testing.B) {
 	for _, p := range benchPs {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(p) * 9176))

@@ -3,19 +3,15 @@
 // application level" (Section 1). A Communicator owns a source of
 // network performance (a directory snapshotting function), plans
 // collective operations on demand, and — for the sensor-style
-// applications of Section 6.2 that repeat the same exchange — reuses
-// and incrementally repairs previous schedules instead of recomputing
-// them, falling back to a full recomputation when the network has
-// drifted too far.
+// applications of Section 6.2 that repeat the same exchange — re-serves
+// the previous plan while the network has not moved, planning again
+// only when it has.
 package comm
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hetsched/internal/calib"
@@ -23,7 +19,6 @@ import (
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 	"hetsched/internal/sched"
-	"hetsched/internal/timing"
 )
 
 // Source supplies current network performance — typically
@@ -47,18 +42,9 @@ func StaticSource(perf *netmodel.Perf) Source {
 
 // Config tunes a Communicator.
 type Config struct {
-	// Scheduler plans total exchanges; nil selects open shop.
+	// Scheduler plans total exchanges, repeated ones included; nil
+	// selects open shop.
 	Scheduler sched.Scheduler
-	// RepairScheduler plans the step schedules used for incremental
-	// repair; nil selects max matching.
-	RepairScheduler sched.Scheduler
-	// RepairThreshold is the relative per-pair cost change that marks
-	// a step dirty during repair; 0 selects 0.1.
-	RepairThreshold float64
-	// RecomputeFraction: when more than this fraction of the repair
-	// schedule's steps are dirty, repairing saves nothing — recompute
-	// from scratch instead. 0 selects 0.5.
-	RecomputeFraction float64
 	// StaleBound is the fallback ladder's staleness budget: when the
 	// source fails, a cached snapshot no older than this is used before
 	// falling all the way to the uniform baseline. 0 selects
@@ -71,7 +57,7 @@ type Config struct {
 	// time.Now. Tests inject a fake clock here.
 	Clock func() time.Time
 	// Metrics registers the communicator's planning and fallback-ladder
-	// instruments (plans/repairs/recomputes, per-rung serve counters,
+	// instruments (plans, per-rung serve counters,
 	// rung transitions, plan-time and per-algorithm schedule-quality
 	// histograms) in this registry. Nil disables metrics: every hook
 	// degrades to a nil-pointer no-op.
@@ -103,9 +89,9 @@ type Config struct {
 // every field is mirrored into the registry (hetsched_comm_*_total and
 // hetsched_ladder_served_total) so the same numbers appear on /metrics.
 type Stats struct {
-	Plans      int // schedules computed from scratch
-	Repairs    int // schedules produced by incremental repair
-	Recomputes int // repairs abandoned for a full recompute
+	// Plans counts schedules computed; a repeated exchange re-served
+	// from the memo computes none.
+	Plans int
 
 	// Fallback-ladder counters: which rung served each exchange.
 	ServedFresh    int // planned from a live snapshot
@@ -120,8 +106,8 @@ type Stats struct {
 }
 
 // Communicator plans network-aware collective communication. It is
-// safe for concurrent use: the mutex guards the repeated-exchange
-// cache and the counters, while planning itself runs outside the lock
+// safe for concurrent use: the mutex guards the repeated-exchange memo
+// and the counters, while planning itself runs outside the lock
 // (schedulers are concurrent-safe by the sched.Scheduler contract).
 type Communicator struct {
 	n      int
@@ -129,25 +115,9 @@ type Communicator struct {
 	cfg    Config
 	tel    commTelemetry
 
-	// repairName is RepairScheduler.Name()+"+repair", precomputed so
-	// serving a repaired schedule does not build a string per call.
-	repairName string
-	// scratch pools PlanScratch values for AllToAllRepeated, whose
-	// callers receive heap-owned results and so cannot hold a scratch
-	// across calls themselves. Pooling is what lets concurrent repeated
-	// calls keep warm planner state without serializing on one scratch.
-	scratch sync.Pool
-
-	mu sync.Mutex // guards the fields below
-	// cached state for AllToAllRepeated. planGen is bumped by
-	// Invalidate; a plan or repair may only install (or serve a repair
-	// of) cached state whose generation it observed, so a repair racing
-	// an Invalidate can never serve a schedule descended from the
-	// just-dropped plan.
-	planGen    uint64
-	lastMatrix *model.Matrix
-	lastSteps  *timing.StepSchedule
-	stats      Stats
+	mu    sync.Mutex // guards the fields below
+	memo  *memoEntry // the repeated-exchange memo; nil until the first plan
+	stats Stats
 	// fallback-ladder state
 	lastPerf   *netmodel.Perf // last table the source served successfully
 	lastPerfAt time.Time
@@ -165,21 +135,6 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = sched.NewOpenShop()
 	}
-	if cfg.RepairScheduler == nil {
-		cfg.RepairScheduler = sched.MaxMatching{}
-	}
-	if cfg.RepairThreshold == 0 {
-		cfg.RepairThreshold = 0.1
-	}
-	if cfg.RepairThreshold < 0 {
-		return nil, fmt.Errorf("comm: negative repair threshold")
-	}
-	if cfg.RecomputeFraction == 0 {
-		cfg.RecomputeFraction = 0.5
-	}
-	if cfg.RecomputeFraction < 0 || cfg.RecomputeFraction > 1 {
-		return nil, fmt.Errorf("comm: recompute fraction %g outside [0,1]", cfg.RecomputeFraction)
-	}
 	if cfg.StaleBound == 0 {
 		cfg.StaleBound = DefaultStaleBound
 	}
@@ -196,11 +151,7 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 	if cfg.CalibSink != nil && cfg.Calibrator == nil {
 		return nil, fmt.Errorf("comm: calibration sink set without a calibrator to drain")
 	}
-	c := &Communicator{n: n, source: source, cfg: cfg,
-		tel:        newCommTelemetry(cfg.Metrics),
-		repairName: cfg.RepairScheduler.Name() + "+repair"}
-	c.scratch.New = func() any { return new(PlanScratch) }
-	return c, nil
+	return &Communicator{n: n, source: source, cfg: cfg, tel: newCommTelemetry(cfg.Metrics)}, nil
 }
 
 // N returns the number of processors the communicator plans for.
@@ -263,14 +214,14 @@ func (c *Communicator) ladderTable(sizes *model.Sizes) (*netmodel.Perf, Health, 
 	return uniformPerf(c.n), HealthDegraded, nil
 }
 
-// snapshotMatrix builds the cost matrix from the ladder's table.
-func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health, error) {
+// snapshotMatrix builds the cost matrix from the ladder's table into
+// dst and returns dst.
+func (c *Communicator) snapshotMatrix(sizes *model.Sizes, dst *model.Matrix) (*model.Matrix, Health, error) {
 	perf, h, err := c.ladderTable(sizes)
 	if err != nil {
 		return nil, h, err
 	}
-	m, err := model.Build(perf, sizes)
-	return m, h, err
+	return dst, h, model.BuildInto(dst, perf, sizes)
 }
 
 // noteServed records the rung that served an exchange — in the stats,
@@ -353,10 +304,21 @@ func (c *Communicator) AllToAllHealth(sizes *model.Sizes) (*sched.Result, Health
 // recorded as a span on that request's tree, and flight-recorder
 // events are tagged with its trace ID.
 func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes) (*sched.Result, Health, error) {
-	m, h, err := c.snapshotMatrix(sizes)
+	m, h, err := c.snapshotMatrix(sizes, new(model.Matrix))
 	if err != nil {
 		return nil, h, err
 	}
+	r, err := c.schedule(ctx, m, h, "oneshot")
+	if err != nil {
+		return nil, h, err
+	}
+	c.noteServed(ctx, h)
+	return tagResult(r, h), h, nil
+}
+
+// schedule plans m with the rung's scheduler — the configured one, or
+// the blind baseline on the degraded rung — and counts the plan.
+func (c *Communicator) schedule(ctx context.Context, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
 	scheduler := c.cfg.Scheduler
 	if h == HealthDegraded {
 		scheduler = c.cfg.BaselineScheduler
@@ -365,133 +327,7 @@ func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes
 	c.stats.Plans++
 	c.mu.Unlock()
 	c.tel.plans.Inc()
-	r, err := c.timedSchedule(ctx, scheduler, m, "oneshot")
-	if err != nil {
-		return nil, h, err
-	}
-	c.noteServed(ctx, h)
-	return tagResult(r, h), h, nil
-}
-
-// AllToAllBatch plans one total exchange per size vector concurrently
-// on up to workers goroutines (0 = GOMAXPROCS, 1 = sequential). Each
-// exchange takes its own directory snapshot and is planned
-// independently with the configured scheduler — the batch analogue of
-// calling AllToAll once per entry, for servers that plan many
-// concurrent collectives per tick. Results are returned in input
-// order; on failure the lowest-index error is reported, matching the
-// sequential loop.
-func (c *Communicator) AllToAllBatch(sizes []*model.Sizes, workers int) ([]*sched.Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sizes) {
-		workers = len(sizes)
-	}
-	out := make([]*sched.Result, len(sizes))
-	if len(sizes) == 0 {
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		errIdx   = len(sizes)
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(sizes) {
-					return
-				}
-				r, err := c.AllToAll(sizes[i])
-				if err != nil {
-					errMu.Lock()
-					if i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					errMu.Unlock()
-					continue
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// AllToAllRepeated plans a total exchange for a workload that repeats:
-// the first call computes a step decomposition; later calls query the
-// directory and repair only the steps whose event costs drifted past
-// the threshold, recomputing from scratch when most steps are dirty.
-// The returned result always reflects current network conditions.
-//
-// Planning and repair run outside the cache mutex (schedulers and
-// incremental.Refine never mutate their inputs), so concurrent
-// repeated calls plan in parallel; each install is atomic and
-// generation-checked, so a repair that raced an Invalidate is
-// discarded — never served, never cached — and the call replans from
-// scratch instead.
-func (c *Communicator) AllToAllRepeated(sizes *model.Sizes) (*sched.Result, error) {
-	// The heavy lifting happens in the scratch core on a pooled
-	// PlanScratch, which carries warm solver state and reusable buffers
-	// between calls. The result is detached from scratch memory before
-	// the scratch returns to the pool; the cached steps it may share
-	// with the communicator are never mutated, so handing them to the
-	// caller is safe.
-	sc := c.scratch.Get().(*PlanScratch)
-	r, err := c.AllToAllRepeatedScratch(sizes, sc)
-	if err != nil {
-		c.scratch.Put(sc)
-		return nil, err
-	}
-	out := &sched.Result{
-		Algorithm:  r.Algorithm,
-		Steps:      r.Steps,
-		Schedule:   r.Schedule,
-		LowerBound: r.LowerBound,
-	}
-	if out.Schedule == &sc.schedule {
-		out.Schedule = out.Schedule.Clone()
-	}
-	c.scratch.Put(sc)
-	return out, nil
-}
-
-// installRepaired publishes a repaired schedule into the cache iff the
-// plan generation is still the one the repair was computed under. It
-// reports whether the install happened; on false the repair must not
-// be served.
-func (c *Communicator) installRepaired(gen uint64, m *model.Matrix, repaired *timing.StepSchedule) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.planGen != gen {
-		return false
-	}
-	c.stats.Repairs++
-	c.lastMatrix = m
-	c.lastSteps = repaired
-	return true
-}
-
-// Invalidate drops the cached schedule so the next repeated call
-// replans from scratch. Bumping the plan generation also dooms any
-// repair in flight: its generation-checked install will fail and the
-// caller will replan instead of serving the invalidated lineage.
-func (c *Communicator) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.planGen++
-	c.lastMatrix = nil
-	c.lastSteps = nil
+	return c.timedSchedule(ctx, scheduler, m, kind)
 }
 
 // Quality returns a result's completion relative to its lower bound
@@ -501,39 +337,4 @@ func (c *Communicator) Quality(r *sched.Result) float64 {
 		return 1
 	}
 	return r.CompletionTime() / r.LowerBound
-}
-
-// Drifted reports the largest relative per-pair cost change between
-// the cached matrix and a fresh snapshot built with the same sizes; it
-// returns 0 when nothing is cached. Applications can use it to decide
-// when to Invalidate.
-func (c *Communicator) Drifted(sizes *model.Sizes) (float64, error) {
-	c.mu.Lock()
-	last := c.lastMatrix // matrices are never mutated once cached
-	c.mu.Unlock()
-	if last == nil {
-		return 0, nil
-	}
-	// Drift is measured against whatever rung the ladder serves; a
-	// degraded (uniform) matrix legitimately reads as heavy drift.
-	m, _, err := c.snapshotMatrix(sizes)
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for i := 0; i < c.n; i++ {
-		for j := 0; j < c.n; j++ {
-			if i == j {
-				continue
-			}
-			old := last.At(i, j)
-			if old == 0 {
-				continue
-			}
-			if rel := math.Abs(m.At(i, j)-old) / old; rel > worst {
-				worst = rel
-			}
-		}
-	}
-	return worst, nil
 }

@@ -3,14 +3,12 @@ package comm
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
 	"hetsched/internal/calib"
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
-	"hetsched/internal/sched"
 )
 
 func newComm(t *testing.T, perf *netmodel.Perf, cfg Config) *Communicator {
@@ -29,11 +27,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(5, nil, Config{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := New(5, StaticSource(netmodel.Gusto()), Config{RepairThreshold: -1}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := New(5, StaticSource(netmodel.Gusto()), Config{RecomputeFraction: 2}); err == nil {
-		t.Error("fraction > 1 accepted")
+	sink := func([]calib.Update) error { return nil }
+	if _, err := New(5, StaticSource(netmodel.Gusto()), Config{CalibSink: sink}); err == nil {
+		t.Error("calibration sink without a calibrator accepted")
 	}
 }
 
@@ -99,189 +95,9 @@ func TestAllToAllSourceShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestRepeatedStableNetworkRepairsCheaply(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{})
-	sizes := model.UniformSizes(5, 1<<20)
-	first, err := c.AllToAllRepeated(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Algorithm != "maxmatch" {
-		t.Errorf("first plan should be the repair scheduler, got %q", first.Algorithm)
-	}
-	for k := 0; k < 3; k++ {
-		r, err := c.AllToAllRepeated(sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Algorithm != "maxmatch+repair" {
-			t.Errorf("call %d: algorithm %q", k, r.Algorithm)
-		}
-		if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
-			t.Fatalf("call %d: %v", k, err)
-		}
-		if r.CompletionTime() != first.CompletionTime() {
-			t.Errorf("stable network changed the schedule: %g vs %g", r.CompletionTime(), first.CompletionTime())
-		}
-	}
-	st := c.Stats()
-	if st.Plans != 1 || st.Repairs != 3 || st.Recomputes != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestRepeatedDriftTriggersRepairThenRecompute(t *testing.T) {
-	perf := netmodel.Gusto()
-	cur := perf.Clone()
-	c, err := New(5, func() (*netmodel.Perf, error) { return cur.Clone(), nil }, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
-		t.Fatal(err)
-	}
-	// Small drift: one link slows 3× — repair.
-	pp := cur.At(0, 1)
-	pp.Bandwidth /= 3
-	cur.Set(0, 1, pp)
-	r, err := c.AllToAllRepeated(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Algorithm != "maxmatch+repair" {
-		t.Errorf("small drift should repair, got %q", r.Algorithm)
-	}
-	if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Massive drift: everything slows — recompute.
-	cur = cur.Scale(0.1)
-	r, err = c.AllToAllRepeated(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Algorithm != "maxmatch" {
-		t.Errorf("large drift should recompute, got %q", r.Algorithm)
-	}
-	st := c.Stats()
-	if st.Repairs != 1 || st.Recomputes != 1 || st.Plans != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{})
-	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate()
-	r, err := c.AllToAllRepeated(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Algorithm != "maxmatch" {
-		t.Error("Invalidate should force a fresh plan")
-	}
-}
-
-func TestDrifted(t *testing.T) {
-	perf := netmodel.Gusto()
-	cur := perf.Clone()
-	c, err := New(5, func() (*netmodel.Perf, error) { return cur.Clone(), nil }, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := model.UniformSizes(5, 1<<20)
-	d, err := c.Drifted(sizes)
-	if err != nil || d != 0 {
-		t.Errorf("no cache should report drift 0: %g, %v", d, err)
-	}
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
-		t.Fatal(err)
-	}
-	d, err = c.Drifted(sizes)
-	if err != nil || d > 1e-12 {
-		t.Errorf("stable network drift = %g", d)
-	}
-	pp := cur.At(0, 1)
-	pp.Bandwidth /= 2
-	cur.Set(0, 1, pp)
-	d, err = c.Drifted(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 0.5 {
-		t.Errorf("halved bandwidth should drift the cost ~2×, got %g", d)
-	}
-}
-
-func TestRepeatedRejectsStepLessRepairScheduler(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{RepairScheduler: sched.NewOpenShop()})
-	if _, err := c.AllToAllRepeated(model.UniformSizes(5, 1<<20)); err == nil {
-		t.Error("openshop has no step structure; repair planning should fail loudly")
-	}
-}
-
-func TestAllToAllBatch(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{})
-	var sizes []*model.Sizes
-	for k := 0; k < 9; k++ {
-		sizes = append(sizes, model.UniformSizes(5, int64(1)<<(10+k)))
-	}
-	rs, err := c.AllToAllBatch(sizes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(sizes) {
-		t.Fatalf("%d results for %d size vectors", len(rs), len(sizes))
-	}
-	// Batch planning must match one-at-a-time planning entry for entry.
-	ref := newComm(t, netmodel.Gusto(), Config{})
-	for k, s := range sizes {
-		want, err := ref.AllToAll(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs[k] == nil {
-			t.Fatalf("entry %d missing", k)
-		}
-		if rs[k].CompletionTime() != want.CompletionTime() {
-			t.Errorf("entry %d: batch %g, sequential %g", k, rs[k].CompletionTime(), want.CompletionTime())
-		}
-		if err := rs[k].Schedule.ValidateTotalExchange(nil); err != nil {
-			t.Errorf("entry %d: %v", k, err)
-		}
-	}
-	if st := c.Stats(); st.Plans != len(sizes) {
-		t.Errorf("stats = %+v, want %d plans", st, len(sizes))
-	}
-}
-
-func TestAllToAllBatchEmptyAndErrors(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{})
-	rs, err := c.AllToAllBatch(nil, 0)
-	if err != nil || len(rs) != 0 {
-		t.Errorf("empty batch: %v, %v", rs, err)
-	}
-	// The lowest-index failure is reported, like a sequential loop.
-	sizes := []*model.Sizes{
-		model.UniformSizes(5, 1),
-		model.UniformSizes(3, 1), // wrong N — fails
-		model.UniformSizes(5, 1),
-		model.UniformSizes(4, 1), // wrong N — fails later
-	}
-	if _, err := c.AllToAllBatch(sizes, 4); err == nil {
-		t.Error("mismatched batch entry accepted")
-	} else if !strings.Contains(err.Error(), "sizes are for 3 processors") {
-		t.Errorf("want the index-1 error first, got: %v", err)
-	}
-}
-
 func TestCommConcurrentUse(t *testing.T) {
-	// Race soak (run under -race): one-shot, batch, repeated, and
-	// stats calls from many goroutines against one communicator.
+	// Race soak (run under -race): one-shot, repeated, and stats calls
+	// from many goroutines against one communicator.
 	c := newComm(t, netmodel.Gusto(), Config{})
 	sizes := model.UniformSizes(5, 1<<20)
 	var wg sync.WaitGroup
@@ -298,28 +114,19 @@ func TestCommConcurrentUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.AllToAllBatch([]*model.Sizes{sizes, sizes}, 2); err != nil {
-					t.Error(err)
-					return
-				}
 				_ = c.Stats()
-				if _, err := c.Drifted(sizes); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}()
 	}
 	wg.Wait()
-	st := c.Stats()
-	if got := st.Plans + st.Repairs + st.Recomputes; got < 4*5 {
+	if st := c.Stats(); st.Plans < 4*5 || st.ServedFresh != 2*4*5 {
 		t.Errorf("implausible stats %+v", st)
 	}
 }
 
 func TestCommUnderRandomDrift(t *testing.T) {
-	// Soak: repeated exchanges against a drifting network stay valid
-	// and track the moving lower bound within the matching quality band.
+	// Soak: repeated exchanges against a drifting network stay valid,
+	// plan every drifted round, and stay inside Theorem 3's bound.
 	rng := rand.New(rand.NewSource(7))
 	base := netmodel.RandomPerf(rng, 8, netmodel.GustoGuided())
 	walker := netmodel.NewWalker(rng, base, netmodel.Drift{RelStep: 0.15, MinFactor: 0.3, MaxFactor: 3})
@@ -334,16 +141,17 @@ func TestCommUnderRandomDrift(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 		if q := c.Quality(r); q > 2.0 {
-			t.Fatalf("round %d: quality %g collapsed", round, q)
+			t.Fatalf("round %d: quality %g exceeds Theorem 3", round, q)
 		}
 		cur = walker.Step()
 	}
-	st := c.Stats()
-	if st.Plans+st.Repairs < 12 {
-		t.Errorf("stats don't add up: %+v", st)
+	if st := c.Stats(); st.Plans != 12 {
+		t.Errorf("12 drifted rounds planned %d times: %+v", st.Plans, st)
 	}
-	t.Logf("drift soak stats: %+v", st)
 }
 
 // TestSourceTableIsReadOnly pins the communicator's half of the Source
@@ -358,21 +166,7 @@ func TestSourceTableIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Teach the calibrator that 0→1 runs at a third of the table's rate,
-	// until it trusts the estimate enough to overlay it.
-	slow := table.At(0, 1)
-	slow.Bandwidth /= 3
-	for batch := 0; batch < 64 && !cal.Pair(0, 1).Trusted; batch++ {
-		var samples []calib.Sample
-		for _, size := range []int64{1 << 14, 1 << 17, 1 << 20} {
-			samples = append(samples, calib.Sample{Src: 0, Dst: 1, Bytes: size,
-				Seconds: slow.TransferTime(size), Outcome: calib.OutcomeDelivered})
-		}
-		cal.ObserveBatch(samples)
-	}
-	if !cal.Pair(0, 1).Trusted {
-		t.Fatal("calibrator never trusted the pair; the overlay path would go untested")
-	}
+	trustSlowPair(t, cal, table, 0, 1)
 	if overlaid := cal.Apply(table); overlaid == table {
 		t.Fatal("the overlay is a no-op; the copy-on-write path would go untested")
 	}
@@ -401,5 +195,24 @@ func TestSourceTableIsReadOnly(t *testing.T) {
 	}
 	if !table.Equal(pristine) {
 		t.Error("planning wrote to the table its source handed out")
+	}
+}
+
+// trustSlowPair teaches cal that src→dst runs at a third of table's
+// rate, until it trusts the estimate enough to overlay it.
+func trustSlowPair(t *testing.T, cal *calib.Calibrator, table *netmodel.Perf, src, dst int) {
+	t.Helper()
+	slow := table.At(src, dst)
+	slow.Bandwidth /= 3
+	for batch := 0; batch < 64 && !cal.Pair(src, dst).Trusted; batch++ {
+		var samples []calib.Sample
+		for _, size := range []int64{1 << 14, 1 << 17, 1 << 20} {
+			samples = append(samples, calib.Sample{Src: src, Dst: dst, Bytes: size,
+				Seconds: slow.TransferTime(size), Outcome: calib.OutcomeDelivered})
+		}
+		cal.ObserveBatch(samples)
+	}
+	if !cal.Pair(src, dst).Trusted {
+		t.Fatal("calibrator never trusted the pair; the overlay path would go untested")
 	}
 }

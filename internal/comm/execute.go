@@ -34,19 +34,11 @@ func (c *Communicator) Execute(tr exec.Transport, sizes *model.Sizes, ecfg exec.
 // tagged with the trace ID. The executor's Flight recorder also
 // defaults to the communicator's.
 func (c *Communicator) ExecuteCtx(ctx context.Context, tr exec.Transport, sizes *model.Sizes, ecfg exec.Config) (*exec.DeliveryReport, *sched.Result, error) {
-	m, h, err := c.snapshotMatrix(sizes)
+	m, h, err := c.snapshotMatrix(sizes, new(model.Matrix))
 	if err != nil {
 		return nil, nil, err
 	}
-	scheduler := c.cfg.Scheduler
-	if h == HealthDegraded {
-		scheduler = c.cfg.BaselineScheduler
-	}
-	c.mu.Lock()
-	c.stats.Plans++
-	c.mu.Unlock()
-	c.tel.plans.Inc()
-	r, err := c.timedSchedule(ctx, scheduler, m, "execute")
+	r, err := c.schedule(ctx, m, h, "execute")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,9 +21,9 @@ type commTelemetry struct {
 	enabled  bool
 	registry *obs.Registry
 
-	plans, repairs, recomputes *obs.Counter
-	served                     [3]*obs.Counter // indexed by Health
-	planSeconds                *obs.Histogram
+	plans       *obs.Counter
+	served      [3]*obs.Counter // indexed by Health
+	planSeconds *obs.Histogram
 }
 
 // newCommTelemetry resolves instruments; reg may be nil.
@@ -33,8 +33,6 @@ func newCommTelemetry(reg *obs.Registry) commTelemetry {
 		return t
 	}
 	t.plans = reg.Counter(obs.MetricCommPlans, "Schedules computed from scratch.")
-	t.repairs = reg.Counter(obs.MetricCommRepairs, "Schedules produced by incremental repair.")
-	t.recomputes = reg.Counter(obs.MetricCommRecomputes, "Repairs abandoned for a full recompute.")
 	for h := HealthOK; h <= HealthDegraded; h++ {
 		t.served[h] = reg.Counter(obs.MetricLadderServed,
 			"Exchanges served, by fallback-ladder rung.", obs.L("rung", rungLabel(h)))
@@ -94,30 +92,19 @@ func (t *commTelemetry) quality(algorithm string) *obs.Histogram {
 }
 
 // timedSchedule runs the scheduler with a plan span, the plan-time
-// histogram, and the per-algorithm quality sample. With telemetry
-// disabled it is exactly s.Schedule(m). ctx carries per-request trace
-// correlation (obs.ReqTrace); context.Background() means untraced.
-//
-//hetvet:coldpath the scratch path reaches it only on the degraded rung; cold scheduling allocates by design
-func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, kind string) (*sched.Result, error) {
-	return c.timedResult(ctx, kind, func() (*sched.Result, error) { return s.Schedule(m) })
-}
-
-// timedResult instruments an arbitrary plan computation (scratch plan,
-// degraded baseline, or incremental repair): it times the closure with
-// the injectable clock, records the plan-time sample and — when ctx
-// carries a request trace — a span on that request's tree, and
+// histogram, and the per-algorithm quality sample: it times the call
+// with the injectable clock, records the plan-time sample and — when
+// ctx carries a request trace — a span on that request's tree, and
 // observes the result's quality ratio under the result's (untagged)
-// algorithm name.
-//
-//hetvet:coldpath instrumented planning runs only with telemetry or request tracing enabled; the zero-alloc contract is for disabled telemetry
-func (c *Communicator) timedResult(ctx context.Context, kind string, plan func() (*sched.Result, error)) (*sched.Result, error) {
+// algorithm name. With telemetry disabled and no trace it is exactly
+// s.Schedule(m).
+func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, kind string) (*sched.Result, error) {
 	if !c.tel.enabled && obs.ReqTraceFrom(ctx) == nil {
-		return plan()
+		return s.Schedule(m)
 	}
 	_, rsp := obs.StartSpan(ctx, "comm", kind)
 	start := c.cfg.Clock()
-	r, err := plan()
+	r, err := s.Schedule(m)
 	elapsed := c.cfg.Clock().Sub(start)
 	c.tel.planSeconds.Observe(float64(elapsed) / float64(time.Second))
 	if err != nil {

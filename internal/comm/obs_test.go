@@ -105,10 +105,10 @@ func TestLadderMark(t *testing.T) {
 	}
 }
 
-// TestTelemetryMirrorsStats drives the repeated-exchange path through a
-// scratch plan, an incremental repair, and a forced recompute, and
-// checks the registry counters agree with the Stats struct — satellite
-// requirement: the same numbers must appear on /metrics.
+// TestTelemetryMirrorsStats drives the repeated-exchange path through
+// a first plan, an unchanged round re-served from the memo, and a
+// drifted round, and checks the registry counters agree with the Stats
+// struct — the same numbers must appear on /metrics.
 func TestTelemetryMirrorsStats(t *testing.T) {
 	reg := obs.New()
 	perf := netmodel.Gusto()
@@ -118,38 +118,22 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil { // scratch plan
-		t.Fatal(err)
-	}
-	if _, err := c.AllToAllRepeated(sizes); err != nil { // unchanged → cheap repair
-		t.Fatal(err)
-	}
-	// Crash every bandwidth so most steps go dirty and repair gives up.
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if i != j {
-				pp := perf.At(i, j)
-				pp.Bandwidth /= 100
-				perf.Set(i, j, pp)
-			}
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			pp := perf.At(0, 1)
+			pp.Bandwidth /= 100
+			perf.Set(0, 1, pp)
 		}
-	}
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
-		t.Fatal(err)
+		if _, err := c.AllToAllRepeated(sizes); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := c.Stats()
-	if st.Repairs == 0 || st.Recomputes == 0 {
-		t.Fatalf("test did not exercise both paths: %+v", st)
+	if st.Plans != 2 || st.ServedFresh != 3 {
+		t.Fatalf("test did not exercise a re-served round: %+v", st)
 	}
-	mirror := map[string]int{
-		obs.MetricCommPlans:      st.Plans,
-		obs.MetricCommRepairs:    st.Repairs,
-		obs.MetricCommRecomputes: st.Recomputes,
-	}
-	for name, want := range mirror {
-		if got := counterValue(reg, name); got != uint64(want) {
-			t.Errorf("%s = %d, stats say %d", name, got, want)
-		}
+	if got := counterValue(reg, obs.MetricCommPlans); got != uint64(st.Plans) {
+		t.Errorf("%s = %d, stats say %d", obs.MetricCommPlans, got, st.Plans)
 	}
 	if got := counterValue(reg, obs.MetricLadderServed, obs.L("rung", "fresh")); got != uint64(st.ServedFresh) {
 		t.Errorf("served{fresh} = %d, stats say %d", got, st.ServedFresh)

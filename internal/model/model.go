@@ -36,8 +36,6 @@ type Matrix struct {
 }
 
 // NewMatrix returns a zero P×P matrix.
-//
-//hetvet:coldpath constructor; warm paths build into preallocated matrices with BuildInto/Reset
 func NewMatrix(n int) *Matrix {
 	if n < 0 {
 		panic(fmt.Sprintf("model: negative size %d", n))
@@ -69,7 +67,7 @@ func (m *Matrix) Clone() *Matrix {
 
 // Equal reports whether two matrices have the same shape and identical
 // entries (by float64 equality; valid matrices contain no NaNs). The
-// replan fast path uses Equal to recognize an unchanged model, so
+// repeated-exchange memo uses Equal to recognize an unchanged model, so
 // "unsure" must read as "not equal".
 func (m *Matrix) Equal(o *Matrix) bool {
 	if o == nil || m.n != o.n {
@@ -95,11 +93,9 @@ func (m *Matrix) Reset(n int) {
 		m.c = make([]float64, n*n)
 	} else {
 		m.c = m.c[:n*n]
+		clear(m.c)
 	}
 	m.n = n
-	for k := range m.c {
-		m.c[k] = 0
-	}
 }
 
 // Validate checks that all entries are finite and non-negative and the
@@ -272,21 +268,8 @@ func (s *Sizes) TotalBytes() int64 {
 // diagonal. It returns an error when the shapes disagree or the
 // resulting matrix is invalid.
 func Build(perf *netmodel.Perf, sizes *Sizes) (*Matrix, error) {
-	if perf.N() != sizes.N() {
-		return nil, fmt.Errorf("model: performance table is %d×%d but sizes are %d×%d",
-			perf.N(), perf.N(), sizes.N(), sizes.N())
-	}
-	n := perf.N()
-	m := NewMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			m.Set(i, j, perf.TransferTime(i, j, sizes.At(i, j)))
-		}
-	}
-	if err := m.Validate(); err != nil {
+	m := new(Matrix)
+	if err := BuildInto(m, perf, sizes); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -294,8 +277,8 @@ func Build(perf *netmodel.Perf, sizes *Sizes) (*Matrix, error) {
 
 // BuildInto is Build with a caller-owned destination: dst is resized
 // and rebuilt in place, allocating only when its backing array must
-// grow. Output and errors are identical to Build; on error dst holds
-// the partially built (invalid) matrix and must not be used.
+// grow. On error dst holds the partially built (invalid) matrix and
+// must not be used.
 func BuildInto(dst *Matrix, perf *netmodel.Perf, sizes *Sizes) error {
 	if perf.N() != sizes.N() {
 		return fmt.Errorf("model: performance table is %d×%d but sizes are %d×%d",

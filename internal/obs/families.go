@@ -9,7 +9,6 @@ package obs
 //   - from, to:  ladder transition endpoints
 //   - algorithm: scheduler Name() that produced a schedule
 //   - op:        directory protocol operation ("query", "snapshot", ...)
-//   - kind:      exchange flavour ("oneshot", "repeated", "batch")
 const (
 	// Resilient directory client (internal/directory.ResilientClient).
 	MetricDirectoryRequests    = "hetsched_directory_requests_total"
@@ -27,10 +26,8 @@ const (
 	MetricLadderTransitions = "hetsched_ladder_transitions_total"
 
 	// Communicator planning (internal/comm).
-	MetricCommPlans      = "hetsched_comm_plans_total"
-	MetricCommRepairs    = "hetsched_comm_repairs_total"
-	MetricCommRecomputes = "hetsched_comm_recomputes_total"
-	MetricPlanSeconds    = "hetsched_plan_seconds"
+	MetricCommPlans   = "hetsched_comm_plans_total"
+	MetricPlanSeconds = "hetsched_plan_seconds"
 
 	// Schedule quality: t_max/t_lb per produced schedule, by algorithm.
 	MetricScheduleQuality = "hetsched_schedule_quality_ratio"
@@ -99,8 +96,6 @@ var standardFamilies = []struct {
 	{MetricLadderServed, "Exchanges served, by fallback-ladder rung.", TypeCounter, nil},
 	{MetricLadderTransitions, "Fallback-ladder rung changes, by from/to rung.", TypeCounter, nil},
 	{MetricCommPlans, "Schedules computed from scratch.", TypeCounter, nil},
-	{MetricCommRepairs, "Schedules produced by incremental repair.", TypeCounter, nil},
-	{MetricCommRecomputes, "Repairs abandoned for a full recompute.", TypeCounter, nil},
 	{MetricPlanSeconds, "Wall-clock time spent planning one exchange.", TypeHistogram, nil},
 	{MetricScheduleQuality, "Schedule quality t_max/t_lb, by algorithm.", TypeHistogram, nil},
 	{MetricExecTransfers, "Executed transfers, by outcome.", TypeCounter, nil},

@@ -61,8 +61,8 @@ func (r *Result) Ratio() float64 {
 // Implementations must be safe for concurrent use: Schedule must not
 // mutate the receiver, the input matrix, or any state shared between
 // calls, so one scheduler value may plan for many goroutines at once
-// (the parallel experiment engine and comm.Communicator.AllToAllBatch
-// rely on this). All schedulers in this package are stateless values
+// (the parallel experiment engine and a comm.Communicator shared by
+// concurrent callers rely on this). All schedulers in this package are stateless values
 // whose working state lives on the call stack; randomized ones
 // (MultiStartOpenShop) derive a fresh rand.Rand per call from their
 // configured seed, so they are both concurrent-safe and deterministic.

@@ -206,8 +206,6 @@ type StepSchedule struct {
 
 // ValidateSteps checks step structure: pair indices in range, no self
 // messages, and within each step no repeated sender or receiver.
-//
-//hetvet:coldpath the warm paths validate with flat scratch and re-run this allocating original only to render an error
 func (ss *StepSchedule) ValidateSteps() error {
 	for si, step := range ss.Steps {
 		sendUsed := make(map[int]bool, len(step))
@@ -289,8 +287,6 @@ func (ss *StepSchedule) EvaluateBarrier(m *model.Matrix) (*Schedule, error) {
 
 // Clone returns a deep copy of the step structure, with every step
 // backed by one compact pair arena.
-//
-//hetvet:coldpath clones allocate by design; the warm paths clone only when a result must outlive its scratch (drift repair, cache install)
 func (ss *StepSchedule) Clone() *StepSchedule {
 	out := &StepSchedule{N: ss.N}
 	if ss.Steps == nil {

@@ -330,15 +330,28 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // at the daemon's smallest and largest admitted P and two sizes past
 // it. OpenShop's cost depends on how often receivers tie, so the sizes
 // are random rather than BenchmarkSchedulerScaling's uniform ones.
+//
+// P=50/served is what a plan-service miss schedules: the table
+// `hetpland -random` serves at seed 1 and kind=random patterns of up
+// to 1 MiB per pair, rotating over several pattern seeds.
 func BenchmarkOpenShopSchedule(b *testing.B) {
-	for _, p := range []int{8, 50, 128, 200} {
-		rng := rand.New(rand.NewSource(int64(p)))
-		perf := netmodel.RandomPerf(rng, p, netmodel.GustoGuided())
+	run := func(name string, ms []*model.Matrix) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.NewOpenShop().Schedule(ms[i%len(ms)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	build := func(perf *netmodel.Perf, rng *rand.Rand, size func(*rand.Rand) int64) *model.Matrix {
+		p := perf.N()
 		sizes := model.NewSizes(p)
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				if i != j {
-					sizes.Set(i, j, rng.Int63n(4<<20))
+					sizes.Set(i, j, size(rng))
 				}
 			}
 		}
@@ -346,15 +359,24 @@ func BenchmarkOpenShopSchedule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.NewOpenShop().Schedule(m); err != nil {
-					b.Fatal(err)
-				}
-			}
+		return m
+	}
+	for _, p := range []int{8, 50, 128, 200} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		perf := netmodel.RandomPerf(rng, p, netmodel.GustoGuided())
+		run(fmt.Sprintf("P=%d", p), []*model.Matrix{
+			build(perf, rng, func(rng *rand.Rand) int64 { return rng.Int63n(4 << 20) }),
 		})
 	}
+	// The served table is seed*1_000_003 + stream*1009 with seed 1 and
+	// the table stream 1, as the plan-service benchmark draws it.
+	served := netmodel.RandomPerf(rand.New(rand.NewSource(1*1_000_003+1*1009)), 50, netmodel.GustoGuided())
+	ms := make([]*model.Matrix, 8)
+	for k := range ms {
+		ms[k] = build(served, rand.New(rand.NewSource(int64(k+1))),
+			func(rng *rand.Rand) int64 { return 1 + rng.Int63n(1<<20) })
+	}
+	run("P=50/served", ms)
 }
 
 // ---- Ablations from DESIGN.md §6 ----

@@ -54,23 +54,11 @@ func checkFlat(cost []float64, n int) error {
 	return nil
 }
 
-// SolveMinInto computes the minimum-cost assignment of the flat
-// row-major n×n matrix into out (length n) and returns the total cost.
-// It is byte-for-byte equivalent to SolveMin — the same algorithm, the
-// same tie-breaking, the same floating-point operation order — but
-// performs no heap allocations once the solver has grown to size n.
-func (s *Solver) SolveMinInto(out []int, cost []float64, n int) (float64, error) {
-	if err := checkFlat(cost, n); err != nil {
-		return 0, err
-	}
-	if len(out) != n {
-		return 0, fmt.Errorf("assignment: out has length %d, want %d", len(out), n)
-	}
-	return s.solveMinFlat(out, cost, n)
-}
-
-// SolveMaxInto is SolveMinInto's maximizing counterpart, with the same
-// Forbidden handling as SolveMax: entries ≤ -Forbidden are unusable.
+// SolveMaxInto computes the maximum-cost assignment of the flat
+// row-major n×n matrix into out (length n) and returns the total cost,
+// with the same Forbidden handling as SolveMax: entries ≤ -Forbidden
+// are unusable. It performs no heap allocations once the solver has
+// grown to size n.
 func (s *Solver) SolveMaxInto(out []int, cost []float64, n int) (float64, error) {
 	if err := checkFlat(cost, n); err != nil {
 		return 0, err

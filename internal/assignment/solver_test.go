@@ -124,12 +124,11 @@ func sameAssign(a, b []int) bool {
 	return true
 }
 
-// TestSolverMatchesReference cross-checks the flat core against the
-// retained original implementation on random instances, including the
-// exact float total.
+// TestSolverMatchesReference cross-checks the flat core, through
+// SolveMin, against the retained original implementation on random
+// instances, including the exact float total.
 func TestSolverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var s Solver
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(12)
 		rows := randCostMatrix(rng, n)
@@ -137,8 +136,7 @@ func TestSolverMatchesReference(t *testing.T) {
 		if refErr != nil {
 			t.Fatalf("reference failed: %v", refErr)
 		}
-		out := make([]int, n)
-		total, err := s.SolveMinInto(out, flatOf(rows), n)
+		out, total, err := SolveMin(rows)
 		if err != nil {
 			t.Fatalf("flat solver failed: %v", err)
 		}

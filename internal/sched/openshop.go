@@ -22,8 +22,8 @@ import (
 //
 // The definition reads as two O(P) scans per event, O(P³) in all.
 // Schedule makes the same P(P−1) picks in the same order without
-// rescanning (see openShopRun): typically O(P² log P), still O(P³) in
-// the worst case, when every pick is a near-tie.
+// rescanning (see openShopRun): O(log P) per pick for the sender, but
+// O(P) for the receiver, whose slots it shifts and walks: still O(P³).
 type OpenShop struct {
 	// TieBreak selects among receivers with equal availability.
 	TieBreak TieBreak
@@ -106,34 +106,23 @@ type times []uint64
 func (t times) at(i int) float64     { return math.Float64frombits(t[i]) }
 func (t times) set(i int, v float64) { t[i] = math.Float64bits(v) }
 
-// firstNotBelow returns the first index in [lo, len(t)) whose time is
-// not below v, or len(t); t[lo:] must be sorted.
-func (t times) firstNotBelow(lo int, v float64) int {
-	hi := len(t)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.at(mid) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // openShopRun is the working state of one open shop run, total or
 // partial: the caller records the pairs to schedule with owe, then
 // schedule plays the heuristic out. Everything lives in one slab
 // allocated per run, so concurrent runs share nothing.
 //
 // The heuristic's two questions are answered from order instead of by
-// scanning. Which sender is next: senders sit in a binary min-heap on
-// (sendAvail, id), and only the sender that just sent, the root,
-// changes key. Which receiver it picks: receivers sit in one array
-// sorted by recvAvail, and only the receiver that just finished moves,
-// always towards the back — which needs times that never decrease,
-// hence schedule's up-front check that every owed cost is finite and
-// non-negative.
+// scanning. Which sender is next: senders are the leaves of a winner
+// tree on (sendAvail, id), so the root is the answer, and only the
+// sender that just sent changes key; replaying its path is one
+// comparison per level, made with conditional moves because a served
+// plan never repeats and a branch on the data would mispredict half
+// the time. Which receiver it picks: receivers sit in one array sorted
+// by recvAvail, and only the receiver that just finished moves, always
+// towards the back. Both need times that never decrease, hence
+// schedule's up-front check that every owed cost is finite and
+// non-negative; such times (never −0 either) order like their bit
+// patterns, so both compare them as uint64s.
 type openShopRun struct {
 	n     int
 	words int // uint64 words per row of owed
@@ -141,10 +130,9 @@ type openShopRun struct {
 
 	owed    []uint64 // n rows; bit j of row i is set while i still has to send to j
 	pending []uint64 // messages sender i still has to send
-	heap    []uint64 // senders with pending > 0, min-heap on (sendAvail, id)
-	heapKey times    // heapKey[h] is sendAvail of heap[h]
-	order   []uint64 // every receiver, by non-decreasing recvAvail
-	key     times    // key[k] == recvAvail[order[k]]
+	tree    []uint64 // id of the winner of inner node x in 1…n−1; x's children are 2x and 2x+1, sender i's leaf is n+i
+	sendKey []uint64 // sendAvail bits of sender i, done once it has sent everything
+	recv    []uint64 // slot k is (recvAvail, id) at [2k], [2k+1]; every receiver, by non-decreasing recvAvail
 
 	recvAvail times
 	inbound   times // remaining inbound work per receiver, for TieMostLoaded
@@ -162,10 +150,9 @@ func newOpenShopRun(n int) openShopRun {
 		n: n, words: words,
 		owed:      cut(n * words),
 		pending:   cut(n),
-		heap:      cut(n),
-		heapKey:   cut(n),
-		order:     cut(n),
-		key:       cut(n),
+		tree:      cut(n),
+		sendKey:   cut(n),
+		recv:      cut(2 * n),
 		recvAvail: cut(n),
 		inbound:   cut(n),
 	}
@@ -183,6 +170,26 @@ func (s *openShopRun) row(i int) []uint64 { return s.owed[i*s.words : (i+1)*s.wo
 
 func has(set []uint64, j int) bool { return set[j>>6]>>(uint(j)&63)&1 != 0 }
 
+// done is the key of a sender with nothing left to send: above the bits
+// of every time, +Inf included.
+const done = ^uint64(0)
+
+// winner returns the id of the sender that wins node x: a leaf's own,
+// or what an inner node holds.
+func (s *openShopRun) winner(x int) uint64 {
+	if x >= s.n {
+		return uint64(x - s.n)
+	}
+	return s.tree[x]
+}
+
+// less reports whether (ka, ia) < (kb, ib) as 128-bit integers.
+func less(ka, ia, kb, ib uint64) bool {
+	_, c := bits.Sub64(ia, ib, 0)
+	_, c = bits.Sub64(ka, kb, c)
+	return c != 0
+}
+
 // schedule runs the heuristic over the recorded pairs and returns one
 // event per pair in the order they were decided. Receivers whose
 // availability differs by at most eps are tied, and tb picks among
@@ -193,14 +200,14 @@ func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak) ([]tim
 		return nil, nil
 	}
 	n := s.n
-	heap := s.heap[:0]
+	tree, recv := s.tree, s.recv
 	for i := 0; i < n; i++ {
+		// Senders start available at 0, and the receiver order at ids.
+		recv[2*i+1] = uint64(i)
 		if s.pending[i] == 0 {
+			s.sendKey[i] = done
 			continue
 		}
-		// All senders start available at 0, so ascending ids are
-		// already a heap.
-		heap = append(heap, uint64(i))
 		owed := s.row(i)
 		for j, c := range m.Row(i) {
 			if !has(owed, j) {
@@ -212,52 +219,51 @@ func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak) ([]tim
 			s.inbound.set(j, s.inbound.at(j)+c)
 		}
 	}
-	for k := range s.order {
-		s.order[k] = uint64(k)
+	for x := n - 1; x >= 1; x-- {
+		l, r := s.winner(2*x), s.winner(2*x+1)
+		if less(s.sendKey[r], r, s.sendKey[l], l) {
+			l = r
+		}
+		tree[x] = l
 	}
 
 	events := make([]timing.Event, s.pairs)
 	for e := range events {
-		i := int(heap[0])
+		i := int(s.winner(1))
 		cost, owed := m.Row(i), s.row(i)
 
-		// i's earliest and second-earliest remaining receivers are the
-		// first two owed ones along the sorted order.
-		ka, kb := -1, -1
-		for k, r := range s.order {
-			if !has(owed, int(r)) {
-				continue
-			}
-			if ka < 0 {
-				ka = k
-				if s.pending[i] == 1 {
-					break
-				}
-				continue
-			}
-			kb = k
-			break
+		// i's earliest remaining receiver is the first owed one along
+		// the sorted order.
+		k := 0
+		for !has(owed, int(recv[2*k+1])) {
+			k++
 		}
-		k := ka
-		if kb >= 0 {
+		if s.pending[i] > 1 {
 			// The definition's left-to-right scan with tolerance eps
 			// can settle on any receiver within eps of the minimum,
 			// depending on id order and tb, so only a clear winner is
-			// taken from the order: when the earliest beats the
-			// runner-up under both of the scan's own float predicates
-			// it beats every later candidate too (rounding is monotone)
-			// and the scan would return it under every tb. Anything
-			// closer is decided by the scan itself — an exact-minimum
-			// rule is a different function.
-			a, b := s.key.at(ka), s.key.at(kb)
-			if !(b > a+eps && a < b-eps) {
-				k = s.position(s.scan(owed, cost, eps, tb))
+			// taken from the order: one that beats the owed runner-up
+			// under both of the scan's own float predicates beats every
+			// later candidate too (rounding is monotone), and so does
+			// one that beats any receiver in between, owed or not,
+			// whose key is no larger. The walk stops at the first it
+			// beats, almost always the successor; reaching an owed one
+			// first leaves the pick to the scan itself.
+			a := math.Float64frombits(recv[2*k])
+			for r := k + 1; ; r++ {
+				if b := math.Float64frombits(recv[2*r]); b > a+eps && a < b-eps {
+					break
+				}
+				if has(owed, int(recv[2*r+1])) {
+					k = s.position(s.scan(owed, cost, eps, tb))
+					break
+				}
 			}
 		}
-		j := int(s.order[k])
+		j := int(recv[2*k+1])
 
-		start := s.heapKey.at(0)
-		if t := s.key.at(k); t > start {
+		start := math.Float64frombits(s.sendKey[i])
+		if t := math.Float64frombits(recv[2*k]); t > start {
 			start = t
 		}
 		finish := start + cost[j]
@@ -266,25 +272,29 @@ func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak) ([]tim
 		owed[j>>6] &^= 1 << (uint(j) & 63)
 		s.inbound.set(j, s.inbound.at(j)-cost[j])
 		s.pending[i]--
-		x, tx := uint64(i), finish
+
+		// i's leaf takes its new key; each node above keeps the smaller
+		// of what comes up and its other child.
+		fb := math.Float64bits(finish)
+		key, id := fb, uint64(i)
 		if s.pending[i] == 0 {
-			// i is done; the last leaf takes the root's place.
-			last := len(heap) - 1
-			x, tx = heap[last], s.heapKey.at(last)
-			heap = heap[:last]
+			key = done
 		}
-		if len(heap) > 0 {
-			s.siftDown(heap, x, tx)
+		s.sendKey[i] = key
+		for x := n + i; x > 1; x >>= 1 {
+			si := s.winner(x ^ 1)
+			if sk := s.sendKey[si]; less(sk, si, key, id) {
+				key, id = sk, si
+			}
+			tree[x>>1] = id
 		}
 
 		// j moves back to the last slot that keeps the order sorted
 		// without passing an equal key; the receivers it passes shift
 		// up one.
-		lo := s.key.firstNotBelow(k+1, finish)
-		copy(s.key[k:lo-1], s.key[k+1:lo])
-		copy(s.order[k:lo-1], s.order[k+1:lo])
-		s.key.set(lo-1, finish)
-		s.order[lo-1] = uint64(j)
+		lo := s.firstNotBelow(k+1, fb)
+		copy(recv[2*k:2*lo-2], recv[2*k+2:2*lo])
+		recv[2*lo-2], recv[2*lo-1] = fb, uint64(j)
 		s.recvAvail.set(j, finish)
 	}
 	return events, nil
@@ -323,38 +333,26 @@ func (s *openShopRun) scan(owed []uint64, cost []float64, eps float64, tb TieBre
 	return j
 }
 
-// position returns receiver j's slot in order.
+// firstNotBelow returns the first slot in [lo, n) of recv whose time
+// is not below the one with bits v, or n.
+func (s *openShopRun) firstNotBelow(lo int, v uint64) int {
+	hi := s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.recv[2*mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// position returns receiver j's slot in recv.
 func (s *openShopRun) position(j int) int {
-	k := s.key.firstNotBelow(0, s.recvAvail.at(j))
-	for s.order[k] != uint64(j) {
+	k := s.firstNotBelow(0, s.recvAvail[j])
+	for s.recv[2*k+1] != uint64(j) {
 		k++
 	}
 	return k
-}
-
-// siftDown stores sender x with availability tx at the root, which
-// must be vacant or stale, and moves it down to where the heap order
-// holds again.
-func (s *openShopRun) siftDown(heap []uint64, x uint64, tx float64) {
-	key := s.heapKey[:len(heap)]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(heap) {
-			break
-		}
-		tc := key.at(c)
-		if r := c + 1; r < len(heap) {
-			if tr := key.at(r); tr < tc || tr == tc && heap[r] < heap[c] {
-				c, tc = r, tr
-			}
-		}
-		if tx < tc || tx == tc && x < heap[c] {
-			break
-		}
-		heap[i], key[i] = heap[c], key[c]
-		i = c
-	}
-	heap[i] = x
-	key.set(i, tx)
 }

@@ -75,32 +75,61 @@ func fillMatrix(n int, gen func() float64) *model.Matrix {
 
 // tieFamily is one adversarial cost distribution: each is built to
 // make the receiver choice hinge on the tolerance rule rather than on a
-// clear minimum.
+// clear minimum. cost gives entry (i, j) of a P = n instance.
 type tieFamily struct {
 	name string
-	gen  func(rng *rand.Rand) float64
+	cost func(rng *rand.Rand, n, i, j int) float64
+}
+
+// draw returns one P×P instance of the family.
+func (f tieFamily) draw(rng *rand.Rand, n int) *model.Matrix {
+	m := model.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				m.Set(i, j, f.cost(rng, n, i, j))
+			}
+		}
+	}
+	return m
+}
+
+// iid is a family whose entries are drawn independently from gen.
+func iid(name string, gen func(rng *rand.Rand) float64) tieFamily {
+	return tieFamily{name, func(rng *rand.Rand, _, _, _ int) float64 { return gen(rng) }}
 }
 
 var tieFamilies = []tieFamily{
 	// Every pick is a tie.
-	{"all-equal", func(*rand.Rand) float64 { return 2.5 }},
+	iid("all-equal", func(*rand.Rand) float64 { return 2.5 }),
 	// Few distinct sums, so exact ties recur all the way through.
-	{"one-two-three", func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(3)) }},
+	iid("one-two-three", func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(3)) }),
 	// Availabilities form chains whose neighbours are within tieEps
 	// while their ends are not.
-	{"eps-ladder", func(rng *rand.Rand) float64 { return 1 + float64(rng.Intn(8))*0.7e-12 }},
+	iid("eps-ladder", func(rng *rand.Rand) float64 { return 1 + float64(rng.Intn(8))*0.7e-12 }),
 	// One ulp is larger than tieEps: ±tieEps rounds away.
-	{"around-1e5", func(rng *rand.Rand) float64 { return 1e5 + float64(rng.Intn(6))*1.5e-11 }},
+	iid("around-1e5", func(rng *rand.Rand) float64 { return 1e5 + float64(rng.Intn(6))*1.5e-11 }),
 	// Free events leave availabilities where they were.
-	{"third-zero", func(rng *rand.Rand) float64 {
+	iid("third-zero", func(rng *rand.Rand) float64 {
 		if rng.Intn(3) == 0 {
 			return 0
 		}
 		return rng.Float64()
-	}},
+	}),
 	// Whole schedules shorter than tieEps-scale differences.
-	{"below-1e-9", func(rng *rand.Rand) float64 { return rng.Float64() * 1e-9 }},
-	{"below-1e-12", func(rng *rand.Rand) float64 { return float64(rng.Intn(5)) * 0.4e-12 }},
+	iid("below-1e-9", func(rng *rand.Rand) float64 { return rng.Float64() * 1e-9 }),
+	iid("below-1e-12", func(rng *rand.Rand) float64 { return float64(rng.Intn(5)) * 0.4e-12 }),
+	// Tied but not owed: each sender's message to its ring successor is
+	// free, so it leaves that receiver tied with its neighbours in the
+	// order while no longer owing it. A pick whose next receiver in the
+	// order is such a one cannot be settled there; the tie goes on to
+	// the owed runner-up behind it, and under every tie-break rule.
+	{"free-successor", func(_ *rand.Rand, n, i, j int) float64 {
+		if j == (i+1)%n {
+			return 0
+		}
+		return 1
+	}},
 }
 
 func TestOpenShopMatchesReferenceGusto(t *testing.T) {
@@ -150,7 +179,7 @@ func TestOpenShopMatchesReferenceOnTies(t *testing.T) {
 			}
 			for trial := 0; trial < trials; trial++ {
 				rng := rand.New(rand.NewSource(int64(1000*p + trial)))
-				m := fillMatrix(p, func() float64 { return fam.gen(rng) })
+				m := fam.draw(rng, p)
 				matchesReference(t, fmt.Sprintf("%s P=%d trial %d", fam.name, p, trial), m)
 			}
 		}
@@ -253,9 +282,7 @@ func TestPartialOpenShopMatchesReference(t *testing.T) {
 		"gusto": func(rng *rand.Rand, n int) *model.Matrix { return randMatrix(t, rng.Int63(), n, 1<<18) },
 	}
 	for _, fam := range tieFamilies {
-		matrices[fam.name] = func(rng *rand.Rand, n int) *model.Matrix {
-			return fillMatrix(n, func() float64 { return fam.gen(rng) })
-		}
+		matrices[fam.name] = fam.draw
 	}
 	patterns := map[string]func(rng *rand.Rand, n int) Pattern{
 		"empty":       func(*rand.Rand, int) Pattern { return nil },
@@ -374,6 +401,54 @@ func FuzzOpenShopMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p uint8, data []byte) {
 		n := int(p) % 72
 		matchesReference(t, fmt.Sprintf("P=%d data=%x", n, data), fuzzMatrix(n, data))
+	})
+}
+
+// fuzzPattern reads bit i·n+j of mask, which repeats as far as needed,
+// as whether i sends to j. An empty mask is an empty pattern.
+func fuzzPattern(n int, mask []byte) Pattern {
+	var p Pattern
+	for i := 0; i < n && len(mask) > 0; i++ {
+		for j := 0; j < n; j++ {
+			if b := (i*n + j) % (8 * len(mask)); i != j && mask[b>>3]>>(b&7)&1 != 0 {
+				p = append(p, timing.Pair{Src: i, Dst: j})
+			}
+		}
+	}
+	return p
+}
+
+func FuzzPartialOpenShopMatchesReference(f *testing.F) {
+	for mode := byte(0); mode < 5; mode++ {
+		rng := rand.New(rand.NewSource(int64(mode)))
+		for _, p := range []uint8{2, 3, 5, 9, 17, 40} {
+			mask, data := make([]byte, 1+rng.Intn(64)), make([]byte, 1+rng.Intn(200))
+			rng.Read(mask)
+			rng.Read(data)
+			data[0] = mode
+			f.Add(p, mask, data)
+		}
+	}
+	f.Add(uint8(6), []byte{0xff}, []byte{1, 1})        // total exchange, all-equal
+	f.Add(uint8(65), []byte{0x55}, []byte{1, 1, 2, 3}) // two-word remaining sets, every other pair
+	// Tied but not owed. At time 0 senders 0, 1 and 2 send to 3, 4 and
+	// 5, which then sit in the order as 5, 4, 3, all available at 1.
+	// Sender 6 owes 5 and 3: its earliest, 5, is tied with the next one
+	// in the order, 4, which it does not owe, and the tie goes to the
+	// owed runner-up behind it, 3.
+	f.Add(uint8(7), []byte{0x08, 0x08, 0x08, 0, 0, 0xa0, 0}, []byte{1, 1})
+	f.Fuzz(func(t *testing.T, p uint8, mask, data []byte) {
+		n := int(p) % 72
+		m, pat := fuzzMatrix(n, data), fuzzPattern(n, mask)
+		label := fmt.Sprintf("P=%d mask=%x data=%x", n, mask, data)
+		want, werr := referencePartialOpenShop(m, pat)
+		got, err := PartialOpenShop(m, pat)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%s: error %v, reference %v", label, err, werr)
+		}
+		if err == nil {
+			sameResult(t, label, got, want)
+		}
 	})
 }
 

@@ -15,9 +15,9 @@
 //     rank-ordered destination lists with rotating pick priority.
 //   - OpenShop: a list-scheduling heuristic derived from open shop
 //     scheduling; its completion time is within twice the lower bound
-//     (Theorem 3). O(P³) as the paper states it, and still in the worst
-//     case; an event-ordered kernel shared with PartialOpenShop makes
-//     the same picks in typically O(P² log P).
+//     (Theorem 3). O(P³), as the paper states it and in the kernel
+//     shared with PartialOpenShop, which makes the same picks from a
+//     winner tree of senders and a sorted array of receivers.
 //
 // Every scheduler consumes a model.Matrix (sender-major communication
 // times) and produces a timed schedule plus the step structure when one

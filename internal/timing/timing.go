@@ -285,27 +285,6 @@ func (ss *StepSchedule) EvaluateBarrier(m *model.Matrix) (*Schedule, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the step structure, with every step
-// backed by one compact pair arena.
-func (ss *StepSchedule) Clone() *StepSchedule {
-	out := &StepSchedule{N: ss.N}
-	if ss.Steps == nil {
-		return out
-	}
-	total := 0
-	for _, s := range ss.Steps {
-		total += len(s)
-	}
-	pairs := make([]Pair, 0, total)
-	out.Steps = make([]Step, 0, len(ss.Steps))
-	for _, s := range ss.Steps {
-		start := len(pairs)
-		pairs = append(pairs, s...)
-		out.Steps = append(out.Steps, Step(pairs[start:len(pairs):len(pairs)]))
-	}
-	return out
-}
-
 // Pairs returns every pair in step order, flattened.
 func (ss *StepSchedule) Pairs() []Pair {
 	var out []Pair

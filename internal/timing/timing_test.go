@@ -470,49 +470,3 @@ func TestAsyncNeverSlowerThanBarrierProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// randSteps builds a valid random step schedule: each step is a random
-// partial permutation of senders to distinct receivers.
-func randSteps(rng *rand.Rand, n, steps int) *StepSchedule {
-	ss := &StepSchedule{N: n}
-	for s := 0; s < steps; s++ {
-		perm := rng.Perm(n)
-		var step Step
-		for i, j := range perm {
-			if i == j || rng.Float64() < 0.2 {
-				continue
-			}
-			step = append(step, Pair{Src: i, Dst: j})
-		}
-		ss.Steps = append(ss.Steps, step)
-	}
-	return ss
-}
-
-// TestStepScheduleClone checks the deep copy shares no memory with the
-// original.
-func TestStepScheduleClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ss := randSteps(rng, 6, 7)
-	c := ss.Clone()
-	if c.N != ss.N || len(c.Steps) != len(ss.Steps) {
-		t.Fatal("clone shape differs")
-	}
-	for si := range ss.Steps {
-		if len(c.Steps[si]) != len(ss.Steps[si]) {
-			t.Fatalf("step %d length differs", si)
-		}
-		for pi := range ss.Steps[si] {
-			if c.Steps[si][pi] != ss.Steps[si][pi] {
-				t.Fatalf("step %d pair %d differs", si, pi)
-			}
-		}
-		if len(ss.Steps[si]) > 0 {
-			ss.Steps[si][0] = Pair{Src: -7, Dst: -7}
-			if c.Steps[si][0] == ss.Steps[si][0] {
-				t.Fatal("clone aliases the original's pairs")
-			}
-			ss.Steps[si][0] = c.Steps[si][0]
-		}
-	}
-}

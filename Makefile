@@ -22,7 +22,7 @@ vet:
 
 # lint is go vet followed by hetvet, the project-specific checker suite
 # (nilguard, determinism, lockio, errdiscard, tracectx, goleak,
-# lockorder, hotpath — see DESIGN.md §9).
+# lockorder — see DESIGN.md §9).
 lint: vet
 	$(GO) run ./cmd/hetvet ./...
 

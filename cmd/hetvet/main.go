@@ -1,6 +1,6 @@
-// Command hetvet runs the project's static-analysis suite: eight
+// Command hetvet runs the project's static-analysis suite: seven
 // checkers enforcing the repo's concurrency, determinism, telemetry,
-// and zero-allocation invariants (see internal/analysis and DESIGN.md
+// and error-handling invariants (see internal/analysis and DESIGN.md
 // §9).
 //
 // Usage:

@@ -62,7 +62,7 @@ func TestListExits0(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"nilguard", "determinism", "lockio", "errdiscard", "tracectx", "goleak", "lockorder", "hotpath"} {
+	for _, name := range []string{"nilguard", "determinism", "lockio", "errdiscard", "tracectx", "goleak", "lockorder"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}
@@ -81,7 +81,7 @@ func TestUnknownCheckExits2(t *testing.T) {
 	if !strings.Contains(msg, `unknown check "bogus"`) {
 		t.Errorf("stderr = %q, want the unknown check named", msg)
 	}
-	for _, name := range []string{"nilguard", "determinism", "lockio", "errdiscard", "tracectx", "goleak", "lockorder", "hotpath"} {
+	for _, name := range []string{"nilguard", "determinism", "lockio", "errdiscard", "tracectx", "goleak", "lockorder"} {
 		if !strings.Contains(msg, name) {
 			t.Errorf("stderr missing valid name %q:\n%s", name, msg)
 		}

@@ -2,7 +2,7 @@
 // driver that machine-checks the invariants this codebase's previous
 // PRs established by convention. It is built entirely on the standard
 // library (go/parser, go/ast, go/types) — no x/tools dependency — and
-// ships eight checkers:
+// ships seven checkers:
 //
 //	nilguard    — every exported pointer-receiver method on an
 //	              internal/obs instrument or tracer type must begin
@@ -30,9 +30,6 @@
 //	              struct-field and package-level mutexes has no cycles,
 //	              no re-acquisition, and no select case locking a mutex
 //	              that guards its own channel (lockorder.go).
-//	hotpath     — //hetvet:hotpath functions and their transitive
-//	              module callees, resolved whole-program, contain no
-//	              allocating constructs (hotpath.go).
 //
 // Every checker honors the escape hatch
 //
@@ -85,14 +82,6 @@ type Checker interface {
 	Run(pkg *Package) []Diagnostic
 }
 
-// WholeProgram is implemented by checkers that need to see every
-// loaded package before per-package runs begin — e.g. hotpath, whose
-// transitive hot set crosses package boundaries. Run calls Prepare
-// once, with the full package list, before any Run.
-type WholeProgram interface {
-	Prepare(pkgs []*Package)
-}
-
 // DefaultCheckers returns the full hetvet suite.
 func DefaultCheckers() []Checker {
 	return []Checker{
@@ -103,7 +92,6 @@ func DefaultCheckers() []Checker {
 		tracectxChecker{},
 		goleakChecker{},
 		lockorderChecker{},
-		newHotpathChecker(),
 	}
 }
 
@@ -124,14 +112,9 @@ func checkNames(checkers []Checker) map[string]bool {
 // suppressed.
 func Run(pkgs []*Package, checkers []Checker, rootDir string) []Diagnostic {
 	// Directive validity is judged against the full suite, not the
-	// selected subset: running -checks=hotpath must not turn every
+	// selected subset: running -checks=lockio must not turn every
 	// waiver of an unselected check into an unknown-name finding.
 	valid := checkNames(append(DefaultCheckers(), checkers...))
-	for _, c := range checkers {
-		if wp, ok := c.(WholeProgram); ok {
-			wp.Prepare(pkgs)
-		}
-	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		ignores, bad := collectIgnores(pkg, valid)

@@ -121,7 +121,6 @@ func TestErrdiscard(t *testing.T)  { runFixture(t, "errdiscard", errdiscardCheck
 func TestTracectx(t *testing.T)    { runFixture(t, "tracectx", tracectxChecker{}) }
 func TestGoleak(t *testing.T)      { runFixture(t, "goleak", goleakChecker{}) }
 func TestLockorder(t *testing.T)   { runFixture(t, "lockorder", lockorderChecker{}) }
-func TestHotpath(t *testing.T)     { runFixture(t, "hotpath", newHotpathChecker()) }
 
 // TestDirectiveValidation locks the malformed-directive diagnostics:
 // missing reasons, unknown names and verbs, and near-miss spellings
@@ -139,8 +138,8 @@ func TestDirectiveValidation(t *testing.T) {
 		{14, "hetvet directives must not have a space after // (write //hetvet:...)"},
 		{17, "hetvet directives must be line comments (//hetvet:...), not block comments"},
 		{20, "hetvet directives are lower-case (write //hetvet:...)"},
-		{23, `unknown hetvet directive "frobnicate" (valid: ignore, hotpath, coldpath)`},
-		{26, "hetvet:coldpath needs a reason (why this function is off the hot path)"},
+		{23, `unknown hetvet directive "frobnicate" (valid: ignore)`},
+		{26, `unknown hetvet directive "coldpath" (valid: ignore)`},
 	}
 	if len(diags) != len(wants) {
 		t.Fatalf("got %d diagnostics, want %d:\n%s", len(diags), len(wants), diagLines(diags))

@@ -4,18 +4,12 @@ import (
 	"strings"
 )
 
-// hetvet source directives. Three verbs share the //hetvet: namespace:
+// hetvet source directives. One verb lives in the //hetvet: namespace:
 //
 //	//hetvet:ignore <check-name>[,<check-name>...] <reason>
-//	//hetvet:hotpath [note]
-//	//hetvet:coldpath <reason>
 //
-// ignore waives named checks (see ignore.go). hotpath marks a function
-// as an allocation-free root for the hotpath checker; coldpath excludes
-// a function from transitive hotpath traversal (growth paths, dump
-// paths — code that allocates by design and never runs on the steady
-// state). Reasons are mandatory everywhere a directive waives or
-// narrows a check, so the waiver itself documents the exception.
+// It waives named checks (see ignore.go). The reason is mandatory, so
+// the waiver itself documents the exception.
 //
 // Directive parsing is strict and loud: a malformed directive — a
 // near-miss spelling ("// hetvet:ignore" with a space, a /* block */
@@ -25,18 +19,14 @@ import (
 // believes in and the tool never honors. FuzzParseDirective pins the
 // parser against panics and grammar drift.
 
-// Directive verbs.
-const (
-	verbIgnore   = "ignore"
-	verbHotpath  = "hotpath"
-	verbColdpath = "coldpath"
-)
+// verbIgnore is the only directive verb.
+const verbIgnore = "ignore"
 
 // directive is one parsed //hetvet: comment.
 type directive struct {
-	Verb   string   // ignore, hotpath, coldpath
-	Names  []string // ignore only: the checks to suppress
-	Reason string   // the mandatory justification (hotpath: optional note)
+	Verb   string   // always ignore once parsed without problems
+	Names  []string // the checks to suppress
+	Reason string   // the mandatory justification
 }
 
 // canonicalPrefix is the only accepted spelling: no space after //,
@@ -116,19 +106,10 @@ func parseCanonical(rest string) (d directive, attempted bool, problems []string
 		} else {
 			d.Reason = strings.Join(fields[1:], " ")
 		}
-	case verbHotpath:
-		// The note is optional: the annotation is a contract, not a waiver.
-		d.Reason = strings.Join(fields, " ")
-	case verbColdpath:
-		if len(fields) == 0 {
-			problems = append(problems, "hetvet:coldpath needs a reason (why this function is off the hot path)")
-		} else {
-			d.Reason = strings.Join(fields, " ")
-		}
 	case "":
-		problems = append(problems, "hetvet directive is missing a verb (ignore, hotpath, or coldpath)")
+		problems = append(problems, "hetvet directive is missing a verb (ignore)")
 	default:
-		problems = append(problems, "unknown hetvet directive "+quoteName(verb)+" (valid: ignore, hotpath, coldpath)")
+		problems = append(problems, "unknown hetvet directive "+quoteName(verb)+" (valid: ignore)")
 	}
 	return d, attempted, problems
 }

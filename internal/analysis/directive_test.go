@@ -18,13 +18,10 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{"//hetvet:ignore errdiscard write is best effort", true, "ignore", "errdiscard", "write is best effort", ""},
 		{"//hetvet:ignore lockio,errdiscard both waived here", true, "ignore", "lockio,errdiscard", "both waived here", ""},
-		{"//hetvet:hotpath", true, "hotpath", "", "", ""},
-		{"//hetvet:hotpath plan steady state", true, "hotpath", "", "plan steady state", ""},
-		{"//hetvet:coldpath growth path", true, "coldpath", "", "growth path", ""},
 		{"//hetvet:ignore errdiscard", true, "ignore", "errdiscard", "", "needs a reason"},
 		{"//hetvet:ignore", true, "ignore", "", "", "needs a check name and a reason"},
 		{"//hetvet:ignore ,errdiscard why", true, "ignore", ",errdiscard", "why", "empty check name"},
-		{"//hetvet:coldpath", true, "coldpath", "", "", "needs a reason"},
+		{"//hetvet:ignores errdiscard x", true, "ignores", "", "", "unknown hetvet directive"},
 		{"//hetvet:", true, "", "", "", "missing a verb"},
 		{"//hetvet:frobnicate x", true, "frobnicate", "", "", "unknown hetvet directive"},
 		{"// hetvet:ignore errdiscard x", true, "", "", "", "must not have a space"},
@@ -65,8 +62,8 @@ func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
 		"//hetvet:ignore errdiscard reason",
 		"//hetvet:ignore a,b,c reason with words",
-		"//hetvet:hotpath",
-		"//hetvet:coldpath growth",
+		"//hetvet:frobnicate",
+		"//hetvet:ignores errdiscard why",
 		"//hetvet:",
 		"//hetvet:ignore",
 		"// hetvet:ignore x y",

@@ -57,7 +57,7 @@ func collectIgnores(pkg *Package, valid map[string]bool) (ignoreSet, []Diagnosti
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				if d.Verb == verbIgnore && len(problems) == 0 {
+				if len(problems) == 0 {
 					for _, n := range d.Names {
 						if n != "all" && !valid[n] {
 							problems = append(problems, "hetvet:ignore names unknown check "+quoteName(n))
@@ -70,9 +70,6 @@ func collectIgnores(pkg *Package, valid map[string]bool) (ignoreSet, []Diagnosti
 							Check: "directive", Message: p})
 					}
 					continue
-				}
-				if d.Verb != verbIgnore {
-					continue // hotpath/coldpath annotations are the hotpath checker's input
 				}
 				addIgnore(set, pos.Filename, pos.Line, d.Names)
 				// A directive alone on its line (or inside a doc comment)

@@ -23,5 +23,5 @@ func UpperCase() {}
 //hetvet:frobnicate the verb does not exist
 func UnknownVerb() {}
 
-//hetvet:coldpath
-func ColdpathNoReason() {}
+//hetvet:coldpath a retired verb stays a loud finding
+func RetiredVerb() {}

@@ -124,7 +124,7 @@ type Config struct {
 	// 0 selects 6.
 	OutlierStreak int
 	// TrustThreshold is the minimum confidence at which a pair's
-	// estimate is exported (Apply, Updates, Estimates). Below it the
+	// estimate is exported (Apply, Updates). Below it the
 	// static table wins. 0 selects 0.35; negative trusts every
 	// measured pair immediately.
 	TrustThreshold float64
@@ -572,23 +572,13 @@ func (c *Calibrator) Apply(perf *netmodel.Perf) *netmodel.Perf {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.overlayLocked(perf, true)
+	return c.overlayLocked(perf)
 }
 
-// Estimates returns the calibrated table: the static prior with every
-// trusted pair overlaid. Nil receiver returns nil.
-func (c *Calibrator) Estimates() *netmodel.Perf {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.overlayLocked(c.prior.Clone(), false)
-}
-
-// overlayLocked writes trusted estimates into perf; when cow is set the
-// input is cloned before the first change. Caller holds c.mu.
-func (c *Calibrator) overlayLocked(perf *netmodel.Perf, cow bool) *netmodel.Perf {
+// overlayLocked writes trusted estimates into a clone of perf, made
+// before the first change; perf itself is returned when nothing
+// changes. Caller holds c.mu.
+func (c *Calibrator) overlayLocked(perf *netmodel.Perf) *netmodel.Perf {
 	out := perf
 	for i := 0; i < c.n; i++ {
 		for j := 0; j < c.n; j++ {
@@ -603,7 +593,7 @@ func (c *Calibrator) overlayLocked(perf *netmodel.Perf, cow bool) *netmodel.Perf
 			if conf < c.cfg.TrustThreshold || out.At(i, j) == est {
 				continue
 			}
-			if cow && out == perf {
+			if out == perf {
 				out = perf.Clone()
 			}
 			out.Set(i, j, est)

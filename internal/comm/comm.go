@@ -274,7 +274,6 @@ func rungEvent(h Health) string {
 // tagResult marks a result produced below the fresh rung.
 func tagResult(r *sched.Result, h Health) *sched.Result {
 	if h != HealthOK {
-		//hetvet:ignore hotpath the tag concatenates only below the fresh rung; the steady state returns r unchanged
 		r.Algorithm += "+" + h.String()
 	}
 	return r

@@ -58,8 +58,6 @@ const DefaultStaleBound = time.Minute
 // plans every exchange blind, and rebuilding the P×P table per
 // exchange was measurable churn exactly when the system is already
 // struggling. Callers must treat the returned table as read-only.
-//
-//hetvet:coldpath degraded-mode table, built once per size and cached; the fresh rung never calls it
 func uniformPerf(n int) *netmodel.Perf {
 	if v, ok := uniformTables.Load(n); ok {
 		return v.(*netmodel.Perf)

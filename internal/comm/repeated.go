@@ -51,8 +51,6 @@ func (c *Communicator) AllToAllRepeated(sizes *model.Sizes) (*sched.Result, erro
 // memo's the memo's plan is served from sc without touching the heap.
 // The returned result is valid only until the next call with the same
 // scratch.
-//
-//hetvet:hotpath the zero-alloc unchanged round (see TestRepeatedScratchZeroAlloc)
 func (c *Communicator) AllToAllRepeatedScratch(sizes *model.Sizes, sc *PlanScratch) (*sched.Result, error) {
 	m, h, err := c.snapshotMatrix(sizes, &sc.matrix)
 	if err != nil {
@@ -79,8 +77,6 @@ func (c *Communicator) AllToAllRepeatedScratch(sizes *model.Sizes, sc *PlanScrat
 
 // planRepeated plans a round the memo cannot serve and, above the
 // degraded rung, installs it as the new memo.
-//
-//hetvet:coldpath a changed or degraded round plans cold, which allocates by design
 func (c *Communicator) planRepeated(m *model.Matrix, h Health) (*sched.Result, error) {
 	r, err := c.schedule(context.Background(), m, h, "repeated")
 	if err != nil || h == HealthDegraded {

@@ -89,51 +89,6 @@ func TestStoreUpdates(t *testing.T) {
 	}
 }
 
-func TestStoreSubscribe(t *testing.T) {
-	s := newTestStore(t)
-	ch, cancel := s.Subscribe()
-	defer cancel()
-	if _, err := s.UpdatePair(0, 1, netmodel.PairPerf{Latency: 0.1, Bandwidth: 10}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-ch:
-		if v != 1 {
-			t.Errorf("notified version %d, want 1", v)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no notification")
-	}
-	// A lagging subscriber keeps only the latest version.
-	for k := 0; k < 3; k++ {
-		if _, err := s.UpdatePair(0, 2, netmodel.PairPerf{Latency: 0.1, Bandwidth: float64(10 + k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var last uint64
-	deadline := time.After(time.Second)
-drain:
-	for {
-		select {
-		case v, ok := <-ch:
-			if !ok {
-				break drain
-			}
-			last = v
-			if last == 4 {
-				break drain
-			}
-		case <-deadline:
-			break drain
-		}
-	}
-	if last != 4 {
-		t.Errorf("lagging subscriber saw %d, want latest 4", last)
-	}
-	cancel()
-	cancel() // double cancel is safe
-}
-
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := newTestStore(t)
 	var wg sync.WaitGroup

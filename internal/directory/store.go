@@ -2,10 +2,10 @@
 // component modelled on Globus MDS and the ReMoS API (Section 3.1)
 // that supplies applications with current end-to-end network
 // performance between every pair of processors. The package provides a
-// concurrency-safe in-memory store with versioned snapshots and change
-// subscriptions, a TCP server speaking a JSON-line protocol, and a
-// matching client, so schedules can be computed from fresh directory
-// queries exactly as the paper prescribes.
+// concurrency-safe in-memory store with versioned snapshots, a TCP
+// server speaking a JSON-line protocol, and a matching client, so
+// schedules can be computed from fresh directory queries exactly as the
+// paper prescribes.
 package directory
 
 import (
@@ -24,8 +24,6 @@ type Store struct {
 	perf    *netmodel.Perf
 	names   []string
 	version uint64
-	subs    map[uint64]chan uint64
-	nextSub uint64
 }
 
 // NewStore creates a store over an initial table. Names are optional
@@ -49,7 +47,6 @@ func NewStore(initial *netmodel.Perf, names []string) (*Store, error) {
 	return &Store{
 		perf:  initial.Clone(),
 		names: append([]string(nil), names...),
-		subs:  map[uint64]chan uint64{},
 	}, nil
 }
 
@@ -117,7 +114,6 @@ func (s *Store) Update(perf *netmodel.Perf) (uint64, error) {
 	s.perf = perf.Clone()
 	s.version++
 	v := s.version
-	s.notifyLocked(v)
 	s.mu.Unlock()
 	return v, nil
 }
@@ -134,7 +130,6 @@ func (s *Store) UpdatePair(src, dst int, pp netmodel.PairPerf) (uint64, error) {
 	}
 	s.perf.Set(src, dst, pp)
 	s.version++
-	s.notifyLocked(s.version)
 	return s.version, nil
 }
 
@@ -144,9 +139,9 @@ func (s *Store) UpdatePair(src, dst int, pp netmodel.PairPerf) (uint64, error) {
 // the sender claims; offending entries are counted in rejected and
 // skipped, so one garbage update can never poison the shared table or
 // veto its batch-mates. The version bumps once per batch (not per
-// entry) and only when at least one entry applied, so subscribers and
-// version pollers see one change per feed push, and a fully rejected
-// batch is invisible. The returned version is current either way.
+// entry) and only when at least one entry applied, so version pollers
+// see one change per feed push, and a fully rejected batch is
+// invisible. The returned version is current either way.
 func (s *Store) ApplyCalibration(updates []calib.Update) (applied, rejected int, version uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -162,49 +157,6 @@ func (s *Store) ApplyCalibration(updates []calib.Update) (applied, rejected int,
 	}
 	if applied > 0 {
 		s.version++
-		s.notifyLocked(s.version)
 	}
 	return applied, rejected, s.version
-}
-
-// Subscribe registers for version-change notifications. The returned
-// channel receives the new version after each update (dropping
-// intermediate versions when the subscriber lags). Call cancel to
-// release the subscription.
-func (s *Store) Subscribe() (<-chan uint64, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.nextSub
-	s.nextSub++
-	ch := make(chan uint64, 1)
-	s.subs[id] = ch
-	cancel := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if c, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(c)
-		}
-	}
-	return ch, cancel
-}
-
-// notifyLocked pushes the version to all subscribers without blocking:
-// a full buffer is drained first so the latest version always lands.
-func (s *Store) notifyLocked(v uint64) {
-	//hetvet:ignore determinism order-insensitive: each subscriber gets the same version regardless of iteration order
-	for _, ch := range s.subs {
-		select {
-		case ch <- v:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- v:
-			default:
-			}
-		}
-	}
 }

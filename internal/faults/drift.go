@@ -255,10 +255,13 @@ type PairDelayCounts struct {
 // PairDelayInjector emulates per-pair network performance on the
 // accept side of an in-process transport: the first read of each
 // connection pays the pair's start-up latency, and every read pays
-// bytes/bandwidth of transmission time. Because exec.Mem pipes are
-// synchronous, throttling the reader throttles the sender — the
-// executor's measured transfer timings then reflect the emulated
-// network, which is exactly what the calibration loop consumes.
+// bytes/bandwidth of transmission time. An exec.Mem pipe buffers only
+// a frame header and an ack per direction, like a socket's send
+// buffer, and hands a larger write to the reader whole, returning once
+// the reader has taken it. So throttling the reader throttles the
+// sender's payload write — the executor's measured transfer timings
+// then reflect the emulated network, which is exactly what the
+// calibration loop consumes.
 // Install with exec's Mem.SetPairWrapper(in.WrapPair).
 type PairDelayInjector struct {
 	cfg PairDelayConfig
@@ -327,10 +330,11 @@ type pairDelayConn struct {
 }
 
 func (p *pairDelayConn) Read(b []byte) (int, error) {
-	// Latency is paid before the first byte is consumed: the dialer's
-	// first synchronous write blocks until this read proceeds, so the
-	// sender observes the start-up cost just as it would on a real
-	// link.
+	// Latency is paid before the first byte is consumed. The dialer's
+	// header write is buffered and does not wait for it, but its
+	// payload write returns only after this read and the ones behind
+	// it proceed, so the sender observes the start-up cost through the
+	// payload, as it would on a real link.
 	p.latOnce.Do(func() {
 		p.in.sleep(p.in.cfg.Lookup(p.src, p.dst).Latency)
 	})

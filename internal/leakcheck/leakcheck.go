@@ -3,8 +3,7 @@
 // retry-settles afterwards until the count returns to the baseline or
 // a deadline passes. It confirms at runtime what the static goleak
 // checker proves about shutdown paths — the two gates pin the same
-// property from both sides, like hetvet's hotpath checker and the
-// AllocsPerRun tests do for allocations.
+// property from both sides.
 //
 // The count-based check is deliberately one-sided: goroutines that
 // finish *during* the scenario can mask a leak of equal size, and

@@ -83,8 +83,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 
 // Reset resizes the matrix to n×n and zeroes every entry, reusing the
 // backing array when it is large enough.
-//
-//hetvet:coldpath the make runs only when the backing array grows, once per size change
 func (m *Matrix) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("model: negative size %d", n))
@@ -164,19 +162,6 @@ func (m *Matrix) TotalVolume() float64 {
 		sum += m.RowSum(i)
 	}
 	return sum
-}
-
-// MaxEntry returns the largest off-diagonal entry.
-func (m *Matrix) MaxEntry() float64 {
-	max := 0.0
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if i != j && m.At(i, j) > max {
-				max = m.At(i, j)
-			}
-		}
-	}
-	return max
 }
 
 // Transpose returns the transposed matrix, converting between this

@@ -101,13 +101,10 @@ func TestLowerBoundDominance(t *testing.T) {
 	}
 }
 
-func TestTotalVolumeAndMaxEntry(t *testing.T) {
+func TestTotalVolume(t *testing.T) {
 	m := ExampleMatrix()
 	if got := m.TotalVolume(); got != 43 {
 		t.Errorf("TotalVolume = %g, want 43", got)
-	}
-	if got := m.MaxEntry(); got != 5 {
-		t.Errorf("MaxEntry = %g, want 5", got)
 	}
 }
 

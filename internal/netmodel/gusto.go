@@ -56,14 +56,6 @@ func Gusto() *Perf {
 // schedulers never look at diagonal entries.
 const localBandwidth = 1e12
 
-// GustoLatencyMS returns Table 1 entry (i, j) in the paper's original
-// milliseconds.
-func GustoLatencyMS(i, j int) float64 { return gustoLatencyMS[i][j] }
-
-// GustoBandwidthKbps returns Table 2 entry (i, j) in the paper's
-// original kbit/s.
-func GustoBandwidthKbps(i, j int) float64 { return gustoBandwidthKbps[i][j] }
-
 // GustoRanges returns the extremes observed in the GUSTO tables, which
 // the paper uses as a guideline for its random problem generator:
 // latency 4.5–89.5 ms and bandwidth 246–4976 kbit/s, in SI units.

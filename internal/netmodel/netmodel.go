@@ -80,8 +80,6 @@ type Perf struct {
 }
 
 // NewPerf returns an n×n performance table with all entries zero.
-//
-//hetvet:coldpath constructor; tables are built at snapshot or degraded-cache time, not per plan
 func NewPerf(n int) *Perf {
 	if n < 0 {
 		panic(fmt.Sprintf("netmodel: negative size %d", n))

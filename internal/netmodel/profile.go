@@ -17,9 +17,6 @@ import (
 // Multipliers must be positive.
 type Profile func(src, dst int, t float64) float64
 
-// FlatProfile is the identity: no variation.
-func FlatProfile(int, int, float64) float64 { return 1 }
-
 // DiurnalProfile returns a sinusoidal day/night load curve: bandwidth
 // swings between (1-depth) and (1+depth) of its base value with the
 // given period, phase-shifted per source site so that sites peak at

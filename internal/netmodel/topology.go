@@ -3,7 +3,6 @@ package netmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file models a metacomputing topology like the paper's Figure 1:
@@ -79,9 +78,6 @@ func (t *Topology) Sites() int { return len(t.sites) }
 
 // Site returns the site definition at index si.
 func (t *Topology) Site(si int) Site { return t.sites[si] }
-
-// HostSite returns the site index that global host h belongs to.
-func (t *Topology) HostSite(h int) int { return t.hostSite[h] }
 
 // backboneLink returns the direct link between sites a and b, if any.
 func (t *Topology) backboneLink(a, b int) (Link, bool) {
@@ -294,17 +290,6 @@ func (t *Topology) HostNames() []string {
 		counts[si]++
 	}
 	return names
-}
-
-// BackboneLinks returns all backbone links sorted by name, for
-// inspection and display.
-func (t *Topology) BackboneLinks() []Link {
-	links := make([]Link, 0, len(t.backbone))
-	for _, l := range t.backbone {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i].Name < links[j].Name })
-	return links
 }
 
 // ExampleTopology returns a small three-site system in the spirit of

@@ -90,8 +90,6 @@ func (f *FlightRecorder) SetDumpPath(path string) {
 
 // Record appends one event to the ring. Zero heap allocations: sys and
 // event must be string constants. Safe (and free) on a nil receiver.
-//
-//hetvet:hotpath called on every request; the ring is preallocated
 func (f *FlightRecorder) Record(sys, event string, trace uint64, a, b int64) {
 	if f == nil {
 		return
@@ -220,8 +218,6 @@ func (f *FlightRecorder) Dump(w io.Writer) error {
 // whether a dump happened (false when nil, rate-limited, or the write
 // failed — flight dumps are best-effort and must never take down the
 // subsystem that tripped them).
-//
-//hetvet:coldpath the dump path runs only on a triggered incident, rate-limited to one per second; the steady serve path records into the preallocated ring and never dumps
 func (f *FlightRecorder) Trigger(reason string) (string, bool) {
 	if f == nil {
 		return "", false

@@ -178,14 +178,14 @@ func TestFlightRecorderMetrics(t *testing.T) {
 
 // TestFlightRecordZeroAlloc pins the steady-state record path at zero
 // heap allocations — the property that makes an always-on recorder
-// affordable. Exact allocation counts do not hold under the race
-// detector's instrumentation, so this is gated like the comm-layer
-// alloc pins.
+// affordable — with its event counter wired, as the daemons run it.
+// Exact allocation counts do not hold under the race detector's
+// instrumentation, so this is gated like the comm-layer alloc pins.
 func TestFlightRecordZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	fl := NewFlightRecorder(64, nil)
+	fl := NewFlightRecorder(64, nil).WithMetrics(New())
 	allocs := testing.AllocsPerRun(50, func() {
 		fl.Record("serve", "served", 0xbeef, 17, 3)
 	})

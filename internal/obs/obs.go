@@ -282,8 +282,6 @@ func (r *Registry) getFamily(name, help, typ string, bounds []float64) *family {
 
 // Counter returns the counter for (name, labels), registering the
 // family on first use. Returns nil on a nil registry.
-//
-//hetvet:coldpath instrument resolution; steady-state callers hold the returned *Counter and Inc it, resolving again only on events like rung transitions
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
@@ -216,22 +215,4 @@ func maxFloat(xs []float64) float64 {
 		return 0
 	}
 	return m
-}
-
-// SortedPairs returns the plan's sends as deterministic (src, dst)
-// pairs, useful for comparing replanner outputs in tests.
-func (p *Plan) SortedPairs() []timing.Pair {
-	var out []timing.Pair
-	for i, dsts := range p.Order {
-		for _, j := range dsts {
-			out = append(out, timing.Pair{Src: i, Dst: j})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Src != out[b].Src {
-			return out[a].Src < out[b].Src
-		}
-		return out[a].Dst < out[b].Dst
-	})
-	return out
 }

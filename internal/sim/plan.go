@@ -95,18 +95,3 @@ func PlanFromSchedule(s *timing.Schedule, sizes *model.Sizes) (*Plan, error) {
 	}
 	return p, nil
 }
-
-// TotalExchange reports whether the plan sends exactly once from every
-// processor to every other.
-func (p *Plan) TotalExchange() bool {
-	if p.Events() != p.N*(p.N-1) {
-		return false
-	}
-	for i, dsts := range p.Order {
-		if len(dsts) != p.N-1 {
-			return false
-		}
-		_ = i
-	}
-	return true
-}

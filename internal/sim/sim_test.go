@@ -57,10 +57,7 @@ func TestPlanValidate(t *testing.T) {
 func TestPlanEventsCloneTotalExchange(t *testing.T) {
 	p := unitPlan(3, [][]int{{1, 2}, {0, 2}, {0, 1}})
 	if p.Events() != 6 {
-		t.Errorf("Events = %d", p.Events())
-	}
-	if !p.TotalExchange() {
-		t.Error("full plan should be a total exchange")
+		t.Errorf("Events = %d, want the total exchange's 6", p.Events())
 	}
 	c := p.Clone()
 	c.Order[0][0] = 2
@@ -68,9 +65,8 @@ func TestPlanEventsCloneTotalExchange(t *testing.T) {
 	if p.Order[0][0] != 1 {
 		t.Error("Clone shares order storage")
 	}
-	partial := unitPlan(3, [][]int{{1}, {}, {}})
-	if partial.TotalExchange() {
-		t.Error("partial plan claimed total exchange")
+	if partial := unitPlan(3, [][]int{{1}, {}, {}}); partial.Events() != 1 {
+		t.Errorf("partial plan Events = %d, want 1", partial.Events())
 	}
 }
 
@@ -805,13 +801,22 @@ func TestReplanOpenShopPreservesPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := rem.SortedPairs(), out.SortedPairs()
+	pairs := func(p *Plan) map[timing.Pair]int {
+		m := map[timing.Pair]int{}
+		for i, dsts := range p.Order {
+			for _, j := range dsts {
+				m[timing.Pair{Src: i, Dst: j}]++
+			}
+		}
+		return m
+	}
+	a, b := pairs(rem), pairs(out)
 	if len(a) != len(b) {
 		t.Fatalf("pair count changed: %d vs %d", len(a), len(b))
 	}
-	for k := range a {
-		if a[k] != b[k] {
-			t.Fatalf("pair set changed at %d: %v vs %v", k, a[k], b[k])
+	for pr, k := range a {
+		if b[pr] != k {
+			t.Fatalf("pair %v sent %d times after replanning, want %d", pr, b[pr], k)
 		}
 	}
 }

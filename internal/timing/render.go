@@ -3,7 +3,6 @@ package timing
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -139,20 +138,4 @@ func (s *Schedule) Summary() string {
 	}
 	return fmt.Sprintf("%d events, t_max=%.4g, busiest sender P%d (%.4g busy)",
 		len(s.Events), s.CompletionTime(), busiest, busy)
-}
-
-// StepsString renders a step schedule compactly, one step per line:
-// "step 0: 0→1 1→2 ...".
-func (ss *StepSchedule) StepsString() string {
-	var sb strings.Builder
-	for i, step := range ss.Steps {
-		pairs := append([]Pair(nil), step...)
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].Src < pairs[b].Src })
-		fmt.Fprintf(&sb, "step %d:", i)
-		for _, p := range pairs {
-			fmt.Fprintf(&sb, " %d→%d", p.Src, p.Dst)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

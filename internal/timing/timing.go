@@ -139,31 +139,6 @@ func (s *Schedule) ValidateTotalExchange(m *model.Matrix) error {
 	return nil
 }
 
-// SenderIdle returns, per processor, the idle time inside its send
-// column: completion of its last send minus the sum of its send
-// durations minus its first-start offset... more precisely, the gaps
-// between consecutive sends. Processors with no sends report zero.
-func (s *Schedule) SenderIdle() []float64 {
-	gaps := make([]float64, s.N)
-	bySender := make([][]Event, s.N)
-	for _, e := range s.Events {
-		bySender[e.Src] = append(bySender[e.Src], e)
-	}
-	for p, evs := range bySender {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
-		prev := 0.0
-		for _, e := range evs {
-			if e.Start > prev {
-				gaps[p] += e.Start - prev
-			}
-			if e.Finish > prev {
-				prev = e.Finish
-			}
-		}
-	}
-	return gaps
-}
-
 // ByStart returns the events sorted by start time (ties by sender,
 // then receiver), without modifying the schedule.
 func (s *Schedule) ByStart() []Event {

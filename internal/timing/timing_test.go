@@ -145,20 +145,6 @@ func TestValidateTotalExchange(t *testing.T) {
 	}
 }
 
-func TestSenderIdle(t *testing.T) {
-	s := &Schedule{N: 2, Events: []Event{
-		{Src: 0, Dst: 1, Start: 1, Finish: 2},
-		{Src: 0, Dst: 1, Start: 4, Finish: 5},
-	}}
-	idle := s.SenderIdle()
-	if idle[0] != 3 { // 1 before first send + 2 between sends
-		t.Errorf("idle[0] = %g, want 3", idle[0])
-	}
-	if idle[1] != 0 {
-		t.Errorf("idle[1] = %g, want 0", idle[1])
-	}
-}
-
 func TestByStartSorted(t *testing.T) {
 	s := &Schedule{N: 3, Events: []Event{
 		{Src: 2, Dst: 0, Start: 3, Finish: 4},
@@ -416,14 +402,6 @@ func TestSummary(t *testing.T) {
 	sum := s.Summary()
 	if !strings.Contains(sum, "1 events") || !strings.Contains(sum, "P1") {
 		t.Errorf("Summary = %q", sum)
-	}
-}
-
-func TestStepsString(t *testing.T) {
-	ss := &StepSchedule{N: 3, Steps: []Step{{{1, 2}, {0, 1}}}}
-	out := ss.StepsString()
-	if !strings.Contains(out, "step 0:") || !strings.Contains(out, "0→1 1→2") {
-		t.Errorf("StepsString = %q", out)
 	}
 }
 

@@ -529,7 +529,8 @@ func BenchmarkIndirectStudy(b *testing.B) {
 // mixed-size (1 kB / 1 MB) instances per P. Beside the time per
 // schedule each size reports tmax/openshop, the mean ratio of the two
 // completion times — the number EXPERIMENTS.md's ablation bullet
-// quotes; a value above 1 would break the never-worse guarantee.
+// quotes. An instance where best-of-8 is slower than the deterministic
+// run breaks the never-worse guarantee and fails the benchmark.
 func BenchmarkMultiStartOpenShop(b *testing.B) {
 	const instances = 40
 	multi := sched.NewMultiStartOpenShop(1)
@@ -551,6 +552,10 @@ func BenchmarkMultiStartOpenShop(b *testing.B) {
 			best, err := multi.Schedule(m)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if best.CompletionTime() > one.CompletionTime() {
+				b.Fatalf("P=%d instance %d: best-of-8 finishes at %v, the deterministic open shop at %v",
+					p, k, best.CompletionTime(), one.CompletionTime())
 			}
 			ratio += best.CompletionTime() / one.CompletionTime()
 		}

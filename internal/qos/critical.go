@@ -5,16 +5,17 @@ import (
 	"math"
 
 	"hetsched/internal/model"
+	"hetsched/internal/sched"
 	"hetsched/internal/timing"
 )
 
 // Critical-resource scheduling (Section 6.4): one processor in the
 // heterogeneous system — an expensive supercomputer, say — should
 // complete all of its communication as early as possible, even if that
-// delays the others. The scheduler runs two open-shop-style phases:
-// first it greedily packs every event that touches the critical
-// processor (its sends and its receives), then it fills in the
-// remaining events around them.
+// delays the others. The scheduler runs two phases: first it greedily
+// packs every event that touches the critical processor (its sends and
+// its receives), then the open shop heuristic fills in the remaining
+// events around them.
 
 // CriticalResult reports a critical-resource schedule.
 type CriticalResult struct {
@@ -30,6 +31,14 @@ func ScheduleCritical(m *model.Matrix, critical int) (*CriticalResult, error) {
 	n := m.N()
 	if critical < 0 || critical >= n {
 		return nil, fmt.Errorf("qos: critical processor %d out of range for P=%d", critical, n)
+	}
+	// Phase 2 checks its own times; phase 1's are checked here.
+	for k := 0; k < n; k++ {
+		for _, c := range [2]float64{m.At(critical, k), m.At(k, critical)} {
+			if k != critical && (math.IsNaN(c) || math.IsInf(c, 0) || c < 0) {
+				return nil, fmt.Errorf("qos: critical processor %d's time with %d = %v is not a valid time", critical, k, c)
+			}
+		}
 	}
 	sendFree := make([]float64, n)
 	recvFree := make([]float64, n)
@@ -66,42 +75,22 @@ func ScheduleCritical(m *model.Matrix, critical int) (*CriticalResult, error) {
 		}
 	}
 
-	// Phase 2: everything else, open-shop style over the remaining
-	// events (no pair involves the critical processor now).
-	pending := make([][]bool, n)
-	counts := make([]int, n)
-	total := 0
+	// Phase 2: every pair that does not involve the critical processor,
+	// by the open shop heuristic started from the availability phase 1
+	// leaves.
+	var rest sched.Pattern
 	for i := 0; i < n; i++ {
-		pending[i] = make([]bool, n)
 		for j := 0; j < n; j++ {
 			if i != j && i != critical && j != critical {
-				pending[i][j] = true
-				counts[i]++
-				total++
+				rest = append(rest, timing.Pair{Src: i, Dst: j})
 			}
 		}
 	}
-	for total > 0 {
-		bi := -1
-		for s := 0; s < n; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			if bi < 0 || sendFree[s] < sendFree[bi] {
-				bi = s
-			}
-		}
-		bj := -1
-		for r := 0; r < n; r++ {
-			if pending[bi][r] && (bj < 0 || recvFree[r] < recvFree[bj]) {
-				bj = r
-			}
-		}
-		place(bi, bj)
-		pending[bi][bj] = false
-		counts[bi]--
-		total--
+	r, err := sched.PartialOpenShopFrom(m, rest, sendFree, recvFree)
+	if err != nil {
+		return nil, fmt.Errorf("qos: critical resource: %w", err)
 	}
+	out.Events = append(out.Events, r.Schedule.Events...)
 	return &CriticalResult{Schedule: out, CriticalDone: done}, nil
 }
 

@@ -217,6 +217,19 @@ func TestScheduleCriticalVsOpenShop(t *testing.T) {
 	}
 }
 
+// TestScheduleCriticalFailsClosed: a NaN time is an error whether the
+// critical phase or the fill would schedule it.
+func TestScheduleCriticalFailsClosed(t *testing.T) {
+	const crit = 1
+	for _, pr := range []timing.Pair{{Src: 2, Dst: 3}, {Src: crit, Dst: 3}, {Src: 3, Dst: crit}} {
+		m := model.ExampleMatrix()
+		m.Set(pr.Src, pr.Dst, math.NaN())
+		if res, err := ScheduleCritical(m, crit); err == nil {
+			t.Errorf("NaN at %d→%d accepted, critical done at %v", pr.Src, pr.Dst, res.CriticalDone)
+		}
+	}
+}
+
 func TestScheduleCriticalRange(t *testing.T) {
 	m := model.ExampleMatrix()
 	if _, err := ScheduleCritical(m, -1); err == nil {

@@ -2,24 +2,24 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"hetsched/internal/model"
-	"hetsched/internal/timing"
 )
 
 // MultiStartOpenShop runs the open shop heuristic several times with
-// randomized tie-breaking and keeps the best schedule. The paper notes
-// that simultaneously available senders are "processed in an arbitrary
-// order" — that arbitrariness is free optimization headroom: different
-// orders explore different schedules at O(P³) each, and the best of k
-// restarts tightens the usual 0–2% gap to the lower bound further. The
-// deterministic OpenShop is the k=1, no-randomness special case.
+// the processors randomly relabelled and keeps the best schedule. The
+// paper notes that simultaneously available senders are "processed in
+// an arbitrary order"; the kernel settles every such tie by id, so a
+// relabelling settles them differently. That arbitrariness is free
+// optimization headroom: different orders explore different schedules
+// at O(P³) each, and the best of k restarts tightens the usual 0–2% gap
+// to the lower bound further. The deterministic OpenShop is the k=1
+// special case.
 type MultiStartOpenShop struct {
-	// Restarts is the number of randomized runs (≥ 1).
+	// Restarts is the number of runs (≥ 1), the first unrelabelled.
 	Restarts int
-	// Seed makes the randomized tie-breaking reproducible.
+	// Seed makes the relabellings reproducible.
 	Seed int64
 }
 
@@ -38,89 +38,34 @@ func (ms MultiStartOpenShop) Schedule(m *model.Matrix) (*Result, error) {
 	if ms.Restarts < 1 {
 		return nil, fmt.Errorf("sched: multi-start needs ≥ 1 restart, got %d", ms.Restarts)
 	}
+	// The first start is the deterministic heuristic, so the multi-start
+	// result can never lose to it.
+	best, err := NewOpenShop().Schedule(m)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(ms.Seed))
-	var best *timing.Schedule
-	for k := 0; k < ms.Restarts; k++ {
-		var s *timing.Schedule
-		if k == 0 {
-			// The first start is the deterministic heuristic, so the
-			// multi-start result can never lose to it.
-			r, err := NewOpenShop().Schedule(m)
-			if err != nil {
-				return nil, err
-			}
-			s = r.Schedule
-		} else {
-			s = randomizedOpenShop(m, rng)
-		}
-		if best == nil || s.CompletionTime() < best.CompletionTime() {
-			best = s
-		}
-	}
-	return &Result{Algorithm: ms.Name(), Schedule: best, LowerBound: m.LowerBound()}, nil
-}
-
-// randomizedOpenShop is the open shop greedy with random tie-breaking:
-// among the senders tied for earliest availability, and among each
-// sender's earliest-available receivers, one is picked uniformly.
-func randomizedOpenShop(m *model.Matrix, rng *rand.Rand) *timing.Schedule {
 	n := m.N()
-	out := &timing.Schedule{N: n}
-	sendAvail := make([]float64, n)
-	recvAvail := make([]float64, n)
-	pend := make([][]bool, n)
-	counts := make([]int, n)
-	remaining := 0
-	for i := range pend {
-		pend[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			if i != j {
-				pend[i][j] = true
-				counts[i]++
-				remaining++
+	relabelled := model.NewMatrix(n)
+	for k := 1; k < ms.Restarts; k++ {
+		// Processor a of the relabelled matrix is processor perm[a] of m.
+		perm := rng.Perm(n)
+		for a, i := range perm {
+			for b, j := range perm {
+				relabelled.Set(a, b, m.At(i, j))
 			}
+		}
+		r, err := NewOpenShop().Schedule(relabelled)
+		if err != nil {
+			return nil, err
+		}
+		if r.CompletionTime() < best.CompletionTime() {
+			for e := range r.Schedule.Events {
+				ev := &r.Schedule.Events[e]
+				ev.Src, ev.Dst = perm[ev.Src], perm[ev.Dst]
+			}
+			best = r
 		}
 	}
-	var tiedS, tiedR []int
-	for ; remaining > 0; remaining-- {
-		// Sender: uniform among those tied for earliest availability.
-		bestT := math.Inf(1)
-		tiedS = tiedS[:0]
-		for s := 0; s < n; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			switch {
-			case sendAvail[s] < bestT-tieEps:
-				bestT = sendAvail[s]
-				tiedS = append(tiedS[:0], s)
-			case sendAvail[s] <= bestT+tieEps:
-				tiedS = append(tiedS, s)
-			}
-		}
-		i := tiedS[rng.Intn(len(tiedS))]
-		// Receiver: uniform among i's earliest-available receivers.
-		bestT = math.Inf(1)
-		tiedR = tiedR[:0]
-		for r := 0; r < n; r++ {
-			if !pend[i][r] {
-				continue
-			}
-			switch {
-			case recvAvail[r] < bestT-tieEps:
-				bestT = recvAvail[r]
-				tiedR = append(tiedR[:0], r)
-			case recvAvail[r] <= bestT+tieEps:
-				tiedR = append(tiedR, r)
-			}
-		}
-		j := tiedR[rng.Intn(len(tiedR))]
-		start := math.Max(sendAvail[i], recvAvail[j])
-		fin := start + m.At(i, j)
-		out.Events = append(out.Events, timing.Event{Src: i, Dst: j, Start: start, Finish: fin})
-		sendAvail[i], recvAvail[j] = fin, fin
-		pend[i][j] = false
-		counts[i]--
-	}
-	return out
+	return &Result{Algorithm: ms.Name(), Schedule: best.Schedule, LowerBound: m.LowerBound()}, nil
 }

@@ -83,7 +83,7 @@ func (o OpenShop) Schedule(m *model.Matrix) (*Result, error) {
 			}
 		}
 	}
-	events, err := run.schedule(m, tieEps, o.TieBreak)
+	events, err := run.schedule(m, tieEps, o.TieBreak, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +120,9 @@ func (t times) set(i int, v float64) { t[i] = math.Float64bits(v) }
 // the time. Which receiver it picks: receivers sit in one array sorted
 // by recvAvail, and only the receiver that just finished moves, always
 // towards the back. Both need times that never decrease, hence
-// schedule's up-front check that every owed cost is finite and
-// non-negative; such times (never −0 either) order like their bit
-// patterns, so both compare them as uint64s.
+// schedule's up-front check that every owed cost and start time is
+// finite and non-negative; such times (with −0 read as 0) order like
+// their bit patterns, so both compare them as uint64s.
 type openShopRun struct {
 	n     int
 	words int // uint64 words per row of owed
@@ -191,23 +191,34 @@ func less(ka, ia, kb, ib uint64) bool {
 }
 
 // schedule runs the heuristic over the recorded pairs and returns one
-// event per pair in the order they were decided. Receivers whose
-// availability differs by at most eps are tied, and tb picks among
-// them. It fails, without scheduling anything, if an owed cost is NaN,
-// infinite or negative.
-func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak) ([]timing.Event, error) {
+// event per pair in the order they were decided. Sender i is first
+// available at sendFree[i] and receiver j at recvFree[j]; a nil start
+// is all zero. Receivers whose availability differs by at most eps are
+// tied, and tb picks among them. It fails, without scheduling
+// anything, if an owed cost or a start time is NaN, infinite or
+// negative, or a start does not have one time per processor.
+func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak, sendFree, recvFree []float64) ([]timing.Event, error) {
+	n := s.n
+	if err := checkStart("sender", sendFree, n); err != nil {
+		return nil, err
+	}
+	if err := checkStart("receiver", recvFree, n); err != nil {
+		return nil, err
+	}
 	if s.pairs == 0 {
 		return nil, nil
 	}
-	n := s.n
 	tree, recv := s.tree, s.recv
 	for i := 0; i < n; i++ {
-		// Senders start available at 0, and the receiver order at ids.
-		recv[2*i+1] = uint64(i)
+		// The receiver order starts at ids, and is sorted by time below.
+		r := startKey(recvFree, i)
+		recv[2*i], recv[2*i+1] = r, uint64(i)
+		s.recvAvail[i] = r
 		if s.pending[i] == 0 {
 			s.sendKey[i] = done
 			continue
 		}
+		s.sendKey[i] = startKey(sendFree, i)
 		owed := s.row(i)
 		for j, c := range m.Row(i) {
 			if !has(owed, j) {
@@ -218,6 +229,15 @@ func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak) ([]tim
 			}
 			s.inbound.set(j, s.inbound.at(j)+c)
 		}
+	}
+	// Insertion sort by (time, id); a zero start moves nothing.
+	for k := 1; k < n; k++ {
+		t, id := recv[2*k], recv[2*k+1]
+		r := k
+		for ; r > 0 && recv[2*r-2] > t; r-- {
+			recv[2*r], recv[2*r+1] = recv[2*r-2], recv[2*r-1]
+		}
+		recv[2*r], recv[2*r+1] = t, id
 	}
 	for x := n - 1; x >= 1; x-- {
 		l, r := s.winner(2*x), s.winner(2*x+1)
@@ -298,6 +318,30 @@ func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak) ([]tim
 		s.recvAvail.set(j, finish)
 	}
 	return events, nil
+}
+
+// checkStart fails unless start is nil or holds a finite non-negative
+// time for each of the n processors.
+func checkStart(role string, start []float64, n int) error {
+	if start != nil && len(start) != n {
+		return fmt.Errorf("sched: open shop: %d %s start times for P=%d", len(start), role, n)
+	}
+	for k, t := range start {
+		if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+			return fmt.Errorf("sched: open shop: %s %d starts at %v, not a valid time", role, k, t)
+		}
+	}
+	return nil
+}
+
+// startKey returns processor i's start time in start as a key: 0 for a
+// nil start, and adding +0 turns −0, whose sign bit would sort it after
+// every time, into 0.
+func startKey(start []float64, i int) uint64 {
+	if start == nil {
+		return 0
+	}
+	return math.Float64bits(start[i] + 0)
 }
 
 // scan is the heuristic's receiver choice as the paper's definition

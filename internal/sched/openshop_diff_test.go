@@ -326,18 +326,67 @@ func TestPartialOpenShopMatchesReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(n)))
 				m, p := mkm(rng, n), mkp(rng, n)
 				label := fmt.Sprintf("%s/%s P=%d", mname, pname, n)
-				want, err := referencePartialOpenShop(m, p)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", label, err)
+				partialMatchesReference(t, label, m, p, nil, nil)
+				if pname != "half" {
+					continue
 				}
-				got, err := PartialOpenShop(m, p)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+				// The started row: every port carries a time drawn from
+				// the same family, so carried times tie with each other
+				// and with the finishes the run makes.
+				carried := mkm(rng, n)
+				sendFree, recvFree := make([]float64, n), make([]float64, n)
+				for i := range sendFree {
+					sendFree[i] = carried.At(i, (i+1)%n)
+					recvFree[i] = carried.At((i+1)%n, i)
 				}
-				sameResult(t, label, got, want)
+				partialMatchesReference(t, label+" started", m, p, sendFree, recvFree)
 			}
 		}
 	}
+}
+
+// partialMatchesReference holds PartialOpenShopFrom to
+// referencePartialOpenShop on one started instance.
+func partialMatchesReference(t *testing.T, label string, m *model.Matrix, p Pattern, sendFree, recvFree []float64) {
+	t.Helper()
+	want, err := referencePartialOpenShop(m, p, sendFree, recvFree)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	got, err := PartialOpenShopFrom(m, p, sendFree, recvFree)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sameResult(t, label, got, want)
+}
+
+// TestPartialOpenShopFromFailsClosed: a start the kernel cannot order
+// is an error, whatever the pattern, and −0 is 0.
+func TestPartialOpenShopFromFailsClosed(t *testing.T) {
+	m := randMatrix(t, 6, 4, 1<<16)
+	zero := []float64{0, 0, 0, 0}
+	for _, p := range []Pattern{nil, TotalExchangePattern(4)} {
+		for _, bad := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+			start := []float64{0, 1, bad, 2}
+			if _, err := PartialOpenShopFrom(m, p, start, zero); err == nil {
+				t.Errorf("%d pairs: sender start %v accepted", len(p), bad)
+			}
+			if _, err := PartialOpenShopFrom(m, p, zero, start); err == nil {
+				t.Errorf("%d pairs: receiver start %v accepted", len(p), bad)
+			}
+		}
+		for _, short := range [][]float64{{}, zero[:3], append(zero, 0)} {
+			if _, err := PartialOpenShopFrom(m, p, short, nil); err == nil {
+				t.Errorf("%d pairs: %d sender start times for P=4 accepted", len(p), len(short))
+			}
+			if _, err := PartialOpenShopFrom(m, p, nil, short); err == nil {
+				t.Errorf("%d pairs: %d receiver start times for P=4 accepted", len(p), len(short))
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	started := []float64{1, negZero, 0, negZero}
+	partialMatchesReference(t, "−0 start", m, TotalExchangePattern(4), started, started)
 }
 
 // fuzzMatrix expands a byte string into a P×P matrix of finite
@@ -418,6 +467,27 @@ func fuzzPattern(n int, mask []byte) Pattern {
 	return p
 }
 
+// fuzzStart expands a byte string into a start state for n processors:
+// none for an empty string, else sender then receiver times that are
+// 0…3 steps of a size the first byte picks, so that carried times tie
+// with each other and with the costs fuzzMatrix draws. A zero step
+// count with bit 2 set is −0.
+func fuzzStart(n int, data []byte) (sendFree, recvFree []float64) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	step := [...]float64{1, 0.5, 0.7e-12, 1.5e-11}[data[0]%4]
+	free := make([]float64, 2*n)
+	for k := range free {
+		b := data[k%len(data)]
+		free[k] = step * float64(b%4)
+		if b%4 == 0 && b&4 != 0 {
+			free[k] = math.Copysign(0, -1)
+		}
+	}
+	return free[:n:n], free[n:]
+}
+
 func FuzzPartialOpenShopMatchesReference(f *testing.F) {
 	for mode := byte(0); mode < 5; mode++ {
 		rng := rand.New(rand.NewSource(int64(mode)))
@@ -426,23 +496,36 @@ func FuzzPartialOpenShopMatchesReference(f *testing.F) {
 			rng.Read(mask)
 			rng.Read(data)
 			data[0] = mode
-			f.Add(p, mask, data)
+			f.Add(p, mask, data, []byte(nil))
+			start := make([]byte, rng.Intn(2*int(p)+1))
+			rng.Read(start)
+			f.Add(p, mask, data, start)
 		}
 	}
-	f.Add(uint8(6), []byte{0xff}, []byte{1, 1})        // total exchange, all-equal
-	f.Add(uint8(65), []byte{0x55}, []byte{1, 1, 2, 3}) // two-word remaining sets, every other pair
+	f.Add(uint8(6), []byte{0xff}, []byte{1, 1}, []byte{})              // total exchange, all-equal
+	f.Add(uint8(6), []byte{0xff}, []byte{1, 1}, []byte{0, 1, 2, 3, 0}) // the same, started
+	f.Add(uint8(65), []byte{0x55}, []byte{1, 1, 2, 3}, []byte{1, 2})   // two-word remaining sets, every other pair
 	// Tied but not owed. At time 0 senders 0, 1 and 2 send to 3, 4 and
 	// 5, which then sit in the order as 5, 4, 3, all available at 1.
 	// Sender 6 owes 5 and 3: its earliest, 5, is tied with the next one
 	// in the order, 4, which it does not owe, and the tie goes to the
 	// owed runner-up behind it, 3.
-	f.Add(uint8(7), []byte{0x08, 0x08, 0x08, 0, 0, 0xa0, 0}, []byte{1, 1})
-	f.Fuzz(func(t *testing.T, p uint8, mask, data []byte) {
+	f.Add(uint8(7), []byte{0x08, 0x08, 0x08, 0, 0, 0xa0, 0}, []byte{1, 1}, []byte{})
+	// A carried time ties a receiver with a lower id. Every cost is 1;
+	// sender 2 and receiver 3 carry 1, every other port 0. Sender 0
+	// sends to 1 over [0, 1], and then sender 2 owes 1 and 3, both free
+	// at 1: the tie goes to 1.
+	f.Add(uint8(4), []byte{0x02, 0x0a}, []byte{1, 1}, []byte{0, 0, 1, 0, 0, 0, 0, 1})
+	// A −0 carried by sender 1 ties sender 2, free at 0. Both owe 0,
+	// and 1 goes first.
+	f.Add(uint8(4), []byte{0x10, 0x01}, []byte{1, 1}, []byte{0, 4, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, p uint8, mask, data, start []byte) {
 		n := int(p) % 72
 		m, pat := fuzzMatrix(n, data), fuzzPattern(n, mask)
-		label := fmt.Sprintf("P=%d mask=%x data=%x", n, mask, data)
-		want, werr := referencePartialOpenShop(m, pat)
-		got, err := PartialOpenShop(m, pat)
+		sendFree, recvFree := fuzzStart(n, start)
+		label := fmt.Sprintf("P=%d mask=%x data=%x start=%x", n, mask, data, start)
+		want, werr := referencePartialOpenShop(m, pat, sendFree, recvFree)
+		got, err := PartialOpenShopFrom(m, pat, sendFree, recvFree)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: error %v, reference %v", label, err, werr)
 		}

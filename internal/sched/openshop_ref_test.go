@@ -11,8 +11,8 @@ import (
 // The open shop loops as they stood before the event-ordered kernel
 // replaced them, kept word for word as test oracles: two O(P) scans
 // per event, terminating on any floats. The differential tests in
-// openshop_diff_test.go hold OpenShop.Schedule and PartialOpenShop to
-// these with ==.
+// openshop_diff_test.go hold OpenShop.Schedule and PartialOpenShopFrom
+// to these with ==.
 
 // referenceOpenShop is the former body of OpenShop.Schedule.
 func referenceOpenShop(o OpenShop, m *model.Matrix) (*Result, error) {
@@ -102,9 +102,12 @@ func referenceOpenShop(o OpenShop, m *model.Matrix) (*Result, error) {
 	}, nil
 }
 
-// referencePartialOpenShop is the former body of PartialOpenShop.
-func referencePartialOpenShop(m *model.Matrix, p Pattern) (*Result, error) {
-	if err := validatePatternInput(m, p); err != nil {
+// referencePartialOpenShop is the former body of PartialOpenShop,
+// started, as sim's checkpoint replanner and qos's critical-resource
+// fill once spelled it out, from the availability in sendFree and
+// recvFree (nil for zero).
+func referencePartialOpenShop(m *model.Matrix, p Pattern, sendFree, recvFree []float64) (*Result, error) {
+	if err := p.Validate(m.N()); err != nil {
 		return nil, err
 	}
 	n := m.N()
@@ -119,6 +122,8 @@ func referencePartialOpenShop(m *model.Matrix, p Pattern) (*Result, error) {
 	}
 	sendAvail := make([]float64, n)
 	recvAvail := make([]float64, n)
+	copy(sendAvail, sendFree)
+	copy(recvAvail, recvFree)
 	out := &timing.Schedule{N: n}
 	for remaining := len(p); remaining > 0; remaining-- {
 		i := -1

@@ -75,11 +75,6 @@ func PatternLowerBound(m *model.Matrix, p Pattern) float64 {
 	return lb
 }
 
-// validatePatternInput is shared by PartialOpenShop and its reference.
-func validatePatternInput(m *model.Matrix, p Pattern) error {
-	return p.Validate(m.N())
-}
-
 // checkPatternSchedule verifies a schedule covers the pattern exactly.
 func checkPatternSchedule(s *timing.Schedule, m *model.Matrix, p Pattern) error {
 	if err := s.Validate(m); err != nil {
@@ -106,7 +101,17 @@ func checkPatternSchedule(s *timing.Schedule, m *model.Matrix, p Pattern) error 
 // pattern-agnostic, so completion stays within twice
 // PatternLowerBound.
 func PartialOpenShop(m *model.Matrix, p Pattern) (*Result, error) {
-	if err := validatePatternInput(m, p); err != nil {
+	return PartialOpenShopFrom(m, p, nil, nil)
+}
+
+// PartialOpenShopFrom is PartialOpenShop started from the port
+// availability earlier phases left behind: sender i is first free at
+// sendFree[i] and receiver j at recvFree[j]. A nil slice starts every
+// port at 0; a start that is not one finite non-negative time per
+// processor is an error. The lower bound ignores the start. The §6.3
+// checkpoint replanner and the §6.4 critical-resource fill run it.
+func PartialOpenShopFrom(m *model.Matrix, p Pattern, sendFree, recvFree []float64) (*Result, error) {
+	if err := p.Validate(m.N()); err != nil {
 		return nil, err
 	}
 	run := newOpenShopRun(m.N())
@@ -114,7 +119,7 @@ func PartialOpenShop(m *model.Matrix, p Pattern) (*Result, error) {
 		run.owe(pr.Src, pr.Dst)
 	}
 	// Receiver ties are exact here and go to the lowest id.
-	events, err := run.schedule(m, 0, TieLowestID)
+	events, err := run.schedule(m, 0, TieLowestID, sendFree, recvFree)
 	if err != nil {
 		return nil, err
 	}

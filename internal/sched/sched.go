@@ -3,11 +3,13 @@
 // communication) on heterogeneous networks — the primary contribution
 // of the paper (Section 4).
 //
-// Five schedulers are provided:
+// Six schedulers are provided:
 //
 //   - Baseline: the caterpillar algorithm used in homogeneous systems
 //     (step j: Pi sends to P(i+j) mod P). Completion is within (P/2)·t_lb
 //     and that bound is tight (Theorem 2).
+//   - BaselineBarrier: the same steps run in lockstep, a barrier after
+//     each.
 //   - MaxMatching / MinMatching: decompose the P×P events into P
 //     contention-free steps via successive maximum- (or minimum-)
 //     weight perfect matchings in a bipartite graph, O(P⁴).
@@ -16,8 +18,9 @@
 //   - OpenShop: a list-scheduling heuristic derived from open shop
 //     scheduling; its completion time is within twice the lower bound
 //     (Theorem 3). O(P³), as the paper states it and in the kernel
-//     shared with PartialOpenShop, which makes the same picks from a
-//     winner tree of senders and a sorted array of receivers.
+//     shared with PartialOpenShop and PartialOpenShopFrom, which makes
+//     the same picks from a winner tree of senders and a sorted array
+//     of receivers.
 //
 // Every scheduler consumes a model.Matrix (sender-major communication
 // times) and produces a timed schedule plus the step structure when one
@@ -77,8 +80,8 @@ type Scheduler interface {
 }
 
 // All returns one instance of every scheduler in the paper, in the
-// order the evaluation section lists them: baseline, max matching,
-// min matching, greedy, open shop.
+// order the evaluation section lists them: baseline, baseline with
+// barriers, max matching, min matching, greedy, open shop.
 func All() []Scheduler {
 	return []Scheduler{
 		Baseline{},

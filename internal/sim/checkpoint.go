@@ -6,6 +6,7 @@ import (
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
+	"hetsched/internal/sched"
 	"hetsched/internal/timing"
 )
 
@@ -72,68 +73,40 @@ func KeepOrder(_ *netmodel.Perf, remaining *Plan, _ *State, _ float64) (*Plan, e
 }
 
 // ReplanOpenShop reschedules the remaining sends with the open shop
-// heuristic generalized to partial communication patterns: senders are
-// repeatedly given their earliest-available remaining receiver, using
-// communication times computed from the fresh performance estimate and
-// starting from the actual mid-flight availability of every processor.
-// (The paper's open shop scheduler is the best performer on full total
-// exchange; the generalization to arbitrary remaining sets is direct —
-// each sender's receiver set simply starts smaller and its clock does
-// not start at zero.)
+// heuristic over the remaining pairs (sched.PartialOpenShopFrom): its
+// communication times come from the fresh performance estimate, and
+// every port starts from its actual mid-flight availability in st (a
+// nil st starts them at 0). A time that is not finite and
+// non-negative, or a State not sized for the plan, is an error.
 func ReplanOpenShop(perf *netmodel.Perf, remaining *Plan, st *State, _ float64) (*Plan, error) {
 	if perf.N() != remaining.N {
 		return nil, fmt.Errorf("sim: estimate covers %d processors, plan %d", perf.N(), remaining.N)
 	}
+	if err := remaining.Validate(); err != nil {
+		return nil, err
+	}
 	n := remaining.N
 	cost := model.NewMatrix(n)
-	pend := make([][]bool, n)
-	counts := make([]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		pend[i] = make([]bool, n)
-		for _, j := range remaining.Order[i] {
-			pend[i][j] = true
-			counts[i]++
-			total++
+	var pattern sched.Pattern
+	for i, dsts := range remaining.Order {
+		for _, j := range dsts {
+			pattern = append(pattern, timing.Pair{Src: i, Dst: j})
 			cost.Set(i, j, perf.TransferTime(i, j, remaining.Sizes.At(i, j)))
 		}
 	}
-	sendAvail := make([]float64, n)
-	recvAvail := make([]float64, n)
+	var sendFree, recvFree []float64
 	if st != nil {
-		copy(sendAvail, st.SendFree)
-		copy(recvAvail, st.RecvFree)
+		sendFree, recvFree = st.SendFree, st.RecvFree
+	}
+	r, err := sched.PartialOpenShopFrom(cost, pattern, sendFree, recvFree)
+	if err != nil {
+		return nil, fmt.Errorf("sim: replan: %w", err)
 	}
 	order := make([][]int, n)
-	for total > 0 {
-		i := -1
-		for s := 0; s < n; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			if i < 0 || sendAvail[s] < sendAvail[i] {
-				i = s
-			}
-		}
-		j := -1
-		for r := 0; r < n; r++ {
-			if pend[i][r] && (j < 0 || recvAvail[r] < recvAvail[j]) {
-				j = r
-			}
-		}
-		start := math.Max(sendAvail[i], recvAvail[j])
-		fin := start + cost.At(i, j)
-		sendAvail[i], recvAvail[j] = fin, fin
-		pend[i][j] = false
-		counts[i]--
-		total--
-		order[i] = append(order[i], j)
+	for _, e := range r.Schedule.Events {
+		order[e.Src] = append(order[e.Src], e.Dst)
 	}
-	out := &Plan{N: n, Sizes: remaining.Sizes.Clone(), Order: order}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &Plan{N: n, Sizes: remaining.Sizes.Clone(), Order: order}, nil
 }
 
 // Checkpoint is one checkpoint of a checkpointed or reactive run.

@@ -828,6 +828,32 @@ func TestReplanOpenShopShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestReplanOpenShopFailsClosed: a State that does not cover every
+// processor, or a time the estimate cannot give, is an error rather
+// than a plan.
+func TestReplanOpenShopFailsClosed(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	perf := netmodel.RandomPerf(rng, 4, netmodel.GustoGuided())
+	rem := unitPlan(4, [][]int{{1, 2}, {3}, {}, {0}})
+	if _, err := ReplanOpenShop(perf, rem, NewState(4), 0); err != nil {
+		t.Fatal(err)
+	}
+	short := NewState(4)
+	short.RecvFree = short.RecvFree[:3]
+	if _, err := ReplanOpenShop(perf, rem, short, 0); err == nil {
+		t.Error("a State for 3 receivers was accepted for P=4")
+	}
+	short = NewState(3)
+	if _, err := ReplanOpenShop(perf, rem, short, 0); err == nil {
+		t.Error("a State for P=3 was accepted for P=4")
+	}
+	cut := perf.Clone()
+	cut.Set(1, 3, netmodel.PairPerf{Latency: 0.01, Bandwidth: 0})
+	if _, err := ReplanOpenShop(cut, rem, NewState(4), 0); err == nil {
+		t.Error("a zero-bandwidth pair in the remaining plan was planned")
+	}
+}
+
 func TestCheckpointPolicyNames(t *testing.T) {
 	if NoCheckpoints.Name(NoCheckpoints{}) != "none" {
 		t.Error("NoCheckpoints name")

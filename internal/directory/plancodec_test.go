@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,7 @@ var planCodecSeeds = []string{
 	`{"op":"plan","seed":-999999999999999999,"id":999999999999999999}`,
 	`{"op":"a<b>&c","kind":" ","trace":"\""}`,
 	`{"op":"plan","sizes":[null,[1]]}`,
+	"{\"op\":\"plan\",\"sizes\":[[ 0,\t-1 ,2\n],[3 , 0,5],[\r\n6,7\t, 0 ]]}",
 }
 
 // planCodecDeclines are lines the fast decoder must leave to
@@ -104,6 +106,12 @@ var planCodecDeclines = []string{
 	`{"sizes":[[0,1],[2,0]]]}`, `{"sizes":[[0,1],[2,0],]}`, `{"sizes":[[0,1,],[2,0]]}`,
 	`{"op":"plan"} x`, `{"op":"plan"}{"op":"plan"}`, `{"op":"plan"},`, `{"op":"plan",}`,
 	`{,"op":"plan"}`, `{"op" "plan"}`, `{"op":"plan" "id":1}`, `["op"]`, `null`, ``, ` `,
+	// The number rules inside a sizes row, which reads its own values.
+	`{"sizes":[[0,01],[1,0]]}`, `{"sizes":[[0,-0],[1,0]]}`, `{"sizes":[[-0,1],[1,0]]}`,
+	`{"sizes":[[0,1234567890123456789],[1,0]]}`, `{"sizes":[[0,1],[-9223372036854775808,0]]}`,
+	`{"sizes":[[0,+1],[1,0]]}`, `{"sizes":[[0,1.0],[1,0]]}`, `{"sizes":[[0,1e3],[1,0]]}`,
+	`{"sizes":[[0,-],[1,0]]}`, `{"sizes":[[0,- 1],[1,0]]}`, `{"sizes":[[0,1 2],[1,0]]}`,
+	"{\"sizes\":[[0,\x0b1],[1,0]]}", // a control byte that is not whitespace
 	// A first row whose commas promise more than the line holds.
 	`{"sizes":[[0` + strings.Repeat(",0", 4096) + `]]}`,
 }
@@ -156,12 +164,42 @@ func TestPlanRequestFastPathAccepts(t *testing.T) {
 	for _, line := range planCodecSeeds {
 		checkPlanRequestCodec(t, []byte(line))
 	}
+
+	// Whitespace in a table keeps it on the fast decoder: a decline would
+	// still decode correctly through encoding/json, only slower, so only
+	// this test sees it.
+	table := make([][]int64, 5)
+	for i := range table {
+		table[i] = make([]int64, 5)
+		for j := range table[i] {
+			table[i][j] = int64((i - j) * 1000)
+		}
+	}
+	indented, err := json.MarshalIndent(PlanRequest{Op: OpPlan, Sizes: table, DeadlineMS: 500}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		strings.ReplaceAll(string(indented), "\n", " "),
+		`{"op":"plan","sizes":[ [ 0 , -1 , -2 ] , [ -3 , 0 , -4 ] , [ 5 , -6 , 0 ] ]}`,
+	} {
+		if _, ok := decodeCanonicalPlanRequest([]byte(line)); !ok {
+			t.Errorf("fast decoder declined the spaced table %q", line)
+		}
+		checkPlanRequestCodec(t, []byte(line))
+	}
 }
 
 // TestPlanRequestEncodeMatchesJSON covers the request shapes no wire
-// line decodes to: nil and empty rows, strings json escapes.
+// line decodes to: nil and empty rows, strings json escapes, and the
+// integers on each side of every digit count.
 func TestPlanRequestEncodeMatchesJSON(t *testing.T) {
+	edges := []int64{0, 1, -1, 9, -9, 10, -10, math.MaxInt64, math.MinInt64}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		edges = append(edges, p-1, p, 1-p, -p)
+	}
 	reqs := []PlanRequest{
+		{Op: OpPlan, Sizes: [][]int64{edges}},
 		{Op: OpPlan, Sizes: [][]int64{nil, {}, {1, -2}}},
 		{Op: OpPlan, Sizes: [][]int64{}},
 		{Op: `pl"an`}, {Op: "a<b"}, {Kind: "a>b"}, {Trace: "a&b"}, {Op: `a\b`},

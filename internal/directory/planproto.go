@@ -2,6 +2,8 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"hetsched/internal/wire"
@@ -47,6 +49,10 @@ import (
 //   - AppendPlanRequest writes byte for byte what json.Marshal writes
 //     (field order, omitempty, a nil row as null) and hands any request
 //     with a string json would escape to json itself.
+//
+// Nearly all of an explicit table's cost is its integers, so each
+// direction spends it in one loop per sizes row: readRow on the way in,
+// the row loop of AppendPlanRequest with putInt on the way out.
 //
 // Responses are small and stay on encoding/json.
 
@@ -246,14 +252,21 @@ func AppendPlanRequest(dst []byte, req PlanRequest) ([]byte, error) {
 				dst = append(dst, "null"...)
 				continue
 			}
-			dst = append(dst, '[')
+			// One reservation per row: a value and its comma take at
+			// most 21 bytes, the width of MinInt64 plus one.
+			dst = slices.Grow(dst, 21*len(row)+2)
+			out, w := dst[:cap(dst)], len(dst)
+			out[w] = '['
+			w++
 			for j, v := range row {
 				if j > 0 {
-					dst = append(dst, ',')
+					out[w] = ','
+					w++
 				}
-				dst = strconv.AppendInt(dst, v, 10)
+				w = putInt(out, w, v)
 			}
-			dst = append(dst, ']')
+			out[w] = ']'
+			dst = out[:w+1]
 		}
 		dst = append(dst, ']')
 	}
@@ -267,6 +280,55 @@ func AppendPlanRequest(dst []byte, req PlanRequest) ([]byte, error) {
 		dst = append(dst, '"')
 	}
 	return append(dst, '}', '\n'), nil
+}
+
+// digitPairs spells 00 through 99, two bytes each.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10^0 through 10^19.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// putInt writes v in decimal, as strconv.AppendInt does, at out[w:],
+// which has room for 20 bytes, and returns the index past it. It counts
+// the digits first, so it writes them in place two at a time from the
+// right.
+func putInt(out []byte, w int, v int64) int {
+	u := uint64(v)
+	if v < 0 {
+		out[w] = '-'
+		w++
+		u = -u
+	}
+	// From the bit length (1233/4096 ≈ log10 2), t+1 is the digit count
+	// or one more than it; u|1 gives zero its one digit.
+	x := u | 1
+	t := bits.Len64(x) * 1233 >> 12
+	end := w + t + 1
+	if x < pow10[t] {
+		end--
+	}
+	for i := end; ; i -= 2 {
+		if u < 10 {
+			out[i-1] = byte('0' + u)
+			break
+		}
+		d := u % 100 * 2
+		out[i-2], out[i-1] = digitPairs[d], digitPairs[d+1]
+		if u /= 100; u == 0 {
+			break
+		}
+	}
+	return end
 }
 
 // ParsePlanResponse decodes one plan-response wire line.
@@ -342,7 +404,10 @@ func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
 			req.Op, ok = d.text()
 		case "id":
 			field = fID
-			req.ID, ok = d.digits()
+			var v int64
+			v, ok = d.int()
+			req.ID = uint64(v)
+			ok = ok && v >= 0
 		case "p":
 			field = fP
 			var v int64
@@ -378,15 +443,19 @@ func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
 }
 
 // space skips JSON's insignificant whitespace.
-func (d *planDecoder) space() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
+func (d *planDecoder) space() { d.i = skipSpace(d.b, d.i) }
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		switch b[i] {
 		case ' ', '\t', '\r', '\n':
-			d.i++
 		default:
-			return
+			return i
 		}
 	}
+	return i
 }
 
 // eat consumes c, after any whitespace, if it is next.
@@ -436,43 +505,66 @@ func (d *planDecoder) text() (string, bool) {
 	return string(b), ok
 }
 
-// digits consumes an unsigned integer at the cursor: 1 to 18 digits (so
-// it fits every integer field) with no leading zero. Whatever follows is
-// the caller's next token, and a fraction or exponent is none of them.
-func (d *planDecoder) digits() (uint64, bool) {
-	start, v := d.i, uint64(0)
-	for ; d.i < len(d.b); d.i++ {
-		c := d.b[d.i] - '0'
-		if c > 9 {
-			break
-		}
-		v = v*10 + uint64(c)
+// leadingInt is the decoder's one number rule. It reads the integer b
+// starts with and returns its length: an optional '-', then 1 to 18
+// digits (so it fits every integer field) with no leading zero, and not
+// "-0". Whatever follows is the caller's next token, and a fraction or
+// exponent is none of them. It takes b[i:] rather than (b, i) because
+// that keeps it under the inliner's budget, so readRow pays no call per
+// value.
+func leadingInt(b []byte) (v int64, n int, ok bool) {
+	i := 0 // where the digits start
+	if len(b) > 0 && b[0] == '-' {
+		i = 1
 	}
-	n := d.i - start
-	if n == 0 || n > 18 || (n > 1 && d.b[start] == '0') {
-		return 0, false
+	for n = i; n < len(b) && b[n]-'0' <= 9; n++ {
+		v = v*10 + int64(b[n]-'0')
 	}
-	return v, true
+	if i > 0 {
+		v = -v
+	}
+	// 1 to 18 digits, and a '0' leads only the number "0" itself.
+	return v, n, uint(n-i-1) <= 17 && (b[i] != '0' || n == 1)
 }
 
 // int consumes a signed integer at the cursor.
 func (d *planDecoder) int() (int64, bool) {
-	neg := d.i < len(d.b) && d.b[d.i] == '-'
-	if neg {
-		d.i++
+	v, n, ok := leadingInt(d.b[d.i:])
+	d.i += n
+	return v, ok
+}
+
+// readRow fills row from the values at b[i:], just past a row's '[',
+// and returns the index past its ']'. Each value is [space] int [space]
+// then ',' or, after the last, ']'. Only a byte <= ' ' can start
+// whitespace, so a compact row never calls skipSpace.
+func readRow(b []byte, i int, row []int64) (int, bool) {
+	for c := range row {
+		if i < len(b) && b[i] <= ' ' {
+			i = skipSpace(b, i)
+		}
+		v, n, ok := leadingInt(b[i:])
+		if !ok {
+			return 0, false
+		}
+		if i += n; i < len(b) && b[i] <= ' ' {
+			i = skipSpace(b, i)
+		}
+		end := byte(',')
+		if c == len(row)-1 {
+			end = ']'
+		}
+		if i == len(b) || b[i] != end {
+			return 0, false
+		}
+		row[c] = v
+		i++
 	}
-	v, ok := d.digits()
-	if !ok || (neg && v == 0) {
-		return 0, false
-	}
-	if neg {
-		return -int64(v), true
-	}
-	return int64(v), true
+	return i, true
 }
 
 // sizes consumes a square table. The first row's commas give n; the n²
-// values are then parsed into one slab, a row at a time.
+// values are then parsed into one slab by readRow, a row at a time.
 func (d *planDecoder) sizes() ([][]int64, bool) {
 	if !d.eat('[') || !d.eat('[') {
 		return nil, false
@@ -501,20 +593,11 @@ func (d *planDecoder) sizes() ([][]int64, bool) {
 			return nil, false
 		}
 		row := slab[r*n : (r+1)*n : (r+1)*n]
-		for c := range row {
-			if c > 0 && !d.eat(',') {
-				return nil, false
-			}
-			d.space()
-			v, ok := d.int()
-			if !ok {
-				return nil, false
-			}
-			row[c] = v
-		}
-		if !d.eat(']') {
+		i, ok := readRow(d.b, d.i, row)
+		if !ok {
 			return nil, false
 		}
+		d.i = i
 		rows[r] = row
 	}
 	return rows, d.eat(']')

@@ -27,10 +27,11 @@ import (
 //
 // The returned table is read-only on both sides. The communicator never
 // writes to it (model.Build only reads, calibration overlays are
-// copy-on-write, the stale rung keeps its own copy), so a source may
-// hand the same table to every call and to concurrent callers without
-// copying it. In return a source must not mutate a table it has handed
-// out: when the network changes it returns a different table.
+// copy-on-write), so a source may hand the same table to every call and
+// to concurrent callers without copying it. In return a source must not
+// mutate a table it has handed out: when the network changes it returns
+// a different table. The stale rung relies on this: it keeps the
+// pointer of the last table served, neither compared nor copied.
 type Source func() (*netmodel.Perf, error)
 
 // StaticSource wraps a fixed table as a Source. The table is copied
@@ -115,6 +116,11 @@ type Communicator struct {
 	cfg    Config
 	tel    commTelemetry
 
+	// matrices recycles the cost matrices of one-shot plans. A matrix
+	// outlives only its Schedule call (sched.Scheduler may not keep
+	// it), so it goes back to the pool as soon as the plan is made.
+	matrices sync.Pool
+
 	mu    sync.Mutex // guards the fields below
 	memo  *memoEntry // the repeated-exchange memo; nil until the first plan
 	stats Stats
@@ -189,20 +195,19 @@ func (c *Communicator) ladderTable(sizes *model.Sizes) (*netmodel.Perf, Health, 
 			return nil, HealthOK, fmt.Errorf("comm: directory reports %d processors, want %d", perf.N(), c.n)
 		}
 		c.mu.Lock()
-		// An unchanged table keeps the existing cached clone; only the
-		// timestamp is refreshed. The cache holds the RAW snapshot —
-		// calibration is overlaid at build time, so an estimate that
-		// loses trust later stops being applied to the cached table too.
-		if c.lastPerf == nil || !c.lastPerf.Equal(perf) {
-			c.lastPerf = perf.Clone()
-		}
+		// The stale rung keeps the table exactly as served: a source
+		// never mutates a table it has handed out (see Source). The
+		// cache holds the RAW snapshot — calibration is overlaid at
+		// build time, so an estimate that loses trust later stops
+		// being applied to the cached table too.
+		c.lastPerf = perf
 		c.lastPerfAt = c.cfg.Clock()
 		c.mu.Unlock()
 		return c.calibrated(perf), HealthOK, nil
 	}
 	// Rung 2: the cached table, while it is young enough to beat
-	// guessing. Cached tables are never mutated, so reading outside the
-	// planning path is safe (calibrated overlays copy-on-write).
+	// guessing. Served tables are never mutated, so reading outside the
+	// lock is safe (calibrated overlays copy-on-write).
 	c.mu.Lock()
 	cached, at := c.lastPerf, c.lastPerfAt
 	c.mu.Unlock()
@@ -303,7 +308,12 @@ func (c *Communicator) AllToAllHealth(sizes *model.Sizes) (*sched.Result, Health
 // recorded as a span on that request's tree, and flight-recorder
 // events are tagged with its trace ID.
 func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes) (*sched.Result, Health, error) {
-	m, h, err := c.snapshotMatrix(sizes, new(model.Matrix))
+	dst, _ := c.matrices.Get().(*model.Matrix)
+	if dst == nil {
+		dst = new(model.Matrix)
+	}
+	defer c.matrices.Put(dst)
+	m, h, err := c.snapshotMatrix(sizes, dst)
 	if err != nil {
 		return nil, h, err
 	}

@@ -97,17 +97,32 @@ func TestAllToAllSourceShapeMismatch(t *testing.T) {
 
 func TestCommConcurrentUse(t *testing.T) {
 	// Race soak (run under -race): one-shot, repeated, and stats calls
-	// from many goroutines against one communicator.
+	// from many goroutines against one communicator. Each goroutine's
+	// one-shot plans are for its own sizes and must match a plan made
+	// alone: the pooled cost matrices are never shared between calls.
 	c := newComm(t, netmodel.Gusto(), Config{})
 	sizes := model.UniformSizes(5, 1<<20)
+	alone := newComm(t, netmodel.Gusto(), Config{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		own := model.UniformSizes(5, int64(g+1)<<18)
+		own.Set(g, (g+1)%5, 7)
+		want, err := alone.AllToAll(own)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
-				if _, err := c.AllToAll(sizes); err != nil {
+				r, err := c.AllToAll(own)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if r.LowerBound != want.LowerBound || r.CompletionTime() != want.CompletionTime() {
+					t.Errorf("concurrent plan t_lb %v t_max %v, alone %v %v",
+						r.LowerBound, r.CompletionTime(), want.LowerBound, want.CompletionTime())
 					return
 				}
 				if _, err := c.AllToAllRepeated(sizes); err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetsched/internal/leakcheck"
 	"hetsched/internal/netmodel"
 )
 
@@ -96,5 +97,55 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	bad.Set(0, 1, netmodel.PairPerf{Latency: -5, Bandwidth: 1})
 	if err := BuildInto(&dst, bad, UniformSizes(3, 1)); err == nil || !strings.Contains(err.Error(), "not a valid time") {
 		t.Fatalf("invalid entry: %v", err)
+	}
+}
+
+// TestBuildIntoErrorMatchesValidate: BuildInto checks entries as it
+// writes them, and must name the same first invalid entry, in the same
+// words, that Validate names on the fully written matrix — whatever the
+// destination held before.
+func TestBuildIntoErrorMatchesValidate(t *testing.T) {
+	const n = 6
+	base := netmodel.RandomPerf(rand.New(rand.NewSource(5)), n, netmodel.GustoGuided())
+	sizes := UniformSizes(n, 1<<12)
+	bad := map[string]netmodel.PairPerf{
+		"NaN latency":    {Latency: math.NaN(), Bandwidth: 1e6},
+		"zero bandwidth": {Latency: 1e-3, Bandwidth: 0},
+		"negative":       {Latency: -1, Bandwidth: 1e6},
+	}
+	for name, pp := range bad {
+		perf := base.Clone()
+		perf.Set(4, 1, pp)
+		perf.Set(2, 3, pp) // the first in row-major order
+		perf.Set(2, 2, pp) // the diagonal is never read
+		written := NewMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				written.Set(i, j, perf.TransferTime(i, j, sizes.At(i, j)))
+			}
+		}
+		want := written.Validate()
+		dst := NewMatrix(n) // full of stale, invalid entries
+		for k := range dst.c {
+			dst.c[k] = -7
+		}
+		err := BuildInto(dst, perf, sizes)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: BuildInto said %v, Validate says %v", name, err, want)
+		}
+	}
+}
+
+// TestLowerBoundAllocatesNothing: up to 64 processors the column sums
+// of LowerBound's single pass live on the stack.
+func TestLowerBoundAllocatesNothing(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	for _, n := range []int{2, 50, 64} {
+		m := NewMatrix(n)
+		if got := testing.AllocsPerRun(20, func() { m.LowerBound() }); got != 0 {
+			t.Errorf("P=%d: LowerBound makes %v allocations, want 0", n, got)
+		}
 	}
 }

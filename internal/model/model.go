@@ -84,6 +84,13 @@ func (m *Matrix) Equal(o *Matrix) bool {
 // Reset resizes the matrix to n×n and zeroes every entry, reusing the
 // backing array when it is large enough.
 func (m *Matrix) Reset(n int) {
+	m.resize(n)
+	clear(m.c)
+}
+
+// resize makes the matrix n×n, reusing the backing array when it is
+// large enough. Entries keep whatever the array held.
+func (m *Matrix) resize(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("model: negative size %d", n))
 	}
@@ -91,9 +98,17 @@ func (m *Matrix) Reset(n int) {
 		m.c = make([]float64, n*n)
 	} else {
 		m.c = m.c[:n*n]
-		clear(m.c)
 	}
 	m.n = n
+}
+
+// validTime reports whether t can be a message time: finite and
+// non-negative.
+func validTime(t float64) bool { return !math.IsNaN(t) && !math.IsInf(t, 0) && t >= 0 }
+
+// invalidEntry is the error for an entry validTime rejects.
+func invalidEntry(i, j int, t float64) error {
+	return fmt.Errorf("model: entry (%d,%d) = %v is not a valid time", i, j, t)
 }
 
 // Validate checks that all entries are finite and non-negative and the
@@ -102,8 +117,8 @@ func (m *Matrix) Validate() error {
 	for i := 0; i < m.n; i++ {
 		for j := 0; j < m.n; j++ {
 			t := m.At(i, j)
-			if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-				return fmt.Errorf("model: entry (%d,%d) = %v is not a valid time", i, j, t)
+			if !validTime(t) {
+				return invalidEntry(i, j, t)
 			}
 			if i == j && t != 0 {
 				return fmt.Errorf("model: diagonal entry (%d,%d) = %v, want 0", i, j, t)
@@ -141,14 +156,35 @@ func (m *Matrix) ColSum(j int) float64 {
 // receive time at any single processor. No schedule can beat it
 // because a processor performs at most one send and one receive at a
 // time.
+//
+// It is one row-major pass that carries the column sums along. Every
+// row and every column is summed in the order RowSum and ColSum use,
+// so the bound is bit-identical to the largest of those; up to 64
+// processors the column sums live on the stack.
 func (m *Matrix) LowerBound() float64 {
+	var buf [64]float64
+	var cols []float64
+	if m.n <= len(buf) {
+		cols = buf[:m.n]
+	} else {
+		cols = make([]float64, m.n)
+	}
 	lb := 0.0
-	for p := 0; p < m.n; p++ {
-		if s := m.RowSum(p); s > lb {
-			lb = s
+	for i := 0; i < m.n; i++ {
+		sum := 0.0
+		for j, t := range m.Row(i) {
+			if j != i {
+				sum += t
+				cols[j] += t
+			}
 		}
-		if r := m.ColSum(p); r > lb {
-			lb = r
+		if sum > lb {
+			lb = sum
+		}
+	}
+	for _, sum := range cols {
+		if sum > lb {
+			lb = sum
 		}
 	}
 	return lb
@@ -262,7 +298,9 @@ func Build(perf *netmodel.Perf, sizes *Sizes) (*Matrix, error) {
 
 // BuildInto is Build with a caller-owned destination: dst is resized
 // and rebuilt in place, allocating only when its backing array must
-// grow. On error dst holds the partially built (invalid) matrix and
+// grow. Every entry, the zero diagonal included, is checked as it is
+// written, and the first invalid one is reported exactly as Validate
+// would report it. On error dst holds a partially built matrix and
 // must not be used.
 func BuildInto(dst *Matrix, perf *netmodel.Perf, sizes *Sizes) error {
 	if perf.N() != sizes.N() {
@@ -270,16 +308,18 @@ func BuildInto(dst *Matrix, perf *netmodel.Perf, sizes *Sizes) error {
 			perf.N(), perf.N(), sizes.N(), sizes.N())
 	}
 	n := perf.N()
-	dst.Reset(n)
+	dst.resize(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
+		row := dst.Row(i)
+		for j := range row {
+			t := perf.TransferTime(i, j, sizes.At(i, j)) // 0 on the diagonal
+			if !validTime(t) {
+				return invalidEntry(i, j, t)
 			}
-			dst.Set(i, j, perf.TransferTime(i, j, sizes.At(i, j)))
+			row[j] = t
 		}
 	}
-	return dst.Validate()
+	return nil
 }
 
 // BuildUniform is Build with every message the same size.

@@ -121,9 +121,7 @@ func (p *Perf) Validate() error {
 
 // Equal reports whether two tables have the same size and identical
 // entries (by float64 equality, so a table containing NaN never equals
-// anything). Callers use Equal to skip cloning or rebuilding when a
-// measurement provably has not changed, so "unsure" must read as
-// "not equal".
+// anything), so "unsure" reads as "not equal".
 func (p *Perf) Equal(o *Perf) bool {
 	if o == nil || p.n != o.n {
 		return false

@@ -75,7 +75,10 @@ type Scheduler interface {
 	// Schedule computes a schedule for the matrix. Implementations
 	// must return a schedule that passes
 	// timing.Schedule.ValidateTotalExchange against m, and must be
-	// callable concurrently from multiple goroutines.
+	// callable concurrently from multiple goroutines. The matrix is
+	// valid only for the duration of the call: the caller may rebuild
+	// it for another plan as soon as Schedule returns, so neither the
+	// implementation nor its Result may keep it.
 	Schedule(m *model.Matrix) (*Result, error)
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -16,29 +16,41 @@ import (
 // rung — degraded-mode caterpillar plans cost far less than fresh
 // matching runs, and the estimate should follow the regime the next
 // request will actually experience.
+//
+// The window is kept twice: in arrival order, to know which sample a
+// new one evicts, and sorted, so a percentile is an index lookup. Reads
+// run under the daemon's lock, which every request takes, so observe
+// pays the O(window) upkeep once per plan and a read costs nothing.
 type costEstimator struct {
-	ring []time.Duration // last n samples, ring-ordered
-	n    int             // valid samples in ring
-	idx  int             // next write position
+	ring   []time.Duration // last n samples, ring-ordered
+	sorted []time.Duration // the same n samples, ascending
+	idx    int             // next write position in ring
 }
 
 // estimatorWindow is how many recent plan durations inform the p95.
 const estimatorWindow = 128
 
 func newCostEstimator() *costEstimator {
-	return &costEstimator{ring: make([]time.Duration, estimatorWindow)}
+	return &costEstimator{
+		ring:   make([]time.Duration, estimatorWindow),
+		sorted: make([]time.Duration, 0, estimatorWindow),
+	}
 }
 
-// observe records one planning duration. Callers synchronize.
+// observe records one planning duration, evicting the oldest once the
+// window is full. Callers synchronize.
 func (e *costEstimator) observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	if len(e.sorted) == len(e.ring) {
+		old, _ := slices.BinarySearch(e.sorted, e.ring[e.idx])
+		e.sorted = slices.Delete(e.sorted, old, old+1)
+	}
+	at, _ := slices.BinarySearch(e.sorted, d)
+	e.sorted = slices.Insert(e.sorted, at, d)
 	e.ring[e.idx] = d
 	e.idx = (e.idx + 1) % len(e.ring)
-	if e.n < len(e.ring) {
-		e.n++
-	}
 }
 
 // p95 returns the 95th-percentile recent planning duration, or 0 when
@@ -53,15 +65,13 @@ func (e *costEstimator) p99() time.Duration { return e.quantile(99) }
 // quantile returns the q-th percentile (nearest-rank) recent planning
 // duration, or 0 when no samples exist yet. Callers synchronize.
 func (e *costEstimator) quantile(q int) time.Duration {
-	if e.n == 0 {
+	n := len(e.sorted)
+	if n == 0 {
 		return 0
 	}
-	scratch := make([]time.Duration, e.n)
-	copy(scratch, e.ring[:e.n])
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	k := (q*e.n + 99) / 100 // ceil(q·n/100), 1-based rank
+	k := (q*n + 99) / 100 // ceil(q·n/100), 1-based rank
 	if k < 1 {
 		k = 1
 	}
-	return scratch[k-1]
+	return e.sorted[k-1]
 }

@@ -20,8 +20,8 @@ import (
 
 // pattern is a plan request that passed every check admission makes of
 // it, reduced to what determines its size matrix, defaults applied. It
-// is all a flight keeps of the request: sizes cannot fail, so the
-// matrix is built by whoever turns out to need it.
+// is all a flight keeps of the request: building the matrix cannot
+// fail, so it is built by whoever turns out to need it.
 type pattern struct {
 	// key names the matrix: the SHA-256 digest of the fields below in a
 	// canonical byte form. Two patterns with equal keys describe the
@@ -125,26 +125,62 @@ func admitExplicit(rows [][]int64, maxP int) (pattern, error) {
 	return pt, nil
 }
 
-// sizes builds the matrix the pattern describes.
-func (pt pattern) sizes() *model.Sizes {
-	entry := func(i, j int) int64 { return pt.rows[i][j] }
+// patternScratch is one worker's storage for the matrices it plans: a
+// P×P size matrix every flight is written into and the generator the
+// random patterns reseed. Only off-diagonal entries are ever written,
+// so the diagonal stays zero without clearing.
+type patternScratch struct {
+	sizes *model.Sizes
+	rng   *rand.Rand
+}
+
+func newPatternScratch(p int) patternScratch {
+	return patternScratch{sizes: model.NewSizes(p), rng: rand.New(rand.NewSource(0))}
+}
+
+// build writes the matrix the pattern describes into sc and returns
+// it, valid until the next build with the same scratch. The pattern
+// must be for sc's processor count. A random pattern reseeds sc.rng,
+// which yields the sequence a fresh rand.New(rand.NewSource(seed))
+// would.
+func (pt pattern) build(sc patternScratch) *model.Sizes {
+	s := sc.sizes
 	switch pt.kind {
 	case directory.PatternUniform:
-		entry = func(int, int) int64 { return pt.bytes }
+		for i := 0; i < pt.p; i++ {
+			for j := 0; j < pt.p; j++ {
+				if i != j {
+					s.Set(i, j, pt.bytes)
+				}
+			}
+		}
 	case directory.PatternRandom:
-		rng := rand.New(rand.NewSource(pt.seed))
-		entry = func(int, int) int64 { return 1 + rng.Int63n(pt.bytes) }
+		sc.rng.Seed(pt.seed)
+		for i := 0; i < pt.p; i++ {
+			for j := 0; j < pt.p; j++ {
+				if i != j {
+					s.Set(i, j, 1+sc.rng.Int63n(pt.bytes))
+				}
+			}
+		}
 	case directory.PatternSkew:
 		// Row i sends (i+1)·bytes to every peer: a ramp that keeps one
 		// processor a clear straggler, useful for exercising non-uniform
 		// schedules without a seed.
-		entry = func(i, _ int) int64 { return pt.bytes * int64(i+1) }
-	}
-	s := model.NewSizes(pt.p)
-	for i := 0; i < pt.p; i++ {
-		for j := 0; j < pt.p; j++ {
-			if i != j {
-				s.Set(i, j, entry(i, j))
+		for i := 0; i < pt.p; i++ {
+			v := pt.bytes * int64(i+1)
+			for j := 0; j < pt.p; j++ {
+				if i != j {
+					s.Set(i, j, v)
+				}
+			}
+		}
+	default:
+		for i, row := range pt.rows {
+			for j, v := range row {
+				if i != j {
+					s.Set(i, j, v)
+				}
 			}
 		}
 	}

@@ -3,13 +3,79 @@ package serve
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hetsched/internal/directory"
 	"hetsched/internal/leakcheck"
+	"hetsched/internal/model"
 )
+
+// fresh builds the pattern's matrix into scratch of its own.
+func fresh(pt pattern) *model.Sizes { return pt.build(newPatternScratch(pt.p)) }
+
+// referenceSizes is the pattern generator as it stood before workers
+// kept scratch: a fresh matrix, a fresh generator, a closure per entry.
+// The reused-scratch build must reproduce it entry for entry.
+func referenceSizes(pt pattern) *model.Sizes {
+	entry := func(i, j int) int64 { return pt.rows[i][j] }
+	switch pt.kind {
+	case directory.PatternUniform:
+		entry = func(int, int) int64 { return pt.bytes }
+	case directory.PatternRandom:
+		rng := rand.New(rand.NewSource(pt.seed))
+		entry = func(int, int) int64 { return 1 + rng.Int63n(pt.bytes) }
+	case directory.PatternSkew:
+		entry = func(i, _ int) int64 { return pt.bytes * int64(i+1) }
+	}
+	s := model.NewSizes(pt.p)
+	for i := 0; i < pt.p; i++ {
+		for j := 0; j < pt.p; j++ {
+			if i != j {
+				s.Set(i, j, entry(i, j))
+			}
+		}
+	}
+	return s
+}
+
+// TestScratchBuildMatchesReference: one worker's scratch, reused across
+// every kind and seed in turn (so each build lands on a buffer the
+// previous one — often of another kind — wrote), produces exactly the
+// matrix a fresh generator would, diagonal included.
+func TestScratchBuildMatchesReference(t *testing.T) {
+	const p = 7
+	seeds := []int64{0, -1, 1, 42, math.MaxInt64, math.MinInt64}
+	var reqs []directory.PlanRequest
+	for _, seed := range seeds {
+		for _, kind := range []string{directory.PatternRandom, directory.PatternUniform,
+			directory.PatternSkew} {
+			reqs = append(reqs, directory.PlanRequest{P: p, Kind: kind, Bytes: 1<<20 + seed%1000, Seed: seed})
+		}
+		reqs = append(reqs, directory.PlanRequest{Sizes: explicitTable(p, seed)})
+	}
+	// Each request twice, in two orders: every kind follows every other.
+	all := append(append([]directory.PlanRequest(nil), reqs...), reqs...)
+	for i, j := 0, len(all)-1; i < len(reqs); i, j = i+1, j-1 {
+		all[j] = reqs[i]
+	}
+	sc := newPatternScratch(p)
+	for i, req := range all {
+		pt, err := admitPattern(req, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := pt.build(sc), referenceSizes(pt)
+		if got != sc.sizes {
+			t.Fatalf("build %d returned storage other than the scratch", i)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d (kind %q, seed %d) differs from the reference", i, pt.kind, pt.seed)
+		}
+	}
+}
 
 func TestMaterializeDeterministic(t *testing.T) {
 	req := directory.PlanRequest{P: 6, Kind: directory.PatternRandom, Bytes: 4096, Seed: 42}
@@ -24,7 +90,7 @@ func TestMaterializeDeterministic(t *testing.T) {
 	if p1.key != p2.key {
 		t.Fatalf("same spec keyed differently: %x vs %x", p1.key, p2.key)
 	}
-	if !reflect.DeepEqual(p1.sizes(), p2.sizes()) {
+	if !reflect.DeepEqual(fresh(p1), fresh(p2)) {
 		t.Fatal("same spec materialized different matrices")
 	}
 }
@@ -73,7 +139,7 @@ func TestMaterializeDomainSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gen.sizes(), exp.sizes()) {
+	if !reflect.DeepEqual(fresh(gen), fresh(exp)) {
 		t.Fatal("matrices should be identical")
 	}
 	if gen.key == exp.key {
@@ -113,7 +179,7 @@ func TestSkewOverflowRejected(t *testing.T) {
 			case !fits && (err == nil || !strings.Contains(err.Error(), "overflow")):
 				t.Errorf("bytes=%d p=%d overflows int64 but admitPattern said %v", bytes, p, err)
 			case fits:
-				s := pt.sizes()
+				s := fresh(pt)
 				for i := 0; i < p; i++ {
 					for j := 0; j < p; j++ {
 						if want := bytes * int64(i+1); i != j && s.At(i, j) != want {

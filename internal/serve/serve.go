@@ -503,18 +503,20 @@ func (d *Daemon) maybeRefreshGen(now time.Time) {
 }
 
 // worker pulls flights off the admission queue until shutdown, then
-// drains whatever is still queued before exiting.
+// drains whatever is still queued before exiting. Each worker plans
+// every flight from its own pattern scratch.
 func (d *Daemon) worker() {
 	defer d.wg.Done()
+	sc := newPatternScratch(d.comm.N())
 	for {
 		select {
 		case fl := <-d.tasks:
-			d.work(fl)
+			d.work(fl, sc)
 		case <-d.quit:
 			for {
 				select {
 				case fl := <-d.tasks:
-					d.work(fl)
+					d.work(fl, sc)
 				default:
 					return
 				}
@@ -525,9 +527,10 @@ func (d *Daemon) worker() {
 
 // work resolves one flight: CoDel-style expiry if the leader's
 // remaining deadline cannot cover the going p95 planning cost,
-// otherwise a real planning pass whose result is cached (HealthOK
-// only) and handed to every waiter.
-func (d *Daemon) work(fl *flight) {
+// otherwise a real planning pass, its matrix built in the worker's
+// scratch, whose result is cached (HealthOK only) and handed to every
+// waiter.
+func (d *Daemon) work(fl *flight, sc patternScratch) {
 	now := d.cfg.Clock()
 	qwait := now.Sub(fl.enqueued)
 	d.tel.queueWait(qwait)
@@ -555,7 +558,8 @@ func (d *Daemon) work(fl *flight) {
 	ctx, psp := obs.StartSpan(fl.ctx, "serve", "plan")
 	// The matrix first exists here, outside d.mu: a hit, a follower and
 	// an expired flight never pay for the generator or the P×P table.
-	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.pat.sizes())
+	// The communicator reads it only during the call.
+	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.pat.build(sc))
 	dur := d.cfg.Clock().Sub(now)
 	psp.End()
 

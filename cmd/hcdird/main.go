@@ -24,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"hetsched"
 	"hetsched/internal/calib"
 	"hetsched/internal/directory"
 	"hetsched/internal/faults"
@@ -52,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var perf *hetsched.Perf
+	var perf *netmodel.Perf
 	var names []string
 	switch {
 	case *load != "":
@@ -65,10 +64,10 @@ func main() {
 			fatal(err)
 		}
 	case *gusto:
-		perf = hetsched.Gusto()
-		names = hetsched.GustoSites
+		perf = netmodel.Gusto()
+		names = netmodel.GustoSites
 	case *random:
-		perf = hetsched.RandomPerf(rand.New(rand.NewSource(*seed)), *p, hetsched.GustoGuided())
+		perf = netmodel.RandomPerf(rand.New(rand.NewSource(*seed)), *p, netmodel.GustoGuided())
 	default:
 		fmt.Fprintln(os.Stderr, "hcdird: pick -gusto, -random, or -load FILE")
 		os.Exit(1)

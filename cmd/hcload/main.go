@@ -27,9 +27,9 @@ import (
 	"sync"
 	"time"
 
-	"hetsched"
 	"hetsched/internal/comm"
 	"hetsched/internal/directory"
+	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 	"hetsched/internal/serve"
 )
@@ -276,7 +276,7 @@ func storm(target string, g, requests, patterns int, zipfS float64, p int,
 // startSelfhost builds an in-process daemon over a seeded random table
 // and returns its loopback address and a teardown function.
 func startSelfhost(p int, seed int64, workers, queueCap int) (string, func(), error) {
-	perf := hetsched.RandomPerf(rand.New(rand.NewSource(seed)), p, hetsched.GustoGuided())
+	perf := netmodel.RandomPerf(rand.New(rand.NewSource(seed)), p, netmodel.GustoGuided())
 	c, err := comm.New(p, comm.StaticSource(perf), comm.Config{})
 	if err != nil {
 		return "", nil, err

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"hetsched"
 	"hetsched/internal/calib"
 	"hetsched/internal/comm"
 	"hetsched/internal/directory"
@@ -97,13 +96,13 @@ func main() {
 		fmt.Printf("hetpland: planning for %d processors against directory %s (version %d)\n",
 			n, *dir, meta.Version)
 	case *gusto:
-		perf := hetsched.Gusto()
+		perf := netmodel.Gusto()
 		n = perf.N()
 		prior = perf
 		source = comm.StaticSource(perf)
 		fmt.Printf("hetpland: planning for %d processors against the static GUSTO tables\n", n)
 	case *random:
-		perf := hetsched.RandomPerf(rand.New(rand.NewSource(*seed)), *p, hetsched.GustoGuided())
+		perf := netmodel.RandomPerf(rand.New(rand.NewSource(*seed)), *p, netmodel.GustoGuided())
 		n = perf.N()
 		prior = perf
 		source = comm.StaticSource(perf)

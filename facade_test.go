@@ -2,6 +2,7 @@ package hetsched_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -120,4 +121,61 @@ func TestFacadeIsItsCallers(t *testing.T) {
 		t.Errorf("hetsched.go exports %d names, %d of which no command, example or Example test references:\n  %s",
 			len(exported), len(orphans), strings.Join(orphans, "\n  "))
 	}
+}
+
+// TestDaemonDependencies fixes the module packages each serving binary
+// links, following non-test imports, so that a daemon does not start
+// linking the reproduction again (the experiment engine, the
+// simulator, the exact solver) by reaching a name through the root
+// facade: the facade would show up here as ".", with every package it
+// imports. A change to this list is a change to what a daemon ships.
+func TestDaemonDependencies(t *testing.T) {
+	serving := []string{
+		"internal/assignment", "internal/calib", "internal/comm", "internal/directory",
+		"internal/exec", "internal/model", "internal/netmodel", "internal/obs",
+		"internal/sched", "internal/serve", "internal/stats", "internal/timing", "internal/wire",
+	}
+	want := map[string][]string{
+		"cmd/hcload":   serving,
+		"cmd/hetpland": serving,
+		"cmd/hcdird": {
+			"internal/calib", "internal/directory", "internal/faults", "internal/model",
+			"internal/netmodel", "internal/obs", "internal/timing", "internal/wire",
+		},
+	}
+	for cmd, pkgs := range want {
+		if got := moduleDeps(t, cmd); strings.Join(got, " ") != strings.Join(pkgs, " ") {
+			t.Errorf("%s links\n  %s\nwant\n  %s", cmd, strings.Join(got, "\n  "), strings.Join(pkgs, "\n  "))
+		}
+	}
+}
+
+// moduleDeps returns the directories of the module packages that the
+// package in dir imports, directly or not, sorted; the root is ".".
+func moduleDeps(t *testing.T, dir string) []string {
+	seen := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			rel, ok := strings.CutPrefix(imp, "hetsched/")
+			if imp == "hetsched" {
+				rel, ok = ".", true
+			}
+			if ok && !seen[rel] {
+				seen[rel] = true
+				visit(rel)
+			}
+		}
+	}
+	visit(dir)
+	var out []string
+	for rel := range seen {
+		out = append(out, rel)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hetsched/internal/model"
+	"hetsched/internal/sched"
 )
 
 // chaosTrial executes one seeded exchange with mid-exchange node kills
@@ -181,6 +184,43 @@ func TestExecChaosReplanReroutesResidual(t *testing.T) {
 				t.Fatalf("survivor pair %d→%d lost:\n%s", i, j, rep)
 			}
 		}
+	}
+}
+
+// TestExecReplanOutOfOrderFails: a residual replan whose sender starts
+// go backwards is not re-sorted; the exchange ends as a failed replan,
+// and the residual is abandoned rather than sent in some other order.
+func TestExecReplanOutOfOrderFails(t *testing.T) {
+	const n = 6
+	res, m, sizes := testProblem(t, n)
+	tr, err := NewMem(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	cfg := fastCfg()
+	cfg.Deliver = func(src, dst int, payload []byte) {
+		once.Do(func() { tr.Kill(0) })
+	}
+	replans := 0
+	cfg.Replan = func(m *model.Matrix, residual sched.Pattern, alive func(int) bool) (*sched.Result, error) {
+		replans++
+		r, err := sched.ReplanResidual(m, residual, alive)
+		if err == nil {
+			slices.Reverse(r.Schedule.Events)
+		}
+		return r, err
+	}
+	ex, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ex.Run(context.Background(), res, m, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replans == 0 || rep.Replans != 0 || rep.ReroutedBytes != 0 || rep.AbandonedBytes == 0 {
+		t.Fatalf("%d replans asked for, report:\n%s", replans, rep)
 	}
 }
 

@@ -266,6 +266,10 @@ type run struct {
 // the request's span tree, flight events are tagged with the trace ID,
 // and the report echoes it.
 //
+// Each sender walks its column in sequence order (timing.Columns): a
+// plan whose sender starts go backwards is an error, and a replan like
+// that a failed replan.
+//
 // Run closes the transport when it finishes, so a transport carries one
 // exchange. On a transport that is already closed, or that the caller
 // closes mid-exchange, Run joins its goroutines and returns an error
@@ -281,6 +285,10 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 	if res.Schedule.N != n || m.N() != n || sizes.N() != n {
 		return nil, fmt.Errorf("exec: transport has %d nodes but plan=%d matrix=%d sizes=%d",
 			n, res.Schedule.N, m.N(), sizes.N())
+	}
+	cols, err := res.Schedule.Columns()
+	if err != nil {
+		return nil, fmt.Errorf("exec: plan: %w", err)
 	}
 	maxRounds := e.cfg.MaxRounds
 	if maxRounds == 0 {
@@ -305,11 +313,10 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		go r.acceptLoop(node)
 	}
 
-	plan := res
 	rounds, replans := 0, 0
 	for round := 0; round < maxRounds; round++ {
 		_, rsp := obs.StartSpan(xctx, "exec", "round")
-		r.runRound(round, plan)
+		r.runRound(round, cols)
 		rsp.End()
 		rounds++
 		if r.transportLost() {
@@ -323,6 +330,9 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 			break
 		}
 		next, err := e.cfg.Replan(m, residual, r.isAlive)
+		if err == nil {
+			cols, err = next.Schedule.Columns()
+		}
 		if err != nil {
 			obs.Mark(xctx, "exec", "replan_failed", err.Error())
 			break
@@ -331,14 +341,12 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		e.counter(MetricExecReplans).Inc()
 		obs.Mark(xctx, "exec", "replan", "")
 		e.cfg.Flight.Record("exec", "replan", r.trace, int64(len(residual)), int64(round))
-		plan = next
 	}
 
 	closeErr := e.tr.Close()
 	r.acceptWg.Wait()
 	// No sender or port is left to read a payload.
 	r.releasePayloads()
-	var err error
 	switch {
 	case closeErr != nil:
 		err = fmt.Errorf("exec: closing transport: %w", closeErr)
@@ -562,40 +570,24 @@ func (r *run) roundAborted() bool {
 }
 
 // runRound executes one plan round: each alive sender walks its own
-// events in start order (its send column of the timing diagram), all
-// senders concurrently. The round ends when every sender column is
-// drained — or early, when a death aborts the plan and leaves the
-// remainder as residual work.
-func (r *run) runRound(round int, plan *sched.Result) {
+// column of the timing diagram in sequence order, all senders
+// concurrently. The round ends when every sender column is drained —
+// or early, when a death aborts the plan and leaves the remainder as
+// residual work.
+func (r *run) runRound(round int, cols [][]timing.Event) {
 	r.mu.Lock()
 	r.aborted = false
 	r.mu.Unlock()
-	// Cut the plan into per-sender columns, each an exact-size window
-	// of one slab.
-	evs := plan.Schedule.ByStart()
-	counts := make([]int, r.n)
-	for _, e := range evs {
-		counts[e.Src]++
-	}
-	slab := make([]timing.Event, len(evs))
-	perSender := make([][]timing.Event, r.n)
-	for src, off := 0, 0; src < r.n; src++ {
-		perSender[src] = slab[off : off : off+counts[src]]
-		off += counts[src]
-	}
-	for _, e := range evs {
-		perSender[e.Src] = append(perSender[e.Src], e)
-	}
 	var wg sync.WaitGroup
-	for src := 0; src < r.n; src++ {
-		if len(perSender[src]) == 0 || !r.isAlive(src) {
+	for src, evs := range cols {
+		if len(evs) == 0 || !r.isAlive(src) {
 			continue
 		}
 		wg.Add(1)
 		go func(src int, evs []timing.Event) {
 			defer wg.Done()
 			r.sendLoop(round, src, evs)
-		}(src, perSender[src])
+		}(src, evs)
 	}
 	wg.Wait()
 }

@@ -220,6 +220,19 @@ func TestExecValidation(t *testing.T) {
 	if _, err := ex.Run(context.Background(), res, m, sizes); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
+	// A sender's column is walked in sequence order, never re-sorted: a
+	// plan whose sender starts go backwards is refused.
+	res, m, sizes = testProblem(t, 3)
+	evs := res.Schedule.Events
+	for k := range evs {
+		if evs[k].Src == evs[0].Src && evs[k].Start > evs[0].Start {
+			evs[0], evs[k] = evs[k], evs[0]
+			break
+		}
+	}
+	if _, err := ex.Run(context.Background(), res, m, sizes); err == nil || !strings.Contains(err.Error(), "before sender") {
+		t.Fatalf("a plan out of start order: error %v", err)
+	}
 }
 
 func TestExecLatencyDelaysStillDeliverEverything(t *testing.T) {

@@ -2,7 +2,7 @@ package qos
 
 import (
 	"fmt"
-	"math"
+	"sort"
 
 	"hetsched/internal/model"
 	"hetsched/internal/sched"
@@ -32,47 +32,35 @@ func ScheduleCritical(m *model.Matrix, critical int) (*CriticalResult, error) {
 	if critical < 0 || critical >= n {
 		return nil, fmt.Errorf("qos: critical processor %d out of range for P=%d", critical, n)
 	}
-	// Phase 2 checks its own times; phase 1's are checked here.
-	for k := 0; k < n; k++ {
-		for _, c := range [2]float64{m.At(critical, k), m.At(k, critical)} {
-			if k != critical && (math.IsNaN(c) || math.IsInf(c, 0) || c < 0) {
-				return nil, fmt.Errorf("qos: critical processor %d's time with %d = %v is not a valid time", critical, k, c)
-			}
-		}
-	}
-	sendFree := make([]float64, n)
-	recvFree := make([]float64, n)
-	out := &timing.Schedule{N: n}
-	place := func(i, j int) timing.Event {
-		start := math.Max(sendFree[i], recvFree[j])
-		e := timing.Event{Src: i, Dst: j, Start: start, Finish: start + m.At(i, j)}
-		sendFree[i] = e.Finish
-		recvFree[j] = e.Finish
-		out.Events = append(out.Events, e)
-		return e
-	}
-
 	// Phase 1: the critical processor's own events. Its sends and
 	// receives interleave freely (they use different ports), so pack
 	// each list longest first to minimize its completion: the critical
 	// column is then fully dense — its completion equals its own work,
 	// the best possible.
-	sends := otherProcs(n, critical)
-	sortByDesc(sends, func(j int) float64 { return m.At(critical, j) })
-	recvs := otherProcs(n, critical)
-	sortByDesc(recvs, func(i int) float64 { return m.At(i, critical) })
-	done := 0.0
-	for _, j := range sends {
-		e := place(critical, j)
-		if e.Finish > done {
-			done = e.Finish
+	seq := make([]timing.Pair, 0, 2*(n-1))
+	for k := 0; k < n; k++ {
+		if k != critical {
+			seq = append(seq, timing.Pair{Src: critical, Dst: k})
 		}
 	}
-	for _, i := range recvs {
-		e := place(i, critical)
-		if e.Finish > done {
-			done = e.Finish
-		}
+	for _, p := range seq[:n-1] {
+		seq = append(seq, timing.Pair{Src: p.Dst, Dst: critical})
+	}
+	for _, part := range [][]timing.Pair{seq[:n-1], seq[n-1:]} {
+		sort.SliceStable(part, func(a, b int) bool {
+			return m.At(part[a].Src, part[a].Dst) > m.At(part[b].Src, part[b].Dst)
+		})
+	}
+	phase1, err := timing.Replay(m, seq, nil)
+	if err != nil {
+		return nil, fmt.Errorf("qos: critical resource: %w", err)
+	}
+	// Each port is next free when its last phase-1 event finishes.
+	sendFree := make([]float64, n)
+	recvFree := make([]float64, n)
+	for _, e := range phase1 {
+		sendFree[e.Src] = e.Finish
+		recvFree[e.Dst] = e.Finish
 	}
 
 	// Phase 2: every pair that does not involve the critical processor,
@@ -90,8 +78,8 @@ func ScheduleCritical(m *model.Matrix, critical int) (*CriticalResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qos: critical resource: %w", err)
 	}
-	out.Events = append(out.Events, r.Schedule.Events...)
-	return &CriticalResult{Schedule: out, CriticalDone: done}, nil
+	out := &timing.Schedule{N: n, Events: append(phase1, r.Schedule.Events...)}
+	return &CriticalResult{Schedule: out, CriticalDone: CriticalDone(out, critical)}, nil
 }
 
 // CriticalDone returns when processor p finishes its last send or
@@ -104,22 +92,4 @@ func CriticalDone(s *timing.Schedule, p int) float64 {
 		}
 	}
 	return done
-}
-
-func otherProcs(n, skip int) []int {
-	out := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != skip {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func sortByDesc(xs []int, key func(int) float64) {
-	for i := 1; i < len(xs); i++ {
-		for k := i; k > 0 && key(xs[k]) > key(xs[k-1]); k-- {
-			xs[k], xs[k-1] = xs[k-1], xs[k]
-		}
-	}
 }

@@ -21,9 +21,13 @@ func (Baseline) Name() string { return "baseline" }
 
 // Schedule implements Scheduler.
 func (Baseline) Schedule(m *model.Matrix) (*Result, error) {
-	n := m.N()
+	return finishResult(Baseline{}.Name(), caterpillar(m.N()), m)
+}
+
+// caterpillar returns the baseline's steps for n processors. Step
+// j = 0 would be the self message, which is free and omitted.
+func caterpillar(n int) *timing.StepSchedule {
 	ss := &timing.StepSchedule{N: n}
-	// Step j = 0 would be the self message, which is free and omitted.
 	for j := 1; j < n; j++ {
 		step := make(timing.Step, 0, n)
 		for i := 0; i < n; i++ {
@@ -31,5 +35,5 @@ func (Baseline) Schedule(m *model.Matrix) (*Result, error) {
 		}
 		ss.Steps = append(ss.Steps, step)
 	}
-	return finishResult(Baseline{}.Name(), ss, m)
+	return ss
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hetsched/internal/model"
-	"hetsched/internal/timing"
 )
 
 // BaselineBarrier is the caterpillar schedule executed in lockstep: a
@@ -23,15 +22,7 @@ func (BaselineBarrier) Name() string { return "baseline-barrier" }
 
 // Schedule implements Scheduler.
 func (BaselineBarrier) Schedule(m *model.Matrix) (*Result, error) {
-	n := m.N()
-	ss := &timing.StepSchedule{N: n}
-	for j := 1; j < n; j++ {
-		step := make(timing.Step, 0, n)
-		for i := 0; i < n; i++ {
-			step = append(step, timing.Pair{Src: i, Dst: (i + j) % n})
-		}
-		ss.Steps = append(ss.Steps, step)
-	}
+	ss := caterpillar(m.N())
 	s, err := ss.EvaluateBarrier(m)
 	if err != nil {
 		return nil, fmt.Errorf("sched: baseline-barrier: %w", err)

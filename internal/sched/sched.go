@@ -78,7 +78,13 @@ type Scheduler interface {
 	// callable concurrently from multiple goroutines. The matrix is
 	// valid only for the duration of the call: the caller may rebuild
 	// it for another plan as soon as Schedule returns, so neither the
-	// implementation nor its Result may keep it.
+	// implementation nor its Result may keep it. A cost that is NaN,
+	// infinite or negative is an error. The events are a pair sequence
+	// in the order they were timed: timing.Replay of their (Src, Dst)
+	// order returns them exactly (BaselineBarrier, the lockstep
+	// ablation, excepted), so sender columns are read in that order
+	// unsorted. Result.Steps stays beside it, because bench/ reads a
+	// step scheduler's steps and times their Evaluate.
 	Schedule(m *model.Matrix) (*Result, error)
 }
 
@@ -116,7 +122,7 @@ func ByName(name string) (Scheduler, error) {
 func finishResult(name string, ss *timing.StepSchedule, m *model.Matrix) (*Result, error) {
 	s, err := ss.Evaluate(m)
 	if err != nil {
-		return nil, fmt.Errorf("sched: %s produced invalid steps: %w", name, err)
+		return nil, fmt.Errorf("sched: %s: %w", name, err)
 	}
 	return &Result{Algorithm: name, Steps: ss, Schedule: s, LowerBound: m.LowerBound()}, nil
 }

@@ -103,6 +103,20 @@ func TestSchedulersDeterministic(t *testing.T) {
 	}
 }
 
+// TestSchedulersFailClosed: a cost that is NaN, infinite or negative
+// is an error from every scheduler, never a schedule.
+func TestSchedulersFailClosed(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		for _, s := range All() {
+			m := randMatrix(t, 1, 5, 1<<20)
+			m.Set(1, 3, bad)
+			if r, err := s.Schedule(m); err == nil {
+				t.Errorf("%s accepted a cost of %v: t_max = %v", s.Name(), bad, r.CompletionTime())
+			}
+		}
+	}
+}
+
 func TestSchedulersTrivialSizes(t *testing.T) {
 	for _, s := range All() {
 		for _, n := range []int{0, 1, 2} {

@@ -102,11 +102,7 @@ func ReplanOpenShop(perf *netmodel.Perf, remaining *Plan, st *State, _ float64) 
 	if err != nil {
 		return nil, fmt.Errorf("sim: replan: %w", err)
 	}
-	order := make([][]int, n)
-	for _, e := range r.Schedule.Events {
-		order[e.Src] = append(order[e.Src], e.Dst)
-	}
-	return &Plan{N: n, Sizes: remaining.Sizes.Clone(), Order: order}, nil
+	return PlanFromSchedule(r.Schedule, remaining.Sizes)
 }
 
 // Checkpoint is one checkpoint of a checkpointed or reactive run.
@@ -130,6 +126,19 @@ type CheckpointResult struct {
 // the performance estimate visible at the given time). Passing
 // NoCheckpoints with any replanner is equivalent to Run.
 func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *Plan, policy CheckpointPolicy, replan Replanner) (*CheckpointResult, error) {
+	res, err := runPhases(net, observe, plan, policy, replan, func(float64) bool { return true })
+	if err != nil {
+		return nil, err
+	}
+	return &CheckpointResult{Schedule: res.Schedule, Finish: res.Finish, Checkpoints: res.Replans, Log: res.Log}, nil
+}
+
+// runPhases is the loop under RunCheckpointed and RunReactive: it
+// dispatches the plan in phases set by the policy and, at each
+// checkpoint where due says so, queries observe at the moment the last
+// dispatched transfer completed and replans the tail. Processor
+// availability carries across phases, so replanning inserts no barrier.
+func runPhases(net Network, observe func(t float64) *netmodel.Perf, plan *Plan, policy CheckpointPolicy, replan Replanner, due func(when float64) bool) (*ReactiveResult, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,7 +148,7 @@ func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *
 	cur := plan.Clone()
 	st := NewState(plan.N)
 	out := &timing.Schedule{N: plan.N}
-	res := &CheckpointResult{Schedule: out}
+	res := &ReactiveResult{Schedule: out}
 	for cur.Events() > 0 {
 		budget := policy.NextBudget(cur.Events())
 		if budget < 1 {
@@ -160,9 +169,13 @@ func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *
 		if phase.Dispatched == 0 {
 			return nil, fmt.Errorf("sim: checkpoint phase made no progress with %d events left", cur.Events())
 		}
-		// Checkpoint: query the directory at the moment the last
-		// dispatched transfer completed and reschedule the tail.
+		res.Checkpoints++
 		when := maxFloat(st.SendFree)
+		if !due(when) {
+			cur = phase.Remaining
+			res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events()})
+			continue
+		}
 		cur, err = replan(observe(when), phase.Remaining, st.Clone(), when)
 		if err != nil {
 			return nil, err
@@ -171,7 +184,7 @@ func RunCheckpointed(net Network, observe func(t float64) *netmodel.Perf, plan *
 			return nil, fmt.Errorf("sim: replanner changed the event count from %d to %d",
 				phase.Remaining.Events(), cur.Events())
 		}
-		res.Checkpoints++
+		res.Replans++
 		res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events(), Replanned: true})
 	}
 	return res, nil

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"hetsched/internal/model"
 	"hetsched/internal/timing"
@@ -60,34 +59,22 @@ func (p *Plan) Clone() *Plan {
 }
 
 // PlanFromSchedule extracts per-sender send orders from a timed
-// schedule: each sender's events sorted by planned start time (ties by
-// destination id). The planned times themselves are discarded — the
-// engine rediscovers them under its own network and arbitration.
+// schedule: each sender's column in sequence order (timing.Columns), an
+// error if a sender's start times go backwards. The planned times
+// themselves are discarded — the engine rediscovers them under its own
+// network and arbitration.
 func PlanFromSchedule(s *timing.Schedule, sizes *model.Sizes) (*Plan, error) {
 	if sizes.N() != s.N {
 		return nil, fmt.Errorf("sim: schedule is for %d processors, sizes for %d", s.N, sizes.N())
 	}
-	type ev struct {
-		dst   int
-		start float64
-	}
-	per := make([][]ev, s.N)
-	for _, e := range s.Events {
-		if e.Src < 0 || e.Src >= s.N {
-			return nil, fmt.Errorf("sim: event sender %d out of range", e.Src)
-		}
-		per[e.Src] = append(per[e.Src], ev{dst: e.Dst, start: e.Start})
+	cols, err := s.Columns()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	p := &Plan{N: s.N, Sizes: sizes.Clone(), Order: make([][]int, s.N)}
-	for i, evs := range per {
-		sort.Slice(evs, func(a, b int) bool {
-			if evs[a].start != evs[b].start {
-				return evs[a].start < evs[b].start
-			}
-			return evs[a].dst < evs[b].dst
-		})
-		for _, e := range evs {
-			p.Order[i] = append(p.Order[i], e.dst)
+	for i, col := range cols {
+		for _, e := range col {
+			p.Order[i] = append(p.Order[i], e.Dst)
 		}
 	}
 	if err := p.Validate(); err != nil {

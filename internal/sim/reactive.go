@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"hetsched/internal/netmodel"
@@ -33,67 +32,20 @@ type ReactiveResult struct {
 // original plan. Processor availability carries across phases, so
 // rescheduling inserts no barrier.
 func RunReactive(net Network, observe func(t float64) *netmodel.Perf, faultTimes []float64, plan *Plan, policy CheckpointPolicy, replan Replanner) (*ReactiveResult, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if observe == nil {
-		return nil, fmt.Errorf("sim: observe function is required")
-	}
 	times := append([]float64(nil), faultTimes...)
 	sort.Float64s(times)
 	next := 0
 	for next < len(times) && times[next] <= 0 {
 		next++
 	}
-
-	cur := plan.Clone()
-	st := NewState(plan.N)
-	out := &timing.Schedule{N: plan.N}
-	res := &ReactiveResult{Schedule: out}
-	for cur.Events() > 0 {
-		budget := policy.NextBudget(cur.Events())
-		if budget < 1 {
-			budget = 1
-		}
-		phase, err := RunBudget(net, cur, st, budget)
-		if err != nil {
-			return nil, err
-		}
-		out.Events = append(out.Events, phase.Schedule.Events...)
-		if phase.Finish > res.Finish {
-			res.Finish = phase.Finish
-		}
-		st = phase.State
-		if phase.Remaining == nil {
-			break
-		}
-		if phase.Dispatched == 0 {
-			return nil, fmt.Errorf("sim: reactive phase made no progress with %d events left", cur.Events())
-		}
-		res.Checkpoints++
-		when := maxFloat(st.SendFree)
+	// The tail is replanned only when a fault fired since the previous
+	// checkpoint, against the degraded conditions the directory shows.
+	return runPhases(net, observe, plan, policy, replan, func(when float64) bool {
 		fired := false
 		for next < len(times) && times[next] <= when {
 			next++
 			fired = true
 		}
-		if !fired {
-			cur = phase.Remaining
-			res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events()})
-			continue
-		}
-		// A fault fired mid-phase: query the directory for the degraded
-		// conditions and reschedule the tail around them.
-		cur, err = replan(observe(when), phase.Remaining, st.Clone(), when)
-		if err != nil {
-			return nil, err
-		}
-		if cur.Events() != phase.Remaining.Events() {
-			return nil, fmt.Errorf("sim: replanner changed the event count from %d to %d",
-				phase.Remaining.Events(), cur.Events())
-		}
-		res.Replans++
-		res.Log = append(res.Log, Checkpoint{At: when, Remaining: cur.Events(), Replanned: true})
-	}
-	return res, nil
+		return fired
+	})
 }

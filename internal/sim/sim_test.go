@@ -72,9 +72,9 @@ func TestPlanEventsCloneTotalExchange(t *testing.T) {
 
 func TestPlanFromSchedule(t *testing.T) {
 	s := &timing.Schedule{N: 3, Events: []timing.Event{
-		{Src: 0, Dst: 2, Start: 5, Finish: 6},
 		{Src: 0, Dst: 1, Start: 0, Finish: 1},
 		{Src: 1, Dst: 0, Start: 0, Finish: 2},
+		{Src: 0, Dst: 2, Start: 5, Finish: 6},
 	}}
 	p, err := PlanFromSchedule(s, model.UniformSizes(3, 1))
 	if err != nil {
@@ -85,6 +85,29 @@ func TestPlanFromSchedule(t *testing.T) {
 	}
 	if len(p.Order[2]) != 0 {
 		t.Error("sender 2 should have no sends")
+	}
+
+	// A sender whose start times go backwards in sequence order is not
+	// a replayable schedule, and is refused rather than re-sorted.
+	s.Events[0], s.Events[2] = s.Events[2], s.Events[0]
+	if _, err := PlanFromSchedule(s, model.UniformSizes(3, 1)); err == nil {
+		t.Error("sender 0's events out of start order accepted")
+	}
+}
+
+// TestPlanFromScheduleZeroDurationTie: two free sends from one sender
+// share a start, and keep their sequence order, not destination order.
+func TestPlanFromScheduleZeroDurationTie(t *testing.T) {
+	s := &timing.Schedule{N: 3, Events: []timing.Event{
+		{Src: 0, Dst: 2, Start: 0, Finish: 0},
+		{Src: 0, Dst: 1, Start: 0, Finish: 0},
+	}}
+	p, err := PlanFromSchedule(s, model.UniformSizes(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Order[0]) != 2 || p.Order[0][0] != 2 || p.Order[0][1] != 1 {
+		t.Errorf("sender 0 order = %v, want the sequence order [2 1]", p.Order[0])
 	}
 }
 

@@ -4,10 +4,11 @@
 // duration. A valid schedule never overlaps two events in the same
 // sender column, and never overlaps two events with the same receiver
 // (Section 3.4). The package provides the event and schedule types,
-// validity checking, completion time and idle-time accounting,
-// asynchronous evaluation of step-structured schedules via the
-// dependence-graph semantics of Theorem 2, ASCII rendering of timing
-// diagrams, and CSV/JSON export.
+// validity checking, completion time and idle-time accounting, Replay,
+// the one loop that times a pair sequence (and through it the
+// asynchronous evaluation of step-structured schedules, the
+// dependence-graph semantics of Theorem 2), sender columns in sequence
+// order, ASCII rendering of timing diagrams, and CSV/JSON export.
 package timing
 
 import (
@@ -161,6 +162,89 @@ type Pair struct {
 	Src, Dst int
 }
 
+// Replay times a pair sequence by the paper's rule (Sections 3.3–3.4,
+// Theorem 2's dependence graph): every port starts free at 0, and each
+// pair starts at max(sender ready, receiver ready) and lasts
+// m.At(Src, Dst). Outside the open shop kernel, which needs its times
+// to pick, it is the only loop applying this rule to matrix costs. The
+// events overwrite dst, grown only if too short, in sequence order. A
+// pair out of range, a self message, or a cost that is NaN, infinite or
+// negative is an error naming the pair.
+func Replay(m *model.Matrix, seq []Pair, dst []Event) ([]Event, error) {
+	n := m.N()
+	var buf [128]float64 // port times on the stack up to P = 64
+	var ready []float64
+	if 2*n <= len(buf) {
+		ready = buf[:2*n]
+	} else {
+		ready = make([]float64, 2*n)
+	}
+	sendReady, recvReady := ready[:n], ready[n:]
+	if cap(dst) < len(seq) {
+		dst = make([]Event, len(seq))
+	}
+	dst = dst[:len(seq)]
+	for k, p := range seq {
+		if uint(p.Src) >= uint(n) || uint(p.Dst) >= uint(n) {
+			return nil, fmt.Errorf("timing: pair %d (%d→%d) out of range for N=%d", k, p.Src, p.Dst, n)
+		}
+		if p.Src == p.Dst {
+			return nil, fmt.Errorf("timing: pair %d is a self message (%d→%d)", k, p.Src, p.Dst)
+		}
+		c := m.At(p.Src, p.Dst)
+		if !validCost(c) {
+			return nil, costError(k, p, c)
+		}
+		start := sendReady[p.Src]
+		if r := recvReady[p.Dst]; r > start {
+			start = r
+		}
+		finish := start + c
+		dst[k] = Event{Src: p.Src, Dst: p.Dst, Start: start, Finish: finish}
+		sendReady[p.Src] = finish
+		recvReady[p.Dst] = finish
+	}
+	return dst, nil
+}
+
+// validCost reports whether c is a finite non-negative time; NaN fails
+// both comparisons.
+func validCost(c float64) bool { return c >= 0 && c <= math.MaxFloat64 }
+
+func costError(k int, p Pair, c float64) error {
+	return fmt.Errorf("timing: pair %d (%d→%d) costs %v, not a valid time", k, p.Src, p.Dst, c)
+}
+
+// Columns cuts the schedule into sender columns, the send orders sim
+// and exec walk: column i is sender i's events in sequence order, one
+// exact-size window of a slab each. A replayable sequence is already in
+// time order per sender, so a sender whose starts go backwards is an
+// error, as is an event out of range or a self message.
+func (s *Schedule) Columns() ([][]Event, error) {
+	counts := make([]int, s.N)
+	for k, e := range s.Events {
+		if uint(e.Src) >= uint(s.N) || uint(e.Dst) >= uint(s.N) || e.Src == e.Dst {
+			return nil, fmt.Errorf("timing: event %d (%d→%d) is not a message between two of N=%d processors", k, e.Src, e.Dst, s.N)
+		}
+		counts[e.Src]++
+	}
+	slab := make([]Event, len(s.Events))
+	cols := make([][]Event, s.N)
+	for src, off := 0, 0; src < s.N; src++ {
+		cols[src] = slab[off : off : off+counts[src]]
+		off += counts[src]
+	}
+	for k, e := range s.Events {
+		col := cols[e.Src]
+		if last := len(col) - 1; last >= 0 && e.Start < col[last].Start {
+			return nil, fmt.Errorf("timing: event %d (%d→%d) starts at %g, before sender %d's previous event at %g",
+				k, e.Src, e.Dst, e.Start, e.Src, col[last].Start)
+		}
+		cols[e.Src] = append(col, e)
+	}
+	return cols, nil
+}
+
 // Step is one round of a step-structured schedule: a set of pairs that
 // nominally proceed together. A valid step uses each sender at most
 // once and each receiver at most once (it is a partial permutation).
@@ -182,9 +266,9 @@ type StepSchedule struct {
 // ValidateSteps checks step structure: pair indices in range, no self
 // messages, and within each step no repeated sender or receiver.
 func (ss *StepSchedule) ValidateSteps() error {
+	used := make([]bool, 2*ss.N) // the step's senders, then its receivers
 	for si, step := range ss.Steps {
-		sendUsed := make(map[int]bool, len(step))
-		recvUsed := make(map[int]bool, len(step))
+		clear(used)
 		for _, p := range step {
 			if p.Src < 0 || p.Src >= ss.N || p.Dst < 0 || p.Dst >= ss.N {
 				return fmt.Errorf("timing: step %d pair %d→%d out of range", si, p.Src, p.Dst)
@@ -192,56 +276,49 @@ func (ss *StepSchedule) ValidateSteps() error {
 			if p.Src == p.Dst {
 				return fmt.Errorf("timing: step %d contains self message %d→%d", si, p.Src, p.Dst)
 			}
-			if sendUsed[p.Src] {
+			if used[p.Src] {
 				return fmt.Errorf("timing: step %d uses sender %d twice", si, p.Src)
 			}
-			if recvUsed[p.Dst] {
+			if used[ss.N+p.Dst] {
 				return fmt.Errorf("timing: step %d uses receiver %d twice", si, p.Dst)
 			}
-			sendUsed[p.Src] = true
-			recvUsed[p.Dst] = true
+			used[p.Src], used[ss.N+p.Dst] = true, true
 		}
 	}
 	return nil
 }
 
-// Evaluate lowers the step schedule to a timed schedule under the
-// asynchronous semantics: processing steps in order, each event starts
-// at max(sender ready, receiver ready). Because each step uses every
-// sender and receiver at most once, this single pass computes the
-// longest-path times of the dependence graph.
-func (ss *StepSchedule) Evaluate(m *model.Matrix) (*Schedule, error) {
+// check fails unless the steps are valid and m is their size.
+func (ss *StepSchedule) check(m *model.Matrix) error {
 	if m.N() != ss.N {
-		return nil, fmt.Errorf("timing: step schedule is for %d processors but matrix for %d", ss.N, m.N())
+		return fmt.Errorf("timing: step schedule is for %d processors but matrix for %d", ss.N, m.N())
 	}
-	if err := ss.ValidateSteps(); err != nil {
+	return ss.ValidateSteps()
+}
+
+// Evaluate lowers the step schedule to a timed schedule under the
+// asynchronous semantics: it replays the steps' pairs in order, so each
+// event starts at max(sender ready, receiver ready). Because each step
+// uses every sender and receiver at most once, this single pass
+// computes the longest-path times of the dependence graph.
+func (ss *StepSchedule) Evaluate(m *model.Matrix) (*Schedule, error) {
+	if err := ss.check(m); err != nil {
 		return nil, err
 	}
-	sendReady := make([]float64, ss.N)
-	recvReady := make([]float64, ss.N)
-	out := &Schedule{N: ss.N}
-	for _, step := range ss.Steps {
-		for _, p := range step {
-			start := math.Max(sendReady[p.Src], recvReady[p.Dst])
-			finish := start + m.At(p.Src, p.Dst)
-			out.Events = append(out.Events, Event{Src: p.Src, Dst: p.Dst, Start: start, Finish: finish})
-			sendReady[p.Src] = finish
-			recvReady[p.Dst] = finish
-		}
+	events, err := Replay(m, ss.Pairs(), nil)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &Schedule{N: ss.N, Events: events}, nil
 }
 
 // EvaluateBarrier lowers the step schedule with a full synchronization
 // after every step: no event of step k starts before every event of
 // step k−1 has finished. The paper's algorithms do not use barriers;
 // this exists to measure what the asynchrony is worth (see DESIGN.md
-// ablations).
+// ablations). A cost that is NaN, infinite or negative is an error.
 func (ss *StepSchedule) EvaluateBarrier(m *model.Matrix) (*Schedule, error) {
-	if m.N() != ss.N {
-		return nil, fmt.Errorf("timing: step schedule is for %d processors but matrix for %d", ss.N, m.N())
-	}
-	if err := ss.ValidateSteps(); err != nil {
+	if err := ss.check(m); err != nil {
 		return nil, err
 	}
 	out := &Schedule{N: ss.N}
@@ -249,7 +326,11 @@ func (ss *StepSchedule) EvaluateBarrier(m *model.Matrix) (*Schedule, error) {
 	for _, step := range ss.Steps {
 		next := barrier
 		for _, p := range step {
-			finish := barrier + m.At(p.Src, p.Dst)
+			c := m.At(p.Src, p.Dst)
+			if !validCost(c) {
+				return nil, costError(len(out.Events), p, c)
+			}
+			finish := barrier + c
 			out.Events = append(out.Events, Event{Src: p.Src, Dst: p.Dst, Start: barrier, Finish: finish})
 			if finish > next {
 				next = finish
@@ -270,14 +351,14 @@ func (ss *StepSchedule) Pairs() []Pair {
 }
 
 // CoversTotalExchange reports whether the steps contain exactly one
-// pair for every ordered (i, j), i ≠ j.
+// pair for every ordered (i, j), i ≠ j, of the N processors.
 func (ss *StepSchedule) CoversTotalExchange() bool {
 	want := ss.N * (ss.N - 1)
 	seen := make(map[Pair]bool, want)
 	count := 0
 	for _, step := range ss.Steps {
 		for _, p := range step {
-			if p.Src == p.Dst || seen[p] {
+			if p.Src < 0 || p.Src >= ss.N || p.Dst < 0 || p.Dst >= ss.N || p.Src == p.Dst || seen[p] {
 				return false
 			}
 			seen[p] = true

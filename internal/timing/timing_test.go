@@ -290,6 +290,11 @@ func TestCoversTotalExchange(t *testing.T) {
 	if dup.CoversTotalExchange() {
 		t.Error("duplicate pair accepted")
 	}
+	// Two pairs for N=2, one of them to a processor that does not exist.
+	outside := &StepSchedule{N: 2, Steps: []Step{{{0, 5}, {1, 0}}}}
+	if outside.CoversTotalExchange() {
+		t.Error("out-of-range pair accepted")
+	}
 }
 
 func TestPairsFlatten(t *testing.T) {
@@ -446,5 +451,128 @@ func TestAsyncNeverSlowerThanBarrierProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// caterpillar returns the baseline's pair sequence for n processors and
+// a matrix of random costs.
+func caterpillar(rng *rand.Rand, n int) (*model.Matrix, []Pair) {
+	m := model.NewMatrix(n)
+	var seq []Pair
+	for j := 1; j < n; j++ {
+		for i := 0; i < n; i++ {
+			seq = append(seq, Pair{i, (i + j) % n})
+			m.Set(i, (i+j)%n, rng.Float64())
+		}
+	}
+	return m, seq
+}
+
+// TestReplayDst: a dst that is too short grows, and a longer one is
+// written from index 0 in place; the events are the same either way.
+func TestReplayDst(t *testing.T) {
+	m, seq := caterpillar(rand.New(rand.NewSource(1)), 7)
+	want, err := Replay(m, seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(seq) || cap(want) != len(seq) {
+		t.Fatalf("replayed len %d cap %d, want both %d", len(want), cap(want), len(seq))
+	}
+	for _, dst := range [][]Event{make([]Event, 3), make([]Event, 100)} {
+		got, err := Replay(m, seq, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || (cap(dst) >= len(seq)) != (&got[0] == &dst[0]) {
+			t.Fatalf("dst of cap %d: replayed %d events, in place %v", cap(dst), len(got), &got[0] == &dst[0])
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("dst of cap %d: event %d is %+v, want %+v", cap(dst), k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestReplayFailsClosed: a cost that is not a finite non-negative time,
+// a pair out of range and a self message are errors naming the pair,
+// from Replay and from EvaluateBarrier alike.
+func TestReplayFailsClosed(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		m := model.ExampleMatrix()
+		m.Set(2, 3, c)
+		seq := []Pair{{0, 1}, {2, 3}}
+		if _, err := Replay(m, seq, nil); err == nil || !strings.Contains(err.Error(), "2→3") {
+			t.Errorf("Replay with cost %v: error %v, want one naming 2→3", c, err)
+		}
+		ss := &StepSchedule{N: 5, Steps: []Step{seq}}
+		if _, err := ss.EvaluateBarrier(m); err == nil || !strings.Contains(err.Error(), "2→3") {
+			t.Errorf("EvaluateBarrier with cost %v: error %v, want one naming 2→3", c, err)
+		}
+	}
+	m := model.ExampleMatrix()
+	for _, p := range []Pair{{0, 5}, {-1, 0}, {3, 3}} {
+		if _, err := Replay(m, []Pair{{0, 1}, p}, nil); err == nil {
+			t.Errorf("Replay accepted %d→%d", p.Src, p.Dst)
+		}
+	}
+}
+
+func TestColumns(t *testing.T) {
+	s := &Schedule{N: 3, Events: []Event{
+		{Src: 1, Dst: 2, Start: 0, Finish: 1},
+		{Src: 0, Dst: 2, Start: 1, Finish: 1}, // free, and tied with the next
+		{Src: 0, Dst: 1, Start: 1, Finish: 3},
+		{Src: 1, Dst: 0, Start: 1, Finish: 4},
+	}}
+	cols, err := s.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cols) != 3 || len(cols[0]) != 2 || len(cols[1]) != 2 || len(cols[2]) != 0 {
+		t.Fatalf("columns %v", cols)
+	}
+	if cols[0][0] != s.Events[1] || cols[0][1] != s.Events[2] || cols[1][0] != s.Events[0] || cols[1][1] != s.Events[3] {
+		t.Errorf("columns %v are not the sequence filtered by sender", cols)
+	}
+	if cap(cols[0]) != 2 {
+		t.Errorf("column 0 has capacity %d, want its exact length", cap(cols[0]))
+	}
+	s.Events[1], s.Events[3] = s.Events[3], s.Events[1]
+	s.Events[0].Start = 2
+	if _, err := s.Columns(); err == nil {
+		t.Error("sender 1's start times going backwards accepted")
+	}
+	for _, e := range []Event{{Src: 3, Dst: 0}, {Src: 0, Dst: -1}, {Src: 2, Dst: 2}} {
+		if _, err := (&Schedule{N: 3, Events: []Event{e}}).Columns(); err == nil {
+			t.Errorf("event %d→%d accepted", e.Src, e.Dst)
+		}
+	}
+}
+
+// TestReplayZeroAlloc pins Replay at P = 50 with a reused dst: the port
+// times live on the stack.
+func TestReplayZeroAlloc(t *testing.T) {
+	m, seq := caterpillar(rand.New(rand.NewSource(1)), 50)
+	dst := make([]Event, len(seq))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Replay(m, seq, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Replay at P=50 with a reused dst: %v allocs/op, want 0", allocs)
+	}
+}
+
+func BenchmarkReplay(b *testing.B) {
+	m, seq := caterpillar(rand.New(rand.NewSource(1)), 50)
+	dst := make([]Event, len(seq))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Replay(m, seq, dst); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

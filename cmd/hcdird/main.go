@@ -81,9 +81,12 @@ func main() {
 	if *idleTimeout > 0 {
 		srv.SetIdleTimeout(*idleTimeout)
 	}
-	var stopMetrics func() error
+	var (
+		reg         *obs.Registry
+		stopMetrics func() error
+	)
 	if *metricsAddr != "" {
-		reg := obs.Default()
+		reg = obs.Default()
 		// Declare every standard family up front so scrapers see the
 		// full schema (HELP/TYPE) even before any samples exist.
 		obs.DeclareStandard(reg)
@@ -99,7 +102,7 @@ func main() {
 		// The server-side calibrator lets thin data planes push raw
 		// samples and have the directory do the fitting; its prior is
 		// the table the daemon starts from.
-		cal, err := calib.New(perf, calib.Config{})
+		cal, err := calib.New(perf, calib.Config{Metrics: reg})
 		if err != nil {
 			fatal(err)
 		}

@@ -1,9 +1,8 @@
 // Command hcstat renders a running hetpland daemon's statusz snapshot
 // in the terminal: queue depth, in-flight planning, outcome counters,
 // rung distribution, cache hit ratio, estimator percentiles, the
-// tail sampler's slowest retained traces, per-pair network calibration
-// confidence (when the daemon runs -calibrate), and the flight
-// recorder's recent events.
+// tail sampler's slowest retained traces, and the flight recorder's
+// recent events.
 //
 // Usage:
 //

@@ -14,7 +14,6 @@
 //	hetpland -gusto -workers 8 -queue 64 -deadline 500ms  # tune admission control
 //	hetpland -gusto -metrics-addr 127.0.0.1:9091          # Prometheus /metrics + pprof + /statusz
 //	hetpland -gusto -metrics-addr :9091 -tail 256         # retain span trees of tail-latency requests
-//	hetpland -dir 127.0.0.1:7474 -calibrate               # overlay calibrated estimates, push them back
 //
 // Observability: the flight recorder is always on (a fixed ring of
 // recent structured events, near-zero idle cost) and dumps to disk on
@@ -35,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"hetsched/internal/calib"
 	"hetsched/internal/comm"
 	"hetsched/internal/directory"
 	"hetsched/internal/netmodel"
@@ -64,22 +62,26 @@ func main() {
 		flightDump  = flag.String("flight-dump", "", "flight recorder dump path (empty = a file under the OS temp dir)")
 		tailCap     = flag.Int("tail", 0, "retain up to this many span trees of interesting requests (0 disables per-request tracing)")
 		tailAll     = flag.Bool("tail-all", false, "with -tail, retain every request's span tree, not just interesting ones")
-		calibrate   = flag.Bool("calibrate", false, "arm a network calibrator: planning snapshots are overlaid with estimates it trusts, /statusz shows per-pair confidence, and with -dir trusted updates are pushed back to the directory")
 	)
 	flag.Parse()
+
+	var reg *obs.Registry
+	if *metricsAddr != "" {
+		reg = obs.Default()
+		obs.DeclareStandard(reg)
+	}
 
 	var (
 		source comm.Source
 		gen    serve.GenFunc
 		n      int
-		prior  *netmodel.Perf
-		rc     *directory.ResilientClient
 	)
 	switch {
 	case *dir != "":
-		rc = directory.NewResilientClient(*dir, directory.ResilientConfig{
+		rc := directory.NewResilientClient(*dir, directory.ResilientConfig{
 			DialTimeout:    5 * time.Second,
 			RequestTimeout: 5 * time.Second,
+			Metrics:        reg,
 		})
 		defer rc.Close()
 		perf, _, meta, err := rc.Snapshot()
@@ -87,7 +89,6 @@ func main() {
 			fatal(fmt.Errorf("initial directory snapshot from %s: %w", *dir, err))
 		}
 		n = perf.N()
-		prior = perf
 		// A strict source lets the communicator's own ladder observe
 		// outages and tag responses honestly; the resilient client's
 		// cache still backs the stale rung.
@@ -98,24 +99,16 @@ func main() {
 	case *gusto:
 		perf := netmodel.Gusto()
 		n = perf.N()
-		prior = perf
 		source = comm.StaticSource(perf)
 		fmt.Printf("hetpland: planning for %d processors against the static GUSTO tables\n", n)
 	case *random:
 		perf := netmodel.RandomPerf(rand.New(rand.NewSource(*seed)), *p, netmodel.GustoGuided())
 		n = perf.N()
-		prior = perf
 		source = comm.StaticSource(perf)
 		fmt.Printf("hetpland: planning for %d processors against a random table (seed %d)\n", n, *seed)
 	default:
 		fmt.Fprintln(os.Stderr, "hetpland: pick -dir ADDR, -gusto, or -random")
 		os.Exit(1)
-	}
-
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.Default()
-		obs.DeclareStandard(reg)
 	}
 
 	var flight *obs.FlightRecorder
@@ -130,22 +123,7 @@ func main() {
 		tail = obs.NewTailSampler(*tailCap)
 	}
 
-	ccfg := comm.Config{Metrics: reg, Flight: flight}
-	var cal *calib.Calibrator
-	if *calibrate {
-		var err error
-		if cal, err = calib.New(prior, calib.Config{Metrics: reg, Flight: flight}); err != nil {
-			fatal(err)
-		}
-		ccfg.Calibrator = cal
-		if rc != nil {
-			// Close the loop: estimates the calibrator comes to trust
-			// flow back to the directory every processor snapshots from.
-			ccfg.CalibSink = directory.CalibrateSink(rc)
-		}
-		fmt.Println("hetpland: network calibration armed (per-pair confidence on /statusz)")
-	}
-	c, err := comm.New(n, source, ccfg)
+	c, err := comm.New(n, source, comm.Config{Metrics: reg, Flight: flight})
 	if err != nil {
 		fatal(err)
 	}
@@ -161,7 +139,6 @@ func main() {
 		Flight:          flight,
 		Tail:            tail,
 		TailAll:         *tailAll,
-		Calib:           cal,
 	})
 	if err != nil {
 		fatal(err)

@@ -179,3 +179,277 @@ func moduleDeps(t *testing.T, dir string) []string {
 	sort.Strings(out)
 	return out
 }
+
+// TestConfigKnobsAreSet keeps the configuration of the served and
+// executed path from regrowing knobs: every exported field of these
+// config types must be set by non-test code outside the type's own
+// package (a command, an example, bench/ or another internal package),
+// or be listed in seams with the reason it stays. A field that nothing
+// sets is a constant.
+func TestConfigKnobsAreSet(t *testing.T) {
+	configs := []string{
+		"internal/calib.Config",
+		"internal/comm.Config",
+		"internal/directory.ResilientConfig",
+		"internal/exec.Config",
+		"internal/serve.Config",
+		"internal/serve.ServerConfig",
+	}
+	seams := map[string]string{
+		// Time seams. The first four are injected by tests; the other
+		// three by nothing yet, and stay as each package's one
+		// injectable clock.
+		"internal/comm.Config.Clock":               "the ladder tests age the cached table with it",
+		"internal/directory.ResilientConfig.Clock": "the stale-cache tests age the held snapshot with it",
+		"internal/directory.ResilientConfig.Sleep": "the backoff tests count the waits instead of sleeping",
+		"internal/exec.Config.Sleep":               "TestExecBackoffJitterIsSeeded records the backoffs instead of sleeping",
+		"internal/exec.Config.Clock":               "the executor's injectable clock; no test sets it yet",
+		"internal/serve.Config.Clock":              "the daemon's injectable clock; no test sets it yet",
+		"internal/serve.ServerConfig.Clock":        "the connection deadlines' injectable clock; no test sets it yet",
+		// Timing knobs the chaos tests drive.
+		"internal/exec.Config.MinDeadline":               "the executor chaos tests shorten the attempt deadline",
+		"internal/exec.Config.MaxRetries":                "the executor chaos tests bound retries",
+		"internal/exec.Config.Backoff":                   "the executor chaos tests shorten the retry backoff",
+		"internal/exec.Config.Seed":                      "the executor chaos tests seed the backoff jitter",
+		"internal/directory.ResilientConfig.BackoffBase": "the directory chaos tests shorten the retry backoff",
+		"internal/directory.ResilientConfig.BackoffMax":  "TestChaosResilientUnderConnFaults caps the retry backoff",
+		"internal/directory.ResilientConfig.Seed":        "TestChaosResilientUnderConnFaults seeds each client's jitter",
+		"internal/serve.Config.MaxRetryAfter":            "TestServeOverloadChaos caps the retry-after hint",
+		"internal/serve.Config.MinRetryAfter":            "the floor of the clamp MaxRetryAfter caps; no test sets it yet",
+		"internal/serve.ServerConfig.WriteTimeout":       "TestServerDisconnectsSlowClient cuts a trickling reader off with it",
+		"internal/serve.ServerConfig.WrapConn":           "the slow-client and small-buffer tests wrap the daemon's connections",
+		// The closed calibration loop: no binary executes through a
+		// communicator yet (ROADMAP item 9(c)).
+		"internal/comm.Config.Calibrator": "TestCalibChaosDrift and TestCalibChaosLyingLink plan through it",
+		"internal/comm.Config.CalibSink":  "TestExecuteFeedsCalibSink pushes trusted estimates through it",
+		"internal/calib.Config.Flight":    "hcdird, the one binary that runs a calibrator, keeps no flight recorder",
+	}
+
+	// The exported fields of every config type, keyed "dir.Type.Field".
+	fset := token.NewFileSet()
+	fields := map[string]bool{}
+	for _, cfg := range configs {
+		dir, typ, _ := strings.Cut(cfg, ".")
+		for _, f := range parseDir(t, fset, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != typ {
+					return true
+				}
+				for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+					for _, name := range fld.Names {
+						if name.IsExported() {
+							fields[cfg+"."+name.Name] = true
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no config fields")
+	}
+
+	// The facade's aliases: hetsched.CommConfig is comm.Config.
+	facade, err := parser.ParseFile(fset, "hetsched.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases := map[string]string{}
+	facadeImports := importDirs(facade)
+	for _, d := range facade.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok {
+			for _, s := range gd.Specs {
+				if ts, ok := s.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+					if target := typeKey(ts.Type, facadeImports, nil); target != "" {
+						aliases[".."+ts.Name.Name] = target // the facade's dir is "."
+					}
+				}
+			}
+		}
+	}
+
+	set := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		own := filepath.ToSlash(filepath.Dir(path))
+		imports := importDirs(f)
+		key := func(e ast.Expr) string {
+			k := typeKey(e, imports, aliases)
+			if strings.HasPrefix(k, own+".") {
+				return "" // a package setting its own defaults
+			}
+			return k
+		}
+		// Variables of a config type: declared with it, initialised
+		// with one of its literals, or received as a parameter.
+		vars := map[string]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				if k := key(n.Type); k != "" {
+					for _, name := range n.Names {
+						vars[name.Name] = k
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if k := key(n.Type); k != "" {
+						vars[name.Name] = k
+					} else if i < len(n.Values) {
+						if k := litKey(n.Values[i], key); k != "" {
+							vars[name.Name] = k
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && i < len(n.Rhs) && len(n.Lhs) == len(n.Rhs) {
+						if k := litKey(n.Rhs[i], key); k != "" {
+							vars[id.Name] = k
+						}
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if k := key(n.Type); k != "" {
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set[k+"."+id.Name] = true
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && vars[x.Name] != "" {
+							set[vars[x.Name]+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var unset []string
+	for f := range fields {
+		if !set[f] && seams[f] == "" {
+			unset = append(unset, f)
+		}
+	}
+	for f := range seams {
+		if !fields[f] {
+			t.Errorf("seams lists %s, which is not a config field", f)
+		} else if set[f] {
+			t.Errorf("seams lists %s, which non-test code sets; drop it from the list", f)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d config fields are set by no non-test code outside their package and are not listed as seams; make each a constant:\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
+	}
+}
+
+// parseDir parses the non-test Go files of one directory.
+func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// importDirs maps a file's import names to module directories: "comm"
+// (or its rename) → "internal/comm", the root facade → ".".
+func importDirs(f *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		dir, ok := strings.CutPrefix(path, "hetsched/")
+		if path == "hetsched" {
+			dir, ok = ".", true
+		}
+		if !ok {
+			continue
+		}
+		name := filepath.Base(path)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		out[name] = dir
+	}
+	return out
+}
+
+// typeKey names the type an expression spells, "dir.Type", through the
+// file's imports and the facade's aliases; "" when it is not a type
+// from another module package. A pointer names its element.
+func typeKey(e ast.Expr, imports, aliases map[string]string) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	x, ok := sel.X.(*ast.Ident)
+	if !ok || imports[x.Name] == "" {
+		return ""
+	}
+	k := imports[x.Name] + "." + sel.Sel.Name
+	if target, ok := aliases[k]; ok {
+		return target
+	}
+	return k
+}
+
+// litKey is the type key of a composite literal or its address.
+func litKey(e ast.Expr, key func(ast.Expr) string) string {
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	if lit, ok := e.(*ast.CompositeLit); ok {
+		return key(lit.Type)
+	}
+	return ""
+}

@@ -81,143 +81,75 @@ type Update struct {
 	Samples    uint64  `json:"samples,omitempty"`
 }
 
-// Config tunes the estimator. The zero value selects usable defaults;
-// fields are knobs, not required inputs.
+// Config wires the estimator's telemetry. The zero value is a working
+// calibrator: the estimator's tuning is the constants below.
 type Config struct {
-	// Decay is the per-batch retention of measured evidence, in (0, 1].
-	// Each ObserveBatch multiplies every pair's accumulated sample
-	// weight by Decay, so pairs that stop reporting slide back toward
-	// the static prior instead of serving stale measurements forever.
-	// 0 selects 0.97.
-	Decay float64
-	// PriorWeight is the pseudo-sample weight of the static directory
-	// table in every pair's fit. Confidence is evidence weight against
-	// this prior, so it also sets how many clean samples a pair needs
-	// before it can be trusted. 0 selects 3.
-	PriorWeight float64
-	// PriorSpanBytes is the transfer size at which the prior's second
-	// anchor point sits while a pair has no evidence (the first anchor
-	// sits at zero bytes, pinning latency). Once samples arrive the
-	// anchor follows the pair's mean measured size, so the prior's pull
-	// on the slope is scale-matched to real traffic instead of
-	// dominating it through sheer leverage. 0 selects 1 MiB.
-	PriorSpanBytes float64
-	// MADWindow is how many recent accepted residuals each pair keeps
-	// for the outlier gate. 0 selects 16.
-	MADWindow int
-	// MADK is the rejection threshold in MAD units. 0 selects 4.
-	MADK float64
-	// MADMinSamples is how many residuals the window needs before the
-	// outlier gate arms; until then everything structurally clean is
-	// accepted. 0 selects 5.
-	MADMinSamples int
-	// MADFloor is an absolute floor on the deviation scale (residuals
-	// are measured-over-predicted ratios, so this is a relative
-	// tolerance): with it, a pair whose recent samples agree perfectly
-	// does not start rejecting ordinary jitter. 0 selects 0.08.
-	MADFloor float64
-	// OutlierStreak is how many consecutive MAD rejections are read as
-	// a regime change (a real step in the network) rather than noise:
-	// the pair's measured evidence is reset and re-learned from the
-	// new samples. A lying link cannot trip this cheaply — structural
-	// rejections (stalls, retries) do not count toward the streak.
-	// 0 selects 6.
-	OutlierStreak int
-	// TrustThreshold is the minimum confidence at which a pair's
-	// estimate is exported (Apply, Updates). Below it the
-	// static table wins. 0 selects 0.35; negative trusts every
-	// measured pair immediately.
-	TrustThreshold float64
-	// MinPushDelta is the relative movement (in latency or bandwidth)
-	// below which Updates does not republish a pair, keeping the
-	// directory feed quiet in steady state. 0 selects 0.05.
-	MinPushDelta float64
-	// MaxAdjust caps how far an estimate may stray from the prior
-	// (bandwidth within [prior/MaxAdjust, prior·MaxAdjust]); a fit run
-	// off garbage can be wrong, but never absurd. 0 selects 1000.
-	MaxAdjust float64
-	// StaleAfterBatches is how many batches without an accepted sample
-	// mark a pair stale in summaries. Staleness is advisory — decay
-	// already erodes the confidence of a silent pair. 0 selects 50.
-	StaleAfterBatches uint64
-
 	// Telemetry, all optional and nil-safe.
 	Metrics *obs.Registry
 	Flight  *obs.FlightRecorder
 }
 
+// The estimator's tuning.
+const (
+	// decay is the per-batch retention of measured evidence. Each
+	// ObserveBatch multiplies every pair's accumulated sample weight by
+	// it, so pairs that stop reporting slide back toward the static
+	// prior instead of serving stale measurements forever.
+	decay = 0.97
+	// priorWeight is the pseudo-sample weight of the static directory
+	// table in every pair's fit. Confidence is evidence weight against
+	// this prior, so it also sets how many clean samples a pair needs
+	// before it can be trusted.
+	priorWeight float64 = 3
+	// priorSpanBytes is the transfer size at which the prior's second
+	// anchor point sits while a pair has no evidence (the first anchor
+	// sits at zero bytes, pinning latency). Once samples arrive the
+	// anchor follows the pair's mean measured size, so the prior's pull
+	// on the slope is scale-matched to real traffic instead of
+	// dominating it through sheer leverage.
+	priorSpanBytes float64 = 1 << 20
+	// madWindow is how many recent accepted residuals each pair keeps
+	// for the outlier gate.
+	madWindow = 16
+	// madK is the rejection threshold in MAD units.
+	madK = 4.0
+	// madMinSamples is how many residuals the window needs before the
+	// outlier gate arms; until then everything structurally clean is
+	// accepted.
+	madMinSamples = 5
+	// madFloor is an absolute floor on the deviation scale (residuals
+	// are measured-over-predicted ratios, so this is a relative
+	// tolerance): with it, a pair whose recent samples agree perfectly
+	// does not start rejecting ordinary jitter.
+	madFloor = 0.08
+	// outlierStreak is how many consecutive MAD rejections are read as
+	// a regime change (a real step in the network) rather than noise:
+	// the pair's measured evidence is reset and re-learned from the
+	// new samples. A lying link cannot trip this cheaply — structural
+	// rejections (stalls, retries) do not count toward the streak.
+	outlierStreak = 6
+	// trustThreshold is the minimum confidence at which a pair's
+	// estimate is exported (Apply, Updates). Below it the static table
+	// wins.
+	trustThreshold = 0.35
+	// minPushDelta is the relative movement (in latency or bandwidth)
+	// below which Updates does not republish a pair, keeping the
+	// directory feed quiet in steady state.
+	minPushDelta = 0.05
+	// maxAdjust caps how far an estimate may stray from the prior
+	// (bandwidth within [prior/maxAdjust, prior·maxAdjust]); a fit run
+	// off garbage can be wrong, but never absurd.
+	maxAdjust = 1000.0
+	// staleAfterBatches is how many batches without an accepted sample
+	// mark a pair stale in summaries. Staleness is advisory — decay
+	// already erodes the confidence of a silent pair.
+	staleAfterBatches = 50
+)
+
 // goodnessBeta is the per-sample weight of the exponentially-weighted
 // accept fraction that scales confidence: a pair whose samples keep
 // getting rejected (a lying link) bleeds trust at this rate.
 const goodnessBeta = 0.15
-
-// summaryWorst bounds how many lowest-confidence pairs a Summary
-// embeds.
-const summaryWorst = 8
-
-// withDefaults fills zero fields and validates the rest.
-func (cfg Config) withDefaults() (Config, error) {
-	if cfg.Decay == 0 {
-		cfg.Decay = 0.97
-	}
-	if cfg.PriorWeight == 0 {
-		cfg.PriorWeight = 3
-	}
-	if cfg.PriorSpanBytes == 0 {
-		cfg.PriorSpanBytes = 1 << 20
-	}
-	if cfg.MADWindow == 0 {
-		cfg.MADWindow = 16
-	}
-	if cfg.MADK == 0 {
-		cfg.MADK = 4
-	}
-	if cfg.MADMinSamples == 0 {
-		cfg.MADMinSamples = 5
-	}
-	if cfg.MADFloor == 0 {
-		cfg.MADFloor = 0.08
-	}
-	if cfg.OutlierStreak == 0 {
-		cfg.OutlierStreak = 6
-	}
-	if cfg.TrustThreshold == 0 {
-		cfg.TrustThreshold = 0.35
-	}
-	if cfg.TrustThreshold < 0 {
-		cfg.TrustThreshold = 0
-	}
-	if cfg.MinPushDelta == 0 {
-		cfg.MinPushDelta = 0.05
-	}
-	if cfg.MaxAdjust == 0 {
-		cfg.MaxAdjust = 1000
-	}
-	if cfg.StaleAfterBatches == 0 {
-		cfg.StaleAfterBatches = 50
-	}
-	switch {
-	case cfg.Decay <= 0 || cfg.Decay > 1 || math.IsNaN(cfg.Decay):
-		return cfg, fmt.Errorf("calib: Decay %v outside (0, 1]", cfg.Decay)
-	case cfg.PriorWeight <= 0 || math.IsInf(cfg.PriorWeight, 0) || math.IsNaN(cfg.PriorWeight):
-		return cfg, fmt.Errorf("calib: PriorWeight %v must be positive and finite", cfg.PriorWeight)
-	case cfg.PriorSpanBytes <= 0 || math.IsInf(cfg.PriorSpanBytes, 0):
-		return cfg, fmt.Errorf("calib: PriorSpanBytes %v must be positive and finite", cfg.PriorSpanBytes)
-	case cfg.MADWindow < 2:
-		return cfg, fmt.Errorf("calib: MADWindow %d must be at least 2", cfg.MADWindow)
-	case cfg.MADK <= 0 || cfg.MADFloor < 0:
-		return cfg, fmt.Errorf("calib: MADK %v / MADFloor %v out of range", cfg.MADK, cfg.MADFloor)
-	case cfg.MADMinSamples < 2 || cfg.MADMinSamples > cfg.MADWindow:
-		return cfg, fmt.Errorf("calib: MADMinSamples %d outside [2, MADWindow]", cfg.MADMinSamples)
-	case cfg.OutlierStreak < 2:
-		return cfg, fmt.Errorf("calib: OutlierStreak %d must be at least 2", cfg.OutlierStreak)
-	case cfg.MaxAdjust < 1 || math.IsNaN(cfg.MaxAdjust):
-		return cfg, fmt.Errorf("calib: MaxAdjust %v must be at least 1", cfg.MaxAdjust)
-	case cfg.MinPushDelta < 0 || math.IsNaN(cfg.MinPushDelta):
-		return cfg, fmt.Errorf("calib: MinPushDelta %v must be non-negative", cfg.MinPushDelta)
-	}
-	return cfg, nil
-}
 
 // pairState is one ordered pair's accumulated evidence. The regression
 // keeps exponentially-weighted sufficient statistics of (x=bytes,
@@ -274,10 +206,6 @@ func New(prior *netmodel.Perf, cfg Config) (*Calibrator, error) {
 	}
 	if err := prior.Validate(); err != nil {
 		return nil, fmt.Errorf("calib: invalid prior: %w", err)
-	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
 	}
 	n := prior.N()
 	c := &Calibrator{
@@ -388,7 +316,7 @@ func (c *Calibrator) observeLocked(s *Sample, rep *BatchReport) {
 	ratio := s.Seconds / predicted
 	if c.outlierLocked(ps, ratio) {
 		ps.streak++
-		if ps.streak < c.cfg.OutlierStreak {
+		if ps.streak < outlierStreak {
 			rep.RejectedOutlier++
 			c.rejectLocked(ps)
 			return
@@ -416,7 +344,7 @@ func (c *Calibrator) observeLocked(s *Sample, rep *BatchReport) {
 	ps.sxx += x * x
 	ps.sxy += x * s.Seconds
 	if ps.ring == nil {
-		ps.ring = make([]float64, c.cfg.MADWindow)
+		ps.ring = make([]float64, madWindow)
 	}
 	ps.ring[ps.ringAt] = ratio
 	ps.ringAt = (ps.ringAt + 1) % len(ps.ring)
@@ -443,7 +371,7 @@ func (c *Calibrator) decayLocked(ps *pairState) {
 	if ps.decayedTo == c.batch {
 		return
 	}
-	f := math.Pow(c.cfg.Decay, float64(c.batch-ps.decayedTo))
+	f := math.Pow(decay, float64(c.batch-ps.decayedTo))
 	ps.sw *= f
 	ps.sx *= f
 	ps.sy *= f
@@ -455,14 +383,14 @@ func (c *Calibrator) decayLocked(ps *pairState) {
 // solveLocked fits the pair: measured sufficient statistics plus the
 // prior's two anchor pseudo-points, solved as weighted least squares
 // for t = L + x/B. The prior anchors keep the system well-conditioned
-// at any sample count; MaxAdjust keeps the answer physical. Returns the
+// at any sample count; maxAdjust keeps the answer physical. Returns the
 // blended estimate and the pair's confidence. Caller holds c.mu.
 func (c *Calibrator) solveLocked(ps *pairState, prior netmodel.PairPerf) (netmodel.PairPerf, float64) {
 	c.decayLocked(ps)
-	half := c.cfg.PriorWeight / 2
+	half := priorWeight / 2
 	span := c.spanLocked(ps)
 	anchor := prior.Latency + span/prior.Bandwidth // prior t at x=span
-	sw := c.cfg.PriorWeight + ps.sw
+	sw := priorWeight + ps.sw
 	sx := half*span + ps.sx
 	sy := half*prior.Latency + half*anchor + ps.sy
 	sxx := half*span*span + ps.sxx
@@ -478,25 +406,25 @@ func (c *Calibrator) solveLocked(ps *pairState, prior netmodel.PairPerf) (netmod
 		if lat < 0 {
 			lat = 0
 		}
-		if ceil := anchor * c.cfg.MaxAdjust; lat > ceil {
+		if ceil := anchor * maxAdjust; lat > ceil {
 			lat = ceil
 		}
-		if ceil := prior.Bandwidth * c.cfg.MaxAdjust; bw > ceil {
+		if ceil := prior.Bandwidth * maxAdjust; bw > ceil {
 			bw = ceil
 		}
-		if floor := prior.Bandwidth / c.cfg.MaxAdjust; bw < floor {
+		if floor := prior.Bandwidth / maxAdjust; bw < floor {
 			bw = floor
 		}
 		if cand := (netmodel.PairPerf{Latency: lat, Bandwidth: bw}); cand.Valid() {
 			est = cand
 		}
 	}
-	conf := ps.sw / (ps.sw + c.cfg.PriorWeight) * ps.goodness
+	conf := ps.sw / (ps.sw + priorWeight) * ps.goodness
 	return est, conf
 }
 
 // spanLocked is the transfer size the pair's prior anchor sits at: the
-// configured span while the pair is cold, the mean measured size once
+// fixed span while the pair is cold, the mean measured size once
 // evidence exists — a fixed far-out anchor would dominate the slope
 // through x² leverage and the fit could only ever bend the intercept.
 // Caller holds c.mu.
@@ -504,14 +432,14 @@ func (c *Calibrator) spanLocked(ps *pairState) float64 {
 	if ps.sw > 0 {
 		return math.Max(1, ps.sx/ps.sw)
 	}
-	return c.cfg.PriorSpanBytes
+	return priorSpanBytes
 }
 
 // outlierLocked reports whether ratio is inconsistent with the pair's
-// recent accepted residuals (median ± MADK·MAD, floored). Caller holds
+// recent accepted residuals (median ± madK·MAD, floored). Caller holds
 // c.mu.
 func (c *Calibrator) outlierLocked(ps *pairState, ratio float64) bool {
-	if ps.ringN < c.cfg.MADMinSamples {
+	if ps.ringN < madMinSamples {
 		return false
 	}
 	s := append(c.madScratch[:0], ps.ring[:ps.ringN]...)
@@ -523,7 +451,7 @@ func (c *Calibrator) outlierLocked(ps *pairState, ratio float64) bool {
 	sort.Float64s(s)
 	mad := quantiledMedian(s)
 	c.madScratch = s
-	return math.Abs(ratio-med) > c.cfg.MADK*math.Max(mad, c.cfg.MADFloor)
+	return math.Abs(ratio-med) > madK*math.Max(mad, madFloor)
 }
 
 // quantiledMedian returns the median of an ascending-sorted slice.
@@ -551,7 +479,7 @@ func (c *Calibrator) trustedLocked() int {
 			if ps.accepted == 0 {
 				continue
 			}
-			if _, conf := c.solveLocked(ps, c.prior.At(i, j)); conf >= c.cfg.TrustThreshold {
+			if _, conf := c.solveLocked(ps, c.prior.At(i, j)); conf >= trustThreshold {
 				trusted++
 			}
 		}
@@ -590,7 +518,7 @@ func (c *Calibrator) overlayLocked(perf *netmodel.Perf) *netmodel.Perf {
 				continue
 			}
 			est, conf := c.solveLocked(ps, c.prior.At(i, j))
-			if conf < c.cfg.TrustThreshold || out.At(i, j) == est {
+			if conf < trustThreshold || out.At(i, j) == est {
 				continue
 			}
 			if out == perf {
@@ -603,7 +531,7 @@ func (c *Calibrator) overlayLocked(perf *netmodel.Perf) *netmodel.Perf {
 }
 
 // Updates drains the trusted estimates that moved by at least
-// MinPushDelta (relative, in either latency or bandwidth) since they
+// minPushDelta (relative, in either latency or bandwidth) since they
 // were last drained — the directory feed. Ascending (src, dst) order;
 // nil receiver and steady state both return nil.
 func (c *Calibrator) Updates() []Update {
@@ -622,7 +550,7 @@ func (c *Calibrator) Updates() []Update {
 				continue
 			}
 			est, conf := c.solveLocked(ps, c.prior.At(i, j))
-			if conf < c.cfg.TrustThreshold {
+			if conf < trustThreshold {
 				continue
 			}
 			if !c.movedLocked(ps, est) {
@@ -659,7 +587,7 @@ func (c *Calibrator) movedLocked(ps *pairState, est netmodel.PairPerf) bool {
 	for _, x := range [2]float64{span, span / 8} {
 		was := ps.pushedLat + x/ps.pushedBW
 		now := est.Latency + x/est.Bandwidth
-		if relDiff(now, was) >= c.cfg.MinPushDelta {
+		if relDiff(now, was) >= minPushDelta {
 			return true
 		}
 	}
@@ -711,44 +639,27 @@ func (c *Calibrator) pairLocked(src, dst int) PairEstimate {
 		Src: src, Dst: dst,
 		Perf: est, Prior: prior,
 		Confidence: conf,
-		Trusted:    ps.accepted > 0 && conf >= c.cfg.TrustThreshold,
-		Stale:      ps.accepted > 0 && c.batch-ps.lastAccept > c.cfg.StaleAfterBatches,
+		Trusted:    ps.accepted > 0 && conf >= trustThreshold,
+		Stale:      ps.accepted > 0 && c.batch-ps.lastAccept > staleAfterBatches,
 		Accepted:   ps.accepted,
 		Rejected:   ps.rejected,
 	}
 }
 
-// PairSummary is one measured pair in a Summary, JSON-shaped for
-// statusz.
-type PairSummary struct {
-	Src        int     `json:"src"`
-	Dst        int     `json:"dst"`
-	Latency    float64 `json:"latency"`
-	Bandwidth  float64 `json:"bandwidth"`
-	Confidence float64 `json:"confidence"`
-	Trusted    bool    `json:"trusted"`
-	Stale      bool    `json:"stale,omitempty"`
-	Accepted   uint64  `json:"accepted"`
-	Rejected   uint64  `json:"rejected"`
-}
-
-// Summary is the operator-facing snapshot served on /statusz: totals
-// plus the lowest-confidence measured pairs (the ones being distrusted),
-// worst first.
+// Summary is the calibrator's totals, as hcsim -calibrate prints them.
 type Summary struct {
-	N              int           `json:"n"`
-	Batches        uint64        `json:"batches"`
-	Accepted       uint64        `json:"accepted"`
-	Rejected       uint64        `json:"rejected"`
-	MeasuredPairs  int           `json:"measured_pairs"`
-	TrustedPairs   int           `json:"trusted_pairs"`
-	StalePairs     int           `json:"stale_pairs"`
-	TrustThreshold float64       `json:"trust_threshold"`
-	Worst          []PairSummary `json:"worst,omitempty"`
+	N              int
+	Batches        uint64
+	Accepted       uint64
+	Rejected       uint64
+	MeasuredPairs  int
+	TrustedPairs   int
+	StalePairs     int
+	TrustThreshold float64
 }
 
 // Summarize collects a Summary. The zero Summary (nil receiver) is
-// valid and renders as "calibration disabled".
+// valid and reads as a calibrator that has seen nothing.
 func (c *Calibrator) Summarize() Summary {
 	if c == nil {
 		return Summary{}
@@ -760,9 +671,8 @@ func (c *Calibrator) Summarize() Summary {
 		Batches:        c.batch,
 		Accepted:       c.accepted,
 		Rejected:       c.rejected,
-		TrustThreshold: c.cfg.TrustThreshold,
+		TrustThreshold: trustThreshold,
 	}
-	var all []PairSummary
 	for i := 0; i < c.n; i++ {
 		for j := 0; j < c.n; j++ {
 			if i == j {
@@ -780,27 +690,7 @@ func (c *Calibrator) Summarize() Summary {
 			if pe.Stale {
 				s.StalePairs++
 			}
-			all = append(all, PairSummary{
-				Src: i, Dst: j,
-				Latency: pe.Perf.Latency, Bandwidth: pe.Perf.Bandwidth,
-				Confidence: pe.Confidence,
-				Trusted:    pe.Trusted, Stale: pe.Stale,
-				Accepted: pe.Accepted, Rejected: pe.Rejected,
-			})
 		}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Confidence != all[b].Confidence {
-			return all[a].Confidence < all[b].Confidence
-		}
-		if all[a].Src != all[b].Src {
-			return all[a].Src < all[b].Src
-		}
-		return all[a].Dst < all[b].Dst
-	})
-	if len(all) > summaryWorst {
-		all = all[:summaryWorst]
-	}
-	s.Worst = all
 	return s
 }

@@ -46,14 +46,6 @@ type Config struct {
 	// Scheduler plans total exchanges, repeated ones included; nil
 	// selects open shop.
 	Scheduler sched.Scheduler
-	// StaleBound is the fallback ladder's staleness budget: when the
-	// source fails, a cached snapshot no older than this is used before
-	// falling all the way to the uniform baseline. 0 selects
-	// DefaultStaleBound; negative disables the stale rung entirely.
-	StaleBound time.Duration
-	// BaselineScheduler plans degraded-mode exchanges, where no network
-	// knowledge is available; nil selects the caterpillar baseline.
-	BaselineScheduler sched.Scheduler
 	// Clock supplies the time for staleness decisions; nil selects
 	// time.Now. Tests inject a fake clock here.
 	Clock func() time.Time
@@ -141,12 +133,6 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = sched.NewOpenShop()
 	}
-	if cfg.StaleBound == 0 {
-		cfg.StaleBound = DefaultStaleBound
-	}
-	if cfg.BaselineScheduler == nil {
-		cfg.BaselineScheduler = sched.Baseline{}
-	}
 	if cfg.Clock == nil {
 		//hetvet:ignore determinism the communicator's one wall-clock default; tests and sims inject Clock
 		cfg.Clock = time.Now
@@ -179,9 +165,9 @@ func (c *Communicator) Stats() Stats {
 }
 
 // ladderTable runs the fallback ladder: a fresh source snapshot, then
-// the cached last-known-good table if it is within StaleBound, then
-// the uniform baseline model. It returns the table to build the cost
-// matrix from — calibration already overlaid — and the rung that
+// the cached last-known-good table if it is within DefaultStaleBound,
+// then the uniform baseline model. It returns the table to build the
+// cost matrix from — calibration already overlaid — and the rung that
 // produced it; an error is returned only for caller bugs (shape
 // mismatches) or a broken source contract — never for a mere source
 // outage, which the ladder absorbs.
@@ -211,7 +197,7 @@ func (c *Communicator) ladderTable(sizes *model.Sizes) (*netmodel.Perf, Health, 
 	c.mu.Lock()
 	cached, at := c.lastPerf, c.lastPerfAt
 	c.mu.Unlock()
-	if cached != nil && c.cfg.StaleBound > 0 && c.cfg.Clock().Sub(at) <= c.cfg.StaleBound {
+	if cached != nil && c.cfg.Clock().Sub(at) <= DefaultStaleBound {
 		return c.calibrated(cached), HealthStale, nil
 	}
 	// Rung 3: no usable knowledge; the uniform model still yields a
@@ -330,7 +316,7 @@ func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes
 func (c *Communicator) schedule(ctx context.Context, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
 	scheduler := c.cfg.Scheduler
 	if h == HealthDegraded {
-		scheduler = c.cfg.BaselineScheduler
+		scheduler = sched.Baseline{}
 	}
 	c.mu.Lock()
 	c.stats.Plans++

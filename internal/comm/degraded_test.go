@@ -58,7 +58,7 @@ func (s *switchableSource) advance(d time.Duration) {
 // bound) → ok again once the source recovers.
 func TestHealthLadderTransitions(t *testing.T) {
 	src := &switchableSource{perf: netmodel.Gusto(), now: time.Unix(5000, 0)}
-	c, err := New(5, src.source, Config{StaleBound: 30 * time.Second, Clock: src.clock})
+	c, err := New(5, src.source, Config{Clock: src.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,10 @@ func TestChaosCommunicatorSurvivesServerKill(t *testing.T) {
 	defer rc.Close()
 
 	// The strict source fails when the server is unreachable, so the
-	// Communicator's own ladder — not the client's cache — decides.
-	c, err := New(5, rc.Source(true), Config{StaleBound: 250 * time.Millisecond})
+	// Communicator's own ladder — not the client's cache — decides. Its
+	// clock only moves when the test ages the cache.
+	clk := &switchableSource{now: time.Unix(5000, 0)}
+	c, err := New(5, rc.Source(true), Config{Clock: clk.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +181,13 @@ func TestChaosCommunicatorSurvivesServerKill(t *testing.T) {
 	// Kill the server mid-run: exchanges must keep completing.
 	srv.Close()
 	run("server down (stale window)")
-	if h := c.Health(); h != HealthStale && h != HealthDegraded {
-		t.Fatalf("health = %v right after kill, want stale or degraded", h)
+	if h := c.Health(); h != HealthStale {
+		t.Fatalf("health = %v right after kill, want stale", h)
 	}
 
 	// Once the cache ages past the bound, the ladder bottoms out at the
 	// baseline — still no errors.
-	time.Sleep(300 * time.Millisecond)
+	clk.advance(DefaultStaleBound + time.Second)
 	run("server down (past stale bound)")
 	if c.Health() != HealthDegraded {
 		t.Fatalf("health = %v past the stale bound, want degraded", c.Health())

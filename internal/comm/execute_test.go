@@ -1,9 +1,12 @@
 package comm
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/exec"
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
@@ -73,5 +76,56 @@ func TestExecuteShapeMismatch(t *testing.T) {
 	defer tr.Close()
 	if _, _, err := c.Execute(tr, model.UniformSizes(4, 1), exec.Config{}); err == nil {
 		t.Fatal("size mismatch accepted")
+	}
+}
+
+// TestExecuteFeedsCalibSink closes the loop Config.CalibSink stands
+// for: every Execute hands its measured transfers to the calibrator,
+// and the estimates it comes to trust are pushed to the sink, counted
+// as pushes, and as push errors when the sink fails.
+func TestExecuteFeedsCalibSink(t *testing.T) {
+	const n, exchanges = 4, 4
+	table := flatPerf(n, 1e-3, 2e6)
+	for _, sinkErr := range []error{nil, errors.New("directory down")} {
+		cal, err := calib.New(table, calib.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pushed [][]calib.Update
+		sink := func(u []calib.Update) error {
+			pushed = append(pushed, u)
+			return sinkErr
+		}
+		c := newComm(t, table, Config{Calibrator: cal, CalibSink: sink})
+		for k := 0; k < exchanges; k++ {
+			tr, err := exec.NewMem(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A generous deadline: a retried transfer is no sample.
+			rep, _, err := c.Execute(tr, model.UniformSizes(n, 1<<12), exec.Config{MinDeadline: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Retries != 0 || rep.AbandonedBytes != 0 {
+				t.Fatalf("exchange %d was not clean: %s", k, rep)
+			}
+		}
+		st := c.Stats()
+		wantErrs := 0
+		if sinkErr != nil {
+			wantErrs = len(pushed)
+		}
+		if len(pushed) == 0 || st.CalibBatches != exchanges || st.CalibPushes != len(pushed) || st.CalibPushErrors != wantErrs {
+			t.Errorf("sink error %v: %d pushes seen, stats %+v", sinkErr, len(pushed), st)
+		}
+		threshold := cal.Summarize().TrustThreshold
+		for _, batch := range pushed {
+			for _, u := range batch {
+				if u.Confidence < threshold {
+					t.Errorf("pushed an untrusted estimate: %+v (threshold %.2f)", u, threshold)
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 //
 //	ok       — the last exchange was planned from a fresh snapshot
 //	stale    — the source failed; the exchange used the cached
-//	           last-known-good table, whose age was within StaleBound
+//	           last-known-good table, whose age was within
+//	           DefaultStaleBound
 //	degraded — the source failed and no usable cache existed; the
 //	           exchange fell back to the uniform-model caterpillar
 //	           baseline, which needs no network knowledge at all
@@ -41,7 +42,7 @@ func (h Health) String() string {
 }
 
 // DefaultStaleBound is how old a cached snapshot may be and still be
-// preferred over the blind baseline, when Config.StaleBound is 0.
+// preferred over the blind baseline. Config.Clock measures the age.
 const DefaultStaleBound = time.Minute
 
 // uniformPerf is the homogeneous table behind the degraded-mode

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
@@ -32,9 +33,14 @@ func TestAllToAllHealthReportsPerCallRung(t *testing.T) {
 		}
 		return perf.Clone(), nil
 	}
-	// Negative StaleBound disables the stale rung, so failures fall
-	// straight to degraded and the expected tag is unambiguous.
-	c, err := New(4, source, Config{StaleBound: -1})
+	// Every clock read is two stale bounds later than the last, so the
+	// cached table is always too old: failures fall straight to
+	// degraded and the expected tag is unambiguous.
+	var ticks atomic.Int64
+	clock := func() time.Time {
+		return time.Unix(0, 0).Add(time.Duration(ticks.Add(1)) * 2 * DefaultStaleBound)
+	}
+	c, err := New(4, source, Config{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

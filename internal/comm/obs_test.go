@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
@@ -21,13 +22,14 @@ func counterValue(reg *obs.Registry, name string, labels ...obs.Label) uint64 {
 func TestTelemetryLadderAndQuality(t *testing.T) {
 	reg := obs.New()
 	ok := true
+	now := time.Unix(5000, 0)
 	perf := netmodel.Gusto()
 	c, err := New(5, func() (*netmodel.Perf, error) {
 		if ok {
 			return perf.Clone(), nil
 		}
 		return nil, errors.New("directory down")
-	}, Config{StaleBound: -1, Metrics: reg})
+	}, Config{Clock: func() time.Time { return now }, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,8 @@ func TestTelemetryLadderAndQuality(t *testing.T) {
 	if _, err := c.AllToAll(sizes); err != nil {
 		t.Fatal(err)
 	}
-	ok = false // the ladder must fall straight to degraded (stale rung disabled)
+	ok = false // the cache is past the stale bound: straight to degraded
+	now = now.Add(DefaultStaleBound + time.Second)
 	if _, err := c.AllToAll(sizes); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestRepeatedMatchesAllToAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{StaleBound: 30 * time.Second, Clock: src.clock, Calibrator: cal}
+	cfg := Config{Clock: src.clock, Calibrator: cal}
 	var comms [3]*Communicator
 	for k := range comms {
 		if comms[k], err = New(n, src.source, cfg); err != nil {

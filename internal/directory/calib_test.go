@@ -153,7 +153,7 @@ func TestResilientCalibrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := NewResilientClient(addr, ResilientConfig{
-		Retries: 2, Sleep: func(time.Duration) {}, MaxStale: -1,
+		Retries: 2, Sleep: func(time.Duration) {},
 	})
 	defer rc.Close()
 

@@ -396,7 +396,7 @@ func TestNotModifiedRefreshesStaleAge(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 	cfg := quietConfig()
-	cfg.MaxStale, cfg.Clock = time.Minute, clock
+	cfg.Clock = clock
 	rc := NewResilientClient(addr, cfg)
 	defer rc.Close()
 	strict, lenient := rc.Source(true), rc.Source(false)

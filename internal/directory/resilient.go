@@ -42,10 +42,6 @@ type ResilientConfig struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff; 0 selects 1s.
 	BackoffMax time.Duration
-	// MaxStale bounds the age of a cached snapshot served when the
-	// server is unreachable; 0 means any age, negative disables the
-	// stale cache entirely.
-	MaxStale time.Duration
 	// Seed drives the jitter; 0 selects 1. Two clients with the same
 	// seed and call sequence back off identically, keeping chaos runs
 	// reproducible.
@@ -438,18 +434,16 @@ func (r *ResilientClient) fetchOrStale(ctx context.Context) (*heldSnapshot, Snap
 	return nil, SnapshotMeta{}, err
 }
 
-// staleSnapshot serves the held snapshot when permitted, marking the
-// serve and the snapshot's age on the request trace ctx carries.
+// staleSnapshot serves the held snapshot at any age, marking the serve
+// and the snapshot's age on the request trace ctx carries. How old is
+// too old is the caller's call: the meta carries the age.
 func (r *ResilientClient) staleSnapshot(ctx context.Context, now time.Time) (*heldSnapshot, SnapshotMeta, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.held == nil || r.cfg.MaxStale < 0 {
+	if r.held == nil {
 		return nil, SnapshotMeta{}, false
 	}
 	age := now.Sub(r.heldAt)
-	if r.cfg.MaxStale > 0 && age > r.cfg.MaxStale {
-		return nil, SnapshotMeta{}, false
-	}
 	r.ctr.StaleServes++
 	r.mStale.Inc()
 	obs.Mark(ctx, "directory", "cache-serve", age.String())

@@ -19,7 +19,6 @@ func TestResilientBackoffAbortsOnCancel(t *testing.T) {
 		Retries:     3,
 		BackoffBase: 30 * time.Second, // would dwarf the test timeout if slept
 		BackoffMax:  30 * time.Second,
-		MaxStale:    -1,
 	})
 	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -49,7 +48,6 @@ func TestResilientCancelBeforeBackoffSkipsRetries(t *testing.T) {
 	r := NewResilientClient("127.0.0.1:1", ResilientConfig{
 		DialTimeout: 200 * time.Millisecond,
 		Retries:     5,
-		MaxStale:    -1,
 		Sleep:       func(time.Duration) { slept++ },
 	})
 	defer r.Close()
@@ -79,7 +77,6 @@ func TestResilientBackgroundContextUnchanged(t *testing.T) {
 	r := NewResilientClient("127.0.0.1:1", ResilientConfig{
 		DialTimeout: 200 * time.Millisecond,
 		Retries:     3,
-		MaxStale:    -1,
 		Sleep:       func(time.Duration) { slept++ },
 	})
 	defer r.Close()

@@ -225,7 +225,6 @@ func TestResilientServesStaleSnapshotWithAge(t *testing.T) {
 	rc := NewResilientClient(addr, ResilientConfig{
 		Retries:     2,
 		BackoffBase: time.Millisecond,
-		MaxStale:    time.Minute,
 		Clock:       clock,
 		Sleep:       func(time.Duration) {},
 	})
@@ -263,13 +262,13 @@ func TestResilientServesStaleSnapshotWithAge(t *testing.T) {
 	if _, err := rc.UpdatePair(0, 1, netmodel.PairPerf{Latency: 0.01, Bandwidth: 1000}); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("write against dead server = %v, want ErrUnavailable", err)
 	}
-	// Beyond MaxStale the cache is refused.
-	advance(2 * time.Minute)
-	if _, _, _, err := rc.Snapshot(); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("over-age snapshot = %v, want ErrUnavailable", err)
+	// The cache serves at any age; the age tells the caller how stale.
+	advance(time.Hour)
+	if _, _, meta3, err := rc.Snapshot(); err != nil || !meta3.Stale || meta3.Age != time.Hour+10*time.Second {
+		t.Errorf("hour-old snapshot: err %v, meta %+v; want stale with age 1h0m10s", err, meta3)
 	}
-	if ctr := rc.Counters(); ctr.StaleServes != 2 {
-		t.Errorf("stale serves = %d, want 2", ctr.StaleServes)
+	if ctr := rc.Counters(); ctr.StaleServes != 3 {
+		t.Errorf("stale serves = %d, want 3", ctr.StaleServes)
 	}
 }
 

@@ -95,9 +95,6 @@ type Config struct {
 	Backoff time.Duration
 	// Seed drives the backoff jitter. 0 selects 1.
 	Seed int64
-	// MaxRounds bounds plan rounds (the original plan plus residual
-	// replans). 0 selects the node count.
-	MaxRounds int
 	// Replan plans the residual after a death. Nil selects
 	// sched.ReplanResidual (open shop on the survivor-restricted
 	// matrix).
@@ -148,8 +145,8 @@ func New(tr Transport, cfg Config) (*Executor, error) {
 	if cfg.MaxRetries < 0 {
 		return nil, fmt.Errorf("exec: negative retry bound %d", cfg.MaxRetries)
 	}
-	if cfg.MinDeadline < 0 || cfg.Backoff < 0 || cfg.MaxRounds < 0 {
-		return nil, errors.New("exec: negative durations or round bound")
+	if cfg.MinDeadline < 0 || cfg.Backoff < 0 {
+		return nil, errors.New("exec: negative durations")
 	}
 	if cfg.Slack == 0 {
 		cfg.Slack = 4
@@ -290,13 +287,9 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 	if err != nil {
 		return nil, fmt.Errorf("exec: plan: %w", err)
 	}
-	maxRounds := e.cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = n
-		if maxRounds < 1 {
-			maxRounds = 1
-		}
-	}
+	// Rounds are the original plan plus residual replans, as many as
+	// there are nodes.
+	maxRounds := max(n, 1)
 
 	r := e.newRun(m, sizes)
 

@@ -73,7 +73,7 @@ func TestExecCancelledRunLeaksNoGoroutines(t *testing.T) {
 
 // TestExecClosedTransportFailsLoudly: a transport carries one exchange.
 // A second Run on it used to return a nil error and an all-abandoned
-// report after MaxRounds replans; it must fail with ErrTransportClosed,
+// report after one replan per node; it must fail with ErrTransportClosed,
 // having joined every goroutine it started.
 func TestExecClosedTransportFailsLoudly(t *testing.T) {
 	for name, newTransport := range transportsUnderTest() {

@@ -84,7 +84,6 @@ func TestSlowClientReadTrickle(t *testing.T) {
 		ChunkBytes: 2, Pause: time.Millisecond, PauseReads: true})
 	slow := in.Wrap(a)
 	go func() {
-		//hetvet:ignore errdiscard test writer; the reader asserts on content
 		b.Write([]byte("abcdef"))
 	}()
 	buf := make([]byte, 64)

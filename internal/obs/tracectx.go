@@ -36,7 +36,6 @@ var (
 )
 
 func init() {
-	//hetvet:ignore determinism process-unique trace-ID salt; obs is outside the deterministic core
 	traceIDSalt = uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -218,5 +219,53 @@ func TestInvalidTableRefusedBeforeFlight(t *testing.T) {
 	defer d.mu.Unlock()
 	if len(d.flights) != 0 {
 		t.Errorf("%d flights exist for refused requests", len(d.flights))
+	}
+}
+
+// TestAdmitProcessorCount: a daemon admits exactly its communicator's
+// processor count. A request of any other size — smaller, larger or
+// absurd, spec or explicit — is refused with one message before its
+// table is walked: each explicit table here has a negative entry in its
+// first row, which the hashing walk would report instead.
+func TestAdmitProcessorCount(t *testing.T) {
+	const n = 4
+	badRows := func(p int) [][]int64 {
+		rows := explicitTable(p, 1)
+		rows[0][1] = -1
+		return rows
+	}
+	cases := []struct {
+		name string
+		req  directory.PlanRequest
+		p    int
+	}{
+		{"spec p<N", directory.PlanRequest{P: n - 1}, n - 1},
+		{"spec p=0", directory.PlanRequest{}, 0},
+		{"spec p>N", directory.PlanRequest{P: n + 1}, n + 1},
+		{"spec p=2^40", directory.PlanRequest{P: 1 << 40}, 1 << 40},
+		{"explicit p<N", directory.PlanRequest{Sizes: badRows(n - 1)}, n - 1},
+		{"explicit p>N", directory.PlanRequest{Sizes: badRows(n + 1)}, n + 1},
+		{"explicit p>N, P=N", directory.PlanRequest{P: n, Sizes: badRows(n + 1)}, n + 1},
+	}
+	d := newTestDaemon(t, n, okSource(n), nil, Config{})
+	for _, c := range cases {
+		want := fmt.Sprintf("serve: daemon plans for %d processors, request describes %d", n, c.p)
+		if _, err := admitPattern(c.req, n); err == nil || err.Error() != want {
+			t.Errorf("%s: admitPattern said %v, want %q", c.name, err, want)
+		}
+		if resp := d.Plan(context.Background(), c.req); resp.OK || resp.Status != "" || resp.Error != want {
+			t.Errorf("%s: answered %+v, want the error %q", c.name, resp, want)
+		}
+	}
+	if st := d.Snapshot(); st.Rejected != uint64(len(cases)) || st.Admitted != 0 {
+		t.Errorf("after %d refusals: rejected %d, admitted %d", len(cases), st.Rejected, st.Admitted)
+	}
+	for name, req := range map[string]directory.PlanRequest{
+		"spec p=N":     {P: n},
+		"explicit p=N": {Sizes: explicitTable(n, 1)},
+	} {
+		if resp := d.Plan(context.Background(), req); !resp.OK || resp.Status != directory.PlanServed {
+			t.Errorf("%s: answered %+v, want served", name, resp)
+		}
 	}
 }

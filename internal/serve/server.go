@@ -65,8 +65,6 @@ func NewServer(d *Daemon, cfg ServerConfig) *Server {
 // Listen binds addr and starts accepting; it returns the bound address
 // (useful with ":0") without blocking. Traces arrive per request on
 // the wire (PlanRequest.Trace), not at bind time.
-//
-//hetvet:ignore tracectx the accept loop outlives any request; traces ride the wire protocol instead
 func (s *Server) Listen(addr string) (string, error) {
 	if s == nil {
 		return "", fmt.Errorf("serve: nil server")

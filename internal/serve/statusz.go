@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"hetsched/internal/calib"
 	"hetsched/internal/directory"
 	"hetsched/internal/obs"
 )
@@ -15,8 +14,7 @@ import (
 // The statusz surface: a single coherent snapshot of the daemon's live
 // state — queue, in-flight, outcome counters, rung distribution, cache
 // hit ratio, estimator percentiles, tail-sampler occupancy, slowest
-// retained traces, per-pair calibration confidence when a calibrator
-// is attached, and the flight-recorder tail — rendered as text for
+// retained traces, and the flight-recorder tail — rendered as text for
 // humans (hcstat, curl) and JSON for tools. Collection takes the
 // daemon lock once, briefly; rendering happens outside all locks.
 
@@ -70,11 +68,6 @@ type Statusz struct {
 	// start; Flight is its most recent tail, oldest first.
 	FlightSeq uint64            `json:"flight_seq,omitempty"`
 	Flight    []obs.FlightEvent `json:"flight,omitempty"`
-
-	// Calib summarizes the network calibrator when one is configured:
-	// batch and accept/reject totals, trust counts, and the
-	// lowest-confidence measured pairs. Nil when calibration is off.
-	Calib *calib.Summary `json:"calib,omitempty"`
 }
 
 // Statusz collects a snapshot. A nil daemon reports itself draining
@@ -116,10 +109,6 @@ func (d *Daemon) Statusz() Statusz {
 		st.FlightSeq = fl.Seq()
 		st.Flight = fl.Tail(statuszFlightTail)
 	}
-	if cal := d.cfg.Calib; cal != nil {
-		sum := cal.Summarize()
-		st.Calib = &sum
-	}
 	return st
 }
 
@@ -145,21 +134,6 @@ func (s Statusz) RenderText(w io.Writer) {
 		for _, t := range s.Slowest {
 			fmt.Fprintf(w, "    trace %s %-8s %10.3fms %3d spans\n",
 				t.Trace, t.Outcome, t.LatencyMS, t.Spans)
-		}
-	}
-	if c := s.Calib; c != nil {
-		fmt.Fprintf(w, "  calibration: %d batches, %d accepted / %d rejected samples, %d/%d pairs trusted (%d stale), threshold %.2f\n",
-			c.Batches, c.Accepted, c.Rejected, c.TrustedPairs, c.MeasuredPairs, c.StalePairs, c.TrustThreshold)
-		for _, p := range c.Worst {
-			state := "distrusted"
-			if p.Trusted {
-				state = "trusted"
-			}
-			if p.Stale {
-				state += ", stale"
-			}
-			fmt.Fprintf(w, "    pair %d->%d conf %.2f (%s): %.3gms / %.3g B/s, %d accepted / %d rejected\n",
-				p.Src, p.Dst, p.Confidence, state, p.Latency*1e3, p.Bandwidth, p.Accepted, p.Rejected)
 		}
 	}
 	if s.FlightSeq > 0 || len(s.Flight) > 0 {

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"hetsched/internal/calib"
 	"hetsched/internal/directory"
-	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 )
 
@@ -221,41 +219,5 @@ func TestTraceIDRidesTheWire(t *testing.T) {
 	}
 	if !sawRequest || !sawPlan {
 		t.Fatalf("span tree missing request/plan spans: %+v", spans)
-	}
-}
-
-func TestStatuszCalibSection(t *testing.T) {
-	prior := netmodel.NewPerf(2)
-	prior.Set(0, 1, netmodel.PairPerf{Latency: 1e-3, Bandwidth: 1e6})
-	prior.Set(1, 0, netmodel.PairPerf{Latency: 1e-3, Bandwidth: 1e6})
-	cal, err := calib.New(prior, calib.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		cal.ObserveBatch([]calib.Sample{
-			{Src: 0, Dst: 1, Bytes: 1 << 20, Seconds: 1.05, Outcome: calib.OutcomeDelivered},
-			{Src: 1, Dst: 0, Bytes: 1 << 20, Seconds: 2.0, Retries: 2, Outcome: calib.OutcomeDelivered},
-		})
-	}
-
-	d := newTestDaemon(t, 2, okSource(2), nil, Config{Calib: cal})
-	st := d.Statusz()
-	if st.Calib == nil {
-		t.Fatal("statusz with a calibrator configured has no calib section")
-	}
-	if st.Calib.Batches != 4 || st.Calib.Accepted == 0 || st.Calib.Rejected == 0 {
-		t.Fatalf("calib summary = %+v", st.Calib)
-	}
-	var b strings.Builder
-	st.RenderText(&b)
-	if !strings.Contains(b.String(), "calibration: 4 batches") {
-		t.Errorf("statusz text missing calibration section:\n%s", b.String())
-	}
-
-	// Without a calibrator the section stays absent, text and JSON.
-	d2 := newTestDaemon(t, 2, okSource(2), nil, Config{})
-	if st2 := d2.Statusz(); st2.Calib != nil {
-		t.Fatalf("statusz without a calibrator grew a calib section: %+v", st2.Calib)
 	}
 }

@@ -197,15 +197,14 @@ func TestConfigKnobsAreSet(t *testing.T) {
 	}
 	seams := map[string]string{
 		// Time seams. The first four are injected by tests; the other
-		// three by nothing yet, and stay as each package's one
-		// injectable clock.
+		// two by nothing yet, and stay as each package's one injectable
+		// clock.
 		"internal/comm.Config.Clock":               "the ladder tests age the cached table with it",
 		"internal/directory.ResilientConfig.Clock": "the stale-cache tests age the held snapshot with it",
 		"internal/directory.ResilientConfig.Sleep": "the backoff tests count the waits instead of sleeping",
 		"internal/exec.Config.Sleep":               "TestExecBackoffJitterIsSeeded records the backoffs instead of sleeping",
 		"internal/exec.Config.Clock":               "the executor's injectable clock; no test sets it yet",
 		"internal/serve.Config.Clock":              "the daemon's injectable clock; no test sets it yet",
-		"internal/serve.ServerConfig.Clock":        "the connection deadlines' injectable clock; no test sets it yet",
 		// Timing knobs the chaos tests drive.
 		"internal/exec.Config.MinDeadline":               "the executor chaos tests shorten the attempt deadline",
 		"internal/exec.Config.MaxRetries":                "the executor chaos tests bound retries",
@@ -215,7 +214,6 @@ func TestConfigKnobsAreSet(t *testing.T) {
 		"internal/directory.ResilientConfig.BackoffMax":  "TestChaosResilientUnderConnFaults caps the retry backoff",
 		"internal/directory.ResilientConfig.Seed":        "TestChaosResilientUnderConnFaults seeds each client's jitter",
 		"internal/serve.Config.MaxRetryAfter":            "TestServeOverloadChaos caps the retry-after hint",
-		"internal/serve.Config.MinRetryAfter":            "the floor of the clamp MaxRetryAfter caps; no test sets it yet",
 		"internal/serve.ServerConfig.WriteTimeout":       "TestServerDisconnectsSlowClient cuts a trickling reader off with it",
 		"internal/serve.ServerConfig.WrapConn":           "the slow-client and small-buffer tests wrap the daemon's connections",
 		// The closed calibration loop: no binary executes through a

@@ -46,6 +46,7 @@ func checkPlanRequestCodec(t *testing.T, line []byte) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParsePlanRequest(%q) = %#v, %v; want %#v", line, got, err, want)
 	}
+	checkPlanHead(t, line, got)
 	enc, err := EncodePlanRequest(got)
 	if err != nil {
 		t.Fatalf("encode %#v: %v", got, err)
@@ -56,6 +57,34 @@ func checkPlanRequestCodec(t *testing.T, line []byte) {
 	}
 	if ref = append(ref, '\n'); !bytes.Equal(enc, ref) {
 		t.Fatalf("EncodePlanRequest wrote %q, json.Marshal %q", enc, ref)
+	}
+}
+
+// checkPlanHead holds ParsePlanHead to ParsePlanRequest on a line both
+// accept, the full decode being full: every field but sizes agrees; a
+// line without a table is decoded in full; and where the span is the
+// table's compact text, rows is the length of its first row, so the
+// row count of a square one. (That the span's key is then the table's
+// is serve's FuzzTableKey.)
+func checkPlanHead(t *testing.T, line []byte, full PlanRequest) {
+	t.Helper()
+	head, table, rows, ok := ParsePlanHead(line)
+	if !ok {
+		return
+	}
+	if table == nil {
+		if !reflect.DeepEqual(head, full) {
+			t.Fatalf("ParsePlanHead(%q) = %#v with no table, ParsePlanRequest %#v", line, head, full)
+		}
+		return
+	}
+	rest := full
+	rest.Sizes = nil
+	if !reflect.DeepEqual(head, rest) {
+		t.Fatalf("ParsePlanHead(%q) = %#v, ParsePlanRequest %#v beside the table", line, head, rest)
+	}
+	if bytes.Equal(AppendSizes(nil, full.Sizes), table) && len(full.Sizes[0]) > 0 && rows != len(full.Sizes[0]) {
+		t.Fatalf("ParsePlanHead(%q) counted %d rows in %q, its first row has %d entries", line, rows, table, len(full.Sizes[0]))
 	}
 }
 
@@ -75,6 +104,12 @@ var planCodecSeeds = []string{
 	`{"op":"a<b>&c","kind":" ","trace":"\""}`,
 	`{"op":"plan","sizes":[null,[1]]}`,
 	"{\"op\":\"plan\",\"sizes\":[[ 0,\t-1 ,2\n],[3 , 0,5],[\r\n6,7\t, 0 ]]}",
+	// For the head decode: a table spaced inside its "[[", a "]]" in a
+	// string after a table, and a table whose first "]]" is in one.
+	`{"op":"plan","sizes":[[0, 1],[2,0]],"id":3}`,
+	`{"op":"plan","sizes":[[0,1],[2,0]],"trace":"]]"}`,
+	`{"op":"plan","sizes":[[0,1],[2,0] ],"trace":"]]"}`,
+	`{"op":"plan","sizes":[[0,1],[2,0],"trace":"]]"}`,
 }
 
 // planCodecDeclines are lines the fast decoder must leave to
@@ -106,6 +141,9 @@ var planCodecDeclines = []string{
 	`{"sizes":[[0,1],[2,0]]]}`, `{"sizes":[[0,1],[2,0],]}`, `{"sizes":[[0,1,],[2,0]]}`,
 	`{"op":"plan"} x`, `{"op":"plan"}{"op":"plan"}`, `{"op":"plan"},`, `{"op":"plan",}`,
 	`{,"op":"plan"}`, `{"op" "plan"}`, `{"op":"plan" "id":1}`, `["op"]`, `null`, ``, ` `,
+	// A compact table followed by a malformed tail.
+	`{"op":"plan","sizes":[[0,1],[2,0]],"deadline_ms":01}`, `{"op":"plan","sizes":[[0,1],[2,0]]]}`,
+	`{"op":"plan","sizes":[[0,1],[2,0]],"id":1`,
 	// The number rules inside a sizes row, which reads its own values.
 	`{"sizes":[[0,01],[1,0]]}`, `{"sizes":[[0,-0],[1,0]]}`, `{"sizes":[[-0,1],[1,0]]}`,
 	`{"sizes":[[0,1234567890123456789],[1,0]]}`, `{"sizes":[[0,1],[-9223372036854775808,0]]}`,
@@ -282,5 +320,40 @@ func BenchmarkPlanRequestCodec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestParsePlanHead: the head decode locates a table from its "[[" to
+// the first "]]" without reading it, decodes a line without one in
+// full, and declines what it cannot locate.
+func TestParsePlanHead(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		req   PlanRequest
+		table string
+		rows  int
+		ok    bool
+	}{
+		{`{"op":"plan","id":4,"sizes":[[0,1,2],[3,0,5],[6,7,0]],"deadline_ms":9}`,
+			PlanRequest{Op: OpPlan, ID: 4, DeadlineMS: 9}, `[[0,1,2],[3,0,5],[6,7,0]]`, 3, true},
+		{`{"sizes": [[0,1],[2,0]] ,"trace":"]]"}`, PlanRequest{Trace: "]]"}, `[[0,1],[2,0]]`, 2, true},
+		// Nothing in the span is read: it need not be a table at all.
+		{`{"op":"plan","sizes":[[0, x],[" ]]}`, PlanRequest{Op: OpPlan}, `[[0, x],[" ]]`, 2, true},
+		{`{"op":"plan","p":5,"kind":"uniform"}`, PlanRequest{Op: OpPlan, P: 5, Kind: PatternUniform}, "", 0, true},
+		{`{"op":"plan","sizes":[ [0,1],[2,0]]}`, PlanRequest{}, "", 0, false},
+		{`{"op":"plan","sizes":[[0,1],[2,0] ],"trace":"]]"}`, PlanRequest{}, "", 0, false},
+		{`{"op":"plan","sizes":[[0,1],[2,0]]`, PlanRequest{}, "", 0, false},
+		{`{"op":"plan","sizes":[[0,1],[2,0]]]}`, PlanRequest{}, "", 0, false},
+		{`{"op":"plan","sizes":[[0,1],[2,0]],"sizes":[[0,1],[2,0]]}`, PlanRequest{}, "", 0, false},
+		{`{"op":"plan","sizes":[[0,1],[2,0]],"deadline_ms":1e3}`, PlanRequest{}, "", 0, false},
+	} {
+		req, table, rows, ok := ParsePlanHead([]byte(tc.line))
+		if ok != tc.ok || !reflect.DeepEqual(req, tc.req) || string(table) != tc.table || rows != tc.rows {
+			t.Errorf("ParsePlanHead(%s) = %#v, %q, %d, %v; want %#v, %q, %d, %v",
+				tc.line, req, table, rows, ok, tc.req, tc.table, tc.rows, tc.ok)
+		}
+		if tc.table == "" && tc.ok && table != nil {
+			t.Errorf("ParsePlanHead(%s) found a table in a line without one", tc.line)
+		}
 	}
 }

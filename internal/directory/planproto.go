@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -46,13 +47,21 @@ import (
 //     error text is encoding/json's. The fast decoder is not a mode:
 //     nothing selects it, and FuzzPlanRequestCodec holds it to
 //     encoding/json's result on every line it accepts.
+//   - ParsePlanHead runs the same decoder in its one mode: the sizes
+//     value is located, not read — it must start with "[[" and it ends
+//     at the first "]]" — and every other field is decoded as above.
+//     The plan daemon keys an explicit table on its compact text, so a
+//     request for a cached table is answered from the span's digest
+//     without one integer decoded; anything else it decodes with
+//     ParsePlanRequest, which stays the only full decoder.
 //   - AppendPlanRequest writes byte for byte what json.Marshal writes
 //     (field order, omitempty, a nil row as null) and hands any request
-//     with a string json would escape to json itself.
+//     with a string json would escape to json itself. Its sizes text is
+//     AppendSizes', the one writer of that text.
 //
 // Nearly all of an explicit table's cost is its integers, so each
 // direction spends it in one loop per sizes row: readRow on the way in,
-// the row loop of AppendPlanRequest with putInt on the way out.
+// the row loop of AppendSizes with putInt on the way out.
 //
 // Responses are small and stay on encoding/json.
 
@@ -243,32 +252,8 @@ func AppendPlanRequest(dst []byte, req PlanRequest) ([]byte, error) {
 		dst = strconv.AppendInt(dst, req.Seed, 10)
 	}
 	if len(req.Sizes) > 0 {
-		dst = append(dst, `,"sizes":[`...)
-		for i, row := range req.Sizes {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if row == nil {
-				dst = append(dst, "null"...)
-				continue
-			}
-			// One reservation per row: a value and its comma take at
-			// most 21 bytes, the width of MinInt64 plus one.
-			dst = slices.Grow(dst, 21*len(row)+2)
-			out, w := dst[:cap(dst)], len(dst)
-			out[w] = '['
-			w++
-			for j, v := range row {
-				if j > 0 {
-					out[w] = ','
-					w++
-				}
-				w = putInt(out, w, v)
-			}
-			out[w] = ']'
-			dst = out[:w+1]
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"sizes":`...)
+		dst = AppendSizes(dst, req.Sizes)
 	}
 	if req.DeadlineMS != 0 {
 		dst = append(dst, `,"deadline_ms":`...)
@@ -280,6 +265,39 @@ func AppendPlanRequest(dst []byte, req PlanRequest) ([]byte, error) {
 		dst = append(dst, '"')
 	}
 	return append(dst, '}', '\n'), nil
+}
+
+// AppendSizes appends the compact JSON text of a sizes table to dst,
+// byte for byte what json.Marshal writes for it: a nil row is null. It
+// is the text AppendPlanRequest sends and the text the plan daemon keys
+// an explicit table on.
+func AppendSizes(dst []byte, rows [][]int64) []byte {
+	dst = append(dst, '[')
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if row == nil {
+			dst = append(dst, "null"...)
+			continue
+		}
+		// One reservation per row: a value and its comma take at most
+		// 21 bytes, the width of MinInt64 plus one.
+		dst = slices.Grow(dst, 21*len(row)+2)
+		out, w := dst[:cap(dst)], len(dst)
+		out[w] = '['
+		w++
+		for j, v := range row {
+			if j > 0 {
+				out[w] = ','
+				w++
+			}
+			w = putInt(out, w, v)
+		}
+		out[w] = ']'
+		dst = out[:w+1]
+	}
+	return append(dst, ']')
 }
 
 // digitPairs spells 00 through 99, two bytes each.
@@ -362,16 +380,46 @@ func plainString(s string) bool {
 	return true
 }
 
+// ParsePlanHead is ParsePlanRequest's fast decoder in head mode: it
+// decodes every field but sizes exactly as ParsePlanRequest would, and
+// only locates the sizes value, which must start with "[[" and ends at
+// the first "]]". table is that span of line, and rows is the number of
+// commas in its first row plus 1; nothing between is read, so the span
+// may be anything from a canonical table to garbage. A line without a
+// sizes key is decoded in full: table is nil and req is what
+// ParsePlanRequest returns. ok is false where the fast decoder would
+// decline the line outside its table, and where the sizes value does
+// not start with "[[" or has no "]]"; only ParsePlanRequest can decode
+// such a line.
+func ParsePlanHead(line []byte) (req PlanRequest, table []byte, rows int, ok bool) {
+	d := planDecoder{b: line, head: true}
+	if req, ok = d.request(); !ok {
+		return PlanRequest{}, nil, 0, false
+	}
+	return req, d.table, d.rows, true
+}
+
 // planDecoder is the cursor of the single-pass request decoder. Every
 // method that returns ok=false has declined the whole line.
 type planDecoder struct {
 	b []byte
 	i int
+	// head selects ParsePlanHead's mode: the sizes value is located as
+	// table, with rows rows, instead of read.
+	head  bool
+	table []byte
+	rows  int
 }
 
 // decodeCanonicalPlanRequest decodes a line of the shape described in
 // the file comment, or declines.
 func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
+	d := planDecoder{b: line}
+	return d.request()
+}
+
+// request decodes the line from its start, or declines.
+func (d *planDecoder) request() (PlanRequest, bool) {
 	const (
 		fOp = 1 << iota
 		fID
@@ -383,7 +431,6 @@ func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
 		fDeadlineMS
 		fTrace
 	)
-	d := planDecoder{b: line}
 	var req PlanRequest
 	if !d.eat('{') {
 		return PlanRequest{}, false
@@ -425,7 +472,11 @@ func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
 			req.Seed, ok = d.int()
 		case "sizes":
 			field = fSizes
-			req.Sizes, ok = d.sizes()
+			if d.head {
+				ok = d.locate()
+			} else {
+				req.Sizes, ok = d.sizes()
+			}
 		case "deadline_ms":
 			field = fDeadlineMS
 			req.DeadlineMS, ok = d.int()
@@ -601,4 +652,18 @@ func (d *planDecoder) sizes() ([][]int64, bool) {
 		rows[r] = row
 	}
 	return rows, d.eat(']')
+}
+
+// locate is sizes in head mode: it takes the span from the "[[" at the
+// cursor to the first "]]" as the table, reading none of it.
+func (d *planDecoder) locate() bool {
+	rest := d.b[d.i:]
+	end := bytes.Index(rest, []byte("]]"))
+	if !bytes.HasPrefix(rest, []byte("[[")) || end < 0 {
+		return false
+	}
+	d.table = rest[: end+2 : end+2]
+	d.rows = bytes.Count(d.table[:bytes.IndexByte(d.table, ']')], []byte{','}) + 1
+	d.i += end + 2
+	return true
 }

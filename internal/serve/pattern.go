@@ -24,10 +24,11 @@ import (
 // fail, so it is built by whoever turns out to need it.
 type pattern struct {
 	// key names the matrix: the SHA-256 digest of the fields below in a
-	// canonical byte form. Two patterns with equal keys describe the
-	// same matrix, so under an unchanged directory generation they have
-	// the same answer, and the daemon never compares matrices to
-	// confirm it.
+	// canonical byte form — an explicit table's compact JSON text, a
+	// generated pattern's big-endian words. Two patterns with equal keys
+	// describe the same matrix, so under an unchanged directory
+	// generation they have the same answer, and the daemon never
+	// compares matrices to confirm it.
 	key   [sha256.Size]byte
 	p     int
 	kind  string    // a directory.Pattern* constant; "" when rows is set
@@ -40,8 +41,8 @@ type pattern struct {
 // plans for n processors and derives its key, allocating nothing. The
 // processor count is checked first, so a request of any other size
 // costs no pass over its table. The key covers every size-determining
-// field — explicit tables hash their off-diagonal values, generated
-// patterns hash (kind, p, bytes, seed) — with domain separation
+// field — explicit tables hash their text, generated patterns hash
+// (kind, p, bytes, seed) — with domain separation
 // between the two forms, so an explicit table never shares a key with
 // the shorthand that would generate it.
 func admitPattern(req directory.PlanRequest, n int) (pattern, error) {
@@ -85,18 +86,25 @@ func admitPattern(req directory.PlanRequest, n int) (pattern, error) {
 	return pt, nil
 }
 
+// explicitDomain starts every explicit table's key; generated patterns
+// start theirs with "gen|".
+const explicitDomain = "explicit|"
+
 // admitExplicit validates and keys a caller-supplied sizes table whose
 // row count admitPattern has checked: square, non-negative entries,
-// zero diagonal.
+// zero diagonal. The key is the SHA-256 digest of explicitDomain and
+// the table's compact text, as directory.AppendSizes writes it — the
+// text a wire request carries, so tableKey keys that text without
+// decoding it. The text is streamed into the hash about 1 KiB at a
+// time: rows of up to 146 values never outgrow the buffer.
 func admitExplicit(rows [][]int64) (pattern, error) {
 	p := len(rows)
 	if p < 2 {
 		return pattern{}, fmt.Errorf("serve: explicit sizes matrix needs at least 2 rows (got %d)", p)
 	}
 	h := sha256.New()
-	var buf [1024]byte // the words of the key, hashed a bufferful at a time
-	b := append(buf[:0], "explicit|"...)
-	b = binary.BigEndian.AppendUint64(b, uint64(p))
+	var buf [4096]byte
+	b := append(buf[:0], explicitDomain...)
 	for i, row := range rows {
 		if len(row) != p {
 			return pattern{}, fmt.Errorf("serve: sizes row %d has %d entries, want %d", i, len(row), p)
@@ -111,13 +119,23 @@ func admitExplicit(rows [][]int64) (pattern, error) {
 			if v < 0 {
 				return pattern{}, fmt.Errorf("serve: sizes entry (%d,%d) is negative: %d", i, j, v)
 			}
-			if len(b)+8 > cap(b) {
-				if _, err := h.Write(b); err != nil {
-					return pattern{}, fmt.Errorf("serve: hashing sizes: %w", err)
-				}
-				b = b[:0]
+		}
+		// AppendSizes writes a one-row table as "[" row "]": the first
+		// byte is the table's own "[" or the comma before the row, the
+		// last is the table's "]" or nothing.
+		n := len(b)
+		b = directory.AppendSizes(b, rows[i:i+1])
+		if i > 0 {
+			b[n] = ','
+		}
+		if i < p-1 {
+			b = b[:len(b)-1]
+		}
+		if len(b) >= 1024 {
+			if _, err := h.Write(b); err != nil {
+				return pattern{}, fmt.Errorf("serve: hashing sizes: %w", err)
 			}
-			b = binary.BigEndian.AppendUint64(b, uint64(v))
+			b = b[:0]
 		}
 	}
 	if _, err := h.Write(b); err != nil {
@@ -126,6 +144,16 @@ func admitExplicit(rows [][]int64) (pattern, error) {
 	pt := pattern{p: p, rows: rows}
 	h.Sum(pt.key[:0])
 	return pt, nil
+}
+
+// tableKey is the key admitExplicit gives the table whose compact text
+// is text. Any other text keys no table admitExplicit passed.
+func tableKey(text []byte) (key [sha256.Size]byte) {
+	h := sha256.New()
+	h.Write([]byte(explicitDomain)) //hetvet:ignore errdiscard hash.Hash.Write never returns an error
+	h.Write(text)                   //hetvet:ignore errdiscard hash.Hash.Write never returns an error
+	h.Sum(key[:0])
+	return key
 }
 
 // patternScratch is one worker's storage for the matrices it plans: a

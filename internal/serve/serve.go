@@ -16,6 +16,10 @@ import (
 // through an injectable clock defaulting to it.
 var wallClock = time.Now
 
+// minRetryAfter is the least retry-after hint a shed or expired
+// response quotes.
+const minRetryAfter = 5 * time.Millisecond
+
 // GenFunc reports the directory's current generation (store version).
 // The daemon rate-limits probes and keys its plan cache on the result;
 // a nil GenFunc pins generation 0, which suits static tables. Probe
@@ -37,9 +41,8 @@ type Config struct {
 	// against the budget. Defaults: 1s and 10s.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// MinRetryAfter and MaxRetryAfter clamp the retry-after hint quoted
-	// on shed and expired responses. Defaults: 5ms and 2s.
-	MinRetryAfter time.Duration
+	// MaxRetryAfter caps the retry-after hint quoted on shed and expired
+	// responses; minRetryAfter is its floor. 0 selects 2s.
 	MaxRetryAfter time.Duration
 	// DrainTimeout is how long Shutdown lets workers finish the queued
 	// backlog before force-answering the remainder with draining
@@ -80,9 +83,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxDeadline <= 0 {
 		cfg.MaxDeadline = 10 * time.Second
-	}
-	if cfg.MinRetryAfter <= 0 {
-		cfg.MinRetryAfter = 5 * time.Millisecond
 	}
 	if cfg.MaxRetryAfter <= 0 {
 		cfg.MaxRetryAfter = 2 * time.Second
@@ -169,19 +169,39 @@ func NewDaemon(c *comm.Communicator, gen GenFunc, cfg Config) (*Daemon, error) {
 // daemon's tail sampler is armed, a span tree is recorded for the
 // request and retained if the outcome is interesting.
 //
-// The daemon only reads req.Sizes, and it may go on reading them after
-// Plan returns: a request that times out leaves its flight queued with
-// the rows, and a worker builds the matrix from them when it gets
-// there. An in-process caller must not modify the rows of a request it
-// has submitted. (A wire request owns the slab it was decoded into.)
+// An explicit table is keyed on its compact text (admitExplicit), which
+// Plan renders from req.Sizes; the TCP front keys the text it received
+// instead and comes here only when that key is not cached. The daemon
+// only reads req.Sizes, and it may go on reading them after Plan
+// returns: a request that times out leaves its flight queued with the
+// rows, and a worker builds the matrix from them when it gets there. An
+// in-process caller must not modify the rows of a request it has
+// submitted. (A wire request owns the slab it was decoded into.)
 func (d *Daemon) Plan(ctx context.Context, req directory.PlanRequest) directory.PlanResponse {
 	if d == nil {
 		return directory.PlanResponse{ID: req.ID, Status: directory.PlanDraining,
 			Error: "serve: nil daemon"}
 	}
+	resp, _ := d.request(ctx, req, nil)
+	return resp
+}
+
+// request is Plan's body. Given table, the compact text of req's sizes
+// as a wire line carried it (req.Sizes unset), it is the TCP front's
+// fast path: keyed by tableKey, the request is answered only if that
+// key is cached, and otherwise request returns false having counted
+// nothing, so the front can decode the line and call Plan. A cached
+// key is the key of a table that passed admitPattern, so a text with
+// that key is that table's text (DESIGN.md §12). A miss leaves the span
+// tree it began unoffered; Plan begins the request's own.
+func (d *Daemon) request(ctx context.Context, req directory.PlanRequest, table []byte) (directory.PlanResponse, bool) {
 	start := d.cfg.Clock()
 	ctx, rt, root := d.beginRequest(ctx, req.Trace)
-	return d.endRequest(ctx, rt, root, d.plan(ctx, req, start), start)
+	resp, ok := d.plan(ctx, req, table, start)
+	if !ok {
+		return resp, false
+	}
+	return d.endRequest(ctx, rt, root, resp, start), true
 }
 
 // beginRequest resolves the request's trace ID (context first, then the
@@ -260,23 +280,29 @@ func (d *Daemon) tailDecision(resp directory.PlanResponse, latency time.Duration
 // through finish. Admission is digest-first: a request is validated and
 // keyed (admitPattern) but not materialized, so one that ends in a
 // cache hit or attaches to a flight has cost one pass over its sizes.
-func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time.Time) directory.PlanResponse {
-	pat, err := admitPattern(req, d.comm.N())
-	if err != nil {
-		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Error: err.Error()}, start)
+// With table set (see request) the key is the text's, and plan answers
+// only a hit, or a draining daemon's refusal of one: a draining daemon
+// refuses every valid request, and a cached key is a valid one.
+func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, table []byte, start time.Time) (directory.PlanResponse, bool) {
+	var pat pattern
+	var err error
+	if table != nil {
+		pat.key = tableKey(table)
+	} else if pat, err = admitPattern(req, d.comm.N()); err != nil {
+		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Error: err.Error()}, start), true
 	}
-	deadline := start.Add(d.budget(req))
 	d.maybeRefreshGen(start)
 
 	d.mu.Lock()
-	if d.draining {
+	key := flightKey{hash: pat.key, gen: d.curGen}
+	resp, hit := d.cache.get(key)
+	if d.draining && (hit || table == nil) {
 		ra := d.cfg.DrainTimeout
 		d.mu.Unlock()
 		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Status: directory.PlanDraining,
-			RetryAfterMS: int64(ra / time.Millisecond)}, start)
+			RetryAfterMS: int64(ra / time.Millisecond)}, start), true
 	}
-	key := flightKey{hash: pat.key, gen: d.curGen}
-	if resp, ok := d.cache.get(key); ok {
+	if hit {
 		d.stats.Admitted++
 		d.stats.CacheHits++
 		d.mu.Unlock()
@@ -285,15 +311,20 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 		resp.ID = req.ID
 		resp.Cached = true
 		resp.QueueWaitMS = 0
-		return d.finish(ctx, resp, start)
+		return d.finish(ctx, resp, start), true
 	}
+	if table != nil {
+		d.mu.Unlock()
+		return directory.PlanResponse{}, false
+	}
+	deadline := start.Add(d.budget(req))
 	if fl, ok := d.flights[key]; ok {
 		d.stats.Admitted++
 		d.stats.Coalesced++
 		d.mu.Unlock()
 		d.tel.coalescedHit()
 		obs.Mark(ctx, "serve", "coalesce", "")
-		return d.await(ctx, fl, req.ID, deadline, true, start)
+		return d.await(ctx, fl, req.ID, deadline, true, start), true
 	}
 	fl := newFlight(ctx, key, pat, start, deadline)
 	d.flights[key] = fl
@@ -308,13 +339,13 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 		ra := d.retryAfterLocked()
 		d.mu.Unlock()
 		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Status: directory.PlanShed,
-			RetryAfterMS: int64(ra / time.Millisecond)}, start)
+			RetryAfterMS: int64(ra / time.Millisecond)}, start), true
 	}
 	d.stats.Admitted++
 	depth := len(d.tasks)
 	d.mu.Unlock()
 	d.tel.queueDepth(depth)
-	return d.await(ctx, fl, req.ID, deadline, false, start)
+	return d.await(ctx, fl, req.ID, deadline, false, start), true
 }
 
 // budget clamps the client-supplied deadline into the daemon's window.
@@ -375,12 +406,12 @@ func (d *Daemon) expired(id uint64) directory.PlanResponse {
 func (d *Daemon) retryAfterLocked() time.Duration {
 	est := d.est.p95()
 	if est <= 0 {
-		est = d.cfg.MinRetryAfter
+		est = minRetryAfter
 	}
 	backlog := len(d.tasks) + d.inFlight
 	ra := est * time.Duration(backlog/d.cfg.Workers+1)
-	if ra < d.cfg.MinRetryAfter {
-		ra = d.cfg.MinRetryAfter
+	if ra < minRetryAfter {
+		ra = minRetryAfter
 	}
 	if ra > d.cfg.MaxRetryAfter {
 		ra = d.cfg.MaxRetryAfter

@@ -32,7 +32,7 @@ func okSource(n int) comm.Source {
 	return func() (*netmodel.Perf, error) { return perf.Clone(), nil }
 }
 
-func newTestDaemon(t *testing.T, n int, source comm.Source, gen GenFunc, cfg Config) *Daemon {
+func newTestDaemon(t testing.TB, n int, source comm.Source, gen GenFunc, cfg Config) *Daemon {
 	t.Helper()
 	c, err := comm.New(n, source, comm.Config{})
 	if err != nil {

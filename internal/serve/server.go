@@ -21,8 +21,6 @@ type ServerConfig struct {
 	// reading is disconnected rather than back-pressuring the daemon.
 	// 0 selects 10 seconds.
 	WriteTimeout time.Duration
-	// Clock is the injectable time source (nil selects the wall clock).
-	Clock func() time.Time
 	// WrapConn, when set, wraps every accepted connection — the chaos
 	// seam for fault injectors, mirroring directory.Server.
 	WrapConn func(net.Conn) net.Conn
@@ -34,9 +32,6 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = wallClock
 	}
 	return cfg
 }
@@ -56,7 +51,7 @@ func NewServer(d *Daemon, cfg ServerConfig) *Server {
 	s.w.Handler = s.handleLine
 	s.w.IdleTimeout = cfg.IdleTimeout
 	s.w.WriteTimeout = cfg.WriteTimeout
-	s.w.Clock = cfg.Clock
+	s.w.Clock = wallClock
 	s.w.WrapConn = cfg.WrapConn
 	s.w.OnAccept = d.tel.conn
 	return s
@@ -74,22 +69,39 @@ func (s *Server) Listen(addr string) (string, error) {
 
 // handleLine answers one request line with one response line.
 func (s *Server) handleLine(line []byte) ([]byte, bool) {
-	var resp directory.PlanResponse
-	switch req, err := directory.ParsePlanRequest(line); {
-	case err != nil:
-		resp.Error = err.Error()
-	case req.Op == directory.OpPlan:
+	out, err := directory.EncodePlanResponse(s.answer(line))
+	return out, err == nil
+}
+
+// answer resolves one request line. A plan whose table arrived as
+// compact text is first looked up under the text's own key, with
+// nothing decoded but the fields around it (directory.ParsePlanHead,
+// Daemon.request); whatever is not answered there is decoded in full.
+func (s *Server) answer(line []byte) directory.PlanResponse {
+	req, table, rows, ok := directory.ParsePlanHead(line)
+	if ok && table != nil && req.Op == directory.OpPlan && rows == s.daemon.comm.N() {
 		// The wire carries the trace ID (req.Trace); the daemon binds it
 		// onto the context in beginRequest.
-		resp = s.daemon.Plan(context.Background(), req)
-	case req.Op == directory.OpServeStats:
-		resp = s.daemon.StatsResponse()
-		resp.ID = req.ID
-	default:
-		resp = directory.PlanResponse{ID: req.ID, Error: fmt.Sprintf("serve: unknown op %q", req.Op)}
+		if resp, hit := s.daemon.request(context.Background(), req, table); hit {
+			return resp
+		}
 	}
-	out, err := directory.EncodePlanResponse(resp)
-	return out, err == nil
+	if !ok || table != nil {
+		// The head decode declined the line or left its table unread.
+		var err error
+		if req, err = directory.ParsePlanRequest(line); err != nil {
+			return directory.PlanResponse{Error: err.Error()}
+		}
+	}
+	switch req.Op {
+	case directory.OpPlan:
+		return s.daemon.Plan(context.Background(), req)
+	case directory.OpServeStats:
+		resp := s.daemon.StatsResponse()
+		resp.ID = req.ID
+		return resp
+	}
+	return directory.PlanResponse{ID: req.ID, Error: fmt.Sprintf("serve: unknown op %q", req.Op)}
 }
 
 // Addr returns the bound listen address, or "" before Listen.

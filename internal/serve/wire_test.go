@@ -189,25 +189,24 @@ func TestClientSharedByGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// Allocations per round trip, both ends counted. The plan pins were
+// Allocations per round trip, both ends counted. The plan pin was
 // measured at the commit that gave plan requests a hand codec and
 // digest-first admission (PR 24; its parent f0d3f4d reads 22 for the
 // spec hit and 380 for the table hit), the version pin at the commit
 // before internal/wire existed (7091420).
 const (
-	planHitAllocs      = 11
-	planTableHitAllocs = 13
-	versionAllocs      = 15
+	planHitAllocs = 11
+	versionAllocs = 15
 )
 
 // TestWireRoundTripAllocs pins what one request costs on the shared
 // line server and client, both ends counted (AllocsPerRun counts every
 // goroutine's mallocs): a plan-cache hit through serve.Client — as a
-// 100-byte spec and as an explicit 50×50 table, whose slab decode and
-// matrix-free hit are what keeps it at a spec's count plus two — and a
-// version probe through directory.Client, over loopback. bench/'s
-// allocs_per_op bound is 2 % of ~27, so one more allocation per round
-// trip fails it.
+// 100-byte spec and as an explicit 50×50 table, which costs what the
+// spec costs because the server keys the table's text and decodes none
+// of it — and a version probe through directory.Client, over loopback.
+// bench/'s allocs_per_op bound is 2 % of ~27, so one more allocation
+// per round trip fails it.
 func TestWireRoundTripAllocs(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -219,7 +218,7 @@ func TestWireRoundTripAllocs(t *testing.T) {
 		want float64
 	}{
 		{"spec", 4, directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 2048, DeadlineMS: 2000}, planHitAllocs},
-		{"table", 50, directory.PlanRequest{Sizes: explicitTable(50, 1), DeadlineMS: 2000}, planTableHitAllocs},
+		{"table", 50, directory.PlanRequest{Sizes: explicitTable(50, 1), DeadlineMS: 2000}, planHitAllocs},
 	} {
 		d := newTestDaemon(t, tc.n, okSource(tc.n), func() (uint64, error) { return 9, nil }, Config{})
 		_, addr := startTestServer(t, d, ServerConfig{})

@@ -21,8 +21,8 @@ vet:
 	$(GO) vet ./...
 
 # lint is go vet followed by hetvet, the project-specific checker suite
-# (nilguard, determinism, lockio, errdiscard, tracectx, goleak,
-# lockorder — see DESIGN.md §9).
+# (determinism, lockio, errdiscard, tracectx, goleak — see DESIGN.md
+# §9).
 lint: vet
 	$(GO) run ./cmd/hetvet ./...
 

@@ -1,20 +1,16 @@
-// Command hetvet runs the project's static-analysis suite: seven
-// checkers enforcing the repo's concurrency, determinism, telemetry,
-// and error-handling invariants (see internal/analysis and DESIGN.md
-// §9).
+// Command hetvet runs the project's static-analysis suite: five
+// checkers enforcing the repo's concurrency, determinism, tracing, and
+// error-handling invariants (see internal/analysis and DESIGN.md §9).
 //
 // Usage:
 //
-//	hetvet [-json] [-checks=name,name] [packages]
+//	hetvet [-list] [-checks=name,name] [packages]
 //
 // Packages default to ./... and are resolved against the enclosing
 // module. -checks selects a subset of the suite by name (-list prints
 // the names); an unknown name is a usage error. Exit status: 0 when
 // clean, 1 when findings were reported, 2 on usage or load errors.
-// With -json each diagnostic is one JSON object per line
-// ({"file","line","col","check","message"}), the form CI annotations
-// and tooling consume; the default output is
-// "file:line: [check] message".
+// Each finding is one line, "file:line: [check] message".
 package main
 
 import (
@@ -34,11 +30,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("hetvet", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	jsonOut := flags.Bool("json", false, "emit one JSON diagnostic per line")
 	list := flags.Bool("list", false, "list the checks and exit")
 	checks := flags.String("checks", "", "comma-separated check names to run (default: all)")
 	flags.Usage = func() {
-		fmt.Fprintln(stderr, "usage: hetvet [-json] [-list] [-checks=name,name] [packages]")
+		fmt.Fprintln(stderr, "usage: hetvet [-list] [-checks=name,name] [packages]")
 		flags.PrintDefaults()
 	}
 	if err := flags.Parse(args); err != nil {
@@ -72,12 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags := analysis.Run(pkgs, checkers, root)
-	if *jsonOut {
-		err = analysis.WriteJSON(stdout, diags)
-	} else {
-		err = analysis.WriteText(stdout, diags)
-	}
-	if err != nil {
+	if err := analysis.WriteText(stdout, diags); err != nil {
 		fmt.Fprintln(stderr, "hetvet:", err)
 		return 2
 	}

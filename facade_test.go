@@ -5,11 +5,18 @@ import (
 	"go/build"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"hetsched/internal/calib"
+	"hetsched/internal/obs"
+	"hetsched/internal/serve"
 )
 
 // TestFacadeIsItsCallers keeps hetsched.go from regrowing: every
@@ -196,15 +203,11 @@ func TestConfigKnobsAreSet(t *testing.T) {
 		"internal/serve.ServerConfig",
 	}
 	seams := map[string]string{
-		// Time seams. The first four are injected by tests; the other
-		// two by nothing yet, and stay as each package's one injectable
-		// clock.
+		// Time seams, each injected by tests.
 		"internal/comm.Config.Clock":               "the ladder tests age the cached table with it",
 		"internal/directory.ResilientConfig.Clock": "the stale-cache tests age the held snapshot with it",
 		"internal/directory.ResilientConfig.Sleep": "the backoff tests count the waits instead of sleeping",
 		"internal/exec.Config.Sleep":               "TestExecBackoffJitterIsSeeded records the backoffs instead of sleeping",
-		"internal/exec.Config.Clock":               "the executor's injectable clock; no test sets it yet",
-		"internal/serve.Config.Clock":              "the daemon's injectable clock; no test sets it yet",
 		// Timing knobs the chaos tests drive.
 		"internal/exec.Config.MinDeadline":               "the executor chaos tests shorten the attempt deadline",
 		"internal/exec.Config.MaxRetries":                "the executor chaos tests bound retries",
@@ -220,7 +223,6 @@ func TestConfigKnobsAreSet(t *testing.T) {
 		// communicator yet (ROADMAP item 9(c)).
 		"internal/comm.Config.Calibrator": "TestCalibChaosDrift and TestCalibChaosLyingLink plan through it",
 		"internal/comm.Config.CalibSink":  "TestExecuteFeedsCalibSink pushes trusted estimates through it",
-		"internal/calib.Config.Flight":    "hcdird, the one binary that runs a calibrator, keeps no flight recorder",
 	}
 
 	// The exported fields of every config type, keyed "dir.Type.Field".
@@ -373,6 +375,107 @@ func TestConfigKnobsAreSet(t *testing.T) {
 	if len(unset) > 0 {
 		t.Errorf("%d config fields are set by no non-test code outside their package and are not listed as seams; make each a constant:\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
+	}
+}
+
+// TestNilReceiversFailClosed holds the nil-receiver contract: disabled
+// telemetry is a nil instrument, tracer or recorder and costs one
+// pointer check, and a daemon, server, client or calibrator that was
+// never built refuses service rather than panicking. Every exported
+// method of a nil *T below runs twice, with zero arguments and with
+// ones (1, "1", true), io.Discard for an io.Writer, and must not panic:
+// zeros alone stop early in ObserveExemplar(0, 0), whose trace-0 path
+// reads nothing. The list is checked against every exported type with
+// an exported pointer-receiver method in the three packages, so a new
+// type cannot be left off it.
+func TestNilReceiversFailClosed(t *testing.T) {
+	nils := []any{
+		(*obs.Counter)(nil),
+		(*obs.Gauge)(nil),
+		(*obs.Histogram)(nil),
+		(*obs.Registry)(nil),
+		(*obs.ReqTrace)(nil),
+		(*obs.ReqSpan)(nil),
+		(*obs.TailSampler)(nil),
+		(*obs.FlightRecorder)(nil),
+		(*serve.Daemon)(nil),
+		(*serve.Server)(nil),
+		(*serve.Client)(nil),
+		(*calib.Calibrator)(nil),
+	}
+	writer := reflect.TypeFor[io.Writer]()
+	listed := map[string]bool{}
+	for _, v := range nils {
+		ptr := reflect.ValueOf(v)
+		name := path.Base(ptr.Type().Elem().PkgPath()) + "." + ptr.Type().Elem().Name()
+		listed[name] = true
+		for i := 0; i < ptr.NumMethod(); i++ {
+			m, mname := ptr.Method(i), ptr.Type().Method(i).Name
+			for _, one := range []bool{false, true} {
+				args := make([]reflect.Value, m.Type().NumIn())
+				for j := range args {
+					in := m.Type().In(j)
+					args[j] = reflect.New(in).Elem()
+					switch {
+					case in == writer:
+						args[j].Set(reflect.ValueOf(io.Discard))
+					case !one: // the zero pass
+					case args[j].CanInt():
+						args[j].SetInt(1)
+					case args[j].CanUint():
+						args[j].SetUint(1)
+					case args[j].CanFloat():
+						args[j].SetFloat(1)
+					case in.Kind() == reflect.String:
+						args[j].SetString("1")
+					case in.Kind() == reflect.Bool:
+						args[j].SetBool(true)
+					}
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("(*%s).%s panics on a nil receiver: %v", name, mname, r)
+						}
+					}()
+					if m.Type().IsVariadic() {
+						m.CallSlice(args)
+					} else {
+						m.Call(args)
+					}
+				}()
+			}
+		}
+	}
+
+	fset := token.NewFileSet()
+	found := map[string]bool{}
+	for _, dir := range []string{"internal/obs", "internal/serve", "internal/calib"} {
+		for _, f := range parseDir(t, fset, dir) {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+					continue
+				}
+				star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+				if !ok {
+					continue
+				}
+				if id, ok := star.X.(*ast.Ident); ok && id.IsExported() {
+					found[path.Base(dir)+"."+id.Name] = true
+				}
+			}
+		}
+	}
+	for name := range found {
+		if !listed[name] {
+			t.Errorf("%s has exported pointer methods but is not in this test's list", name)
+		}
+	}
+	for name := range listed {
+		if !found[name] {
+			t.Errorf("the list names %s, which has no exported pointer method", name)
+		}
 	}
 }
 

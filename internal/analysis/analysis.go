@@ -2,20 +2,14 @@
 // driver that machine-checks the invariants this codebase's previous
 // PRs established by convention. It is built entirely on the standard
 // library (go/parser, go/ast, go/types) — no x/tools dependency — and
-// ships seven checkers:
+// ships five checkers:
 //
-//	nilguard    — every exported pointer-receiver method on an
-//	              internal/obs instrument or tracer type must begin
-//	              with a nil-receiver early return, so disabled
-//	              telemetry stays a one-pointer-check no-op.
 //	determinism — no wall-clock reads (time.Now / time.Since /
 //	              time.Until), no global math/rand, and no iteration
 //	              over maps in the packages whose outputs must be
 //	              reproducible byte for byte.
 //	lockio      — no network I/O, time.Sleep, or channel operations
-//	              while a sync mutex is held in internal/directory and
-//	              internal/comm (the paper's port model and PR 2's
-//	              fallback-ladder work both depend on it).
+//	              while a sync mutex is held in the networked packages.
 //	errdiscard  — no "_ =" or bare-call discarding of returned errors
 //	              in library code.
 //	tracectx    — exported functions in internal/serve and
@@ -26,10 +20,6 @@
 //	              has a provable shutdown path: a WaitGroup
 //	              Add/Done/Wait join or a receive on a ctx/done
 //	              lifecycle channel (goleak.go).
-//	lockorder   — the cross-function lock-acquisition graph over
-//	              struct-field and package-level mutexes has no cycles,
-//	              no re-acquisition, and no select case locking a mutex
-//	              that guards its own channel (lockorder.go).
 //
 // Every checker honors the escape hatch
 //
@@ -41,11 +31,11 @@
 // itself a diagnostic, as is any malformed or near-miss directive
 // (directive.go).
 //
-// DESIGN.md §9 documents each invariant and why it exists.
+// DESIGN.md §9 documents each invariant, why it exists, and what each
+// checker has caught.
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -58,11 +48,11 @@ import (
 // Diagnostic is one finding: a position, the checker that produced it,
 // and a human-readable message.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 // String renders the canonical "file:line: [check] message" form.
@@ -85,13 +75,11 @@ type Checker interface {
 // DefaultCheckers returns the full hetvet suite.
 func DefaultCheckers() []Checker {
 	return []Checker{
-		nilguardChecker{},
 		determinismChecker{},
 		lockioChecker{},
 		errdiscardChecker{},
 		tracectxChecker{},
 		goleakChecker{},
-		lockorderChecker{},
 	}
 }
 
@@ -156,18 +144,6 @@ func Run(pkgs []*Package, checkers []Checker, rootDir string) []Diagnostic {
 func WriteText(w io.Writer, diags []Diagnostic) error {
 	for _, d := range diags {
 		if _, err := fmt.Fprintln(w, d.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders one JSON object per line (JSON Lines), the
-// machine-readable form CI annotations consume.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	enc := json.NewEncoder(w)
-	for _, d := range diags {
-		if err := enc.Encode(d); err != nil {
 			return err
 		}
 	}

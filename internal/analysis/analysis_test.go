@@ -114,13 +114,11 @@ func runFixture(t *testing.T, name string, checkers ...Checker) {
 	}
 }
 
-func TestNilguard(t *testing.T)    { runFixture(t, "nilguard", nilguardChecker{}) }
 func TestDeterminism(t *testing.T) { runFixture(t, "determinism", determinismChecker{}) }
 func TestLockio(t *testing.T)      { runFixture(t, "lockio", lockioChecker{}) }
 func TestErrdiscard(t *testing.T)  { runFixture(t, "errdiscard", errdiscardChecker{}) }
 func TestTracectx(t *testing.T)    { runFixture(t, "tracectx", tracectxChecker{}) }
 func TestGoleak(t *testing.T)      { runFixture(t, "goleak", goleakChecker{}) }
-func TestLockorder(t *testing.T)   { runFixture(t, "lockorder", lockorderChecker{}) }
 
 // TestDirectiveValidation locks the malformed-directive diagnostics:
 // missing reasons, unknown names and verbs, and near-miss spellings
@@ -152,8 +150,8 @@ func TestDirectiveValidation(t *testing.T) {
 	}
 }
 
-// TestCleanFixture asserts the sanctioned patterns — guards, seeded
-// rand, sorted map iteration, unlock-before-I/O, handled errors, and
+// TestCleanFixture asserts the sanctioned patterns — seeded rand,
+// sorted map iteration, unlock-before-I/O, handled errors, and
 // reasoned ignore directives — produce no findings.
 func TestCleanFixture(t *testing.T) {
 	root, pkgs := loadFixture(t, "clean")

@@ -25,6 +25,7 @@ import (
 //     sinks (strings.Builder, bytes.Buffer, bufio.Writer): the repo's
 //     renderers build reports through io.Writer, where per-write errors
 //     are either impossible (builders) or deferred to a checked Flush
+//   - hash.Hash writes, which package hash documents never fail
 //
 // Deliberate discards elsewhere carry //hetvet:ignore errdiscard with
 // the reason the error is unactionable.
@@ -137,7 +138,7 @@ func isErrorType(t types.Type) bool {
 }
 
 // exemptCall reports whether the call is on the never-fails allowlist:
-// fmt printing to stdout and writes to in-memory buffers.
+// fmt printing to stdout, writes to in-memory buffers, and hash writes.
 func exemptCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -152,8 +153,9 @@ func exemptCall(pkg *Package, call *ast.CallExpr) bool {
 		}
 		return false
 	}
-	// Methods on in-memory builders never fail; bufio.Writer's write
-	// errors are sticky and surface at Flush, which is not exempt.
+	// Methods on in-memory builders never fail, nor does a hash.Hash's
+	// Write (package hash documents it); bufio.Writer's write errors
+	// are sticky and surface at Flush, which is not exempt.
 	t := pkg.Info.Types[sel.X].Type
 	if t == nil {
 		return false
@@ -170,7 +172,7 @@ func exemptCall(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	switch obj.Pkg().Path() + "." + obj.Name() {
-	case "strings.Builder", "bytes.Buffer":
+	case "strings.Builder", "bytes.Buffer", "hash.Hash":
 		return true
 	case "bufio.Writer":
 		return sel.Sel.Name != "Flush"

@@ -13,9 +13,9 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-// TestGoldenOutput locks the full text and JSON-lines forms over the
-// golden fixture, byte for byte: file paths relative to the module
-// root, sorted by position, one finding per line.
+// TestGoldenOutput locks the text form over the golden fixture, byte
+// for byte: file paths relative to the module root, sorted by
+// position, one finding per line.
 func TestGoldenOutput(t *testing.T) {
 	root, pkgs := loadFixture(t, "golden")
 	diags := Run(pkgs, DefaultCheckers(), root)
@@ -29,16 +29,5 @@ internal/g/g.go:13: [errdiscard] error from fail discarded with _; handle it, re
 	}
 	if text.String() != wantText {
 		t.Errorf("WriteText:\n got: %q\nwant: %q", text.String(), wantText)
-	}
-
-	const wantJSON = `{"file":"internal/g/g.go","line":12,"col":2,"check":"errdiscard","message":"result error of fail is silently discarded; handle it, return it, or annotate why it is unactionable"}
-{"file":"internal/g/g.go","line":13,"col":2,"check":"errdiscard","message":"error from fail discarded with _; handle it, return it, or annotate why it is unactionable"}
-`
-	var jsonBuf bytes.Buffer
-	if err := WriteJSON(&jsonBuf, diags); err != nil {
-		t.Fatal(err)
-	}
-	if jsonBuf.String() != wantJSON {
-		t.Errorf("WriteJSON:\n got: %q\nwant: %q", jsonBuf.String(), wantJSON)
 	}
 }

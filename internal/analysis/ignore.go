@@ -16,8 +16,8 @@ import (
 // reason is reported under the pseudo-check "directive". A directive
 // suppresses findings on its own line; when it stands alone on a line
 // it also suppresses the next statement or declaration line, which is
-// how multi-line constructs (a guarded function, a locked region's
-// first offending call) are annotated.
+// how multi-line constructs (a declaration, a locked region's first
+// offending call) are annotated.
 //
 // Parsing (grammar, near-miss detection) lives in directive.go; this
 // file maps well-formed ignore directives onto source lines and turns

@@ -1,6 +1,6 @@
 // Package g is the golden fixture: exactly two findings on known
-// lines, used to lock the text format, the JSON format, and the CLI's
-// exit codes.
+// lines, used to lock the text format and the CLI's exit codes, and
+// to check that -checks runs only the named checkers.
 package g
 
 import "errors"

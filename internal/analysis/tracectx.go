@@ -57,10 +57,8 @@ func (tracectxChecker) Run(pkg *Package) []Diagnostic {
 			}
 			if why := escapesWithoutCtx(pkg, fd.Body); why != "" {
 				name := fd.Name.Name
-				if fd.Recv != nil {
-					if _, tn, _ := receiverInfo(fd); tn != "" {
-						name = tn + "." + name
-					}
+				if tn := receiverType(fd); tn != "" {
+					name = tn + "." + name
 				}
 				out = append(out, diag(pkg, fd.Pos(), "tracectx",
 					"exported %s %s but has no context.Context parameter, so a request trace cannot cross it; accept a ctx or annotate why the work is requestless",
@@ -149,6 +147,27 @@ func wireCall(pkg *Package, call *ast.CallExpr) string {
 	obj := named.Obj()
 	if obj.Pkg() != nil && obj.Pkg().Path() == "net" && obj.Name() == "Dialer" {
 		return "crosses the wire via net.Dialer.DialContext"
+	}
+	return ""
+}
+
+// receiverType returns the base type name of fd's receiver, or "" for a
+// function or a receiver it cannot name.
+func receiverType(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.IndexExpr: // generic receiver T[P]
+		if id, ok := x.X.(*ast.Ident); ok {
+			return id.Name
+		}
 	}
 	return ""
 }

@@ -86,7 +86,6 @@ type Update struct {
 type Config struct {
 	// Telemetry, all optional and nil-safe.
 	Metrics *obs.Registry
-	Flight  *obs.FlightRecorder
 }
 
 // The estimator's tuning.
@@ -173,7 +172,6 @@ type pairState struct {
 // Calibrator is the online per-pair estimator. Construct with New; the
 // zero value is not usable, but a nil *Calibrator is safe everywhere.
 type Calibrator struct {
-	cfg   Config
 	prior *netmodel.Perf // immutable static table snapshot
 	n     int
 
@@ -209,7 +207,6 @@ func New(prior *netmodel.Perf, cfg Config) (*Calibrator, error) {
 	}
 	n := prior.N()
 	c := &Calibrator{
-		cfg:   cfg,
 		prior: prior.Clone(),
 		n:     n,
 		pairs: make([]pairState, n*n),
@@ -283,9 +280,6 @@ func (c *Calibrator) ObserveBatch(samples []Sample) BatchReport {
 	c.mRejOutlier.Add(uint64(rep.RejectedOutlier))
 	c.mResets.Add(uint64(rep.Resets))
 	c.mTrusted.Set(float64(trusted))
-	if n := rep.Rejected(); n > 0 {
-		c.cfg.Flight.Record("calib", "sample_reject", 0, int64(n), int64(rep.Accepted))
-	}
 	return rep
 }
 

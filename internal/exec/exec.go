@@ -53,7 +53,7 @@ import (
 	"hetsched/internal/timing"
 )
 
-//hetvet:ignore determinism the package's one wall-clock default; every other site injects Clock
+//hetvet:ignore determinism the package's one wall-clock source: transfer deadlines and measured transfer times read it
 var wallClock = time.Now
 
 // ReplanFunc plans the residual pattern among survivors after a node
@@ -105,9 +105,6 @@ type Config struct {
 	// Deliver receives each delivered payload exactly once. Nil
 	// discards payloads after verification.
 	Deliver DeliverFunc
-	// Clock supplies deadlines and wall-clock measurement; nil selects
-	// the wall clock.
-	Clock func() time.Time
 	// Sleep implements retry backoff; nil selects time.Sleep.
 	Sleep func(time.Duration)
 	// Metrics receives exec counters and histograms; nil disables.
@@ -175,9 +172,6 @@ func New(tr Transport, cfg Config) (*Executor, error) {
 			// buffer's previous contents on the wire.
 			clear(b[copy(b, gen(src, dst, int64(len(b)))):])
 		}
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = wallClock
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
@@ -299,7 +293,7 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 	}
 	r.ctx = xctx
 	r.trace = obs.TraceFrom(xctx).TraceID
-	start := e.cfg.Clock()
+	start := wallClock()
 
 	r.acceptWg.Add(n)
 	for node := 0; node < n; node++ {
@@ -351,7 +345,7 @@ func (e *Executor) Run(ctx context.Context, res *sched.Result, m *model.Matrix, 
 		return nil, err
 	}
 
-	rep := r.finalize(rounds, replans, res.CompletionTime(), e.cfg.Clock().Sub(start))
+	rep := r.finalize(rounds, replans, res.CompletionTime(), wallClock().Sub(start))
 	rep.Trace = obs.FormatTraceID(r.trace)
 	xsp.End()
 	e.cfg.Flight.Record("exec", "exchange_done", r.trace, rep.DeliveredBytes+rep.ReroutedBytes, int64(len(rep.Dead)))
@@ -621,13 +615,13 @@ func (r *run) sendOne(round int, t *transfer, modeled float64) {
 	for attempt := 0; ; attempt++ {
 		var began time.Time
 		if measure {
-			began = r.ex.cfg.Clock()
+			began = wallClock()
 		}
 		err := r.attempt(round, attempt, t, deadline)
 		r.ex.counter(MetricExecAttempts).Inc()
 		if err == nil {
 			if measure {
-				elapsed := r.ex.cfg.Clock().Sub(began).Seconds()
+				elapsed := wallClock().Sub(began).Seconds()
 				r.mu.Lock()
 				t.seconds = elapsed
 				r.mu.Unlock()
@@ -670,7 +664,7 @@ func (r *run) attempt(round, attempt int, t *transfer, deadline time.Duration) e
 		return err
 	}
 	defer severAll(c)
-	if err := c.SetDeadline(r.ex.cfg.Clock().Add(deadline)); err != nil {
+	if err := c.SetDeadline(wallClock().Add(deadline)); err != nil {
 		return fmt.Errorf("exec: set deadline %d→%d: %w", t.src, t.dst, err)
 	}
 	h := frameHeader{xid: r.xid, src: uint32(t.src), dst: uint32(t.dst),
@@ -717,7 +711,7 @@ func (r *run) acceptLoop(node int) {
 // closes, which it always does here.
 func (r *run) serve(node int, c net.Conn, frame *[frameLen]byte) {
 	defer severAll(c)
-	if err := c.SetDeadline(r.ex.cfg.Clock().Add(r.recvWindow)); err != nil {
+	if err := c.SetDeadline(wallClock().Add(r.recvWindow)); err != nil {
 		return
 	}
 	if _, err := io.ReadFull(c, frame[:]); err != nil {

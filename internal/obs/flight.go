@@ -203,8 +203,6 @@ func writeFlightEvents(w io.Writer, evs []FlightEvent) error {
 
 // Dump writes a human-readable rendering of the ring, oldest first. A
 // nil recorder writes only the header.
-//
-//hetvet:ignore nilguard a nil recorder must still emit a well-formed (empty) dump, so nil is handled inline
 func (f *FlightRecorder) Dump(w io.Writer) error {
 	evs := f.Snapshot()
 	if _, err := fmt.Fprintf(w, "# hetsched flight recorder: %d events\n", len(evs)); err != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // wallClock is this package's single sanctioned wall-clock source.
-// Every deadline — request budgets, queue waits, drain windows — flows
-// through an injectable clock defaulting to it.
+// Every deadline — request budgets, queue waits, drain windows — reads
+// it.
 var wallClock = time.Now
 
 // minRetryAfter is the least retry-after hint a shed or expired
@@ -54,8 +54,6 @@ type Config struct {
 	GenInterval time.Duration
 	// CacheCap bounds the versioned plan cache (entries). 0 selects 256.
 	CacheCap int
-	// Clock is the injectable time source (nil selects the wall clock).
-	Clock func() time.Time
 	// Metrics receives serve telemetry; nil disables it.
 	Metrics *obs.Registry
 	// Flight, when set, receives structured flight-recorder events for
@@ -95,9 +93,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CacheCap <= 0 {
 		cfg.CacheCap = 256
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = wallClock
 	}
 	return cfg
 }
@@ -195,7 +190,7 @@ func (d *Daemon) Plan(ctx context.Context, req directory.PlanRequest) directory.
 // that key is that table's text (DESIGN.md §12). A miss leaves the span
 // tree it began unoffered; Plan begins the request's own.
 func (d *Daemon) request(ctx context.Context, req directory.PlanRequest, table []byte) (directory.PlanResponse, bool) {
-	start := d.cfg.Clock()
+	start := wallClock()
 	ctx, rt, root := d.beginRequest(ctx, req.Trace)
 	resp, ok := d.plan(ctx, req, table, start)
 	if !ok {
@@ -219,7 +214,7 @@ func (d *Daemon) beginRequest(ctx context.Context, wire string) (context.Context
 		}
 		return ctx, nil, nil
 	}
-	rt := obs.NewReqTrace(id, d.cfg.Clock)
+	rt := obs.NewReqTrace(id, wallClock)
 	ctx = obs.WithReqTrace(ctx, rt)
 	ctx, root := obs.StartSpan(ctx, "serve", "request")
 	return ctx, rt, root
@@ -237,7 +232,7 @@ func (d *Daemon) endRequest(ctx context.Context, rt *obs.ReqTrace, root *obs.Req
 		return resp
 	}
 	outcome := outcomeOf(resp)
-	latency := d.cfg.Clock().Sub(start)
+	latency := wallClock().Sub(start)
 	root.SetNote(outcome)
 	root.End()
 	rt.SetOutcome(outcome, latency)
@@ -366,7 +361,7 @@ func (d *Daemon) budget(req directory.PlanRequest) time.Duration {
 // short-deadline follower can expire while the flight is still worth
 // finishing for its leader.
 func (d *Daemon) await(ctx context.Context, fl *flight, id uint64, deadline time.Time, coalesced bool, start time.Time) directory.PlanResponse {
-	wait := deadline.Sub(d.cfg.Clock())
+	wait := deadline.Sub(wallClock())
 	var timeout <-chan time.Time
 	if wait > 0 {
 		tm := time.NewTimer(wait)
@@ -447,7 +442,7 @@ func (d *Daemon) finish(ctx context.Context, resp directory.PlanResponse, start 
 	depth := len(d.tasks)
 	d.mu.Unlock()
 	trace := obs.TraceFrom(ctx).TraceID
-	latency := d.cfg.Clock().Sub(start)
+	latency := wallClock().Sub(start)
 	outcome := outcomeOf(resp)
 	d.tel.outcome(outcome)
 	if resp.Status == directory.PlanServed {
@@ -495,7 +490,7 @@ func (d *Daemon) maybeRefreshGen(now time.Time) {
 	v, err := d.gen()
 	d.mu.Lock()
 	d.genProbing = false
-	d.genChecked = d.cfg.Clock()
+	d.genChecked = wallClock()
 	if err == nil {
 		if v < d.curGen {
 			d.cache = newPlanCache(d.cfg.CacheCap)
@@ -534,7 +529,7 @@ func (d *Daemon) worker() {
 // scratch, whose result is cached (HealthOK only) and handed to every
 // waiter.
 func (d *Daemon) work(fl *flight, sc patternScratch) {
-	now := d.cfg.Clock()
+	now := wallClock()
 	qwait := now.Sub(fl.enqueued)
 	d.tel.queueWait(qwait)
 	obs.SliceSpan(fl.ctx, "serve", "queue_wait", fl.enqueued, now, "")
@@ -563,7 +558,7 @@ func (d *Daemon) work(fl *flight, sc patternScratch) {
 	// an expired flight never pay for the generator or the P×P table.
 	// The communicator reads it only during the call.
 	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.pat.build(sc))
-	dur := d.cfg.Clock().Sub(now)
+	dur := wallClock().Sub(now)
 	psp.End()
 
 	var resp directory.PlanResponse

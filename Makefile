@@ -21,8 +21,7 @@ vet:
 	$(GO) vet ./...
 
 # lint is go vet followed by hetvet, the project-specific checker suite
-# (determinism, lockio, errdiscard, tracectx, goleak — see DESIGN.md
-# §9).
+# of two checkers, lockio and tracectx (see DESIGN.md §9).
 lint: vet
 	$(GO) run ./cmd/hetvet ./...
 

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -49,20 +50,29 @@ type jsonFigure struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hcbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the selected figures to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("hcbench", flag.ExitOnError)
 	var (
-		fig     = flag.String("fig", "all", "which figure/experiment to run (see -help)")
-		trials  = flag.Int("trials", 5, "random instances per data point")
-		seed    = flag.Int64("seed", 1998, "base random seed")
-		pmax    = flag.Int("pmax", 50, "largest processor count for the figure sweeps")
-		csv     = flag.Bool("csv", false, "emit CSV instead of tables (figure sweeps only)")
-		jsonOut = flag.String("json", "", "also write figure sweeps as JSON to this file")
-		workers = flag.Int("workers", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
+		fig     = flags.String("fig", "all", "which figure/experiment to run (see -help)")
+		trials  = flags.Int("trials", 5, "random instances per data point")
+		seed    = flags.Int64("seed", 1998, "base random seed")
+		pmax    = flags.Int("pmax", 50, "largest processor count for the figure sweeps")
+		csv     = flags.Bool("csv", false, "emit CSV instead of tables (figure sweeps only)")
+		jsonOut = flags.String("json", "", "also write figure sweeps as JSON to this file")
+		workers = flags.Int("workers", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
 	)
-	flag.Parse()
+	flags.Parse(args) // ExitOnError: a bad flag exits 2, as the global set did
 	experiments.SetDefaultWorkers(*workers)
 	var report []jsonFigure
 
-	run := func(name string) error {
+	runFig := func(name string) error {
 		switch name {
 		case "9", "10", "11", "12":
 			kinds := map[string]workload.Kind{
@@ -87,11 +97,11 @@ func main() {
 			}
 			wall := time.Since(start)
 			runtime.ReadMemStats(&ms1)
-			fmt.Printf("=== Figure %s ===\n", name)
+			fmt.Fprintf(stdout, "=== Figure %s ===\n", name)
 			if *csv {
-				fmt.Print(res.FormatCSV())
+				fmt.Fprint(stdout, res.FormatCSV())
 			} else {
-				fmt.Print(res.FormatTable())
+				fmt.Fprint(stdout, res.FormatTable())
 			}
 			if *jsonOut != "" {
 				// One schedule per (P, trial, algorithm); the engine-cost
@@ -117,89 +127,89 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== Running example (Figures 3-8) ===")
-			fmt.Print(out)
+			fmt.Fprintln(stdout, "=== Running example (Figures 3-8) ===")
+			fmt.Fprint(stdout, out)
 		case "tight":
 			rs, err := experiments.RunTightness([]int{10, 20, 30, 40, 50})
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X1: Theorem 2 tightness ===")
-			fmt.Print(experiments.FormatTightness(rs))
+			fmt.Fprintln(stdout, "=== X1: Theorem 2 tightness ===")
+			fmt.Fprint(stdout, experiments.FormatTightness(rs))
 		case "alpha":
 			rs, err := experiments.RunAlphaSweep(20, *trials, *seed, []float64{0, 0.1, 0.2, 0.3, 0.5, 1.0})
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X3: interleaved receives ===")
-			fmt.Print(experiments.FormatAlpha(rs))
+			fmt.Fprintln(stdout, "=== X3: interleaved receives ===")
+			fmt.Fprint(stdout, experiments.FormatAlpha(rs))
 		case "buffer":
 			rs, err := experiments.RunBufferSweep(20, *trials, *seed, []int{1, 2, 4, 8, 16})
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X3b: finite receive buffers ===")
-			fmt.Print(experiments.FormatBuffer(rs))
+			fmt.Fprintln(stdout, "=== X3b: finite receive buffers ===")
+			fmt.Fprint(stdout, experiments.FormatBuffer(rs))
 		case "incr":
 			rs, err := experiments.RunIncremental(20, *trials, *seed, []float64{0.05, 0.1, 0.2, 0.4, 0.8})
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X4: incremental repair ===")
-			fmt.Print(experiments.FormatIncremental(rs))
+			fmt.Fprintln(stdout, "=== X4: incremental repair ===")
+			fmt.Fprint(stdout, experiments.FormatIncremental(rs))
 		case "ckpt":
 			rs, err := experiments.RunCheckpointStudy(16, *trials, *seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X5: checkpoint rescheduling ===")
-			fmt.Print(experiments.FormatCheckpoint(rs))
+			fmt.Fprintln(stdout, "=== X5: checkpoint rescheduling ===")
+			fmt.Fprint(stdout, experiments.FormatCheckpoint(rs))
 		case "qos":
 			rs, err := experiments.RunQoSStudy(16, *trials, *seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X6: QoS deadlines ===")
-			fmt.Print(experiments.FormatQoS(rs))
+			fmt.Fprintln(stdout, "=== X6: QoS deadlines ===")
+			fmt.Fprint(stdout, experiments.FormatQoS(rs))
 		case "critical":
 			rs, err := experiments.RunCriticalStudy(16, *trials, *seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X7: critical resource ===")
-			fmt.Print(experiments.FormatCritical(rs))
+			fmt.Fprintln(stdout, "=== X7: critical resource ===")
+			fmt.Fprint(stdout, experiments.FormatCritical(rs))
 		case "indirect":
 			rs, err := experiments.RunIndirectStudy(16, *trials, *seed, nil)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X12: direct vs combine-and-forward ===")
-			fmt.Print(experiments.FormatIndirect(rs))
+			fmt.Fprintln(stdout, "=== X12: direct vs combine-and-forward ===")
+			fmt.Fprint(stdout, experiments.FormatIndirect(rs))
 		case "multinet":
 			rs, err := experiments.RunMultinetStudy(16, *trials, *seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X11: multiple heterogeneous networks ===")
-			fmt.Print(experiments.FormatMultinet(rs))
+			fmt.Fprintln(stdout, "=== X11: multiple heterogeneous networks ===")
+			fmt.Fprint(stdout, experiments.FormatMultinet(rs))
 		case "gap":
 			rs, err := experiments.RunOptimalityGap(4, *trials, *seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X10: heuristics vs exact optimum ===")
-			fmt.Print(experiments.FormatGap(rs, 4))
+			fmt.Fprintln(stdout, "=== X10: heuristics vs exact optimum ===")
+			fmt.Fprint(stdout, experiments.FormatGap(rs, 4))
 		case "staging":
 			rs, err := experiments.RunStagingStudy(16, 3, 24, *trials, *seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println("=== X9: data staging (BADD) ===")
-			fmt.Print(experiments.FormatStaging(rs))
+			fmt.Fprintln(stdout, "=== X9: data staging (BADD) ===")
+			fmt.Fprint(stdout, experiments.FormatStaging(rs))
 		default:
 			return fmt.Errorf("unknown figure %q", name)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		return nil
 	}
 
@@ -211,21 +221,19 @@ func main() {
 		names = []string{"9", "10", "11", "12"}
 	}
 	for _, name := range names {
-		if err := run(name); err != nil {
-			fmt.Fprintln(os.Stderr, "hcbench:", err)
-			os.Exit(1)
+		if err := runFig(name); err != nil {
+			return err
 		}
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hcbench:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "hcbench:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("json: %d figure sweep(s) written to %s\n", len(report), *jsonOut)
+		fmt.Fprintf(stdout, "json: %d figure sweep(s) written to %s\n", len(report), *jsonOut)
 	}
+	return nil
 }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -147,22 +148,9 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	// Graceful drain: stop accepting immediately, but let clients with
-	// requests in flight finish their request loops instead of dying
-	// mid-frame; only then stop the feeder, metrics, and store.
 	fmt.Printf("hcdird: draining (grace %v)\n", *drainGrace)
-	drainErr := srv.Drain(*drainGrace)
-	close(stop)
-	if err := <-feederDone; err != nil {
-		fmt.Fprintln(os.Stderr, "hcdird: feeder:", err)
-	}
-	if stopMetrics != nil {
-		if err := stopMetrics(); err != nil {
-			fmt.Fprintln(os.Stderr, "hcdird: metrics:", err)
-		}
-	}
-	if drainErr != nil {
-		fatal(drainErr)
+	if err := shutdown(func() error { return srv.Drain(*drainGrace) }, stop, feederDone, stopMetrics); err != nil {
+		fatal(err)
 	}
 	if *save != "" {
 		final, _ := store.Snapshot()
@@ -176,6 +164,26 @@ func main() {
 		fmt.Printf("hcdird: state saved to %s\n", *save)
 	}
 	fmt.Println("hcdird: stopped")
+}
+
+// shutdown is the daemon's graceful stop, in order: drain the server
+// (stop accepting at once, but let clients with requests in flight
+// finish their request loops instead of dying mid-frame), then stop the
+// feeder and wait for it, then stop the metrics endpoint if one runs.
+// Every step runs whatever an earlier one reported; the result joins
+// all their errors.
+func shutdown(drain func() error, stop chan<- struct{}, feederDone <-chan error, stopMetrics func() error) error {
+	errs := []error{drain()}
+	close(stop)
+	if err := <-feederDone; err != nil {
+		errs = append(errs, fmt.Errorf("feeder: %w", err))
+	}
+	if stopMetrics != nil {
+		if err := stopMetrics(); err != nil {
+			errs = append(errs, fmt.Errorf("metrics: %w", err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
-// Command hetvet runs the project's static-analysis suite: five
-// checkers enforcing the repo's concurrency, determinism, tracing, and
-// error-handling invariants (see internal/analysis and DESIGN.md §9).
+// Command hetvet runs the project's static-analysis suite: two
+// checkers enforcing the serving stack's locking and tracing
+// conventions, lockio and tracectx (see internal/analysis and
+// DESIGN.md §9).
 //
 // Usage:
 //

@@ -57,7 +57,7 @@ func TestLoadErrorExits2(t *testing.T) {
 }
 
 // checkNames is the suite -list prints, in order.
-var checkNames = []string{"determinism", "lockio", "errdiscard", "tracectx", "goleak"}
+var checkNames = []string{"lockio", "tracectx"}
 
 func TestListExits0(t *testing.T) {
 	var out, errBuf bytes.Buffer
@@ -97,13 +97,13 @@ func TestUnknownCheckExits2(t *testing.T) {
 func TestChecksSubset(t *testing.T) {
 	chdir(t, fixture(t, "golden"))
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-checks=errdiscard", "./..."}, &out, &errBuf); code != 1 {
-		t.Fatalf("-checks=errdiscard exit = %d, want 1 (stderr: %s)", code, errBuf.String())
+	if code := run([]string{"-checks=lockio", "./..."}, &out, &errBuf); code != 1 {
+		t.Fatalf("-checks=lockio exit = %d, want 1 (stderr: %s)", code, errBuf.String())
 	}
 	out.Reset()
 	errBuf.Reset()
-	if code := run([]string{"-checks=lockio", "./..."}, &out, &errBuf); code != 0 {
-		t.Fatalf("-checks=lockio exit = %d, want 0:\n%s%s", code, out.String(), errBuf.String())
+	if code := run([]string{"-checks=tracectx", "./..."}, &out, &errBuf); code != 0 {
+		t.Fatalf("-checks=tracectx exit = %d, want 0:\n%s%s", code, out.String(), errBuf.String())
 	}
 }
 
@@ -118,7 +118,7 @@ func TestFindingsExit1(t *testing.T) {
 		t.Fatalf("got %d findings, want 2:\n%s", len(lines), out.String())
 	}
 	for _, line := range lines {
-		if !strings.HasPrefix(line, "internal/g/g.go:") || !strings.Contains(line, "[errdiscard]") {
+		if !strings.HasPrefix(line, "internal/wire/g.go:") || !strings.Contains(line, "[lockio]") {
 			t.Errorf("unexpected finding line: %s", line)
 		}
 	}

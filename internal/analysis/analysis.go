@@ -1,25 +1,15 @@
 // Package analysis is hetvet: a project-specific static-analysis
-// driver that machine-checks the invariants this codebase's previous
-// PRs established by convention. It is built entirely on the standard
-// library (go/parser, go/ast, go/types) — no x/tools dependency — and
-// ships five checkers:
+// suite that machine-checks the serving stack's conventions that no
+// runtime test can hold. It is built entirely on the standard library
+// (go/parser, go/ast, go/types) — no x/tools dependency — and ships two
+// checkers:
 //
-//	determinism — no wall-clock reads (time.Now / time.Since /
-//	              time.Until), no global math/rand, and no iteration
-//	              over maps in the packages whose outputs must be
-//	              reproducible byte for byte.
 //	lockio      — no network I/O, time.Sleep, or channel operations
 //	              while a sync mutex is held in the networked packages.
-//	errdiscard  — no "_ =" or bare-call discarding of returned errors
-//	              in library code.
 //	tracectx    — exported functions in internal/serve and
 //	              internal/exec that spawn goroutines or cross the wire
 //	              must accept a context.Context, so request traces
 //	              survive end to end.
-//	goleak      — every goroutine spawned in the concurrent packages
-//	              has a provable shutdown path: a WaitGroup
-//	              Add/Done/Wait join or a receive on a ctx/done
-//	              lifecycle channel (goleak.go).
 //
 // Every checker honors the escape hatch
 //
@@ -31,8 +21,9 @@
 // itself a diagnostic, as is any malformed or near-miss directive
 // (directive.go).
 //
-// DESIGN.md §9 documents each invariant, why it exists, and what each
-// checker has caught.
+// DESIGN.md §9 documents each invariant, why it exists, what each
+// checker has caught, and which runtime tests took over from the
+// checkers that were retired.
 package analysis
 
 import (
@@ -75,11 +66,8 @@ type Checker interface {
 // DefaultCheckers returns the full hetvet suite.
 func DefaultCheckers() []Checker {
 	return []Checker{
-		determinismChecker{},
 		lockioChecker{},
-		errdiscardChecker{},
 		tracectxChecker{},
-		goleakChecker{},
 	}
 }
 
@@ -163,22 +151,6 @@ func diag(pkg *Package, pos token.Pos, check, format string, args ...any) Diagno
 func scoped(pkg *Package, suffixes ...string) bool {
 	for _, s := range suffixes {
 		if pkg.Path == s || strings.HasSuffix(pkg.Path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
-// pathWithin reports whether the package lives under one of the given
-// top-level module directories (e.g. "internal", "cmd"). The special
-// name "." matches the module root package itself.
-func pathWithin(pkg *Package, tops ...string) bool {
-	rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, pkg.Module), "/")
-	for _, t := range tops {
-		if t == "." && rel == "" {
-			return true
-		}
-		if rel == t || strings.HasPrefix(rel, t+"/") {
 			return true
 		}
 	}

@@ -20,8 +20,8 @@ func TestGoldenOutput(t *testing.T) {
 	root, pkgs := loadFixture(t, "golden")
 	diags := Run(pkgs, DefaultCheckers(), root)
 
-	const wantText = `internal/g/g.go:12: [errdiscard] result error of fail is silently discarded; handle it, return it, or annotate why it is unactionable
-internal/g/g.go:13: [errdiscard] error from fail discarded with _; handle it, return it, or annotate why it is unactionable
+	const wantText = `internal/wire/g.go:21: [lockio] net connection Write while c.mu is held; never block a mutex on network I/O, sleeps, or channel operations
+internal/wire/g.go:22: [lockio] net connection Close while c.mu is held; never block a mutex on network I/O, sleeps, or channel operations
 `
 	var text bytes.Buffer
 	if err := WriteText(&text, diags); err != nil {

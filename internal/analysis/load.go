@@ -16,13 +16,10 @@ import (
 
 // Package is one loaded, type-checked package: the unit every checker
 // operates on. Test files (_test.go) are excluded — the invariants
-// hetvet enforces are about library code, and tests legitimately use
-// wall clocks, global rand, and discarded errors.
+// hetvet enforces are about library code.
 type Package struct {
 	// Path is the import path, e.g. "hetsched/internal/sched".
 	Path string
-	// Module is the module path the package belongs to.
-	Module string
 	// Dir is the absolute directory the package was loaded from.
 	Dir string
 	// Fset is the loader's shared file set (positions for all packages).
@@ -258,7 +255,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Module: l.ModulePath, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -171,14 +171,13 @@ func (lc *lockioPass) blockingOp(n ast.Node, summaries bool) string {
 		}
 		// Package-level functions: time.Sleep, net.Dial*, net.Listen.
 		if obj := pkgFuncObject(lc.pkg, sel); obj != nil {
-			if isPkgFunc(obj, "time", "Sleep") {
-				return "time.Sleep"
+			if _, isFunc := obj.(*types.Func); !isFunc || obj.Pkg() == nil {
+				return ""
 			}
-			if obj.Pkg() != nil && obj.Pkg().Path() == "net" && isFunc(obj) {
-				switch obj.Name() {
-				case "Dial", "DialTimeout", "DialTCP", "DialUDP", "DialIP", "DialUnix", "Listen", "ListenTCP", "ListenPacket":
-					return "net." + obj.Name()
-				}
+			switch obj.Pkg().Path() + "." + obj.Name() {
+			case "time.Sleep", "net.Dial", "net.DialTimeout", "net.DialTCP", "net.DialUDP", "net.DialIP", "net.DialUnix",
+				"net.Listen", "net.ListenTCP", "net.ListenPacket":
+				return obj.Pkg().Path() + "." + obj.Name()
 			}
 			return ""
 		}
@@ -196,6 +195,19 @@ func (lc *lockioPass) blockingOp(n ast.Node, summaries bool) string {
 		}
 	}
 	return ""
+}
+
+// pkgFuncObject resolves a selector to a package-level function or
+// variable object (nil for field/method selections).
+func pkgFuncObject(pkg *Package, sel *ast.SelectorExpr) types.Object {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if _, isPkgName := pkg.Info.Uses[id].(*types.PkgName); !isPkgName {
+		return nil
+	}
+	return pkg.Info.Uses[sel.Sel]
 }
 
 // isNetIOType reports whether t (possibly behind pointers) is net.Conn,

@@ -1,13 +1,10 @@
-// Package directory is the finding-free fixture for the lockio,
-// determinism, and errdiscard checkers: locks guard bookkeeping only,
-// randomness is seeded, map iteration is sorted, and errors are
-// handled.
+// Package directory is the finding-free fixture for the lockio
+// checker: locks guard bookkeeping only, network I/O happens outside
+// them, and a deliberate exception carries a reasoned waiver.
 package directory
 
 import (
-	"math/rand"
 	"net"
-	"sort"
 	"sync"
 )
 
@@ -50,21 +47,12 @@ func (p *Pool) Close() error {
 	return c.Close()
 }
 
-// Shuffle uses an explicitly seeded source.
-func Shuffle(xs []int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
-// SortedKeys iterates the map in a deterministic order: it collects
-// every key (annotated order-insensitive) and sorts before anyone
-// observes the order.
-func SortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	//hetvet:ignore determinism collecting keys is order-insensitive; the sort below fixes the order
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// Flush is the annotated exception: the waiver names the check and
+// says why.
+func (p *Pool) Flush(buf []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	//hetvet:ignore lockio the fixture's framing lock serializes whole writes on purpose
+	_, err := p.conn.Write(buf)
+	return err
 }

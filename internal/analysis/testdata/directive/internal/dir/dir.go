@@ -2,7 +2,7 @@
 // is itself reported under the pseudo-check "directive".
 package dir
 
-//hetvet:ignore errdiscard
+//hetvet:ignore lockio
 func MissingReason() {}
 
 //hetvet:ignore bogus because the check does not exist
@@ -11,13 +11,13 @@ func UnknownCheck() {}
 //hetvet:ignore
 func Empty() {}
 
-// hetvet:ignore errdiscard near miss: a space after the slashes
+// hetvet:ignore lockio near miss: a space after the slashes
 func SpacedDirective() {}
 
-/*hetvet:ignore errdiscard near miss: a block comment*/
+/*hetvet:ignore lockio near miss: a block comment*/
 func BlockComment() {}
 
-//HETVET:ignore errdiscard near miss: upper case
+//HETVET:ignore lockio near miss: upper case
 func UpperCase() {}
 
 //hetvet:frobnicate the verb does not exist
@@ -25,3 +25,6 @@ func UnknownVerb() {}
 
 //hetvet:coldpath a retired verb stays a loud finding
 func RetiredVerb() {}
+
+//hetvet:ignore errdiscard a retired checker's waiver is stale, not silent
+func RetiredCheck() {}

@@ -30,10 +30,9 @@
 // simply ignored, rather than steering the scheduler. DESIGN.md §14
 // documents the loop end to end.
 //
-// The calibrator is deterministic for a fixed sample sequence (the
-// hetvet determinism scope covers this package): no wall clock, no
-// randomness — staleness is counted in observation batches, not
-// seconds. All methods are safe for concurrent use and no-ops on a nil
+// The calibrator is deterministic for a fixed sample sequence
+// (TestCalibratorDeterministic): no wall clock, no randomness —
+// staleness is counted in observation batches, not seconds. All methods are safe for concurrent use and no-ops on a nil
 // receiver, matching the repo's opt-in telemetry idiom.
 package calib
 

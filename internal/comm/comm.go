@@ -134,7 +134,6 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 		cfg.Scheduler = sched.NewOpenShop()
 	}
 	if cfg.Clock == nil {
-		//hetvet:ignore determinism the communicator's one wall-clock default; tests and sims inject Clock
 		cfg.Clock = time.Now
 	}
 	if cfg.Calibrator != nil && cfg.Calibrator.N() != n {

@@ -32,8 +32,6 @@ var (
 // Every deadline — client round trips, server idle timeouts, resilient
 // retry pacing — flows through an injectable clock defaulting to it,
 // so tests and chaos runs can substitute a fake clock.
-//
-//hetvet:ignore determinism the package's one wall-clock default; every other site injects
 var wallClock = time.Now
 
 // Client talks to a directory server over TCP. It is safe for

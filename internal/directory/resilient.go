@@ -216,7 +216,6 @@ func (r *ResilientClient) client(ctx context.Context) (*Client, error) {
 		// A concurrent caller installed a healthy connection while we
 		// were dialing; keep theirs and discard ours.
 		r.mu.Unlock()
-		//hetvet:ignore errdiscard best-effort close of the losing duplicate dial
 		fresh.Close()
 		return old, nil
 	}
@@ -232,7 +231,6 @@ func (r *ResilientClient) client(ctx context.Context) (*Client, error) {
 		obs.Mark(ctx, "directory", "redial", "")
 	}
 	if old != nil {
-		//hetvet:ignore errdiscard the connection already broke; its close error adds nothing
 		old.Close()
 	}
 	return fresh, nil
@@ -246,7 +244,6 @@ func (r *ResilientClient) drop() {
 	r.cl = nil
 	r.mu.Unlock()
 	if cl != nil {
-		//hetvet:ignore errdiscard the connection already failed; its close error adds nothing
 		cl.Close()
 	}
 }

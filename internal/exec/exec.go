@@ -53,7 +53,8 @@ import (
 	"hetsched/internal/timing"
 )
 
-//hetvet:ignore determinism the package's one wall-clock source: transfer deadlines and measured transfer times read it
+// wallClock is the package's one wall-clock source: transfer deadlines
+// and measured transfer times read it.
 var wallClock = time.Now
 
 // ReplanFunc plans the residual pattern among survivors after a node

@@ -32,8 +32,8 @@ func runExchange(t *testing.T, tr Transport, ctx context.Context, wantErr bool) 
 	}
 }
 
-// TestExecMemLeaksNoGoroutines is the runtime counterpart of the
-// static goleak check on this package, over the in-process transport.
+// TestExecMemLeaksNoGoroutines: an exchange over the in-process
+// transport joins every goroutine it started.
 func TestExecMemLeaksNoGoroutines(t *testing.T) {
 	leakcheck.Check(t, func() {
 		tr, err := NewMem(5)

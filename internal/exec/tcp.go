@@ -60,7 +60,6 @@ func closeListeners(ls []net.Listener) {
 		if l == nil {
 			continue
 		}
-		//hetvet:ignore errdiscard teardown after a construction failure already being reported
 		l.Close()
 	}
 }
@@ -167,7 +166,6 @@ func (t *TCP) Kill(node int) {
 	doomed := t.conns[node]
 	t.conns[node] = nil
 	t.mu.Unlock()
-	//hetvet:ignore errdiscard chaos kill: closing the listener IS the injected fault
 	t.ls[node].Close()
 	severAll(doomed...)
 }
@@ -191,7 +189,6 @@ func (t *TCP) Close() error {
 		if dead[node] {
 			continue // Kill already closed it
 		}
-		//hetvet:ignore errdiscard idempotent transport teardown; the listener is gone either way
 		l.Close()
 	}
 	severAll(doomed...)

@@ -258,7 +258,6 @@ func (t *Mem) Kill(node int) {
 // both calls in order, without allocating).
 func severAll(conns ...net.Conn) {
 	for _, c := range conns {
-		//hetvet:ignore errdiscard teardown of a connection being deliberately destroyed; there is no caller to inform
 		cmp.Or(c.SetDeadline(time.Time{}), c.Close())
 	}
 }

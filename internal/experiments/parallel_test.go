@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"hetsched/internal/leakcheck"
 	"hetsched/internal/workload"
 )
 
@@ -44,22 +45,25 @@ func TestForEachCell(t *testing.T) {
 
 func TestForEachCellLowestIndexError(t *testing.T) {
 	// Multiple failing cells: the lowest index must win regardless of
-	// worker count, matching what a sequential loop would report.
-	for _, workers := range []int{1, 2, 8} {
-		err := forEachCell(workers, 100, func(i int) error {
-			if i == 17 || i == 3 || i == 80 {
-				return fmt.Errorf("cell %d failed", i)
+	// worker count, matching what a sequential loop would report, and
+	// a failed run still joins every worker before it returns.
+	leakcheck.Check(t, func() {
+		for _, workers := range []int{1, 2, 8} {
+			err := forEachCell(workers, 100, func(i int) error {
+				if i == 17 || i == 3 || i == 80 {
+					return fmt.Errorf("cell %d failed", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "cell 3 failed" {
+				t.Errorf("workers=%d: got %v, want the index-3 error", workers, err)
 			}
-			return nil
-		})
-		if err == nil || err.Error() != "cell 3 failed" {
-			t.Errorf("workers=%d: got %v, want the index-3 error", workers, err)
 		}
-	}
-	sentinel := errors.New("boom")
-	if err := forEachCell(4, 10, func(i int) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("error identity lost: %v", err)
-	}
+		sentinel := errors.New("boom")
+		if err := forEachCell(4, 10, func(i int) error { return sentinel }); !errors.Is(err, sentinel) {
+			t.Errorf("error identity lost: %v", err)
+		}
+	})
 }
 
 func TestPoolSize(t *testing.T) {

@@ -131,7 +131,6 @@ type faultyConn struct {
 func (f *faultyConn) Read(p []byte) (int, error) {
 	switch f.in.roll(false) {
 	case fateDrop:
-		//hetvet:ignore errdiscard deliberate fault injection: the conn is being killed mid-read
 		f.Conn.Close()
 		return 0, errInjectedOp("read dropped")
 	case fateStall:
@@ -143,16 +142,13 @@ func (f *faultyConn) Read(p []byte) (int, error) {
 func (f *faultyConn) Write(p []byte) (int, error) {
 	switch f.in.roll(true) {
 	case fateDrop:
-		//hetvet:ignore errdiscard deliberate fault injection: the conn is being killed mid-write
 		f.Conn.Close()
 		return 0, errInjectedOp("write dropped")
 	case fatePartial:
 		n := len(p) / 2
 		if n > 0 {
-			//hetvet:ignore errdiscard deliberate fault injection: a torn half-write is the point
 			f.Conn.Write(p[:n])
 		}
-		//hetvet:ignore errdiscard deliberate fault injection: the conn is being killed mid-write
 		f.Conn.Close()
 		return n, errInjectedOp("partial write")
 	case fateStall:

@@ -54,6 +54,14 @@ func Refine(prev *timing.StepSchedule, old, cur *model.Matrix, opts Options) (*t
 	if err := prev.ValidateSteps(); err != nil {
 		return nil, st, err
 	}
+	// A NaN cost compares false against any threshold, so it would pass
+	// as clean: check both matrices before judging any step.
+	if err := old.Validate(); err != nil {
+		return nil, st, fmt.Errorf("incremental: old matrix: %w", err)
+	}
+	if err := cur.Validate(); err != nil {
+		return nil, st, fmt.Errorf("incremental: new matrix: %w", err)
+	}
 	if opts.Threshold < 0 {
 		return nil, st, fmt.Errorf("incremental: negative threshold %g", opts.Threshold)
 	}
@@ -191,7 +199,6 @@ func samePairs(a, b *timing.StepSchedule) bool {
 			}
 		}
 	}
-	//hetvet:ignore determinism order-insensitive: only tests that every residual count is zero
 	for _, c := range count {
 		if c != 0 {
 			return false

@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -173,6 +174,18 @@ func TestRefineErrors(t *testing.T) {
 	bad := &timing.StepSchedule{N: 6, Steps: []timing.Step{{{Src: 0, Dst: 0}}}}
 	if _, _, err := Refine(bad, m, m, DefaultOptions()); err == nil {
 		t.Error("invalid steps accepted")
+	}
+	// A cost that is not a time fails the repair in either matrix,
+	// instead of passing as clean (NaN) or being re-matched (negative).
+	for _, c := range []float64{math.NaN(), math.Inf(1), -1} {
+		badCost := m.Clone()
+		badCost.Set(0, 1, c)
+		if _, _, err := Refine(steps, m, badCost, DefaultOptions()); err == nil {
+			t.Errorf("new cost %v accepted", c)
+		}
+		if _, _, err := Refine(steps, badCost, m, DefaultOptions()); err == nil {
+			t.Errorf("old cost %v accepted", c)
+		}
 	}
 }
 

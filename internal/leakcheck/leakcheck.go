@@ -1,9 +1,10 @@
 // Package leakcheck is the runtime goroutine-leak harness for tests:
 // it snapshots runtime.NumGoroutine before a scenario, runs it, and
 // retry-settles afterwards until the count returns to the baseline or
-// a deadline passes. It confirms at runtime what the static goleak
-// checker proves about shutdown paths — the two gates pin the same
-// property from both sides.
+// a deadline passes. It is the repo's only goroutine-leak gate: each
+// package that starts goroutines (serve, exec, wire, experiments) wraps
+// its shutdown tests in Check, and obs holds its one serve loop with a
+// stack check of its own.
 //
 // The count-based check is deliberately one-sided: goroutines that
 // finish *during* the scenario can mask a leak of equal size, and

@@ -39,7 +39,7 @@ func Format(w io.Writer, m *Matrix) error {
 // FormatString returns the matrix in the text format.
 func FormatString(m *Matrix) string {
 	var sb strings.Builder
-	Format(&sb, m) //hetvet:ignore errdiscard strings.Builder never errors
+	Format(&sb, m)
 	return sb.String()
 }
 

@@ -27,8 +27,7 @@ func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		//hetvet:ignore errdiscard a failed write to the scraper's ResponseWriter has no one to report to
-		r.WritePrometheus(w)
+		r.WritePrometheus(w) // a failed write to the scraper has no one to report to
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

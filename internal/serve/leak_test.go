@@ -11,8 +11,7 @@ import (
 	"hetsched/internal/leakcheck"
 )
 
-// TestDaemonShutdownLeaksNoGoroutines is the runtime counterpart of
-// the static goleak check on this package: a daemon that served real
+// TestDaemonShutdownLeaksNoGoroutines: a daemon that served real
 // requests must join its whole worker pool on Shutdown.
 func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 	leakcheck.Check(t, func() {

@@ -138,7 +138,6 @@ func (s Statusz) RenderText(w io.Writer) {
 	}
 	if s.FlightSeq > 0 || len(s.Flight) > 0 {
 		fmt.Fprintf(w, "  flight recorder: %d events total, last %d:\n", s.FlightSeq, len(s.Flight))
-		//hetvet:ignore errdiscard human-readable page; a failed write surfaces on the transport, not here
 		obs.WriteFlightEvents(w, s.Flight)
 	}
 }

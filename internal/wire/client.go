@@ -92,7 +92,7 @@ func (c *Client) Redial(dial func() (net.Conn, error)) error {
 	defer c.mu.Unlock()
 	c.broken.Store(true)
 	if c.conn != nil {
-		//hetvet:ignore lockio,errdiscard atomic swap under the framing lock; the old connection's close error is meaningless
+		//hetvet:ignore lockio atomic swap under the framing lock; the old connection's close error is meaningless
 		c.conn.Close()
 	}
 	conn, err := dial()

@@ -168,6 +168,22 @@ func TestClientDeadlineIsTheTighterOfBudgetAndContext(t *testing.T) {
 	}
 }
 
+// TestClientDeadlineFaultBreaks: when the connection refuses the
+// exchange's deadline, RoundTrip fails with that error before writing a
+// byte and the client is broken, rather than sending a request that
+// could block past the caller's budget.
+func TestClientDeadlineFaultBreaks(t *testing.T) {
+	conn := dialCounting(t, startEcho(t, &Server{}))
+	c := NewClient(&deadlineFault{Conn: conn, read: true, write: true}, time.Now)
+	defer c.Close()
+	if err := c.RoundTrip(context.Background(), []byte("x\n"), time.Second, keep(new(string))); !errors.Is(err, errDeadline) {
+		t.Fatalf("round trip = %v, want the deadline fault", err)
+	}
+	if !c.Broken() || conn.writes.Load() != 0 {
+		t.Fatalf("after the fault: broken=%v, writes=%d; want true, 0", c.Broken(), conn.writes.Load())
+	}
+}
+
 func TestClientCloseIdempotent(t *testing.T) {
 	addr := startEcho(t, &Server{})
 	c := NewClient(dialCounting(t, addr), time.Now)

@@ -50,7 +50,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.mu.Lock()
 	if s.closed.Load() || s.drainAt.Load() != nil {
 		s.mu.Unlock()
-		//hetvet:ignore errdiscard best-effort close of a listener that never served
 		ln.Close()
 		return "", ErrShutDown
 	}
@@ -88,7 +87,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.mu.Lock()
 		if s.closed.Load() {
 			s.mu.Unlock()
-			//hetvet:ignore errdiscard best-effort close of a connection that raced shutdown
 			conn.Close()
 			return
 		}
@@ -189,7 +187,6 @@ func (s *Server) stop(end func(net.Conn) error) error {
 	ln := s.listener
 	s.listener = nil
 	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection gets the same treatment
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
@@ -199,7 +196,6 @@ func (s *Server) stop(end func(net.Conn) error) error {
 		err = ln.Close()
 	}
 	for _, c := range conns {
-		//hetvet:ignore errdiscard see the doc comment
 		end(c)
 	}
 	s.wg.Wait()

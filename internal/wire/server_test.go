@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -120,6 +121,37 @@ func (c *deadlineConn) deadlines() (read, write []time.Time) {
 	return append([]time.Time(nil), c.read...), append([]time.Time(nil), c.write...)
 }
 
+// errDeadline is the fault a deadlineFault injects.
+var errDeadline = errors.New("injected deadline fault")
+
+// deadlineFault refuses the deadlines of the directions it names, as a
+// connection already torn down underneath its owner does.
+type deadlineFault struct {
+	net.Conn
+	read, write bool
+}
+
+func (c *deadlineFault) SetReadDeadline(t time.Time) error {
+	if c.read {
+		return errDeadline
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *deadlineFault) SetWriteDeadline(t time.Time) error {
+	if c.write {
+		return errDeadline
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *deadlineFault) SetDeadline(t time.Time) error {
+	if c.read || c.write {
+		return errDeadline
+	}
+	return c.Conn.SetDeadline(t)
+}
+
 // recordDeadlines installs a wrapper that hands every accepted
 // connection to the returned channel as a deadlineConn.
 func recordDeadlines(s *Server) <-chan *deadlineConn {
@@ -166,6 +198,73 @@ func TestDeadlinesComeFromTheClock(t *testing.T) {
 	p.expect("a\n")
 	if read, write := (<-conns).deadlines(); len(read)+len(write) != 0 {
 		t.Errorf("zero timeouts set deadlines: read %v, write %v", read, write)
+	}
+}
+
+// TestDrainDeadlineComesFromTheClock: the drain deadline is the
+// injected clock's now plus grace. The clock here stands an hour in the
+// past, so that deadline has already fired and an idle peer is released
+// at once.
+func TestDrainDeadlineComesFromTheClock(t *testing.T) {
+	past := time.Now().Add(-time.Hour)
+	s := &Server{Clock: func() time.Time { return past }}
+	conns := recordDeadlines(s)
+	p := dialPeer(t, startEcho(t, s))
+	p.send("a\n")
+	p.expect("a\n")
+	if err := s.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := past.Add(2 * time.Second)
+	read, write := (<-conns).deadlines()
+	if len(read) == 0 || len(write) == 0 || !read[len(read)-1].Equal(want) || !write[len(write)-1].Equal(want) {
+		t.Errorf("deadlines after the drain: read %v, write %v; want both to end at clock + grace = %v", read, write, want)
+	}
+	p.expectHangup()
+}
+
+// TestDeadlineFaultHangsUp: a connection that refuses its idle or its
+// write deadline is closed, not served without one, so no goroutine can
+// park on it past what the server promised.
+func TestDeadlineFaultHangsUp(t *testing.T) {
+	for _, fault := range []deadlineFault{{read: true}, {write: true}} {
+		s := &Server{IdleTimeout: time.Minute, WriteTimeout: time.Minute}
+		s.WrapConn = func(c net.Conn) net.Conn { return &deadlineFault{Conn: c, read: fault.read, write: fault.write} }
+		p := dialPeer(t, startEcho(t, s))
+		p.send("a\n")
+		p.expectHangup()
+	}
+}
+
+// failingListener is a listener whose Close reports an error after
+// closing the socket underneath.
+type failingListener struct{ net.Listener }
+
+var errListenerClose = errors.New("injected listener close fault")
+
+func (l failingListener) Close() error {
+	l.Listener.Close()
+	return errListenerClose
+}
+
+// TestCloseReturnsTheListenersError: Close and Drain report a listener
+// that failed to close instead of swallowing it.
+func TestCloseReturnsTheListenersError(t *testing.T) {
+	for _, shut := range []func(*Server) error{
+		(*Server).Close,
+		func(s *Server) error { return s.Drain(time.Second) },
+	} {
+		s := &Server{Handler: echo, Clock: time.Now}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.listener, s.conns = failingListener{ln}, map[net.Conn]struct{}{}
+		s.wg.Add(1)
+		go s.acceptLoop(s.listener)
+		if err := shut(s); !errors.Is(err, errListenerClose) {
+			t.Errorf("shutdown = %v, want the listener's close error", err)
+		}
 	}
 }
 

@@ -334,12 +334,15 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // P=50/served is what a plan-service miss schedules: the table
 // `hetpland -random` serves at seed 1 and kind=random patterns of up
 // to 1 MiB per pair, rotating over several pattern seeds.
+// P=50/served/scratch plans the same matrices as a daemon worker
+// does, in one reused sched.Scratch; the other cases plan in fresh
+// memory, as Schedule does.
 func BenchmarkOpenShopSchedule(b *testing.B) {
-	run := func(name string, ms []*model.Matrix) {
+	run := func(name string, ms []*model.Matrix, sc *sched.Scratch) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.NewOpenShop().Schedule(ms[i%len(ms)]); err != nil {
+				if _, err := sched.ScheduleIn(sched.NewOpenShop(), ms[i%len(ms)], sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -366,7 +369,7 @@ func BenchmarkOpenShopSchedule(b *testing.B) {
 		perf := netmodel.RandomPerf(rng, p, netmodel.GustoGuided())
 		run(fmt.Sprintf("P=%d", p), []*model.Matrix{
 			build(perf, rng, func(rng *rand.Rand) int64 { return rng.Int63n(4 << 20) }),
-		})
+		}, nil)
 	}
 	// The served table is seed*1_000_003 + stream*1009 with seed 1 and
 	// the table stream 1, as the plan-service benchmark draws it.
@@ -376,7 +379,8 @@ func BenchmarkOpenShopSchedule(b *testing.B) {
 		ms[k] = build(served, rand.New(rand.NewSource(int64(k+1))),
 			func(rng *rand.Rand) int64 { return 1 + rng.Int63n(1<<20) })
 	}
-	run("P=50/served", ms)
+	run("P=50/served", ms, nil)
+	run("P=50/served/scratch", ms, new(sched.Scratch))
 }
 
 // ---- Ablations from DESIGN.md §6 ----

@@ -20,7 +20,7 @@ func ExampleNewCommunicator() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("round %d: %s, ratio %.3f\n", round, r.Algorithm, comm.Quality(r))
+		fmt.Printf("round %d: %s, ratio %.3f\n", round, r.Algorithm, r.Ratio())
 	}
 	st := comm.Stats()
 	fmt.Printf("plans=%d\n", st.Plans)

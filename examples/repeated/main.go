@@ -48,7 +48,7 @@ func main() {
 			how = "planned"
 		}
 		fmt.Printf("%6d %10.0f %12.2f %12.2f %10.3f %s, %s\n",
-			round, now, r.LowerBound, r.CompletionTime(), comm.Quality(r), r.Algorithm, how)
+			round, now, r.LowerBound, r.CompletionTime(), r.Ratio(), r.Algorithm, how)
 		now += 60 // the next data set arrives a minute later
 	}
 	st := comm.Stats()

@@ -108,11 +108,6 @@ type Communicator struct {
 	cfg    Config
 	tel    commTelemetry
 
-	// matrices recycles the cost matrices of one-shot plans. A matrix
-	// outlives only its Schedule call (sched.Scheduler may not keep
-	// it), so it goes back to the pool as soon as the plan is made.
-	matrices sync.Pool
-
 	mu    sync.Mutex // guards the fields below
 	memo  *memoEntry // the repeated-exchange memo; nil until the first plan
 	stats Stats
@@ -275,34 +270,31 @@ func tagResult(r *sched.Result, h Health) *sched.Result {
 // the cached table (result tagged "+stale"), then the uniform-model
 // caterpillar baseline ("+degraded"). Health reports the rung used.
 func (c *Communicator) AllToAll(sizes *model.Sizes) (*sched.Result, error) {
-	r, _, err := c.AllToAllHealth(sizes)
+	r, _, err := c.AllToAllHealthCtx(context.Background(), sizes)
 	return r, err
 }
 
-// AllToAllHealth is AllToAll returning the fallback-ladder rung that
-// served *this* exchange. It exists for callers that share one
-// communicator across many concurrent requests — the serving daemon —
-// where reading Health() after the call races other exchanges and can
-// misreport which rung produced a given plan.
-func (c *Communicator) AllToAllHealth(sizes *model.Sizes) (*sched.Result, Health, error) {
-	return c.AllToAllHealthCtx(context.Background(), sizes)
-}
-
-// AllToAllHealthCtx is AllToAllHealth carrying request-scoped trace
+// AllToAllHealthCtx is AllToAll returning the fallback-ladder rung that
+// served *this* exchange, for callers that share one communicator
+// across many concurrent requests, where reading Health() after the
+// call races other exchanges. It also carries request-scoped trace
 // correlation: when ctx holds an obs.ReqTrace, the planning pass is
 // recorded as a span on that request's tree, and flight-recorder
 // events are tagged with its trace ID.
 func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes) (*sched.Result, Health, error) {
-	dst, _ := c.matrices.Get().(*model.Matrix)
-	if dst == nil {
-		dst = new(model.Matrix)
-	}
-	defer c.matrices.Put(dst)
-	m, h, err := c.snapshotMatrix(sizes, dst)
+	return c.AllToAllScratch(ctx, sizes, new(PlanScratch))
+}
+
+// AllToAllScratch is AllToAllHealthCtx planned in caller-owned
+// memory: the cost matrix is built into sc and, when the rung's
+// scheduler can (sched.ScheduleIn), the plan is made in sc too. The
+// result is valid only until the next call with the same scratch.
+func (c *Communicator) AllToAllScratch(ctx context.Context, sizes *model.Sizes, sc *PlanScratch) (*sched.Result, Health, error) {
+	m, h, err := c.snapshotMatrix(sizes, &sc.matrix)
 	if err != nil {
 		return nil, h, err
 	}
-	r, err := c.schedule(ctx, m, h, "oneshot")
+	r, err := c.schedule(ctx, m, h, "oneshot", &sc.plan)
 	if err != nil {
 		return nil, h, err
 	}
@@ -311,8 +303,9 @@ func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes
 }
 
 // schedule plans m with the rung's scheduler — the configured one, or
-// the blind baseline on the degraded rung — and counts the plan.
-func (c *Communicator) schedule(ctx context.Context, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
+// the blind baseline on the degraded rung — in plan, which may be nil
+// (see sched.ScheduleIn), and counts the plan.
+func (c *Communicator) schedule(ctx context.Context, m *model.Matrix, h Health, kind string, plan *sched.Scratch) (*sched.Result, error) {
 	scheduler := c.cfg.Scheduler
 	if h == HealthDegraded {
 		scheduler = sched.Baseline{}
@@ -321,14 +314,5 @@ func (c *Communicator) schedule(ctx context.Context, m *model.Matrix, h Health, 
 	c.stats.Plans++
 	c.mu.Unlock()
 	c.tel.plans.Inc()
-	return c.timedSchedule(ctx, scheduler, m, kind)
-}
-
-// Quality returns a result's completion relative to its lower bound
-// (1 for degenerate empty problems).
-func (c *Communicator) Quality(r *sched.Result) float64 {
-	if r.LowerBound == 0 {
-		return 1
-	}
-	return r.CompletionTime() / r.LowerBound
+	return c.timedSchedule(ctx, scheduler, m, kind, plan)
 }

@@ -43,8 +43,8 @@ func TestAllToAll(t *testing.T) {
 	if r.Algorithm != "openshop" {
 		t.Errorf("default scheduler = %q", r.Algorithm)
 	}
-	if c.Quality(r) > 2+1e-9 {
-		t.Errorf("quality %g exceeds Theorem 3", c.Quality(r))
+	if r.Ratio() > 2+1e-9 {
+		t.Errorf("quality %g exceeds Theorem 3", r.Ratio())
 	}
 	if c.Stats().Plans != 1 {
 		t.Errorf("stats = %+v", c.Stats())
@@ -99,7 +99,8 @@ func TestCommConcurrentUse(t *testing.T) {
 	// Race soak (run under -race): one-shot, repeated, and stats calls
 	// from many goroutines against one communicator. Each goroutine's
 	// one-shot plans are for its own sizes and must match a plan made
-	// alone: the pooled cost matrices are never shared between calls.
+	// alone: each call builds its cost matrix and its plan in scratch of
+	// its own, which no other call sees.
 	c := newComm(t, netmodel.Gusto(), Config{})
 	sizes := model.UniformSizes(5, 1<<20)
 	alone := newComm(t, netmodel.Gusto(), Config{})
@@ -159,7 +160,7 @@ func TestCommUnderRandomDrift(t *testing.T) {
 		if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if q := c.Quality(r); q > 2.0 {
+		if q := r.Ratio(); q > 2.0 {
 			t.Fatalf("round %d: quality %g exceeds Theorem 3", round, q)
 		}
 		cur = walker.Step()

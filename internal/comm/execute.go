@@ -38,7 +38,7 @@ func (c *Communicator) ExecuteCtx(ctx context.Context, tr exec.Transport, sizes 
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := c.schedule(ctx, m, h, "execute")
+	r, err := c.schedule(ctx, m, h, "execute", nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestAllToAllHealthReportsPerCallRung: with a source that alternates
-// between healthy and failing, every AllToAllHealth call reports the
+// between healthy and failing, every AllToAllHealthCtx call reports the
 // rung that served its own exchange — fresh plans never claim a
 // degraded rung and vice versa, even with many concurrent sharers of
 // one communicator. Health() after the fact cannot make that promise;
@@ -52,7 +53,7 @@ func TestAllToAllHealthReportsPerCallRung(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 8; k++ {
-				r, h, err := c.AllToAllHealth(sizes)
+				r, h, err := c.AllToAllHealthCtx(context.Background(), sizes)
 				if err != nil {
 					errs <- err
 					return

@@ -97,14 +97,14 @@ func (t *commTelemetry) quality(algorithm string) *obs.Histogram {
 // ctx carries a request trace — a span on that request's tree, and
 // observes the result's quality ratio under the result's (untagged)
 // algorithm name. With telemetry disabled and no trace it is exactly
-// s.Schedule(m).
-func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, kind string) (*sched.Result, error) {
+// sched.ScheduleIn(s, m, plan).
+func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, kind string, plan *sched.Scratch) (*sched.Result, error) {
 	if !c.tel.enabled && obs.ReqTraceFrom(ctx) == nil {
-		return s.Schedule(m)
+		return sched.ScheduleIn(s, m, plan)
 	}
 	_, rsp := obs.StartSpan(ctx, "comm", kind)
 	start := c.cfg.Clock()
-	r, err := s.Schedule(m)
+	r, err := sched.ScheduleIn(s, m, plan)
 	elapsed := c.cfg.Clock().Sub(start)
 	c.tel.planSeconds.Observe(float64(elapsed) / float64(time.Second))
 	if err != nil {

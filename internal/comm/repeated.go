@@ -16,14 +16,16 @@ type memoEntry struct {
 	result *sched.Result
 }
 
-// PlanScratch is the caller-owned memory of the repeated-exchange path:
-// the buffer each round's cost matrix is built into and the slot the
-// served result is assembled in. With the network unchanged since the
-// last planned round, a call through it allocates nothing. The zero
-// value is ready to use; a PlanScratch is not safe for concurrent use.
+// PlanScratch is a caller's planning memory: the buffer each cost
+// matrix is built into, the slot a repeated round's served result is
+// assembled in, and the memory AllToAllScratch plans in. With the
+// network unchanged since the last planned round, a repeated round
+// through it allocates nothing. The zero value is ready to use; a
+// PlanScratch is not safe for concurrent use.
 type PlanScratch struct {
 	matrix model.Matrix
 	result sched.Result
+	plan   sched.Scratch
 }
 
 // AllToAllRepeated plans a total exchange for a workload that repeats
@@ -78,7 +80,7 @@ func (c *Communicator) AllToAllRepeatedScratch(sizes *model.Sizes, sc *PlanScrat
 // planRepeated plans a round the memo cannot serve and, above the
 // degraded rung, installs it as the new memo.
 func (c *Communicator) planRepeated(m *model.Matrix, h Health) (*sched.Result, error) {
-	r, err := c.schedule(context.Background(), m, h, "repeated")
+	r, err := c.schedule(context.Background(), m, h, "repeated", nil)
 	if err != nil || h == HealthDegraded {
 		return r, err
 	}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -100,7 +101,7 @@ func TestRepeatedMatchesAllToAll(t *testing.T) {
 	}
 	for i, rd := range rounds {
 		rd.before()
-		want, h, err := ref.AllToAllHealth(sizes)
+		want, h, err := ref.AllToAllHealthCtx(context.Background(), sizes)
 		if err != nil {
 			t.Fatalf("%s: %v", rd.name, err)
 		}

@@ -74,8 +74,14 @@ func (o OpenShop) Name() string {
 
 // Schedule implements Scheduler.
 func (o OpenShop) Schedule(m *model.Matrix) (*Result, error) {
+	return o.scheduleIn(m, new(Scratch))
+}
+
+// scheduleIn plans m in sc's memory; see ScheduleIn.
+func (o OpenShop) scheduleIn(m *model.Matrix, sc *Scratch) (*Result, error) {
 	n := m.N()
-	run := newOpenShopRun(n)
+	run := newOpenShopRun(n, sc.slab)
+	sc.slab = run.slab
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
@@ -83,15 +89,16 @@ func (o OpenShop) Schedule(m *model.Matrix) (*Result, error) {
 			}
 		}
 	}
-	events, err := run.schedule(m, tieEps, o.TieBreak, nil, nil)
+	events, err := run.schedule(m, tieEps, o.TieBreak, nil, nil, sc.events)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Algorithm:  o.Name(),
-		Schedule:   &timing.Schedule{N: n, Events: events},
-		LowerBound: m.LowerBound(),
-	}, nil
+	if events != nil { // a plan for P ≤ 1 has none; keep the buffer
+		sc.events = events
+	}
+	sc.schedule = timing.Schedule{N: n, Events: events}
+	sc.result = Result{Algorithm: o.Name(), Schedule: &sc.schedule, LowerBound: m.LowerBound()}
+	return &sc.result, nil
 }
 
 // tieEps treats availability times within this tolerance as equal when
@@ -108,8 +115,9 @@ func (t times) set(i int, v float64) { t[i] = math.Float64bits(v) }
 
 // openShopRun is the working state of one open shop run, total or
 // partial: the caller records the pairs to schedule with owe, then
-// schedule plays the heuristic out. Everything lives in one slab
-// allocated per run, so concurrent runs share nothing.
+// schedule plays the heuristic out. Everything lives in one slab,
+// allocated per run or reused from the caller's scratch, so concurrent
+// runs share nothing.
 //
 // The heuristic's two questions are answered from order instead of by
 // scanning. Which sender is next: senders are the leaves of a winner
@@ -136,18 +144,31 @@ type openShopRun struct {
 
 	recvAvail times
 	inbound   times // remaining inbound work per receiver, for TieMostLoaded
+
+	slab []uint64 // all of the above, for the caller to reuse
 }
 
-func newOpenShopRun(n int) openShopRun {
+// newOpenShopRun returns the state of a run over n processors, with
+// nothing owed yet. Its slab is buf, cleared, when buf's capacity is
+// enough, and a new allocation otherwise.
+func newOpenShopRun(n int, buf []uint64) openShopRun {
 	words := (n + 63) / 64
-	slab := make([]uint64, n*words+7*n)
+	size := n*words + 7*n
+	var slab []uint64
+	if cap(buf) >= size {
+		slab = buf[:size]
+		clear(slab)
+	} else {
+		slab = make([]uint64, size)
+	}
+	rest := slab
 	cut := func(k int) []uint64 {
-		part := slab[:k:k]
-		slab = slab[k:]
+		part := rest[:k:k]
+		rest = rest[k:]
 		return part
 	}
 	return openShopRun{
-		n: n, words: words,
+		n: n, words: words, slab: slab,
 		owed:      cut(n * words),
 		pending:   cut(n),
 		tree:      cut(n),
@@ -191,13 +212,15 @@ func less(ka, ia, kb, ib uint64) bool {
 }
 
 // schedule runs the heuristic over the recorded pairs and returns one
-// event per pair in the order they were decided. Sender i is first
-// available at sendFree[i] and receiver j at recvFree[j]; a nil start
-// is all zero. Receivers whose availability differs by at most eps are
-// tied, and tb picks among them. It fails, without scheduling
-// anything, if an owed cost or a start time is NaN, infinite or
-// negative, or a start does not have one time per processor.
-func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak, sendFree, recvFree []float64) ([]timing.Event, error) {
+// event per pair in the order they were decided, written into dst when
+// its capacity is enough and into a new slice of exactly that length
+// otherwise. Sender i is first available at sendFree[i] and receiver j
+// at recvFree[j]; a nil start is all zero. Receivers whose
+// availability differs by at most eps are tied, and tb picks among
+// them. It fails, without scheduling anything, if an owed cost or a
+// start time is NaN, infinite or negative, or a start does not have
+// one time per processor.
+func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak, sendFree, recvFree []float64, dst []timing.Event) ([]timing.Event, error) {
 	n := s.n
 	if err := checkStart("sender", sendFree, n); err != nil {
 		return nil, err
@@ -247,7 +270,12 @@ func (s *openShopRun) schedule(m *model.Matrix, eps float64, tb TieBreak, sendFr
 		tree[x] = l
 	}
 
-	events := make([]timing.Event, s.pairs)
+	var events []timing.Event
+	if cap(dst) >= s.pairs {
+		events = dst[:s.pairs]
+	} else {
+		events = make([]timing.Event, s.pairs)
+	}
 	for e := range events {
 		i := int(s.winner(1))
 		cost, owed := m.Row(i), s.row(i)

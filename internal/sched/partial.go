@@ -114,12 +114,12 @@ func PartialOpenShopFrom(m *model.Matrix, p Pattern, sendFree, recvFree []float6
 	if err := p.Validate(m.N()); err != nil {
 		return nil, err
 	}
-	run := newOpenShopRun(m.N())
+	run := newOpenShopRun(m.N(), nil)
 	for _, pr := range p {
 		run.owe(pr.Src, pr.Dst)
 	}
 	// Receiver ties are exact here and go to the lowest id.
-	events, err := run.schedule(m, 0, TieLowestID, sendFree, recvFree)
+	events, err := run.schedule(m, 0, TieLowestID, sendFree, recvFree, nil)
 	if err != nil {
 		return nil, err
 	}

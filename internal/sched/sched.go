@@ -88,6 +88,34 @@ type Scheduler interface {
 	Schedule(m *model.Matrix) (*Result, error)
 }
 
+// Scratch is caller-owned memory to plan in: the result, its schedule
+// and event slice, and the open shop kernel's working slab. A result
+// planned in a Scratch is valid until the next plan in it, so a caller
+// that keeps a plan takes it from Schedule instead. The zero value is
+// ready to use; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	result   Result
+	schedule timing.Schedule
+	events   []timing.Event
+	slab     []uint64
+}
+
+// scratchScheduler is a Scheduler that can plan in a Scratch.
+type scratchScheduler interface {
+	scheduleIn(m *model.Matrix, sc *Scratch) (*Result, error)
+}
+
+// ScheduleIn plans m with s in sc's memory when s can (today OpenShop)
+// and sc is not nil, and returns s.Schedule(m) otherwise. Either way
+// the plan is the one s.Schedule(m) returns, event for event; one
+// planned in sc is overwritten by the next plan in sc.
+func ScheduleIn(s Scheduler, m *model.Matrix, sc *Scratch) (*Result, error) {
+	if in, ok := s.(scratchScheduler); ok && sc != nil {
+		return in.scheduleIn(m, sc)
+	}
+	return s.Schedule(m)
+}
+
 // All returns one instance of every scheduler in the paper, in the
 // order the evaluation section lists them: baseline, baseline with
 // barriers, max matching, min matching, greedy, open shop.

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 
+	"hetsched/internal/comm"
 	"hetsched/internal/directory"
 	"hetsched/internal/model"
 )
@@ -152,17 +153,19 @@ func tableKey(text []byte) (key [sha256.Size]byte) {
 	return key
 }
 
-// patternScratch is one worker's storage for the matrices it plans: a
-// P×P size matrix every flight is written into and the generator the
-// random patterns reseed. Only off-diagonal entries are ever written,
+// patternScratch is one worker's storage for the flights it plans: a
+// P×P size matrix every flight is written into, the generator the
+// random patterns reseed, and the communicator scratch the cost matrix
+// and the plan are made in. Only off-diagonal sizes are ever written,
 // so the diagonal stays zero without clearing.
 type patternScratch struct {
 	sizes *model.Sizes
 	rng   *rand.Rand
+	plan  *comm.PlanScratch
 }
 
 func newPatternScratch(p int) patternScratch {
-	return patternScratch{sizes: model.NewSizes(p), rng: rand.New(rand.NewSource(0))}
+	return patternScratch{sizes: model.NewSizes(p), rng: rand.New(rand.NewSource(0)), plan: new(comm.PlanScratch)}
 }
 
 // build writes the matrix the pattern describes into sc and returns

@@ -556,8 +556,10 @@ func (d *Daemon) work(fl *flight, sc patternScratch) {
 	ctx, psp := obs.StartSpan(fl.ctx, "serve", "plan")
 	// The matrix first exists here, outside d.mu: a hit, a follower and
 	// an expired flight never pay for the generator or the P×P table.
-	// The communicator reads it only during the call.
-	r, h, err := d.comm.AllToAllHealthCtx(ctx, fl.pat.build(sc))
+	// The communicator reads it only during the call. The plan lives in
+	// the worker's scratch until its next flight, so nothing of r
+	// outlives this call.
+	r, h, err := d.comm.AllToAllScratch(ctx, fl.pat.build(sc), sc.plan)
 	dur := wallClock().Sub(now)
 	psp.End()
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -37,27 +38,39 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hcsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the simulation or the execution they select, and
+// writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("hcsim", flag.ExitOnError)
 	var (
-		netFile    = flag.String("net", "", "load network state from a JSON file (see hcquery -emit / hcdird -save)")
-		traceOut   = flag.String("trace", "", "write the executed schedule as Chrome trace_event JSON (chrome://tracing, Perfetto)")
-		p          = flag.Int("p", 16, "processors for random generation")
-		seed       = flag.Int64("seed", 1, "random seed")
-		size       = flag.Int64("size", 1<<20, "message size in bytes")
-		alg        = flag.String("alg", "openshop", "scheduler that builds the plan")
-		modelName  = flag.String("model", "exclusive", "receive model: exclusive, interleaved, buffered")
-		alpha      = flag.Float64("alpha", 0.25, "context-switch overhead for -model interleaved")
-		capacity   = flag.Int("capacity", 4, "buffer capacity for -model buffered")
-		drift      = flag.Float64("drift", 0, "if > 0, crash this fraction of links to 10% bandwidth mid-run")
-		faultCount = flag.Int("faults", 0, "inject this many seeded mid-run link degradations/failures (exclusive model)")
-		checkpoint = flag.String("checkpoint", "none", "checkpoint policy: none, every, halving")
-		replan     = flag.Bool("replan", false, "reschedule the tail at checkpoints (otherwise keep order)")
-		execute    = flag.Bool("execute", false, "perform the plan as real byte transfers over a transport (with -execute, -faults kills that many seeded nodes mid-exchange)")
-		transport  = flag.String("transport", "mem", "-execute transport: mem (in-process pipes) or tcp (loopback sockets)")
-		slack      = flag.Float64("slack", 0, "-execute deadline slack factor over modeled transfer times (0 = executor default)")
-		calibrate  = flag.Bool("calibrate", false, "with -execute, fit a network calibrator from the measured transfer timings and print its per-pair verdicts")
-		calibPush  = flag.String("calibrate-push", "", "with -calibrate, also push trusted estimates to the directory service at this address")
+		netFile    = flags.String("net", "", "load network state from a JSON file (see hcquery -emit / hcdird -save)")
+		traceOut   = flags.String("trace", "", "write the executed schedule as Chrome trace_event JSON (chrome://tracing, Perfetto)")
+		p          = flags.Int("p", 16, "processors for random generation")
+		seed       = flags.Int64("seed", 1, "random seed")
+		size       = flags.Int64("size", 1<<20, "message size in bytes")
+		alg        = flags.String("alg", "openshop", "scheduler that builds the plan")
+		modelName  = flags.String("model", "exclusive", "receive model: exclusive, interleaved, buffered")
+		alpha      = flags.Float64("alpha", 0.25, "context-switch overhead for -model interleaved")
+		capacity   = flags.Int("capacity", 4, "buffer capacity for -model buffered")
+		drift      = flags.Float64("drift", 0, "if > 0, crash this fraction of links to 10% bandwidth mid-run")
+		faultCount = flags.Int("faults", 0, "inject this many seeded mid-run link degradations/failures (exclusive model)")
+		checkpoint = flags.String("checkpoint", "none", "checkpoint policy: none, every, halving")
+		replan     = flags.Bool("replan", false, "reschedule the tail at checkpoints (otherwise keep order)")
+		execute    = flags.Bool("execute", false, "perform the plan as real byte transfers over a transport (with -execute, -faults kills that many seeded nodes mid-exchange)")
+		transport  = flags.String("transport", "mem", "-execute transport: mem (in-process pipes) or tcp (loopback sockets)")
+		slack      = flags.Float64("slack", 0, "-execute deadline slack factor over modeled transfer times (0 = executor default)")
+		calibrate  = flags.Bool("calibrate", false, "with -execute, fit a network calibrator from the measured transfer timings and print its per-pair verdicts")
+		calibPush  = flags.String("calibrate-push", "", "with -calibrate, also push trusted estimates to the directory service at this address")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var perf *hetsched.Perf
@@ -65,11 +78,11 @@ func main() {
 	if *netFile != "" {
 		data, err := os.ReadFile(*netFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		perf, names, err = netmodel.UnmarshalPerf(data)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		perf = hetsched.RandomPerf(rng, *p, hetsched.GustoGuided())
@@ -79,22 +92,22 @@ func main() {
 	sizes := hetsched.UniformSizes(n, *size)
 	m, err := hetsched.Build(perf, sizes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	scheduler, err := hetsched.SchedulerByName(*alg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := scheduler.Schedule(m)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	plan, err := hetsched.PlanFromSchedule(res.Schedule, sizes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("plan: %s over %d processors, %d events\n", res.Algorithm, n, plan.Events())
-	fmt.Printf("planned completion: %.4g s (lower bound %.4g s)\n", res.CompletionTime(), res.LowerBound)
+	fmt.Fprintf(stdout, "plan: %s over %d processors, %d events\n", res.Algorithm, n, plan.Events())
+	fmt.Fprintf(stdout, "planned completion: %.4g s (lower bound %.4g s)\n", res.CompletionTime(), res.LowerBound)
 
 	if *execute {
 		// -trace: the exchange's spans land on a live request trace.
@@ -104,12 +117,13 @@ func main() {
 			rt = obs.NewReqTrace(0, nil)
 			ctx = obs.WithReqTrace(ctx, rt)
 		}
-		runExecute(ctx, rng, res, m, sizes, perf, *transport, *slack, *faultCount, *calibrate, *calibPush)
-		writeTrace(*traceOut, rt)
-		return
+		if err := runExecute(ctx, stdout, rng, scheduler, perf, sizes, *transport, *slack, *faultCount, *calibrate, *calibPush); err != nil {
+			return err
+		}
+		return writeTrace(stdout, *traceOut, rt)
 	}
 	if *calibrate {
-		fatal(fmt.Errorf("-calibrate needs -execute: calibration fits measured transfers, and only -execute moves bytes"))
+		return fmt.Errorf("-calibrate needs -execute: calibration fits measured transfers, and only -execute moves bytes")
 	}
 
 	// The execution network, optionally shifting mid-run.
@@ -118,24 +132,24 @@ func main() {
 	var faultTimes []float64
 	if *faultCount > 0 {
 		if *modelName != "exclusive" {
-			fatal(fmt.Errorf("-faults needs -model exclusive (reactive re-planning)"))
+			return fmt.Errorf("-faults needs -model exclusive (reactive re-planning)")
 		}
 		if *drift > 0 {
-			fatal(fmt.Errorf("-faults cannot combine with -drift"))
+			return fmt.Errorf("-faults cannot combine with -drift")
 		}
 		events := faults.RandomLinkEvents(rng, n, *faultCount, res.CompletionTime())
 		fn, err := faults.NewNetwork(perf, events)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		network = fn
 		observe = fn.At
 		faultTimes = fn.Times()
 		for _, e := range events {
 			if e.Factor == 0 {
-				fmt.Printf("fault: link %d→%d FAILS at t=%.4g s\n", e.Src, e.Dst, e.Time)
+				fmt.Fprintf(stdout, "fault: link %d→%d FAILS at t=%.4g s\n", e.Src, e.Dst, e.Time)
 			} else {
-				fmt.Printf("fault: link %d→%d degrades to %.0f%% at t=%.4g s\n", e.Src, e.Dst, 100*e.Factor, e.Time)
+				fmt.Fprintf(stdout, "fault: link %d→%d degrades to %.0f%% at t=%.4g s\n", e.Src, e.Dst, 100*e.Factor, e.Time)
 			}
 		}
 	} else if *drift > 0 {
@@ -154,11 +168,11 @@ func main() {
 		shift := res.CompletionTime() / 4
 		pw, err := sim.NewPiecewise([]sim.Epoch{{Start: 0, Perf: perf}, {Start: shift, Perf: after}})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		network = pw
 		observe = pw.At
-		fmt.Printf("drift: %d links crash 10x at t=%.4g s\n", crashed, shift)
+		fmt.Fprintf(stdout, "drift: %d links crash 10x at t=%.4g s\n", crashed, shift)
 	} else {
 		st := sim.NewStatic(perf)
 		observe = func(float64) *hetsched.Perf { return st.Perf() }
@@ -179,7 +193,7 @@ func main() {
 		case "halving":
 			policy = hetsched.Halving{}
 		default:
-			fatal(fmt.Errorf("unknown checkpoint policy %q", *checkpoint))
+			return fmt.Errorf("unknown checkpoint policy %q", *checkpoint)
 		}
 		rp := hetsched.KeepOrder
 		rpName := "keep-order"
@@ -192,41 +206,42 @@ func main() {
 			// fault event actually landed in the window just executed.
 			rr, err := sim.RunReactive(network, observe, faultTimes, plan, policy, rp)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("executed (exclusive, reactive, checkpoints=%s, replan=%s): finish %.4g s, %d checkpoints, %d replans\n",
+			fmt.Fprintf(stdout, "executed (exclusive, reactive, checkpoints=%s, replan=%s): finish %.4g s, %d checkpoints, %d replans\n",
 				policy.Name(), rpName, rr.Finish, rr.Checkpoints, rr.Replans)
 			executed, checkpoints = rr.Schedule, rr.Log
 			break
 		}
 		ck, err := hetsched.SimulateCheckpointed(network, observe, plan, policy, rp)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("executed (exclusive, checkpoints=%s, replan=%s): finish %.4g s, %d checkpoints\n",
+		fmt.Fprintf(stdout, "executed (exclusive, checkpoints=%s, replan=%s): finish %.4g s, %d checkpoints\n",
 			policy.Name(), rpName, ck.Finish, ck.Checkpoints)
 		executed, checkpoints = ck.Schedule, ck.Log
 	case "interleaved":
 		exec, err := hetsched.SimulateInterleaved(network, plan, *alpha)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("executed (interleaved, α=%.2f): finish %.4g s\n", *alpha, exec.Finish)
+		fmt.Fprintf(stdout, "executed (interleaved, α=%.2f): finish %.4g s\n", *alpha, exec.Finish)
 		executed = exec.Schedule
 	case "buffered":
 		exec, err := hetsched.SimulateBuffered(network, plan, *capacity)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("executed (buffered, capacity=%d): finish %.4g s\n", *capacity, exec.Finish)
+		fmt.Fprintf(stdout, "executed (buffered, capacity=%d): finish %.4g s\n", *capacity, exec.Finish)
 		executed = exec.Schedule
 	default:
-		fatal(fmt.Errorf("unknown receive model %q", *modelName))
+		return fmt.Errorf("unknown receive model %q", *modelName)
 	}
 
-	if *traceOut != "" {
-		writeTrace(*traceOut, obs.ScheduleTrace(executed, names, checkpointMarks(checkpoints)...))
+	if *traceOut == "" {
+		return nil
 	}
+	return writeTrace(stdout, *traceOut, obs.ScheduleTrace(executed, names, checkpointMarks(checkpoints)...))
 }
 
 // checkpointMarks renders a run's checkpoints as instants on a
@@ -247,41 +262,43 @@ func checkpointMarks(log []sim.Checkpoint) []obs.SpanRecord {
 // writeTrace writes rt to path as one Perfetto-loadable file and says
 // how many spans the per-request cap dropped, if any. An empty path
 // writes nothing.
-func writeTrace(path string, rt *obs.ReqTrace) {
+func writeTrace(stdout io.Writer, path string, rt *obs.ReqTrace) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := obs.WritePerfetto(f, rt); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("trace: %d spans written to %s (load in chrome://tracing or Perfetto)\n",
+	fmt.Fprintf(stdout, "trace: %d spans written to %s (load in chrome://tracing or Perfetto)\n",
 		len(rt.Spans()), path)
 	if n := rt.Dropped(); n > 0 {
-		fmt.Printf("trace: %d spans dropped past the per-request cap\n", n)
+		fmt.Fprintf(stdout, "trace: %d spans dropped past the per-request cap\n", n)
 	}
+	return nil
 }
 
-// runExecute performs the plan as real byte transfers over a data-plane
+// runExecute plans the exchange through a communicator over the static
+// table and performs it as real byte transfers over a data-plane
 // transport. With faultCount > 0 it kills that many seeded nodes
 // mid-exchange — each kill triggers after a seeded number of deliveries
 // — and lets the executor recover via residual rescheduling. With
-// calibrate, the measured per-transfer timings feed a network
-// calibrator seeded from the planning table; its per-pair verdicts are
-// printed after the exchange, and pushAddr sends trusted estimates to
-// a live directory over the calibrate op. ctx carries the request trace
-// the exchange's spans land on, if any.
-func runExecute(ctx context.Context, rng *rand.Rand, res *hetsched.Result, m *hetsched.Matrix,
-	sizes *hetsched.Sizes, perf *hetsched.Perf, transport string, slack float64,
-	faultCount int, calibrate bool, pushAddr string) {
-	n := m.N()
+// calibrate, the communicator carries a network calibrator seeded from
+// the planning table, which the exchange's measured transfers feed; its
+// per-pair verdicts are printed after the exchange, and pushAddr makes
+// a live directory the communicator's calibration sink. ctx carries the
+// request trace the exchange's spans land on, if any.
+func runExecute(ctx context.Context, stdout io.Writer, rng *rand.Rand, scheduler hetsched.Scheduler,
+	perf *hetsched.Perf, sizes *hetsched.Sizes, transport string, slack float64,
+	faultCount int, calibrate bool, pushAddr string) error {
+	n := perf.N()
 	var tr dataplane.Transport
 	var err error
 	switch transport {
@@ -293,11 +310,11 @@ func runExecute(ctx context.Context, rng *rand.Rand, res *hetsched.Result, m *he
 		err = fmt.Errorf("unknown transport %q (mem, tcp)", transport)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if faultCount > n-2 {
 		faultCount = n - 2
-		fmt.Printf("capping -faults at %d so at least two nodes survive\n", faultCount)
+		fmt.Fprintf(stdout, "capping -faults at %d so at least two nodes survive\n", faultCount)
 	}
 	victims := rng.Perm(n)[:max(faultCount, 0)]
 	total := n * (n - 1)
@@ -306,74 +323,66 @@ func runExecute(ctx context.Context, rng *rand.Rand, res *hetsched.Result, m *he
 		// Seeded points spread across the exchange's delivery count.
 		triggers[i] = 1 + rng.Intn(max(total/2, 1)) + i*total/(2*max(len(victims), 1))
 	}
+	ccfg := hetsched.CommConfig{Scheduler: scheduler}
+	if calibrate {
+		if ccfg.Calibrator, err = calib.New(perf, calib.Config{}); err != nil {
+			return err
+		}
+		if pushAddr != "" {
+			rc := directory.NewResilientClient(pushAddr, directory.ResilientConfig{})
+			defer rc.Close()
+			ccfg.CalibSink = directory.CalibrateSink(rc)
+		}
+	}
+	c, err := hetsched.NewCommunicator(n, hetsched.StaticCommSource(perf), ccfg)
+	if err != nil {
+		return err
+	}
 	var (
 		mu        sync.Mutex
 		delivered int
 		nextKill  int
 	)
-	cfg := dataplane.Config{Slack: slack}
-	var cal *calib.Calibrator
-	if calibrate {
-		var err error
-		if cal, err = calib.New(perf, calib.Config{}); err != nil {
-			fatal(err)
-		}
-		var sink func([]calib.Update) error
-		if pushAddr != "" {
-			rc := directory.NewResilientClient(pushAddr, directory.ResilientConfig{})
-			defer rc.Close()
-			sink = directory.CalibrateSink(rc)
-		}
-		cfg.Samples = func(samples []calib.Sample) {
-			cal.ObserveBatch(samples)
-			if sink == nil {
-				return
-			}
-			if updates := cal.Updates(); len(updates) > 0 {
-				if err := sink(updates); err != nil {
-					fmt.Printf("calibrate: push to %s failed: %v\n", pushAddr, err)
-				} else {
-					fmt.Printf("calibrate: pushed %d trusted pair estimates to %s\n", len(updates), pushAddr)
-				}
-			}
-		}
-	}
-	cfg.Deliver = func(src, dst int, payload []byte) {
+	ecfg := dataplane.Config{Slack: slack}
+	ecfg.Deliver = func(src, dst int, payload []byte) {
 		mu.Lock()
 		delivered++
-		kill := -1
+		kill, at := -1, delivered
 		if nextKill < len(victims) && delivered >= triggers[nextKill] {
 			kill = victims[nextKill]
 			nextKill++
 		}
 		mu.Unlock()
 		if kill >= 0 {
-			fmt.Printf("fault: killing P%d after %d deliveries\n", kill, delivered)
+			fmt.Fprintf(stdout, "fault: killing P%d after %d deliveries\n", kill, at)
 			tr.Kill(kill)
 		}
 	}
-	ex, err := dataplane.New(tr, cfg)
+	rep, _, err := c.ExecuteCtx(ctx, tr, sizes, ecfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	rep, err := ex.Run(ctx, res, m, sizes)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("executed (%s transport): %d/%d transfers delivered\n",
+	fmt.Fprintf(stdout, "executed (%s transport): %d/%d transfers delivered\n",
 		transport, rep.DeliveredTransfers+rep.ReroutedTransfers, total)
-	fmt.Print(rep.String())
-	if cal != nil {
-		printCalibration(cal, sizes)
+	fmt.Fprint(stdout, rep.String())
+	if ccfg.Calibrator == nil {
+		return nil
 	}
+	if pushAddr != "" {
+		st := c.Stats()
+		fmt.Fprintf(stdout, "calibrate: %d pushes of trusted pair estimates to %s, %d failed\n",
+			st.CalibPushes, pushAddr, st.CalibPushErrors)
+	}
+	printCalibration(stdout, ccfg.Calibrator, sizes)
+	return nil
 }
 
 // printCalibration renders the calibrator's verdict on the measured
 // network: totals, then every measured pair's estimate against the
 // table it planned from.
-func printCalibration(cal *calib.Calibrator, sizes *hetsched.Sizes) {
+func printCalibration(stdout io.Writer, cal *calib.Calibrator, sizes *hetsched.Sizes) {
 	sum := cal.Summarize()
-	fmt.Printf("calibration: %d samples accepted, %d rejected; %d/%d measured pairs trusted (threshold %.2f)\n",
+	fmt.Fprintf(stdout, "calibration: %d samples accepted, %d rejected; %d/%d measured pairs trusted (threshold %.2f)\n",
 		sum.Accepted, sum.Rejected, sum.TrustedPairs, sum.MeasuredPairs, sum.TrustThreshold)
 	n := cal.N()
 	for src := 0; src < n; src++ {
@@ -388,13 +397,8 @@ func printCalibration(cal *calib.Calibrator, sizes *hetsched.Sizes) {
 			}
 			modeled := pe.Prior.TransferTime(sizes.At(src, dst))
 			measured := pe.Perf.TransferTime(sizes.At(src, dst))
-			fmt.Printf("  P%d->P%d: %s conf %.2f, table %.4gs vs measured %.4gs (%d accepted, %d rejected)\n",
+			fmt.Fprintf(stdout, "  P%d->P%d: %s conf %.2f, table %.4gs vs measured %.4gs (%d accepted, %d rejected)\n",
 				src, dst, state, pe.Confidence, modeled, measured, pe.Accepted, pe.Rejected)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hcsim:", err)
-	os.Exit(1)
 }

@@ -219,10 +219,8 @@ func TestConfigKnobsAreSet(t *testing.T) {
 		"internal/serve.Config.MaxRetryAfter":            "TestServeOverloadChaos caps the retry-after hint",
 		"internal/serve.ServerConfig.WriteTimeout":       "TestServerDisconnectsSlowClient cuts a trickling reader off with it",
 		"internal/serve.ServerConfig.WrapConn":           "the slow-client and small-buffer tests wrap the daemon's connections",
-		// The closed calibration loop: no binary executes through a
-		// communicator yet (ROADMAP item 9(c)).
-		"internal/comm.Config.Calibrator": "TestCalibChaosDrift and TestCalibChaosLyingLink plan through it",
-		"internal/comm.Config.CalibSink":  "TestExecuteFeedsCalibSink pushes trusted estimates through it",
+		// A replan seam: the executor's default is sched.ReplanResidual.
+		"internal/exec.Config.Replan": "TestExecReplanOutOfOrderFails injects a replan whose sender starts go backwards",
 	}
 
 	// The exported fields of every config type, keyed "dir.Type.Field".

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/directory"
 	"hetsched/internal/incremental"
 	"hetsched/internal/netmodel"
@@ -74,11 +75,12 @@ func TestPipelineDirectoryToExecution(t *testing.T) {
 	// different schedule with a larger bound.
 	slow := perf1.At(0, 3)
 	slow.Bandwidth /= 100
-	if _, err := cl.UpdatePair(0, 3, slow); err != nil {
-		t.Fatal(err)
+	collapse := []calib.Update{
+		{Src: 0, Dst: 3, Latency: slow.Latency, Bandwidth: slow.Bandwidth},
+		{Src: 3, Dst: 0, Latency: slow.Latency, Bandwidth: slow.Bandwidth},
 	}
-	if _, err := cl.UpdatePair(3, 0, slow); err != nil {
-		t.Fatal(err)
+	if applied, _, _, err := cl.Calibrate(collapse, nil); err != nil || applied != 2 {
+		t.Fatalf("collapse applied %d: %v", applied, err)
 	}
 	res2, _ := schedule()
 	if res2.LowerBound <= res1.LowerBound {
@@ -209,8 +211,8 @@ func TestPipelineRefineAfterDirectoryUpdate(t *testing.T) {
 	// One link slows 5×; the directory publishes it.
 	pp := perf.At(1, 4)
 	pp.Bandwidth /= 5
-	if _, err := store.UpdatePair(1, 4, pp); err != nil {
-		t.Fatal(err)
+	if applied, _, _ := store.ApplyCalibration([]calib.Update{{Src: 1, Dst: 4, Latency: pp.Latency, Bandwidth: pp.Bandwidth}}); applied != 1 {
+		t.Fatal("the slowed link did not apply")
 	}
 	fresh, _ := store.Snapshot()
 	cur, err := BuildUniform(fresh, 1<<20)

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -42,7 +43,7 @@ func chaosExchange(t *testing.T, c *Communicator, n int, sizes *model.Sizes, wra
 		t.Fatal(err)
 	}
 	tr.SetPairWrapper(wrap)
-	rep, _, err := c.Execute(tr, sizes, ecfg)
+	rep, _, err := c.ExecuteCtx(context.Background(), tr, sizes, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ type Config struct {
 	// ladder transitions downward (fresh→stale, →degraded) — the
 	// moment an outage becomes visible to planning. Nil disables it.
 	Flight *obs.FlightRecorder
-	// Calibrator, when set, closes the measurement loop: Execute feeds
+	// Calibrator, when set, closes the measurement loop: ExecuteCtx feeds
 	// the executor's per-transfer timings through it, and the fresh and
 	// stale rungs of the fallback ladder overlay its trusted per-pair
 	// estimates on every snapshot before planning (untrusted and cold
@@ -70,7 +70,7 @@ type Config struct {
 	// built before calibration existed, allocations included.
 	Calibrator *calib.Calibrator
 	// CalibSink, when set alongside Calibrator, receives each batch of
-	// confident estimates the calibrator drains after an Execute —
+	// confident estimates the calibrator drains after an ExecuteCtx —
 	// directory.CalibrateSink is the canonical adapter, completing the
 	// loop back into the shared directory. Push failures are counted in
 	// Stats, never fatal: the calibrator keeps its state and the next

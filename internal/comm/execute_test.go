@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	got := map[[2]int]int64{}
-	rep, r, err := c.Execute(tr, sizes, exec.Config{
+	rep, r, err := c.ExecuteCtx(context.Background(), tr, sizes, exec.Config{
 		MinDeadline: 250_000_000, // 250ms: scheduling noise must not kill transfers
 		Deliver: func(src, dst int, payload []byte) {
 			mu.Lock()
@@ -61,7 +62,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 		}
 	}
 	if c.Stats().Plans == 0 {
-		t.Fatal("Execute did not count a plan")
+		t.Fatal("ExecuteCtx did not count a plan")
 	}
 }
 
@@ -74,13 +75,13 @@ func TestExecuteShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, _, err := c.Execute(tr, model.UniformSizes(4, 1), exec.Config{}); err == nil {
+	if _, _, err := c.ExecuteCtx(context.Background(), tr, model.UniformSizes(4, 1), exec.Config{}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
 
 // TestExecuteFeedsCalibSink closes the loop Config.CalibSink stands
-// for: every Execute hands its measured transfers to the calibrator,
+// for: every ExecuteCtx hands its measured transfers to the calibrator,
 // and the estimates it comes to trust are pushed to the sink, counted
 // as pushes, and as push errors when the sink fails.
 func TestExecuteFeedsCalibSink(t *testing.T) {
@@ -103,7 +104,7 @@ func TestExecuteFeedsCalibSink(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A generous deadline: a retried transfer is no sample.
-			rep, _, err := c.Execute(tr, model.UniformSizes(n, 1<<12), exec.Config{MinDeadline: 2 * time.Second})
+			rep, _, err := c.ExecuteCtx(context.Background(), tr, model.UniformSizes(n, 1<<12), exec.Config{MinDeadline: 2 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}

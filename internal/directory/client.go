@@ -20,8 +20,8 @@ import (
 // former is retriable, the latter is not.
 var (
 	// ErrBroken is returned by every call after a transport failure
-	// left the connection in an undefined framing state, until
-	// Reconnect succeeds.
+	// left the connection in an undefined framing state; the client is
+	// done, and recovery is a fresh Dial.
 	ErrBroken = errors.New("directory: client connection broken")
 	// ErrUnavailable marks transport-level failures; test with
 	// errors.Is to decide whether retrying can help.
@@ -38,54 +38,29 @@ var wallClock = time.Now
 // concurrent use; requests on one client are serialized over one
 // connection (the protocol is strictly request/response). The round
 // trip is wire.Client's, and so is the rule that a transport error
-// breaks the connection: every later call fails fast with ErrBroken
-// until Reconnect. This type owns the ops and the error contract.
+// breaks the connection: every later call fails fast with ErrBroken,
+// and recovery is a fresh Dial (ResilientClient dials one after every
+// break). This type owns the ops and the error contract.
 type Client struct {
-	addr        string
-	dialTimeout time.Duration
-	w           *wire.Client
-	reqTimeout  atomic.Int64 // time.Duration; 0 means unbounded
+	w          *wire.Client
+	reqTimeout atomic.Int64 // time.Duration; 0 means unbounded
 }
 
 // Dial connects to a directory server. timeout bounds the connection
-// attempt; zero means no timeout. The address and timeout are kept for
-// later Reconnect calls.
+// attempt; zero means no timeout.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnavailable, addr, err)
 	}
-	return &Client{addr: addr, dialTimeout: timeout, w: wire.NewClient(conn, wallClock)}, nil
+	return &Client{w: wire.NewClient(conn, wallClock)}, nil
 }
 
 // SetRequestTimeout bounds every subsequent round trip (write plus
 // read) with a connection deadline. Zero restores unbounded requests.
 func (c *Client) SetRequestTimeout(d time.Duration) { c.reqTimeout.Store(int64(d)) }
 
-// SetClock injects the clock used to compute request deadlines; nil
-// restores the wall clock. Note ResilientConfig.Clock is deliberately
-// NOT propagated here: that clock is virtual time for cache ages,
-// while deadlines must track the wall clock the kernel enforces.
-func (c *Client) SetClock(clock func() time.Time) {
-	if clock == nil {
-		clock = wallClock
-	}
-	c.w.SetClock(clock)
-}
-
-// Reconnect dials a fresh connection to the original address, clearing
-// the broken state on success. The swap is atomic with respect to round
-// trips (wire.Client.Redial), so the dial stalls concurrent requests;
-// use ResilientClient when it must not.
-func (c *Client) Reconnect() error {
-	err := c.w.Redial(func() (net.Conn, error) { return net.DialTimeout("tcp", c.addr, c.dialTimeout) })
-	if err != nil {
-		return fmt.Errorf("%w: redial %s: %v", ErrUnavailable, c.addr, err)
-	}
-	return nil
-}
-
-// Broken reports whether the client needs a Reconnect.
+// Broken reports whether a transport error has left the client unusable.
 func (c *Client) Broken() bool { return c.w.Broken() }
 
 // Close shuts the connection; later calls return ErrBroken.
@@ -119,7 +94,7 @@ func (c *Client) roundTripLine(out []byte, asked *uint64) (response, error) {
 	})
 	switch {
 	case errors.Is(err, wire.ErrBroken):
-		return response{}, fmt.Errorf("%w (call Reconnect to recover)", ErrBroken)
+		return response{}, fmt.Errorf("%w (dial a new client to recover)", ErrBroken)
 	case err != nil:
 		return response{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	case !resp.OK:
@@ -191,15 +166,6 @@ func (c *Client) Calibrate(updates []calib.Update, samples []calib.Sample) (appl
 		return 0, 0, 0, err
 	}
 	return resp.Applied, resp.Rejected, resp.Version, nil
-}
-
-// UpdatePair publishes fresh performance for one ordered pair.
-func (c *Client) UpdatePair(src, dst int, pp netmodel.PairPerf) (uint64, error) {
-	resp, err := c.roundTrip(request{Op: opUpdatePair, Src: src, Dst: dst, Latency: pp.Latency, Bandwidth: pp.Bandwidth})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
 }
 
 // Version fetches the store's version counter.

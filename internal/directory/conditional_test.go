@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 )
@@ -30,9 +31,9 @@ func TestConditionalSnapshotWireShape(t *testing.T) {
 		req  request
 		wire string
 	}{
-		{request{Op: opSnapshot}, `{"op":"snapshot","src":0,"dst":0,"latency":0,"bandwidth":0}` + "\n"},
-		{request{Op: opSnapshot, IfVersion: u64(0)}, `{"op":"snapshot","src":0,"dst":0,"latency":0,"bandwidth":0,"if_version":0}` + "\n"},
-		{request{Op: opSnapshot, IfVersion: u64(7)}, `{"op":"snapshot","src":0,"dst":0,"latency":0,"bandwidth":0,"if_version":7}` + "\n"},
+		{request{Op: opSnapshot}, `{"op":"snapshot","src":0,"dst":0}` + "\n"},
+		{request{Op: opSnapshot, IfVersion: u64(0)}, `{"op":"snapshot","src":0,"dst":0,"if_version":0}` + "\n"},
+		{request{Op: opSnapshot, IfVersion: u64(7)}, `{"op":"snapshot","src":0,"dst":0,"if_version":7}` + "\n"},
 	} {
 		wire, err := encodeRequest(tc.req)
 		if err != nil {
@@ -82,8 +83,8 @@ func TestStoreSnapshotUnless(t *testing.T) {
 	if perf, v := store.snapshotUnless(u64(3)); perf == nil || v != 0 {
 		t.Errorf("another version must get the table: got table %v, version %d", perf != nil, v)
 	}
-	if _, err := store.UpdatePair(0, 1, netmodel.PairPerf{Latency: 1e-3, Bandwidth: 1e6}); err != nil {
-		t.Fatal(err)
+	if applied, _, _ := store.ApplyCalibration([]calib.Update{{Src: 0, Dst: 1, Latency: 1e-3, Bandwidth: 1e6}}); applied != 1 {
+		t.Fatal("the update did not apply")
 	}
 	if perf, v := store.snapshotUnless(u64(0)); perf == nil || v != 1 {
 		t.Errorf("after an update version 0 is gone: got table %v, version %d", perf != nil, v)
@@ -327,8 +328,8 @@ func TestOneTableTransferPerGeneration(t *testing.T) {
 	}
 
 	// A new generation: one more transfer, then not_modified again.
-	if _, err := store.UpdatePair(0, 1, netmodel.PairPerf{Latency: 1e-3, Bandwidth: 1e6}); err != nil {
-		t.Fatal(err)
+	if applied, _, _ := store.ApplyCalibration([]calib.Update{{Src: 0, Dst: 1, Latency: 1e-3, Bandwidth: 1e6}}); applied != 1 {
+		t.Fatal("the update did not apply")
 	}
 	want, _ := store.Snapshot()
 	for k := 0; k < 64; k++ {

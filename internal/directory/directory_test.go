@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
 )
 
@@ -65,19 +66,20 @@ func TestStoreQuerySnapshotVersion(t *testing.T) {
 
 func TestStoreUpdates(t *testing.T) {
 	s := newTestStore(t)
-	v, err := s.UpdatePair(0, 1, netmodel.PairPerf{Latency: 0.5, Bandwidth: 100})
-	if err != nil || v != 1 {
-		t.Fatalf("UpdatePair: %v v=%d", err, v)
+	applied, rejected, v := s.ApplyCalibration([]calib.Update{{Src: 0, Dst: 1, Latency: 0.5, Bandwidth: 100}})
+	if applied != 1 || rejected != 0 || v != 1 {
+		t.Fatalf("ApplyCalibration: applied %d rejected %d v=%d", applied, rejected, v)
 	}
 	pp, v2, _ := s.Query(0, 1)
 	if pp.Latency != 0.5 || v2 != 1 {
 		t.Error("update not visible")
 	}
-	if _, err := s.UpdatePair(1, 1, netmodel.PairPerf{Latency: 0.5, Bandwidth: 100}); err == nil {
-		t.Error("diagonal update accepted")
+	bad := []calib.Update{
+		{Src: 1, Dst: 1, Latency: 0.5, Bandwidth: 100}, // diagonal
+		{Src: 0, Dst: 1, Latency: -1, Bandwidth: 100},  // invalid perf
 	}
-	if _, err := s.UpdatePair(0, 1, netmodel.PairPerf{Latency: -1, Bandwidth: 100}); err == nil {
-		t.Error("invalid perf accepted")
+	if applied, rejected, v := s.ApplyCalibration(bad); applied != 0 || rejected != 2 || v != 1 {
+		t.Errorf("bad updates: applied %d rejected %d v=%d; want 0, 2, 1", applied, rejected, v)
 	}
 	if _, err := s.Update(netmodel.NewPerf(3).Scale(1)); err == nil {
 		t.Error("size-mismatched full update accepted")
@@ -103,7 +105,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				case 1:
 					s.Query(g%5, (g+1)%5)
 				default:
-					s.UpdatePair(g%5, (g+2)%5, netmodel.PairPerf{Latency: 0.01, Bandwidth: 1000})
+					s.ApplyCalibration([]calib.Update{{Src: g % 5, Dst: (g + 2) % 5, Latency: 0.01, Bandwidth: 1000}})
 				}
 			}
 		}(g)
@@ -148,12 +150,12 @@ func TestServerClientEndToEnd(t *testing.T) {
 		t.Error("snapshot values corrupted in transit")
 	}
 
-	nv, err := cl.UpdatePair(0, 1, netmodel.PairPerf{Latency: 0.042, Bandwidth: 4242})
+	applied, _, nv, err := cl.Calibrate([]calib.Update{{Src: 0, Dst: 1, Latency: 0.042, Bandwidth: 4242}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv != 1 {
-		t.Errorf("update version = %d", nv)
+	if applied != 1 || nv != 1 {
+		t.Errorf("update applied %d, version %d", applied, nv)
 	}
 	pp, _, err = cl.Query(0, 1)
 	if err != nil || pp.Bandwidth != 4242 {
@@ -185,8 +187,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if _, _, err := cl.Query(0, 1); err != nil {
 		t.Errorf("connection broken after error: %v", err)
 	}
-	if _, err := cl.UpdatePair(2, 2, netmodel.PairPerf{Latency: 1, Bandwidth: 1}); err == nil {
-		t.Error("diagonal update accepted over wire")
+	if applied, rejected, _, err := cl.Calibrate([]calib.Update{{Src: 2, Dst: 2, Latency: 1, Bandwidth: 1}}, nil); err != nil || applied != 0 || rejected != 1 {
+		t.Errorf("diagonal update over wire: applied %d rejected %d, %v", applied, rejected, err)
 	}
 }
 

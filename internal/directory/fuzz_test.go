@@ -17,7 +17,7 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(`{"op":"snapshot","if_version":null}`)
 	f.Add(`{"op":"snapshot","if_version":-1}`)
 	f.Add(`{"op":"snapshot","if_version":18446744073709551615}`)
-	f.Add(`{"op":"update_pair","src":0,"dst":3,"latency":0.02,"bandwidth":1e6}`)
+	f.Add(`{"op":"calibrate","updates":[{"src":0,"dst":3,"latency":0.02,"bandwidth":1e6}]}`)
 	f.Add(`{"op":"version"}`)
 	f.Add(`{"ok":true,"version":7,"latency":0.012,"bandwidth":255500}`)
 	f.Add(`{"ok":true,"version":7,"n":2,"names":["a","b"],"lat_table":[[0,1],[1,0]],"bw_table":[[0,1],[1,0]]}`)

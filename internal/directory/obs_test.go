@@ -1,11 +1,15 @@
 package directory
 
 import (
+	"bufio"
 	"context"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 )
@@ -45,7 +49,7 @@ func TestServerMetrics(t *testing.T) {
 	if _, _, _, err := cl.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	v, err := cl.UpdatePair(0, 1, netmodel.PairPerf{Latency: 1e-3, Bandwidth: 1e6})
+	_, _, v, err := cl.Calibrate([]calib.Update{{Src: 0, Dst: 1, Latency: 1e-3, Bandwidth: 1e6}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +60,68 @@ func TestServerMetrics(t *testing.T) {
 	if got := readCounter(t, reg, obs.MetricDirectoryServerConns); got != 1 {
 		t.Errorf("connections = %d, want 1", got)
 	}
-	for _, op := range []string{opQuery, opSnapshot, opUpdatePair, opVersion} {
+	for _, op := range []string{opQuery, opSnapshot, OpCalibrate, opVersion} {
 		if got := readCounter(t, reg, obs.MetricDirectoryServerRequests, obs.L("op", op)); got != 1 {
 			t.Errorf("requests{op=%s} = %d, want 1", op, got)
 		}
 	}
 	if got := reg.Gauge(obs.MetricDirectoryStoreVersion, "").Value(); got != float64(v) {
 		t.Errorf("store-version gauge = %g, want %d", got, v)
+	}
+}
+
+// TestServerRefusesUnknownOps: a request naming an op the protocol
+// does not have — a retired write among them, now that calibrate is
+// the only one — gets an error answer, counts as op="invalid", writes
+// nothing, and leaves the connection open for the next request.
+func TestServerRefusesUnknownOps(t *testing.T) {
+	store, err := NewStore(netmodel.Gusto(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	srv := NewServer(store)
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	rd := bufio.NewScanner(conn)
+	ask := func(line string) response {
+		t.Helper()
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if !rd.Scan() {
+			t.Fatalf("%s: connection closed (%v)", line, rd.Err())
+		}
+		resp, err := parseResponse(rd.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for i, tc := range []struct{ line, op string }{
+		{`{"op":"update_pair","src":0,"dst":1,"latency":0.02,"bandwidth":1e6}`, "update_pair"},
+		{`{"op":"nope"}`, "nope"},
+	} {
+		want := fmt.Sprintf("unknown op %q", tc.op)
+		if resp := ask(tc.line); resp.OK || resp.Error != want {
+			t.Errorf("%s: answered %+v, want error %s", tc.line, resp, want)
+		}
+		if got := readCounter(t, reg, obs.MetricDirectoryServerRequests, obs.L("op", "invalid")); got != uint64(i+1) {
+			t.Errorf("%s: requests{op=invalid} = %d, want %d", tc.line, got, i+1)
+		}
+		if resp := ask(`{"op":"version"}`); !resp.OK || resp.Version != 0 {
+			t.Errorf("after %s: version answered %+v, want ok at version 0", tc.line, resp)
+		}
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 //	← {"ok":true,"version":7,"n":5,"names":[...],"lat_table":[[...]],"bw_table":[[...]]}
 //	→ {"op":"snapshot","if_version":7}
 //	← {"ok":true,"version":7,"not_modified":true}
-//	→ {"op":"update_pair","src":0,"dst":3,"latency":0.02,"bandwidth":1e6}
-//	← {"ok":true,"version":8}
+//	→ {"op":"calibrate","updates":[{"src":0,"dst":3,"latency":0.02,"bandwidth":1e6}]}
+//	← {"ok":true,"version":8,"applied":1}
 //	→ {"op":"version"}
 //	← {"ok":true,"version":8}
 //
+// calibrate (calibproto.go) is the only op that writes the table.
 // Unknown ops and malformed requests get {"ok":false,"error":"..."}.
 //
 // A snapshot request may carry if_version, the version of the table the
@@ -41,11 +42,9 @@ import (
 
 // request is the union of all request shapes.
 type request struct {
-	Op        string  `json:"op"`
-	Src       int     `json:"src"`
-	Dst       int     `json:"dst"`
-	Latency   float64 `json:"latency"`
-	Bandwidth float64 `json:"bandwidth"`
+	Op  string `json:"op"`
+	Src int    `json:"src"`
+	Dst int    `json:"dst"`
 	// IfVersion makes a snapshot conditional; a pointer because version
 	// 0 is a valid validator and must not read as absent.
 	IfVersion *uint64 `json:"if_version,omitempty"`
@@ -75,10 +74,9 @@ type response struct {
 
 // Protocol op names.
 const (
-	opQuery      = "query"
-	opSnapshot   = "snapshot"
-	opUpdatePair = "update_pair"
-	opVersion    = "version"
+	opQuery    = "query"
+	opSnapshot = "snapshot"
+	opVersion  = "version"
 )
 
 // parseRequest decodes one request line. Unknown JSON fields are

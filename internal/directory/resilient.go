@@ -142,8 +142,8 @@ type ResilientClient struct {
 // connection it arrived on, because its version identifies the table
 // only to the server behind that connection: a redial may reach a
 // restarted directory whose counter reads the same over another table.
-// The client never Reconnects a *Client in place, so pointer identity
-// is connection identity.
+// Every redial makes a fresh *Client (no client reconnects in place),
+// so pointer identity is connection identity.
 type heldSnapshot struct {
 	perf    *netmodel.Perf
 	names   []string
@@ -295,7 +295,7 @@ func (r *ResilientClient) sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // doCtx runs op (named for telemetry) with retry, backoff, and
-// reconnection. Server-reported errors (out-of-range pair, invalid
+// reconnection. Server-reported errors (out-of-range pair, malformed
 // update) return immediately; only transport failures are retried. A
 // canceled ctx aborts the backoff wait immediately and stops further
 // attempts; the in-flight network call itself is still bounded by
@@ -479,32 +479,11 @@ func (r *ResilientClient) QueryContext(ctx context.Context, src, dst int) (netmo
 	return netmodel.PairPerf{}, SnapshotMeta{}, err
 }
 
-// UpdatePair publishes fresh performance with retry and reconnection.
-// Writes never degrade: if the server cannot be reached the error is
-// returned so the caller knows the update was not published.
-func (r *ResilientClient) UpdatePair(src, dst int, pp netmodel.PairPerf) (uint64, error) {
-	return r.UpdatePairContext(context.Background(), src, dst, pp)
-}
-
-// UpdatePairContext is UpdatePair with context-aware retry backoff.
-func (r *ResilientClient) UpdatePairContext(ctx context.Context, src, dst int, pp netmodel.PairPerf) (uint64, error) {
-	var ver uint64
-	err := r.doCtx(ctx, "update", func(cl *Client) error {
-		v, e := cl.UpdatePair(src, dst, pp)
-		if e != nil {
-			return e
-		}
-		ver = v
-		return nil
-	})
-	return ver, err
-}
-
 // Calibrate pushes one calibration batch with retry and reconnection.
-// Like UpdatePair, writes never degrade: if the server cannot be
-// reached the error is returned so the caller knows the feed push was
-// lost (the calibrator keeps its state, so the next drain re-derives
-// anything that still matters).
+// Writes never degrade: if the server cannot be reached the error is
+// returned so the caller knows the feed push was lost (the calibrator
+// keeps its state, so the next drain re-derives anything that still
+// matters).
 func (r *ResilientClient) Calibrate(updates []calib.Update, samples []calib.Sample) (applied, rejected int, version uint64, err error) {
 	return r.CalibrateContext(context.Background(), updates, samples)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/faults"
 	"hetsched/internal/netmodel"
 )
@@ -50,26 +51,6 @@ func TestClientBrokenAfterTransportError(t *testing.T) {
 	}
 	if !cl.Broken() {
 		t.Error("Broken() = false after transport error")
-	}
-	// Reconnect against a dead server reports unavailable and stays broken.
-	if err := cl.Reconnect(); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("reconnect to dead server = %v", err)
-	}
-	// Bring a server back on the same address; Reconnect recovers.
-	store2, err := NewStore(netmodel.Gusto(), netmodel.GustoSites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := NewServer(store2)
-	if _, err := srv2.Listen(addr); err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	if err := cl.Reconnect(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cl.Query(0, 1); err != nil {
-		t.Errorf("query after reconnect: %v", err)
 	}
 }
 
@@ -208,7 +189,7 @@ func TestResilientRetriesThroughReconnect(t *testing.T) {
 		t.Errorf("server error consumed %d retries", after-before)
 	}
 	// Writes reach the store.
-	if _, err := rc.UpdatePair(0, 1, netmodel.PairPerf{Latency: 0.01, Bandwidth: 1000}); err != nil {
+	if _, _, _, err := rc.Calibrate([]calib.Update{{Src: 0, Dst: 1, Latency: 0.01, Bandwidth: 1000}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v := store.Version(); v == 0 {
@@ -259,7 +240,7 @@ func TestResilientServesStaleSnapshotWithAge(t *testing.T) {
 		t.Errorf("stale pair = %+v", pp)
 	}
 	// Writes must NOT silently degrade.
-	if _, err := rc.UpdatePair(0, 1, netmodel.PairPerf{Latency: 0.01, Bandwidth: 1000}); !errors.Is(err, ErrUnavailable) {
+	if _, _, _, err := rc.Calibrate([]calib.Update{{Src: 0, Dst: 1, Latency: 0.01, Bandwidth: 1000}}, nil); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("write against dead server = %v, want ErrUnavailable", err)
 	}
 	// The cache serves at any age; the age tells the caller how stale.
@@ -332,8 +313,8 @@ func TestChaosResilientUnderConnFaults(t *testing.T) {
 					return
 				}
 				pp := perf.At(src, dst)
-				pp.Bandwidth *= 1.01
-				if _, err := rc.UpdatePair(src, dst, pp); err != nil {
+				up := calib.Update{Src: src, Dst: dst, Latency: pp.Latency, Bandwidth: pp.Bandwidth * 1.01}
+				if _, _, _, err := rc.Calibrate([]calib.Update{up}, nil); err != nil {
 					t.Errorf("client %d iter %d update: %v", g, k, err)
 					return
 				}

@@ -41,15 +41,6 @@ func NewServer(store *Store) *Server {
 	return s
 }
 
-// SetClock injects the clock used to compute idle deadlines; nil
-// restores the wall clock. Call before Listen.
-func (s *Server) SetClock(clock func() time.Time) {
-	if clock == nil {
-		clock = wallClock
-	}
-	s.w.Clock = clock
-}
-
 // SetIdleTimeout makes the server drop connections that stay silent
 // longer than d, so dead clients cannot pin serving goroutines
 // forever. Zero (the default) keeps connections open indefinitely.
@@ -67,7 +58,7 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 	s.mConns = reg.Counter(obs.MetricDirectoryServerConns,
 		"Connections accepted by the directory server.")
 	s.mReqs = map[string]*obs.Counter{}
-	for _, op := range []string{opQuery, opSnapshot, countSnapshotUnchanged, opUpdatePair, opVersion, OpCalibrate, "invalid"} {
+	for _, op := range []string{opQuery, opSnapshot, countSnapshotUnchanged, opVersion, OpCalibrate, "invalid"} {
 		s.mReqs[op] = reg.Counter(obs.MetricDirectoryServerRequests,
 			"Requests handled by the directory server, by op; a snapshot answered not_modified counts as snapshot_unchanged, not snapshot.", obs.L("op", op))
 	}
@@ -150,13 +141,6 @@ func (s *Server) answer(req request) response {
 			return response{OK: true, Version: v, NotModified: true}
 		}
 		return tableResponse(perf, s.store.Names(), v)
-	case opUpdatePair:
-		v, err := s.store.UpdatePair(req.Src, req.Dst, netmodel.PairPerf{Latency: req.Latency, Bandwidth: req.Bandwidth})
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		s.mVersion.Set(float64(v))
-		return response{OK: true, Version: v}
 	case opVersion:
 		v := s.store.Version()
 		s.mVersion.Set(float64(v))

@@ -118,30 +118,16 @@ func (s *Store) Update(perf *netmodel.Perf) (uint64, error) {
 	return v, nil
 }
 
-// UpdatePair changes one ordered pair and returns the new version.
-func (s *Store) UpdatePair(src, dst int, pp netmodel.PairPerf) (uint64, error) {
-	if !pp.Valid() {
-		return 0, fmt.Errorf("directory: invalid performance %+v", pp)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if src < 0 || src >= s.perf.N() || dst < 0 || dst >= s.perf.N() || src == dst {
-		return 0, fmt.Errorf("directory: pair (%d,%d) out of range", src, dst)
-	}
-	s.perf.Set(src, dst, pp)
-	s.version++
-	return s.version, nil
-}
-
-// ApplyCalibration folds a batch of fitted calibration updates into the
-// table. Every entry is bounds-checked at this boundary — index range,
-// no diagonal, netmodel.PairPerf.Check — regardless of the confidence
-// the sender claims; offending entries are counted in rejected and
-// skipped, so one garbage update can never poison the shared table or
-// veto its batch-mates. The version bumps once per batch (not per
-// entry) and only when at least one entry applied, so version pollers
-// see one change per feed push, and a fully rejected batch is
-// invisible. The returned version is current either way.
+// ApplyCalibration folds a batch of fitted calibration updates into
+// the table; it is the store's only per-pair write. Every entry is
+// bounds-checked at this boundary — index range, no diagonal,
+// netmodel.PairPerf.Check — regardless of the confidence the sender
+// claims; offending entries are counted in rejected and skipped, so
+// one garbage update can never poison the shared table or veto its
+// batch-mates. The version bumps once per batch (not per entry) and
+// only when at least one entry applied, so version pollers see one
+// change per feed push, and a fully rejected batch is invisible. The
+// returned version is current either way.
 func (s *Store) ApplyCalibration(updates []calib.Update) (applied, rejected int, version uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
 )
 
@@ -115,8 +116,9 @@ func TestServerConcurrentStress(t *testing.T) {
 					t.Errorf("client %d: snapshot invalid: %v", g, err)
 					return
 				}
-				if _, err := c.UpdatePair(src, dst, netmodel.PairPerf{Latency: pp.Latency, Bandwidth: pp.Bandwidth * (0.9 + 0.2*rng.Float64())}); err != nil {
-					t.Errorf("client %d update: %v", g, err)
+				up := calib.Update{Src: src, Dst: dst, Latency: pp.Latency, Bandwidth: pp.Bandwidth * (0.9 + 0.2*rng.Float64())}
+				if applied, _, _, err := c.Calibrate([]calib.Update{up}, nil); err != nil || applied != 1 {
+					t.Errorf("client %d update: applied %d, %v", g, applied, err)
 					return
 				}
 				if _, err := c.Version(); err != nil {

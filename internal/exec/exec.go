@@ -12,11 +12,10 @@
 // the peer dead, at which point the executor computes the residual
 // communication pattern (undelivered survivor-to-survivor entries
 // only), re-plans it through sched.ReplanResidual (or an injected
-// ReplanFunc routing through the communicator's scheduler ladder), and
-// resumes. Run returns a DeliveryReport accounting for every byte of
-// the exchange: delivered under the original plan, rerouted under a
-// replan, or abandoned with a reason, plus measured wall clock against
-// the plan's modeled t_max.
+// ReplanFunc), and resumes. Run returns a DeliveryReport accounting
+// for every byte of the exchange: delivered under the original plan,
+// rerouted under a replan, or abandoned with a reason, plus measured
+// wall clock against the plan's modeled t_max.
 //
 // Delivery is exactly-once to the Deliver sink: the sender side is
 // at-least-once (retries may duplicate an attempt whose ack was lost),
@@ -162,9 +161,7 @@ func New(tr Transport, cfg Config) (*Executor, error) {
 		cfg.Seed = 1
 	}
 	if cfg.Replan == nil {
-		cfg.Replan = func(m *model.Matrix, residual sched.Pattern, alive func(int) bool) (*sched.Result, error) {
-			return sched.ReplanResidual(m, residual, alive)
-		}
+		cfg.Replan = sched.ReplanResidual
 	}
 	fill := defaultFill
 	if gen := cfg.Payload; gen != nil {

@@ -85,20 +85,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		want := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, want) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {

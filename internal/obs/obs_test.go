@@ -46,7 +46,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(2)
 	h.Observe(0.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil instruments must read as zero")

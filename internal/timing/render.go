@@ -122,20 +122,3 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
-
-// Summary returns a one-line description: event count, completion
-// time, and the busiest sender.
-func (s *Schedule) Summary() string {
-	busiest, busy := -1, -1.0
-	perSender := make([]float64, s.N)
-	for _, e := range s.Events {
-		perSender[e.Src] += e.Duration()
-	}
-	for p, b := range perSender {
-		if b > busy {
-			busiest, busy = p, b
-		}
-	}
-	return fmt.Sprintf("%d events, t_max=%.4g, busiest sender P%d (%.4g busy)",
-		len(s.Events), s.CompletionTime(), busiest, busy)
-}

@@ -402,14 +402,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	s := &Schedule{N: 2, Events: []Event{{Src: 1, Dst: 0, Start: 0, Finish: 2}}}
-	sum := s.Summary()
-	if !strings.Contains(sum, "1 events") || !strings.Contains(sum, "P1") {
-		t.Errorf("Summary = %q", sum)
-	}
-}
-
 func TestAsyncNeverSlowerThanBarrierProperty(t *testing.T) {
 	// Removing barriers can only remove waiting: for any valid step
 	// schedule and matrix, the asynchronous evaluation completes no

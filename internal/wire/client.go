@@ -21,7 +21,8 @@ var ErrBroken = errors.New("connection broken")
 // accident — a second goroutine interleaving writes would corrupt the
 // stream, not speed it up. After a transport error part of a request
 // may have been written or part of a response left unread, so the
-// client is broken and later RoundTrips fail fast until Redial.
+// client is broken for good: later RoundTrips fail fast, and recovery
+// is a new Client on a new connection.
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn // nil once closed
@@ -33,13 +34,6 @@ type Client struct {
 // NewClient frames an established connection.
 func NewClient(conn net.Conn, clock func() time.Time) *Client {
 	return &Client{conn: conn, sc: newScanner(conn), clock: clock}
-}
-
-// SetClock replaces the clock request deadlines are computed from.
-func (c *Client) SetClock(clock func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock = clock
 }
 
 // RoundTrip writes one request line and hands the one response line to
@@ -84,29 +78,8 @@ func (c *Client) exchange(out []byte, dl time.Time, decode func(line []byte) err
 	return decode(c.sc.Bytes())
 }
 
-// Redial replaces the connection with the one dial returns, clearing
-// the broken state on success — under the framing lock on purpose, so a
-// RoundTrip sees the old connection or the new, never half of each.
-func (c *Client) Redial(dial func() (net.Conn, error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.broken.Store(true)
-	if c.conn != nil {
-		//hetvet:ignore lockio atomic swap under the framing lock; the old connection's close error is meaningless
-		c.conn.Close()
-	}
-	conn, err := dial()
-	if err != nil {
-		c.conn = nil
-		return err
-	}
-	c.conn, c.sc = conn, newScanner(conn)
-	c.broken.Store(false)
-	return nil
-}
-
-// Broken reports whether the client needs a Redial; it does not wait
-// for an exchange in flight.
+// Broken reports whether the client is unusable; it does not wait for
+// an exchange in flight.
 func (c *Client) Broken() bool { return c.broken.Load() }
 
 // Close shuts the connection, after unlocking so the next caller fails

@@ -77,7 +77,7 @@ func TestClientConcurrentCallersKeepFraming(t *testing.T) {
 
 // TestClientPoisonedByTransportError: after a timed-out exchange the
 // connection is broken and later calls fail fast with ErrBroken without
-// writing anything; Redial restores service.
+// writing anything.
 func TestClientPoisonedByTransportError(t *testing.T) {
 	mute := &Server{Handler: func([]byte) ([]byte, bool) { return []byte{}, true }} // reads, never answers
 	muteAddr := startEcho(t, mute)
@@ -99,18 +99,6 @@ func TestClientPoisonedByTransportError(t *testing.T) {
 	}
 	if n := conn.writes.Load(); n != 1 {
 		t.Fatalf("a broken client wrote %d more requests", n-1)
-	}
-
-	echoAddr := startEcho(t, &Server{})
-	if err := c.Redial(func() (net.Conn, error) { return nil, errors.New("no route") }); err == nil || !c.Broken() {
-		t.Fatalf("failed redial = %v, broken=%v; want the error and still broken", err, c.Broken())
-	}
-	if err := c.Redial(func() (net.Conn, error) { return net.Dial("tcp", echoAddr) }); err != nil || c.Broken() {
-		t.Fatalf("redial = %v, broken=%v", err, c.Broken())
-	}
-	var got string
-	if err := c.RoundTrip(context.Background(), []byte("back\n"), time.Second, keep(&got)); err != nil || got != "back" {
-		t.Fatalf("round trip after redial = %q, %v", got, err)
 	}
 }
 
@@ -158,13 +146,6 @@ func TestClientDeadlineIsTheTighterOfBudgetAndContext(t *testing.T) {
 		if read, _ := dc.deadlines(); len(read) != i+1 || !read[i].Equal(tc.want) {
 			t.Errorf("case %d: deadlines %v, want the last to be %v", i, read, tc.want)
 		}
-	}
-	c.SetClock(time.Now)
-	if err := c.RoundTrip(context.Background(), []byte("x\n"), time.Hour, keep(new(string))); err != nil {
-		t.Fatal(err)
-	}
-	if read, _ := dc.deadlines(); time.Until(read[len(read)-1]) > 2*time.Hour {
-		t.Errorf("SetClock did not take: deadline %v", read[len(read)-1])
 	}
 }
 

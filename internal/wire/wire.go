@@ -9,9 +9,11 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // maxLine bounds a line in either direction; a longer one is a corrupt
@@ -24,13 +26,32 @@ func newScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// EncodeLine renders v as one newline-terminated JSON wire line.
+// lineEncoder is EncodeLine's pooled scratch: an encoder that writes
+// into its own buffer.
+type lineEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var lineEncoders = sync.Pool{New: func() any {
+	le := new(lineEncoder)
+	le.enc = json.NewEncoder(&le.buf)
+	return le
+}}
+
+// EncodeLine renders v as one newline-terminated JSON wire line, the
+// bytes json.Marshal gives plus the newline. The line is built in pooled
+// scratch and copied out once, so it costs one allocation whatever its
+// length; appending the newline to json.Marshal's result costs a second
+// whenever the JSON is exactly a malloc size class long.
 func EncodeLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
+	le := lineEncoders.Get().(*lineEncoder)
+	defer lineEncoders.Put(le)
+	le.buf.Reset()
+	if err := le.enc.Encode(v); err != nil {
 		return nil, fmt.Errorf("encode line: %w", err)
 	}
-	return append(b, '\n'), nil
+	return bytes.Clone(le.buf.Bytes()), nil
 }
 
 // DecodeLine parses one JSON wire line into v; a trailing newline is

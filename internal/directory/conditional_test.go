@@ -59,7 +59,7 @@ func TestConditionalSnapshotWireShape(t *testing.T) {
 		t.Errorf("absent if_version must parse as absent: %+v, %v", req, err)
 	}
 
-	wire, err := encodeResponse(response{OK: true, Version: 7, NotModified: true})
+	wire, err := appendResponse(nil, response{OK: true, Version: 7, NotModified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func scriptedServer(t *testing.T, reply func(k int, req request) response) strin
 					if err != nil {
 						return
 					}
-					out, err := encodeResponse(reply(k, req))
+					out, err := appendResponse(nil, reply(k, req))
 					if err != nil {
 						return
 					}

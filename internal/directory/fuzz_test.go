@@ -57,7 +57,7 @@ func FuzzProtocolDecode(f *testing.F) {
 			// A decoded empty table re-encodes as an omitted field, so
 			// compare in canonical wire form: one encode round must be a
 			// fixed point.
-			wire, err := encodeResponse(resp)
+			wire, err := appendResponse(nil, resp)
 			if err != nil {
 				t.Fatalf("accepted response failed to encode: %v", err)
 			}
@@ -65,7 +65,7 @@ func FuzzProtocolDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("encoded response failed to re-parse: %v", err)
 			}
-			wire2, err := encodeResponse(back)
+			wire2, err := appendResponse(nil, back)
 			if err != nil {
 				t.Fatalf("re-parsed response failed to encode: %v", err)
 			}

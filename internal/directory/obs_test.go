@@ -3,7 +3,6 @@ package directory
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -72,8 +71,9 @@ func TestServerMetrics(t *testing.T) {
 
 // TestServerRefusesUnknownOps: a request naming an op the protocol
 // does not have — a retired write among them, now that calibrate is
-// the only one — gets an error answer, counts as op="invalid", writes
-// nothing, and leaves the connection open for the next request.
+// the only one — or a line that does not parse at all gets an error
+// answer, counts as op="invalid", writes nothing, and leaves the
+// connection open for the next request.
 func TestServerRefusesUnknownOps(t *testing.T) {
 	store, err := NewStore(netmodel.Gusto(), nil)
 	if err != nil {
@@ -108,13 +108,25 @@ func TestServerRefusesUnknownOps(t *testing.T) {
 		}
 		return resp
 	}
-	for i, tc := range []struct{ line, op string }{
-		{`{"op":"update_pair","src":0,"dst":1,"latency":0.02,"bandwidth":1e6}`, "update_pair"},
-		{`{"op":"nope"}`, "nope"},
+	// malformed is the answer to a line that does not parse: the
+	// decoder's own error text.
+	malformed := func(line string) string {
+		t.Helper()
+		_, err := parseRequest([]byte(line))
+		if err == nil {
+			t.Fatalf("%s: parses", line)
+		}
+		return err.Error()
+	}
+	for i, tc := range []struct{ line, want string }{
+		{`{"op":"update_pair","src":0,"dst":1,"latency":0.02,"bandwidth":1e6}`, `unknown op "update_pair"`},
+		{`{"op":"nope"}`, `unknown op "nope"`},
+		// A line that does not parse counts as invalid too.
+		{`garbage`, malformed(`garbage`)},
+		{`{"op":"version"`, malformed(`{"op":"version"`)},
 	} {
-		want := fmt.Sprintf("unknown op %q", tc.op)
-		if resp := ask(tc.line); resp.OK || resp.Error != want {
-			t.Errorf("%s: answered %+v, want error %s", tc.line, resp, want)
+		if resp := ask(tc.line); resp.OK || resp.Error != tc.want {
+			t.Errorf("%s: answered %+v, want error %s", tc.line, resp, tc.want)
 		}
 		if got := readCounter(t, reg, obs.MetricDirectoryServerRequests, obs.L("op", "invalid")); got != uint64(i+1) {
 			t.Errorf("%s: requests{op=invalid} = %d, want %d", tc.line, got, i+1)

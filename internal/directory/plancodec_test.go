@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hetsched/internal/comm"
+	"hetsched/internal/sched"
 )
 
 // jsonPlanRequest is the reference the hand codec is held to: what
@@ -355,5 +358,303 @@ func TestParsePlanHead(t *testing.T) {
 		if tc.table == "" && tc.ok && table != nil {
 			t.Errorf("ParsePlanHead(%s) found a table in a line without one", tc.line)
 		}
+	}
+}
+
+// jsonPlanResponse is the reference the response codec is held to: what
+// ParsePlanResponse was before it had a fast path.
+func jsonPlanResponse(line []byte) (PlanResponse, error) {
+	var resp PlanResponse
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return PlanResponse{}, fmt.Errorf("malformed plan response: %w", err)
+	}
+	return resp, nil
+}
+
+// checkPlanResponseCodec holds one line to the response codec's
+// contract: the fast decoder accepts only what encoding/json accepts
+// and decodes it to the same value, a rejection carries encoding/json's
+// text, and what a line decodes to encodes as checkPlanResponseEncode
+// says.
+func checkPlanResponseCodec(t *testing.T, line []byte) {
+	t.Helper()
+	want, wantErr := jsonPlanResponse(line)
+	d := planDecoder{b: line}
+	if fast, ok := d.response(); ok {
+		if wantErr != nil {
+			t.Fatalf("fast decoder accepted %q, encoding/json says %v", line, wantErr)
+		}
+		if !reflect.DeepEqual(fast, want) {
+			t.Fatalf("fast decoder read %q as %#v, encoding/json as %#v", line, fast, want)
+		}
+	}
+	got, err := ParsePlanResponse(line)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("ParsePlanResponse(%q) = %v, want error %v", line, err, wantErr)
+		}
+		return
+	}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParsePlanResponse(%q) = %#v, %v; want %#v", line, got, err, want)
+	}
+	checkPlanResponseEncode(t, got)
+}
+
+// checkPlanResponseEncode: a response encodes to json.Marshal's bytes
+// plus the newline, also after a prefix, or fails where json.Marshal
+// fails, leaving the prefix as it was.
+func checkPlanResponseEncode(t *testing.T, resp PlanResponse) {
+	t.Helper()
+	ref, refErr := json.Marshal(resp)
+	enc, err := EncodePlanResponse(resp)
+	app, appErr := AppendPlanResponse([]byte("x"), resp)
+	if refErr != nil {
+		if err == nil || appErr == nil || string(app) != "x" {
+			t.Fatalf("encoding %#v: json.Marshal fails (%v), EncodePlanResponse wrote %q, %v and AppendPlanResponse %q, %v",
+				resp, refErr, enc, err, app, appErr)
+		}
+		return
+	}
+	ref = append(ref, '\n')
+	if err != nil || !bytes.Equal(enc, ref) {
+		t.Fatalf("EncodePlanResponse wrote %q, %v; json.Marshal %q", enc, err, ref)
+	}
+	if appErr != nil || !bytes.Equal(app[1:], ref) || app[0] != 'x' {
+		t.Fatalf("AppendPlanResponse after a prefix wrote %q, %v; want x%q", app, appErr, ref)
+	}
+}
+
+// servedHit is the answer a cache hit sends.
+var servedHit = PlanResponse{OK: true, ID: 7, Status: PlanServed, Health: "ok", Generation: 3,
+	Algorithm: "openshop", TMax: 0.012345678901234567, TLB: 0.009, Steps: 49, Cached: true,
+	QueueWaitMS: 0.25, Trace: "00000000deadbeef"}
+
+// planResponseSeeds are lines the fast decoder takes.
+var planResponseSeeds = []string{
+	`{"ok":true,"id":7,"status":"served","health":"ok","generation":3,"algorithm":"openshop","t_max":0.012,"t_lb":0.009,"steps":8}`,
+	`{"ok":false,"id":7,"status":"shed","retry_after_ms":40,"error":"serve: queue full"}`,
+	`{"ok":true,"status":"served","health":"stale","algorithm":"openshop+stale","coalesced":true,"cached":false}`,
+	`{"ok":true,"algorithm":"baseline+degraded","health":"degraded","t_max":1e-7,"t_lb":2.5E+21,"queue_wait_ms":-0}`,
+	`{}`, `{"ok":false}`, ` { "ok" : true , "t_max" : -0.5e-3 , "steps" : -2 } ` + "\r\n",
+	`{"t_max":0,"t_lb":-0.0,"queue_wait_ms":123456789012345678901234567890}`,
+	`{"t_max":5e-324,"t_lb":1.7976931348623157e308,"generation":999999999999999999}`,
+	"{\"error\":\"a\x7fb\",\"trace\":\"]]\"}", `{"error":"a<b&c>"}`,
+}
+
+// planResponseDeclines are lines the fast decoder must leave to
+// encoding/json, whether json then accepts them or not.
+var planResponseDeclines = []string{
+	// Keys: upper case (json folds it), repeated (json keeps the last),
+	// unknown (json skips it), a stats payload, null values.
+	`{"OK":true}`, `{"Status":"served"}`, `{"ok":true,"ok":false}`, `{"t_max":1,"t_max":2}`,
+	`{"ok":true,"priority":3}`, `{"ok":true,"stats":{"queue_depth":2,"served":8}}`, `{"stats":null}`,
+	`{"ok":null}`, `{"error":null}`, `{"id":null}`, `{"t_max":null}`, `{"cached":null}`,
+	// Strings: escapes, UTF-8, bytes json refuses or replaces.
+	`{"error":"unknown op \"x\""}`, `{"error":"a\u003cb"}`, `{"status":"s\\erved"}`,
+	"{\"error\":\"caf\xc3\xa9\"}", "{\"error\":\"\xff\"}", "{\"error\":\"a\tb\"}",
+	// Numbers: outside JSON's grammar, out of range, of the wrong type.
+	`{"t_max":1.}`, `{"t_max":.5}`, `{"t_max":01}`, `{"t_max":-}`, `{"t_max":+1}`, `{"t_max":1e}`,
+	`{"t_max":1e+}`, `{"t_max":1.e3}`, `{"t_max":0x10}`, `{"t_max":NaN}`, `{"t_max":Infinity}`,
+	`{"t_max":1e400}`, `{"t_lb":-1e400}`, `{"t_max":"1"}`, `{"t_max":true}`,
+	`{"id":-1}`, `{"id":1.0}`, `{"id":01}`, `{"steps":1e2}`, `{"generation":18446744073709551615}`,
+	`{"retry_after_ms":-0}`, `{"steps":1234567890123456789}`,
+	// Booleans.
+	`{"ok":True}`, `{"ok":tru}`, `{"ok":truex}`, `{"ok":1}`, `{"cached":"true"}`,
+	// Framing.
+	`{"ok":true} x`, `{"ok":true}{"ok":true}`, `{"ok":true,}`, `{,"ok":true}`, `{"ok" true}`,
+	`{"ok":true "id":1}`, `["ok"]`, `null`, ``, ` `, `{`, `{]`, `null{`,
+}
+
+// TestPlanResponseFastPath: the lines our own encoder writes, and the
+// seeds, are the ones the fast decoder takes; everything outside them —
+// every proper prefix of a served answer among them — is declined and so
+// decided by encoding/json.
+func TestPlanResponseFastPath(t *testing.T) {
+	line, err := EncodePlanResponse(servedHit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := append([]string{string(line)}, planResponseSeeds...)
+	for _, line := range lines {
+		d := planDecoder{b: []byte(line)}
+		if _, ok := d.response(); !ok {
+			t.Errorf("fast decoder declined %q", line)
+		}
+		checkPlanResponseCodec(t, []byte(line))
+	}
+	declines := append([]string(nil), planResponseDeclines...)
+	for n := 0; n < len(line)-1; n++ {
+		declines = append(declines, string(line[:n]))
+	}
+	for _, line := range declines {
+		d := planDecoder{b: []byte(line)}
+		if resp, ok := d.response(); ok {
+			t.Errorf("fast decoder accepted %q as %#v", line, resp)
+		}
+		checkPlanResponseCodec(t, []byte(line))
+	}
+}
+
+// TestPlanResponseEdges: the encoder at json.Marshal's edges — floats
+// on each side of the switch to exponent form, the extremes and what
+// json refuses; strings json escapes; a stats payload — and each line
+// it writes read back by the decoder, or declined to json.
+func TestPlanResponseEdges(t *testing.T) {
+	floats := []float64{
+		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 1e-7, 1e-10, 1e20, 1e100,
+		math.Copysign(0, -1), 5e-324, math.MaxFloat64, 0.1, 1, 123456.789, 1.0000000000000002,
+	}
+	var resps []PlanResponse
+	for _, f := range floats {
+		resps = append(resps, PlanResponse{TMax: f, TLB: -f, QueueWaitMS: f / 3})
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		resps = append(resps, PlanResponse{TMax: f}, PlanResponse{TLB: f}, PlanResponse{QueueWaitMS: f})
+	}
+	for _, s := range []string{"<", ">", "&", `"`, `\`, "café", " ", "\xff", "a\nb", "\x7f", " "} {
+		resps = append(resps, PlanResponse{Error: s}, PlanResponse{Status: s}, PlanResponse{Health: s},
+			PlanResponse{Algorithm: s}, PlanResponse{Trace: s})
+	}
+	resps = append(resps,
+		servedHit,
+		PlanResponse{OK: true, Health: "ok", Stats: &ServeStats{QueueDepth: 2, Draining: true, Served: 8}},
+		PlanResponse{ID: math.MaxUint64, Generation: math.MaxUint64, RetryAfterMS: math.MinInt64, Steps: math.MaxInt64},
+		PlanResponse{RetryAfterMS: -1, Steps: -1, Coalesced: true},
+	)
+	for _, resp := range resps {
+		checkPlanResponseEncode(t, resp)
+		if line, err := EncodePlanResponse(resp); err == nil {
+			checkPlanResponseCodec(t, line)
+		}
+	}
+	// The floats' lines are the fast decoder's; the stats payload's is not.
+	for _, f := range floats {
+		line, _ := EncodePlanResponse(PlanResponse{TMax: f, TLB: -f})
+		if d := (planDecoder{b: line}); !ok(d.response()) {
+			t.Errorf("fast decoder declined %q", line)
+		}
+	}
+}
+
+func ok[T any](_ T, ok bool) bool { return ok }
+
+// TestPlanResponseCodecAllocs: a served answer is written into a buffer
+// with room and read back without an allocation; only the error text
+// and an uncommon trace or algorithm would cost one.
+func TestPlanResponseCodecAllocs(t *testing.T) {
+	buf, err := AppendPlanResponse(nil, servedHit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedHit := servedHit
+	servedHit.Trace = "" // a trace is the client's own string
+	line, _ := EncodePlanResponse(servedHit)
+	if got := testing.AllocsPerRun(100, func() { AppendPlanResponse(buf[:0], servedHit) }); got != 0 {
+		t.Errorf("AppendPlanResponse into room: %v allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { ParsePlanResponse(line) }); got != 0 {
+		t.Errorf("ParsePlanResponse(%q): %v allocations, want 0", line, got)
+	}
+}
+
+// TestPlanResponseInternsServedNames ties the decoder's interned
+// strings to the names the serving stack actually writes: on each
+// rung of comm's ladder, the rung's name as Health, and as Algorithm
+// the default scheduler's name (the blind baseline's on the degraded
+// rung) tagged "+rung" below the fresh rung, as comm's tagResult does.
+// A rename in sched or comm fails here instead of quietly costing every
+// hit an allocation.
+func TestPlanResponseInternsServedNames(t *testing.T) {
+	for _, h := range []comm.Health{comm.HealthOK, comm.HealthStale, comm.HealthDegraded} {
+		var s sched.Scheduler = sched.NewOpenShop()
+		if h == comm.HealthDegraded {
+			s = sched.Baseline{}
+		}
+		alg := s.Name()
+		if h != comm.HealthOK {
+			alg += "+" + h.String()
+		}
+		resp := servedHit
+		resp.Trace, resp.Health, resp.Algorithm = "", h.String(), alg
+		line, err := EncodePlanResponse(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { ParsePlanResponse(line) }); got != 0 {
+			t.Errorf("ParsePlanResponse(%q): %v allocations, want 0", line, got)
+		}
+	}
+}
+
+// FuzzPlanResponseCodec holds the response codec to encoding/json: a
+// fuzzed line goes through checkPlanResponseCodec, and a response built
+// from the other inputs through checkPlanResponseEncode. mask's bits
+// choose which string fields carry text instead of a protocol value,
+// the flags, and a stats payload.
+func FuzzPlanResponseCodec(f *testing.F) {
+	for i, line := range append(planResponseSeeds, planResponseDeclines...) {
+		f.Add(line, "", uint64(i), float64(i)/7, math.Pow(10, float64(i%40-20)), uint16(i))
+	}
+	f.Add("", "<", uint64(1), 1e21, 1e-7, uint16(0x1ff))
+	f.Add("", "caf\xc3\xa9", uint64(math.MaxUint64), math.NaN(), math.Inf(-1), uint16(0xfe))
+	f.Fuzz(func(t *testing.T, line, text string, n uint64, x, y float64, mask uint16) {
+		checkPlanResponseCodec(t, []byte(line))
+		pick := func(bit uint16, protocol string) string {
+			if mask&bit != 0 {
+				return text
+			}
+			return protocol
+		}
+		resp := PlanResponse{
+			OK: mask&1 != 0, Error: pick(2, ""), ID: n, Status: pick(4, PlanServed),
+			RetryAfterMS: int64(n), Health: pick(8, "ok"), Generation: n >> 7,
+			Algorithm: pick(16, "openshop"), TMax: x, TLB: y, Steps: int(int64(n) >> 3),
+			Coalesced: mask&32 != 0, Cached: mask&64 != 0, QueueWaitMS: x - y, Trace: pick(128, ""),
+		}
+		if mask&256 != 0 {
+			resp.Stats = &ServeStats{QueueDepth: int(int16(n)), Served: n}
+		}
+		checkPlanResponseEncode(t, resp)
+		if enc, err := EncodePlanResponse(resp); err == nil {
+			checkPlanResponseCodec(t, enc)
+		}
+	})
+}
+
+// BenchmarkPlanResponseCodec is the layer's own baseline: the answer a
+// cache hit sends, each way, and the serve_stats answer, which json
+// writes and reads.
+func BenchmarkPlanResponseCodec(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		resp PlanResponse
+	}{
+		{"hit", servedHit},
+		{"stats", PlanResponse{OK: true, Health: "ok", Stats: &ServeStats{QueueDepth: 2, Admitted: 10, Served: 8}}},
+	} {
+		line, err := EncodePlanResponse(tc.resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("parse/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			for i := 0; i < b.N; i++ {
+				if _, err := ParsePlanResponse(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("encode/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				if buf, err = AppendPlanResponse(buf[:0], tc.resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

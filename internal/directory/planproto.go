@@ -3,6 +3,7 @@ package directory
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -63,7 +64,18 @@ import (
 // direction spends it in one loop per sizes row: readRow on the way in,
 // the row loop of AppendSizes with putInt on the way out.
 //
-// Responses are small and stay on encoding/json.
+// Responses have the same codec and the same contract, for another
+// reason: a response is about 180 bytes, but it is what every cache hit
+// sends, and through encoding/json it was all ten of a wire hit's
+// allocations (DESIGN.md §3). AppendPlanResponse writes json.Marshal's
+// bytes and hands to json a response with a string json would escape, a
+// Stats payload, or a float json refuses (NaN, ±Inf). ParsePlanResponse
+// runs the same decoder (planDecoder.object walks both directions'
+// objects) over the fifteen plain fields — booleans, the integers
+// above, and floats of JSON's grammar, converted with strconv.ParseFloat
+// as json converts them — and declines a stats payload and everything
+// the request decoder declines. FuzzPlanResponseCodec holds it to
+// encoding/json.
 
 // Plan-protocol op names.
 const (
@@ -221,50 +233,79 @@ func EncodePlanRequest(req PlanRequest) ([]byte, error) {
 // encode every request of a connection into one buffer.
 func AppendPlanRequest(dst []byte, req PlanRequest) ([]byte, error) {
 	if !plainString(req.Op) || !plainString(req.Kind) || !plainString(req.Trace) {
-		line, err := wire.EncodeLine(req)
+		line, err := wire.AppendLine(dst, req)
 		if err != nil {
 			return dst, fmt.Errorf("encode plan request: %w", err)
 		}
-		return append(dst, line...), nil
+		return line, nil
 	}
 	dst = append(dst, `{"op":"`...)
 	dst = append(dst, req.Op...)
 	dst = append(dst, '"')
-	if req.ID != 0 {
-		dst = append(dst, `,"id":`...)
-		dst = strconv.AppendUint(dst, req.ID, 10)
-	}
-	if req.P != 0 {
-		dst = append(dst, `,"p":`...)
-		dst = strconv.AppendInt(dst, int64(req.P), 10)
-	}
-	if req.Kind != "" {
-		dst = append(dst, `,"kind":"`...)
-		dst = append(dst, req.Kind...)
-		dst = append(dst, '"')
-	}
-	if req.Bytes != 0 {
-		dst = append(dst, `,"bytes":`...)
-		dst = strconv.AppendInt(dst, req.Bytes, 10)
-	}
-	if req.Seed != 0 {
-		dst = append(dst, `,"seed":`...)
-		dst = strconv.AppendInt(dst, req.Seed, 10)
-	}
+	dst = appendUintField(dst, `,"id":`, req.ID)
+	dst = appendIntField(dst, `,"p":`, int64(req.P))
+	dst = appendTextField(dst, `,"kind":"`, req.Kind)
+	dst = appendIntField(dst, `,"bytes":`, req.Bytes)
+	dst = appendIntField(dst, `,"seed":`, req.Seed)
 	if len(req.Sizes) > 0 {
 		dst = append(dst, `,"sizes":`...)
 		dst = AppendSizes(dst, req.Sizes)
 	}
-	if req.DeadlineMS != 0 {
-		dst = append(dst, `,"deadline_ms":`...)
-		dst = strconv.AppendInt(dst, req.DeadlineMS, 10)
-	}
-	if req.Trace != "" {
-		dst = append(dst, `,"trace":"`...)
-		dst = append(dst, req.Trace...)
-		dst = append(dst, '"')
-	}
+	dst = appendIntField(dst, `,"deadline_ms":`, req.DeadlineMS)
+	dst = appendTextField(dst, `,"trace":"`, req.Trace)
 	return append(dst, '}', '\n'), nil
+}
+
+// The omitempty field writers: each appends key, the text up to the
+// value, and the value, unless the value is its type's zero, which
+// json.Marshal omits. A text key ends in the value's opening quote.
+
+func appendUintField(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
+}
+
+func appendIntField(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+func appendTextField(dst []byte, key, v string) []byte {
+	if v == "" {
+		return dst
+	}
+	return append(append(append(dst, key...), v...), '"')
+}
+
+func appendTrueField(dst []byte, key string, v bool) []byte {
+	if !v {
+		return dst
+	}
+	return append(append(dst, key...), "true"...)
+}
+
+// appendFloatField writes a finite v as encoding/json does: the
+// shortest decimal that reads back as v, in exponent form below 1e-6
+// and from 1e21, with a one-digit negative exponent unpadded. -0 is
+// zero, so it is omitted like 0.
+func appendFloatField(dst []byte, key string, v float64) []byte {
+	if v == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	if abs := math.Abs(v); abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(dst, v, 'f', -1, 64)
+	}
+	dst = strconv.AppendFloat(dst, v, 'e', -1, 64)
+	if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 is written e-7
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // AppendSizes appends the compact JSON text of a sizes table to dst,
@@ -351,6 +392,10 @@ func putInt(out []byte, w int, v int64) int {
 
 // ParsePlanResponse decodes one plan-response wire line.
 func ParsePlanResponse(line []byte) (PlanResponse, error) {
+	d := planDecoder{b: line}
+	if resp, ok := d.response(); ok {
+		return resp, nil
+	}
 	var resp PlanResponse
 	if err := wire.DecodeLine(line, &resp); err != nil {
 		return PlanResponse{}, fmt.Errorf("malformed plan response: %w", err)
@@ -360,12 +405,50 @@ func ParsePlanResponse(line []byte) (PlanResponse, error) {
 
 // EncodePlanResponse renders a plan response as one wire line.
 func EncodePlanResponse(resp PlanResponse) ([]byte, error) {
-	b, err := wire.EncodeLine(resp)
+	// A guess that saves the doubling, not a bound: append grows past it.
+	size := 200 + len(resp.Error) + len(resp.Algorithm) + len(resp.Trace)
+	line, err := AppendPlanResponse(make([]byte, 0, size), resp)
 	if err != nil {
-		return nil, fmt.Errorf("encode plan response: %w", err)
+		return nil, err
 	}
-	return b, nil
+	return line, nil
 }
+
+// AppendPlanResponse appends resp's wire line to dst, so a server can
+// answer every request of a connection into one buffer. It writes what
+// json.Marshal writes and hands to json itself a response with a string
+// json would escape, a Stats payload, or a float json refuses (NaN,
+// ±Inf).
+func AppendPlanResponse(dst []byte, resp PlanResponse) ([]byte, error) {
+	if resp.Stats != nil || !plainString(resp.Error) || !plainString(resp.Status) ||
+		!plainString(resp.Health) || !plainString(resp.Algorithm) || !plainString(resp.Trace) ||
+		!finite(resp.TMax) || !finite(resp.TLB) || !finite(resp.QueueWaitMS) {
+		line, err := wire.AppendLine(dst, resp)
+		if err != nil {
+			return dst, fmt.Errorf("encode plan response: %w", err)
+		}
+		return line, nil
+	}
+	dst = strconv.AppendBool(append(dst, `{"ok":`...), resp.OK)
+	dst = appendTextField(dst, `,"error":"`, resp.Error)
+	dst = appendUintField(dst, `,"id":`, resp.ID)
+	dst = appendTextField(dst, `,"status":"`, resp.Status)
+	dst = appendIntField(dst, `,"retry_after_ms":`, resp.RetryAfterMS)
+	dst = appendTextField(dst, `,"health":"`, resp.Health)
+	dst = appendUintField(dst, `,"generation":`, resp.Generation)
+	dst = appendTextField(dst, `,"algorithm":"`, resp.Algorithm)
+	dst = appendFloatField(dst, `,"t_max":`, resp.TMax)
+	dst = appendFloatField(dst, `,"t_lb":`, resp.TLB)
+	dst = appendIntField(dst, `,"steps":`, int64(resp.Steps))
+	dst = appendTrueField(dst, `,"coalesced":`, resp.Coalesced)
+	dst = appendTrueField(dst, `,"cached":`, resp.Cached)
+	dst = appendFloatField(dst, `,"queue_wait_ms":`, resp.QueueWaitMS)
+	dst = appendTextField(dst, `,"trace":"`, resp.Trace)
+	return append(dst, '}', '\n'), nil
+}
+
+// finite reports whether json.Marshal can write v.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // plainString reports whether json.Marshal writes s between quotes
 // unchanged: printable ASCII, nothing it escapes (quote, backslash, and
@@ -399,8 +482,9 @@ func ParsePlanHead(line []byte) (req PlanRequest, table []byte, rows int, ok boo
 	return req, d.table, d.rows, true
 }
 
-// planDecoder is the cursor of the single-pass request decoder. Every
-// method that returns ok=false has declined the whole line.
+// planDecoder is the cursor of the single-pass decoder of requests and
+// responses. Every method that returns ok=false has declined the whole
+// line.
 type planDecoder struct {
 	b []byte
 	i int
@@ -418,7 +502,34 @@ func decodeCanonicalPlanRequest(line []byte) (PlanRequest, bool) {
 	return d.request()
 }
 
-// request decodes the line from its start, or declines.
+// object decodes the line from its start as one object. For each key
+// it calls value, which decodes that key's value at the cursor and
+// returns the key's bit; a key value does not know (bit 0) or a key
+// seen before declines the line.
+func (d *planDecoder) object(value func(key []byte) (field int, ok bool)) bool {
+	if !d.eat('{') {
+		return false
+	}
+	for seen := 0; !d.eat('}'); {
+		if seen != 0 && !d.eat(',') {
+			return false
+		}
+		key, ok := d.str()
+		if !ok || !d.eat(':') {
+			return false
+		}
+		d.space()
+		field, ok := value(key)
+		if !ok || field == 0 || seen&field != 0 {
+			return false
+		}
+		seen |= field
+	}
+	d.space()
+	return d.i == len(d.b)
+}
+
+// request decodes a plan-request line, or declines.
 func (d *planDecoder) request() (PlanRequest, bool) {
 	const (
 		fOp = 1 << iota
@@ -432,65 +543,123 @@ func (d *planDecoder) request() (PlanRequest, bool) {
 		fTrace
 	)
 	var req PlanRequest
-	if !d.eat('{') {
-		return PlanRequest{}, false
-	}
-	for seen := 0; !d.eat('}'); {
-		if seen != 0 && !d.eat(',') {
-			return PlanRequest{}, false
-		}
-		key, ok := d.str()
-		if !ok || !d.eat(':') {
-			return PlanRequest{}, false
-		}
-		d.space()
-		var field int
+	ok := d.object(func(key []byte) (field int, ok bool) {
 		switch string(key) {
 		case "op":
-			field = fOp
 			req.Op, ok = d.text()
+			return fOp, ok
 		case "id":
-			field = fID
-			var v int64
-			v, ok = d.int()
-			req.ID = uint64(v)
-			ok = ok && v >= 0
+			req.ID, ok = d.uint()
+			return fID, ok
 		case "p":
-			field = fP
-			var v int64
-			v, ok = d.int()
-			req.P = int(v)
-			ok = ok && int64(req.P) == v
+			req.P, ok = d.intField()
+			return fP, ok
 		case "kind":
-			field = fKind
 			req.Kind, ok = d.text()
+			return fKind, ok
 		case "bytes":
-			field = fBytes
 			req.Bytes, ok = d.int()
+			return fBytes, ok
 		case "seed":
-			field = fSeed
 			req.Seed, ok = d.int()
+			return fSeed, ok
 		case "sizes":
-			field = fSizes
 			if d.head {
 				ok = d.locate()
 			} else {
 				req.Sizes, ok = d.sizes()
 			}
+			return fSizes, ok
 		case "deadline_ms":
-			field = fDeadlineMS
 			req.DeadlineMS, ok = d.int()
+			return fDeadlineMS, ok
 		case "trace":
-			field = fTrace
 			req.Trace, ok = d.text()
+			return fTrace, ok
 		}
-		if !ok || field == 0 || seen&field != 0 {
-			return PlanRequest{}, false
-		}
-		seen |= field
+		return 0, false
+	})
+	if !ok {
+		return PlanRequest{}, false
 	}
-	d.space()
-	return req, d.i == len(d.b)
+	return req, true
+}
+
+// response decodes a plan-response line, or declines: a stats payload
+// is a key it does not know.
+func (d *planDecoder) response() (PlanResponse, bool) {
+	const (
+		fOK = 1 << iota
+		fError
+		fID
+		fStatus
+		fRetryAfterMS
+		fHealth
+		fGeneration
+		fAlgorithm
+		fTMax
+		fTLB
+		fSteps
+		fCoalesced
+		fCached
+		fQueueWaitMS
+		fTrace
+	)
+	var resp PlanResponse
+	ok := d.object(func(key []byte) (field int, ok bool) {
+		switch string(key) {
+		case "ok":
+			resp.OK, ok = d.bool()
+			return fOK, ok
+		case "error":
+			resp.Error, ok = d.text()
+			return fError, ok
+		case "id":
+			resp.ID, ok = d.uint()
+			return fID, ok
+		case "status":
+			resp.Status, ok = d.text()
+			return fStatus, ok
+		case "retry_after_ms":
+			resp.RetryAfterMS, ok = d.int()
+			return fRetryAfterMS, ok
+		case "health":
+			resp.Health, ok = d.text()
+			return fHealth, ok
+		case "generation":
+			resp.Generation, ok = d.uint()
+			return fGeneration, ok
+		case "algorithm":
+			resp.Algorithm, ok = d.text()
+			return fAlgorithm, ok
+		case "t_max":
+			resp.TMax, ok = d.float()
+			return fTMax, ok
+		case "t_lb":
+			resp.TLB, ok = d.float()
+			return fTLB, ok
+		case "steps":
+			resp.Steps, ok = d.intField()
+			return fSteps, ok
+		case "coalesced":
+			resp.Coalesced, ok = d.bool()
+			return fCoalesced, ok
+		case "cached":
+			resp.Cached, ok = d.bool()
+			return fCached, ok
+		case "queue_wait_ms":
+			resp.QueueWaitMS, ok = d.float()
+			return fQueueWaitMS, ok
+		case "trace":
+			resp.Trace, ok = d.text()
+			return fTrace, ok
+		}
+		return 0, false
+	})
+	if !ok {
+		return PlanResponse{}, false
+	}
+	return resp, true
 }
 
 // space skips JSON's insignificant whitespace.
@@ -538,7 +707,11 @@ func (d *planDecoder) str() ([]byte, bool) {
 }
 
 // text consumes a string value, without allocating for the values the
-// protocol defines.
+// protocol defines: ops, pattern kinds, statuses, ladder rungs, and the
+// algorithm tags of the daemon's default scheduler on each rung (sched
+// and comm name those; TestPlanResponseInternsServedNames holds this
+// list to them). Any other value, such as a non-default scheduler's
+// tag, costs one string.
 func (d *planDecoder) text() (string, bool) {
 	b, ok := d.str()
 	switch string(b) {
@@ -552,8 +725,42 @@ func (d *planDecoder) text() (string, bool) {
 		return PatternRandom, ok
 	case PatternSkew:
 		return PatternSkew, ok
+	case PlanServed:
+		return PlanServed, ok
+	case PlanShed:
+		return PlanShed, ok
+	case PlanExpired:
+		return PlanExpired, ok
+	case PlanDraining:
+		return PlanDraining, ok
+	case "ok":
+		return "ok", ok
+	case "stale":
+		return "stale", ok
+	case "degraded":
+		return "degraded", ok
+	case "openshop":
+		return "openshop", ok
+	case "openshop+stale":
+		return "openshop+stale", ok
+	case "baseline+degraded":
+		return "baseline+degraded", ok
 	}
 	return string(b), ok
+}
+
+// bool consumes true or false.
+func (d *planDecoder) bool() (bool, bool) {
+	rest := d.b[d.i:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("true")):
+		d.i += 4
+		return true, true
+	case bytes.HasPrefix(rest, []byte("false")):
+		d.i += 5
+		return false, true
+	}
+	return false, false
 }
 
 // leadingInt is the decoder's one number rule. It reads the integer b
@@ -583,6 +790,64 @@ func (d *planDecoder) int() (int64, bool) {
 	v, n, ok := leadingInt(d.b[d.i:])
 	d.i += n
 	return v, ok
+}
+
+// intField consumes an integer for an int field.
+func (d *planDecoder) intField() (int, bool) {
+	v, ok := d.int()
+	return int(v), ok && int64(int(v)) == v
+}
+
+// uint consumes a non-negative integer.
+func (d *planDecoder) uint() (uint64, bool) {
+	v, ok := d.int()
+	return uint64(v), ok && v >= 0
+}
+
+// float consumes a number of JSON's grammar — an optional '-', an
+// integer part without a leading zero, then an optional fraction and
+// exponent, each with at least one digit — and converts it as
+// encoding/json does, with strconv.ParseFloat, which declines a value
+// out of float64's range.
+func (d *planDecoder) float() (float64, bool) {
+	b, i := d.b, d.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' <= 8:
+		i = skipDigits(b, i)
+	default:
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = skipDigits(b, i+1); b[i-1] == '.' {
+			return 0, false
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start := i
+		if i = skipDigits(b, i); i == start {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseFloat(string(b[d.i:i]), 64)
+	d.i = i
+	return v, err == nil
+}
+
+// skipDigits returns the index of the first byte at or after i that is
+// not a decimal digit.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' <= 9 {
+		i++
+	}
+	return i
 }
 
 // readRow fills row from the values at b[i:], just past a row's '[',

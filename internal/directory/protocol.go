@@ -110,12 +110,12 @@ func parseResponse(line []byte) (response, error) {
 	return resp, nil
 }
 
-// encodeResponse renders a response as one newline-terminated wire
-// line.
-func encodeResponse(resp response) ([]byte, error) {
-	b, err := wire.EncodeLine(resp)
+// appendResponse appends a response's newline-terminated wire line to
+// dst.
+func appendResponse(dst []byte, resp response) ([]byte, error) {
+	b, err := wire.AppendLine(dst, resp)
 	if err != nil {
-		return nil, fmt.Errorf("encode response: %w", err)
+		return dst, fmt.Errorf("encode response: %w", err)
 	}
 	return b, nil
 }

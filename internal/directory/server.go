@@ -106,10 +106,13 @@ func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.w.WrapConn = w
 // goroutines; call Close to stop.
 func (s *Server) Listen(addr string) (string, error) { return s.w.Listen(addr) }
 
-// handleLine resolves one request line to one response line.
-func (s *Server) handleLine(line []byte) ([]byte, bool) {
+// handleLine resolves one request line to one response line, appended
+// to dst. A line that does not parse counts as "invalid", as an unknown
+// op does.
+func (s *Server) handleLine(dst, line []byte) ([]byte, bool) {
 	var resp response
 	if req, err := parseRequest(line); err != nil {
+		s.countRequest("invalid")
 		resp = response{Error: err.Error()}
 	} else if req.Op == OpCalibrate {
 		// The calibration feed carries slice payloads the scalar
@@ -121,7 +124,7 @@ func (s *Server) handleLine(line []byte) ([]byte, bool) {
 	} else {
 		s.countRequest(req.Op)
 	}
-	out, err := encodeResponse(resp)
+	out, err := appendResponse(dst, resp)
 	return out, err == nil
 }
 

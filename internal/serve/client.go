@@ -54,18 +54,6 @@ func (c *Client) Plan(ctx context.Context, req directory.PlanRequest) (directory
 	if req.Trace == "" {
 		req.Trace = obs.FormatTraceID(obs.TraceFrom(ctx).TraceID)
 	}
-	return c.roundTrip(ctx, req)
-}
-
-// Stats fetches the daemon's serving counters.
-func (c *Client) Stats(ctx context.Context) (directory.PlanResponse, error) {
-	if c == nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: nil client")
-	}
-	return c.roundTrip(ctx, directory.PlanRequest{Op: directory.OpServeStats})
-}
-
-func (c *Client) roundTrip(ctx context.Context, req directory.PlanRequest) (directory.PlanResponse, error) {
 	buf := c.buf.Swap(nil)
 	if buf == nil {
 		buf = new([]byte)

@@ -652,16 +652,6 @@ func (d *Daemon) Shutdown() int {
 	return forced
 }
 
-// Draining reports whether Shutdown has begun.
-func (d *Daemon) Draining() bool {
-	if d == nil {
-		return true
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining
-}
-
 // Health reports the communicator's current fallback-ladder rung.
 // Individual responses carry the rung that served them; this is the
 // daemon-wide view for health endpoints and logs.

@@ -382,7 +382,7 @@ func TestNilDaemonFailsClosed(t *testing.T) {
 	if d.Shutdown() != 0 {
 		t.Fatal("nil daemon shutdown")
 	}
-	if !d.Snapshot().Draining || !d.Draining() {
+	if !d.Snapshot().Draining {
 		t.Fatal("nil daemon should report draining")
 	}
 	if d.Health() != comm.HealthDegraded {

@@ -67,9 +67,10 @@ func (s *Server) Listen(addr string) (string, error) {
 	return s.w.Listen(addr)
 }
 
-// handleLine answers one request line with one response line.
-func (s *Server) handleLine(line []byte) ([]byte, bool) {
-	out, err := directory.EncodePlanResponse(s.answer(line))
+// handleLine answers one request line with one response line,
+// appended to the connection's buffer dst.
+func (s *Server) handleLine(dst, line []byte) ([]byte, bool) {
+	out, err := directory.AppendPlanResponse(dst, s.answer(line))
 	return out, err == nil
 }
 

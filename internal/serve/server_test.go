@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"strings"
@@ -43,42 +44,48 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("served payload wrong: %+v", resp)
 	}
 
-	stats, err := c.Stats(context.Background())
+	// serve_stats has no client method: it is an operator's raw line.
+	stats := dialLines(t, addr)(`{"op":"serve_stats"}`)
+	if !stats.OK || stats.Stats == nil || stats.Stats.Served != 1 {
+		t.Fatalf("stats reply wrong: %+v", stats)
+	}
+}
+
+// dialLines opens a raw connection to a plan daemon and returns a
+// function that sends one request line and reads its one answer line:
+// the way to send what serve.Client does not.
+func dialLines(t *testing.T, addr string) func(line string) directory.PlanResponse {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.OK || stats.Stats == nil || stats.Stats.Served != 1 {
-		t.Fatalf("stats reply wrong: %+v", stats)
+	t.Cleanup(func() { conn.Close() })
+	rd := bufio.NewReader(conn)
+	return func(line string) directory.PlanResponse {
+		t.Helper()
+		if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		out, err := rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := directory.ParsePlanResponse(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
 }
 
 func TestServerRejectsUnknownOpAndGarbage(t *testing.T) {
 	d := newTestDaemon(t, 4, okSource(4), nil, Config{})
 	_, addr := startTestServer(t, d, ServerConfig{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	send := func(line string) directory.PlanResponse {
-		t.Helper()
-		if _, err := conn.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 1<<16)
-		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := directory.ParsePlanResponse(buf[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
+	send := dialLines(t, addr)
 	if resp := send(`{"op":"conga"}`); resp.OK || !strings.Contains(resp.Error, "unknown op") {
 		t.Fatalf("unknown op: %+v", resp)
 	}

@@ -73,7 +73,7 @@ func TestTableHitWhereAllowed(t *testing.T) {
 		if front {
 			s := NewServer(sd.d, ServerConfig{})
 			sd.answer = func(line []byte) []byte {
-				out, ok := s.handleLine(line)
+				out, ok := s.handleLine(nil, line)
 				if !ok {
 					t.Fatalf("handleLine(%.60s...) could not answer", line)
 				}
@@ -237,14 +237,16 @@ func BenchmarkServerTableHit(b *testing.B) {
 	d := newTestDaemon(b, n, okSource(n), nil, Config{})
 	s := NewServer(d, ServerConfig{})
 	line := tableLine(b, 1, explicitTable(n, 1))
-	if out, ok := s.handleLine(line); !ok || !bytes.Contains(out, []byte(`"ok":true`)) {
+	if out, ok := s.handleLine(nil, line); !ok || !bytes.Contains(out, []byte(`"ok":true`)) {
 		b.Fatalf("the miss that fills the cache: %s", out)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(line)))
 	b.ResetTimer()
+	var out []byte // the connection's response buffer, as wire.Server reuses it
 	for i := 0; i < b.N; i++ {
-		if out, ok := s.handleLine(line); !ok || !bytes.Contains(out, []byte(`"cached":true`)) {
+		var ok bool
+		if out, ok = s.handleLine(out[:0], line); !ok || !bytes.Contains(out, []byte(`"cached":true`)) {
 			b.Fatalf("not a hit: %s", out)
 		}
 	}

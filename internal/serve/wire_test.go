@@ -196,10 +196,17 @@ func TestClientSharedByGoroutines(t *testing.T) {
 // before internal/wire existed (7091420). The plan pin fell from 11 to
 // 10 when wire.EncodeLine stopped appending the newline to
 // json.Marshal's result, which reallocated whenever the JSON was exactly
-// a malloc size class long, as this test's plan answers are.
+// a malloc size class long, as this test's plan answers are. It fell
+// from 10 to 0 when plan responses got the request's hand codec
+// (directory.AppendPlanResponse, ParsePlanResponse's fast decoder) and
+// wire.Server began handing each handler its connection's response
+// buffer: all 10 were encoding/json's, 8 reading the answer and 2
+// writing it. The version pin fell from 15 to 14 with that buffer: the
+// directory answers into it instead of copying its line out of
+// EncodeLine's scratch.
 const (
-	planHitAllocs = 10
-	versionAllocs = 15
+	planHitAllocs = 0
+	versionAllocs = 14
 )
 
 // TestWireRoundTripAllocs pins what one request costs on the shared

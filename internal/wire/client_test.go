@@ -79,7 +79,7 @@ func TestClientConcurrentCallersKeepFraming(t *testing.T) {
 // connection is broken and later calls fail fast with ErrBroken without
 // writing anything.
 func TestClientPoisonedByTransportError(t *testing.T) {
-	mute := &Server{Handler: func([]byte) ([]byte, bool) { return []byte{}, true }} // reads, never answers
+	mute := &Server{Handler: func(dst, _ []byte) ([]byte, bool) { return dst, true }} // reads, never answers
 	muteAddr := startEcho(t, mute)
 	conn := dialCounting(t, muteAddr)
 	c := NewClient(conn, time.Now)

@@ -19,9 +19,12 @@ var ErrShutDown = errors.New("wire: server is shut down")
 // The exported fields configure it and must be set before Listen.
 type Server struct {
 	// Handler answers one non-blank request line, valid only until it
-	// returns, with one response line, newline included; ok=false
-	// closes the connection with nothing written.
-	Handler func(line []byte) (resp []byte, ok bool)
+	// returns, with one response line, newline included, appended to
+	// dst: the connection's response buffer, empty, which the server
+	// writes and then reuses for the next line (unless it grew past
+	// keptResponse), so the handler must keep no reference to it.
+	// ok=false closes the connection with nothing written.
+	Handler func(dst, line []byte) (resp []byte, ok bool)
 	// IdleTimeout drops a connection silent for this long; WriteTimeout
 	// severs one whose client stopped reading. 0 means none.
 	IdleTimeout, WriteTimeout time.Duration
@@ -39,6 +42,12 @@ type Server struct {
 	closed   atomic.Bool
 	drainAt  atomic.Pointer[time.Time] // absolute drain deadline; nil until Drain
 }
+
+// keptResponse is the largest response buffer a connection keeps
+// between lines: the scanner's initial size. A longer answer (a full
+// directory snapshot at large P can approach maxLine) is written from a
+// buffer that is then dropped.
+const keptResponse = 1 << 16
 
 // Listen starts accepting on addr in the background and returns the
 // bound address.
@@ -109,6 +118,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	sc := newScanner(conn)
+	var out []byte // the response buffer, reused up to keptResponse
 	for {
 		if s.arm(conn.SetReadDeadline, s.IdleTimeout) != nil || !sc.Scan() {
 			return // hung up, deadline expired, line too long, or torn down
@@ -117,12 +127,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		resp, ok := s.Handler(line)
+		var ok bool
+		out, ok = s.Handler(out[:0], line)
 		if !ok || s.arm(conn.SetWriteDeadline, s.WriteTimeout) != nil {
 			return
 		}
-		if _, err := conn.Write(resp); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return // slow or dead client; the server is not its hostage
+		}
+		if cap(out) > keptResponse {
+			out = nil // a rare long answer is not held for the connection's life
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,11 +14,11 @@ import (
 )
 
 // echo answers every line with itself; "bye" hangs up without a word.
-func echo(line []byte) ([]byte, bool) {
+func echo(dst, line []byte) ([]byte, bool) {
 	if string(line) == "bye" {
 		return nil, false
 	}
-	return append(append([]byte(nil), line...), '\n'), true
+	return append(append(dst, line...), '\n'), true
 }
 
 func startEcho(t *testing.T, s *Server) string {
@@ -299,15 +300,23 @@ func TestOversizedLineClosesOnlyThatConnection(t *testing.T) {
 
 // TestBlankLinesSkippedAndHandlerHangup: blank lines get no response
 // and do not reach the handler; ok=false closes the connection with
-// nothing written.
+// nothing written. Every line is answered into the connection's one
+// response buffer, handed over empty.
 func TestBlankLinesSkippedAndHandlerHangup(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
-	s := &Server{Handler: func(line []byte) ([]byte, bool) {
+	var bufs []*byte
+	s := &Server{Handler: func(dst, line []byte) ([]byte, bool) {
 		mu.Lock()
 		seen = append(seen, string(line))
+		if len(dst) != 0 {
+			t.Errorf("line %q: handed %d bytes already written", line, len(dst))
+		}
+		if cap(dst) > 0 {
+			bufs = append(bufs, &dst[:1][0])
+		}
 		mu.Unlock()
-		return echo(line)
+		return echo(dst, line)
 	}}
 	p := dialPeer(t, startEcho(t, s))
 	p.send("\n\na\n\nb\n")
@@ -321,6 +330,38 @@ func TestBlankLinesSkippedAndHandlerHangup(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 3 || seen[0] != "a" || seen[1] != "b" || seen[2] != "bye" {
 		t.Errorf("handler saw %q, want a, b, bye", seen)
+	}
+	if len(bufs) != 2 || bufs[0] != bufs[1] {
+		t.Errorf("after the first answer the handler was handed %d buffers %v, want one, twice", len(bufs), bufs)
+	}
+}
+
+// TestLongAnswerBufferNotKept: after an answer longer than
+// keptResponse the connection drops its response buffer, so the next
+// line is answered into a fresh one; a short answer's buffer is kept.
+func TestLongAnswerBufferNotKept(t *testing.T) {
+	long := strings.Repeat("x", keptResponse)
+	var mu sync.Mutex
+	var caps []int
+	s := &Server{Handler: func(dst, line []byte) ([]byte, bool) {
+		mu.Lock()
+		caps = append(caps, cap(dst))
+		mu.Unlock()
+		if string(line) == "long" {
+			return append(append(dst, long...), '\n'), true
+		}
+		return echo(dst, line)
+	}}
+	p := dialPeer(t, startEcho(t, s))
+	p.send("a\nb\nlong\nc\n")
+	p.expect("a\n")
+	p.expect("b\n")
+	p.expect(long + "\n")
+	p.expect("c\n")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(caps) != 4 || caps[0] != 0 || caps[1] == 0 || caps[2] != caps[1] || caps[3] != 0 {
+		t.Errorf("handed buffers of capacity %v, want 0, then one short buffer twice, then 0 after the long answer", caps)
 	}
 }
 

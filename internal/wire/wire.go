@@ -40,18 +40,24 @@ var lineEncoders = sync.Pool{New: func() any {
 }}
 
 // EncodeLine renders v as one newline-terminated JSON wire line, the
-// bytes json.Marshal gives plus the newline. The line is built in pooled
-// scratch and copied out once, so it costs one allocation whatever its
-// length; appending the newline to json.Marshal's result costs a second
-// whenever the JSON is exactly a malloc size class long.
-func EncodeLine(v any) ([]byte, error) {
+// bytes json.Marshal gives plus the newline, in one allocation whatever
+// its length: AppendLine into a nil slice.
+func EncodeLine(v any) ([]byte, error) { return AppendLine(nil, v) }
+
+// AppendLine appends v's wire line, as EncodeLine renders it, to dst
+// and returns the extended slice; on an error dst comes back as it was.
+// The line is built in pooled scratch and copied once into dst, so a
+// dst with room allocates nothing. (Appending the newline to
+// json.Marshal's result would reallocate whenever the JSON is exactly a
+// malloc size class long.)
+func AppendLine(dst []byte, v any) ([]byte, error) {
 	le := lineEncoders.Get().(*lineEncoder)
 	defer lineEncoders.Put(le)
 	le.buf.Reset()
 	if err := le.enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("encode line: %w", err)
+		return dst, fmt.Errorf("encode line: %w", err)
 	}
-	return bytes.Clone(le.buf.Bytes()), nil
+	return append(dst, le.buf.Bytes()...), nil
 }
 
 // DecodeLine parses one JSON wire line into v; a trailing newline is
